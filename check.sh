@@ -52,6 +52,11 @@ awk -v h="$hits" -v mh="$min_hits" -v n="$programs" 'BEGIN {
   }
 }'
 
+echo "== absint fact golden: every workload x O0/C/H/BB =="
+# dune runtest checks a subset; the full sweep pins every fact the
+# analysis exposes to test/absint_golden.ml.
+TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test golden >/dev/null
+
 echo "== differential fuzzing: trips_run fuzz --seed 1 =="
 # 100-program smoke by default; TRIPS_FUZZ_FULL=1 deepens the sweep to
 # 5000 programs (the nightly configuration).  Any divergence exits

@@ -42,45 +42,46 @@ let top_i = { ik = true; base = Bnone; lo = Int64.min_int; hi = Int64.max_int; k
 let top_any = { top_i with ik = false }
 let of_base g = { top_i with base = Bone g; lo = 0L; hi = 0L }
 
-(* Highest set bit position of a non-negative value, -1 for zero. *)
+(* Highest set bit position among bits 0..62, -1 when none is set (bit 63
+   is ignored).  A six-step binary search over the native int [n lsr 1],
+   which fits 62 bits, because this runs in every [norm]. *)
 let msb (n : int64) =
-  let rec go i = if i < 0 then -1 else if Int64.logand n (Int64.shift_left 1L i) <> 0L then i else go (i - 1) in
-  go 62
+  let rec go x r s =
+    if s = 0 then r else if x lsr s <> 0 then go (x lsr s) (r + s) (s / 2) else go x r (s / 2)
+  in
+  let x = Int64.to_int (Int64.shift_right_logical (Int64.logand n Int64.max_int) 1) in
+  if x <> 0 then go x 1 32 else if Int64.logand n 1L <> 0L then 0 else -1
+
+(* Monomorphic bounds: the polymorphic [Stdlib.min]/[max] would compare
+   boxed int64s generically on every join. *)
+let min (a : int64) b = if a <= b then a else b
+let max (a : int64) b = if a >= b then a else b
 
 (* Re-establish internal consistency: singleton ranges pin the bits, a
-   known-zero sign bit pins the range, known-one bits raise the floor. *)
+   known-zero sign bit pins the range, known-one bits raise the floor.
+   Each step sees the fields the previous ones produced; [v] itself comes
+   back when nothing changes, so the common case allocates nothing. *)
 let norm (v : aval) : aval =
-  if not v.ik then { top_any with ik = false }
+  if not v.ik then top_any
+  else if v.base <> Bnone then v
   else begin
-    let v =
-      if v.lo = v.hi && v.base = Bnone then
-        { v with kz = Int64.lognot v.lo; ko = v.lo }
-      else v
-    in
+    let single = v.lo = v.hi in
+    let kz = if single then Int64.lognot v.lo else v.kz in
+    let ko = if single then v.lo else v.ko in
     (* bits above the magnitude of a non-negative range are zero *)
-    let v =
-      if v.base = Bnone && v.lo >= 0L && v.hi >= 0L then
+    let kz =
+      if v.lo >= 0L && v.hi >= 0L then
         let m = msb v.hi in
-        let high_zeros =
-          if m >= 62 then 0L
-          else Int64.shift_left (-1L) (m + 1)
-        in
-        { v with kz = Int64.logor v.kz high_zeros }
-      else v
+        if m >= 62 then kz else Int64.logor kz (Int64.shift_left (-1L) (m + 1))
+      else kz
     in
     (* a known-zero sign bit bounds the range; known-one bits floor it *)
-    let v =
-      if v.base = Bnone && Int64.logand v.kz Int64.min_int <> 0L then
-        let cap = Int64.lognot v.kz in
-        { v with lo = max v.lo 0L; hi = min v.hi cap }
-      else v
-    in
-    let v =
-      if v.base = Bnone && v.ko >= 0L && v.ko <> 0L && v.lo >= 0L then
-        { v with lo = max v.lo v.ko }
-      else v
-    in
-    v
+    let nonneg = Int64.logand kz Int64.min_int <> 0L in
+    let lo = if nonneg then max v.lo 0L else v.lo in
+    let hi = if nonneg then min v.hi (Int64.lognot kz) else v.hi in
+    let lo = if ko >= 0L && ko <> 0L && lo >= 0L then max lo ko else lo in
+    if lo = v.lo && hi = v.hi && kz = v.kz && ko = v.ko then v
+    else { v with lo; hi; kz; ko }
   end
 
 let singleton n = norm { top_i with lo = n; hi = n }
@@ -94,37 +95,48 @@ let join_base a b =
   | _ -> Bmany
 
 let join a b =
-  norm
-    {
-      ik = a.ik && b.ik;
-      base = join_base a.base b.base;
-      lo = min a.lo b.lo;
-      hi = max a.hi b.hi;
-      kz = Int64.logand a.kz b.kz;
-      ko = Int64.logand a.ko b.ko;
-    }
+  (* the field-wise join of [a] with itself is [a] again *)
+  if a == b then norm a
+  else
+    norm
+      {
+        ik = a.ik && b.ik;
+        base = join_base a.base b.base;
+        lo = min a.lo b.lo;
+        hi = max a.hi b.hi;
+        kz = Int64.logand a.kz b.kz;
+        ko = Int64.logand a.ko b.ko;
+      }
 
 (* Widening: any still-moving bound jumps to infinity so chains are finite;
    the bit masks already only shrink under join. *)
 let widen (old : aval) (next : aval) =
   let j = join old next in
-  norm
-    {
-      j with
-      lo = (if j.lo < old.lo then Int64.min_int else old.lo);
-      hi = (if j.hi > old.hi then Int64.max_int else old.hi);
-    }
+  let lo = if j.lo < old.lo then Int64.min_int else old.lo in
+  let hi = if j.hi > old.hi then Int64.max_int else old.hi in
+  norm (if lo = j.lo && hi = j.hi then j else { j with lo; hi })
 
 let leq a b =
-  (b.ik <= a.ik)
-  && (match (a.base, b.base) with
-     | _, Bmany -> true
-     | Bnone, Bnone -> true
-     | Bone g, Bone h -> g = h
-     | _ -> false)
-  && a.lo >= b.lo && a.hi <= b.hi
-  && Int64.logand a.kz b.kz = b.kz
-  && Int64.logand a.ko b.ko = b.ko
+  a == b
+  || (b.ik <= a.ik)
+     && (match (a.base, b.base) with
+        | _, Bmany -> true
+        | Bnone, Bnone -> true
+        | Bone g, Bone h -> g = h
+        | _ -> false)
+     && a.lo >= b.lo && a.hi <= b.hi
+     && Int64.logand a.kz b.kz = b.kz
+     && Int64.logand a.ko b.ko = b.ko
+
+(* [leq a b && leq b a], which holds exactly when every field is equal *)
+let equal a b =
+  a == b
+  || a.ik = b.ik
+     && (match (a.base, b.base) with
+        | Bnone, Bnone | Bmany, Bmany -> true
+        | Bone g, Bone h -> String.equal g h
+        | _ -> false)
+     && a.lo = b.lo && a.hi = b.hi && a.kz = b.kz && a.ko = b.ko
 
 let never_zero v =
   v.ik && v.base = Bnone && (v.lo > 0L || v.hi < 0L || v.ko <> 0L)
@@ -443,7 +455,8 @@ let t_load (ty : Ty.t) (w : Ty.width) : aval =
 
 type env = aval IM.t
 
-let lookup env v = match IM.find_opt v env with Some x -> x | None -> top_any
+(* [IM.find] rather than [find_opt]: a hit allocates no option *)
+let lookup env v = match IM.find v env with x -> x | exception Not_found -> top_any
 
 let eval_operand env (o : Cfg.operand) : aval =
   match o with
@@ -452,13 +465,32 @@ let eval_operand env (o : Cfg.operand) : aval =
   | Cfg.Cf _ -> top_any
   | Cfg.Sym g -> of_base g
 
-let env_join a b = IM.union (fun _ x y -> Some (join x y)) a b
-let env_widen old next = IM.union (fun _ x y -> Some (widen x y)) old next
+(* Merge [next] into [old] vreg by vreg with [f].  Where [f] leaves a value
+   as it was, [old]'s own record is kept, so that later comparisons against
+   it stop at physical equality. *)
+let env_merge f old next =
+  IM.union
+    (fun _ x y ->
+      let z = f x y in
+      Some (if equal z x then x else z))
+    old next
+
+let env_join = env_merge join
+let env_widen = env_merge widen
 
 let env_leq a b =
   (* a <= b iff every binding of b over-approximates a's; vregs absent from
      b are top there, so only b's bindings need checking *)
   IM.for_all (fun v bv -> leq (lookup a v) bv) b
+
+(* [env_leq merged old && env_leq old merged] in one pass, for a [merged]
+   that is a join or widening of [old], so binds a superset of its vregs:
+   a vreg [old] lacks is top there, so [merged] must hold top for it. *)
+let env_unchanged merged old =
+  IM.for_all
+    (fun v m ->
+      match IM.find v old with o -> equal m o | exception Not_found -> leq top_any m)
+    merged
 
 (* Per-vreg compare provenance for branch refinement: which comparison a
    vreg was last defined by, invalidated when any mentioned reg changes. *)
@@ -489,6 +521,9 @@ let eqs_kill (e : eqs) (d : Cfg.vreg) : eqs =
   IM.filter (fun y c -> y <> d && c <> d) e
 
 type summaries = (string, aval) Hashtbl.t
+
+let summary (summ : summaries) f =
+  match Hashtbl.find_opt summ f with Some s -> s | None -> top_any
 
 (* One instruction: new env, new cmp/eq maps, and the def's value if any. *)
 let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins)
@@ -530,9 +565,7 @@ let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins
         | _ -> cm)
   | Cfg.Load (ty, w, d, _, _) -> def d (t_load ty w) (fun cm -> cm)
   | Cfg.Store _ -> (env, (cm, eq), None)
-  | Cfg.Call (Some d, f, _) ->
-    let v = match Hashtbl.find_opt summ f with Some s -> s | None -> top_any in
-    def d v (fun cm -> cm)
+  | Cfg.Call (Some d, f, _) -> def d (summary summ f) (fun cm -> cm)
   | Cfg.Call (None, _, _) -> (env, (cm, eq), None)
 
 (* Meet a vreg's entry with a refined range; None when contradictory. *)
@@ -745,7 +778,7 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
                     end
                     else env_join old env'
                   in
-                  if not (env_leq merged old && env_leq old merged) then begin
+                  if not (env_unchanged merged old) then begin
                     entry_env.(si) <- Some merged;
                     dirty.(si) <- true;
                     changed := true
@@ -831,28 +864,47 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
   let ret = match !ret_acc with Some v -> v | None -> top_any in
   ({ f_entry; f_defs; f_branch; f_joined = !f_joined; f_widens = !widens }, ret)
 
+(* The functions whose return summaries [analyze_func] reads. *)
+let callees (f : Cfg.func) =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (b : Cfg.block) ->
+         List.filter_map
+           (function Cfg.Call (Some _, g, _) -> Some g | _ -> None)
+           b.Cfg.ins)
+       f.Cfg.blocks)
+
 let analyze ?bug (p : Cfg.program) : t =
   let bug = Option.bind bug bug_of_int in
   let ctx = { bug } in
   let summ : summaries = Hashtbl.create 8 in
+  (* A function's fixpoint depends only on its body and its callees'
+     summaries, so each function keeps its last result with the summaries
+     it was computed under and is re-run only when one of them changed. *)
+  let memo =
+    List.map (fun (f : Cfg.func) -> (f, callees f, ref None)) p.Cfg.funcs
+  in
+  let run (f, cs, cached) =
+    let under = List.map (summary summ) cs in
+    match !cached with
+    | Some (u, r) when List.equal equal u under -> r
+    | _ ->
+      let r = analyze_func ctx summ f in
+      cached := Some (under, r);
+      r
+  in
   (* downward summary iteration: round 0 = top, each round sound *)
-  let last = Hashtbl.create 8 in
   for _round = 1 to summary_rounds do
-    Hashtbl.reset last;
-    List.iter
-      (fun (f : Cfg.func) ->
-        let _, ret = analyze_func ctx summ f in
-        Hashtbl.replace last f.Cfg.name ret)
-      p.Cfg.funcs;
+    let last =
+      List.map (fun ((f : Cfg.func), _, _ as m) -> (f.Cfg.name, snd (run m))) memo
+    in
     Hashtbl.reset summ;
-    Hashtbl.iter (fun k v -> Hashtbl.replace summ k v) last
+    List.iter (fun (k, v) -> Hashtbl.replace summ k v) last
   done;
   let fres = Hashtbl.create 8 in
   List.iter
-    (fun (f : Cfg.func) ->
-      let r, _ = analyze_func ctx summ f in
-      Hashtbl.replace fres f.Cfg.name r)
-    p.Cfg.funcs;
+    (fun ((f : Cfg.func), _, _ as m) -> Hashtbl.replace fres f.Cfg.name (fst (run m)))
+    memo;
   {
     prog = p;
     fres;
@@ -900,7 +952,7 @@ let reachable t ~fname ~label =
 
 (* Resolve an access (root operand, byte offset, width) into an absolute or
    base-relative byte range. *)
-let resolve_access t (r : fres) (o : Cfg.operand) off w :
+let resolve_access (r : fres) (o : Cfg.operand) off w :
     (bset * int64 * int64) option =
   let v =
     match o with
@@ -917,9 +969,7 @@ let resolve_access t (r : fres) (o : Cfg.operand) off w :
       match add_ovf hi bytes with
       | Some hi_end -> Some (v.base, lo, hi_end)  (* [lo, hi_end) *)
       | None -> None)
-    | _ ->
-      ignore t;
-      None
+    | _ -> None
 
 let in_bounds t base lo hi_end =
   match base with
@@ -930,7 +980,7 @@ let in_bounds t base lo hi_end =
   | _ -> false
 
 let sep t (r : fres) (o1, off1, w1) (o2, off2, w2) : bool =
-  match (resolve_access t r o1 off1 w1, resolve_access t r o2 off2 w2) with
+  match (resolve_access r o1 off1 w1, resolve_access r o2 off2 w2) with
   | Some (b1, lo1, he1), Some (b2, lo2, he2) -> (
     match (b1, b2) with
     | Bone g1, Bone g2 when g1 <> g2 ->
@@ -978,21 +1028,19 @@ let func_memops (f : Cfg.func) : (Cfg.operand * int * Ty.width) list =
         b.Cfg.ins)
     f.Cfg.blocks
 
-let sep_pair_count t (f : Cfg.func) =
-  match func_res t f.Cfg.name with
-  | None -> 0
-  | Some r ->
-    let ops = Array.of_list (func_memops f) in
-    let n = ref 0 in
-    Array.iteri
-      (fun i a ->
-        Array.iteri (fun j b -> if j > i && sep t r a b then incr n) ops)
-      ops;
-    !n
+let sep_pair_count t r (f : Cfg.func) =
+  let ops = Array.of_list (func_memops f) in
+  let n = ref 0 in
+  Array.iteri
+    (fun i a ->
+      Array.iteri (fun j b -> if j > i && sep t r a b then incr n) ops)
+    ops;
+  !n
 
-let func_diags t (f : Cfg.func) : Diag.t list =
+(* A function's findings and its must-not-alias pair count. *)
+let func_diags t (f : Cfg.func) : Diag.t list * int =
   match func_res t f.Cfg.name with
-  | None -> []
+  | None -> ([], 0)
   | Some r ->
     let ds = ref [] in
     let add ?sev ?inst ~block cls msg =
@@ -1031,14 +1079,14 @@ let func_diags t (f : Cfg.func) : Diag.t list =
           | None -> ()
         end)
       f.Cfg.blocks;
-    let pairs = sep_pair_count t f in
+    let pairs = sep_pair_count t r f in
     if pairs > 0 then
       add ~sev:Diag.Info ~block:"" "alias-pairs"
         (Printf.sprintf "%d memory access pairs proved must-not-alias" pairs);
-    List.rev !ds
+    (List.rev !ds, pairs)
 
 let diags t : Diag.t list =
-  List.concat_map (fun f -> func_diags t f) t.prog.Cfg.funcs
+  List.concat_map (fun f -> fst (func_diags t f)) t.prog.Cfg.funcs
 
 let stats t : stats =
   let s =
@@ -1063,7 +1111,7 @@ let stats t : stats =
         let consts =
           Hashtbl.fold (fun _ v acc -> if is_singleton v then acc + 1 else acc) r.f_defs 0
         in
-        let ds = func_diags t f in
+        let ds, pairs = func_diags t f in
         let count cls =
           List.fold_left
             (fun acc (d : Diag.t) -> if d.Diag.cls = cls then acc + d.Diag.count else acc)
@@ -1078,7 +1126,7 @@ let stats t : stats =
             s_dead_branches = !s.s_dead_branches + Hashtbl.length r.f_branch;
             s_trap_divs = !s.s_trap_divs + count "trap-div";
             s_oor_shifts = !s.s_oor_shifts + count "shift-range";
-            s_sep_pairs = !s.s_sep_pairs + sep_pair_count t f;
+            s_sep_pairs = !s.s_sep_pairs + pairs;
             s_widenings = !s.s_widenings + r.f_widens;
           })
     t.prog.Cfg.funcs;

@@ -7,9 +7,16 @@
     {!facts}), surface as [pass:"absint"] {!Diag} findings, and feed the
     [absint] experiment through {!stats}.
 
+    Each function's fixpoint is computed by round-robin sweeps over its
+    blocks in layout order, re-running only blocks whose entry state
+    changed (dirty flags), not by a worklist: widening counts joins per
+    block head, so the visit order is part of the result.
+
     Soundness posture: function parameters are top (entry functions can be
     invoked with arbitrary harness arguments); return values use bounded
     downward summary iteration from top, each round sound by monotonicity.
+    A function is re-analyzed in a round only when the summary of one of
+    its callees changed; otherwise its previous result is reused.
     Widening kicks in after a few joins at each block head, with a sweep cap
     that falls back to all-top, so analysis always terminates. *)
 
@@ -23,6 +30,11 @@ val analyze : ?bug:int -> Trips_tir.Cfg.program -> t
 
 val num_bugs : int
 (** Number of distinct seeded-breakage modes accepted by [analyze ~bug]. *)
+
+val msb : int64 -> int
+(** Position of the highest set bit among bits 0..62, [-1] when none is
+    set; bit 63 is ignored.  The known-bits normalization uses it to mark
+    the bits above a non-negative range's upper bound as zero. *)
 
 (** {2 Queries} *)
 

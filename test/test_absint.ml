@@ -1,8 +1,11 @@
 (* Global abstract interpretation: known-answer range/alias facts on
    hand-written programs, the seeded-bug mutation suite (every broken
    analysis mode must be refuted by the validator's clean re-derivation),
-   and the fixpoint/idempotence property of the extended optimization
-   pipeline (local passes + fact-driven global passes). *)
+   the fixpoint/idempotence property of the extended optimization
+   pipeline (local passes + fact-driven global passes), and the fact
+   golden: a digest of every fact the analysis exposes, per workload and
+   preset, pinned to test/absint_golden.ml (a subset by default; all
+   workloads x O0/C/H/BB with TRIPS_ABSINT_GOLDEN_FULL=1). *)
 
 module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
@@ -172,6 +175,28 @@ let test_nan_relax () =
   let _, gs = Driver.compile_stats ~validate:true Driver.compiled p in
   Alcotest.(check bool) "relaxation fired" true (gs.Driver.gs_relaxed > 0)
 
+(* The bit-by-bit scan [Absint.msb] replaced; it never looks at bit 63. *)
+let msb_scan (n : int64) =
+  let rec go i =
+    if i < 0 then -1
+    else if Int64.logand n (Int64.shift_left 1L i) <> 0L then i
+    else go (i - 1)
+  in
+  go 62
+
+let test_msb () =
+  let pow2 = List.init 64 (fun i -> Int64.shift_left 1L i) in
+  let inputs =
+    [ 0L; 1L; Int64.max_int; -1L; -2L; Int64.min_int; Int64.add Int64.min_int 1L ]
+    @ pow2
+    @ List.concat_map (fun p -> [ Int64.pred p; Int64.succ p; Int64.neg p ]) pow2
+    @ List.init 1000 (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "msb %Ld" n) (msb_scan n) (Absint.msb n))
+    inputs
+
 (* -- seeded-bug mutation suite ---------------------------------------- *)
 
 (* Each broken analysis mode gets a program where the corrupted
@@ -291,7 +316,99 @@ let test_driver_hits () =
   Alcotest.(check bool) "ablation reports zero hits" true
     (gs0 = Driver.zero_gstats)
 
+(* -- fact golden ---------------------------------------------------------- *)
+
+(* A fingerprint of everything the analysis exposes: per block, its
+   reachability, branch direction and the entry range of every vreg of the
+   function; per instruction, its def value; then the stats and diagnostics.
+   Any change to a single fact changes the digest. *)
+
+let golden_presets =
+  [ ("O0", Driver.o0); ("C", Driver.compiled); ("H", Driver.hand); ("BB", Driver.basic_blocks) ]
+
+let absint_fingerprint (cfg : Cfg.program) =
+  let t = Absint.analyze cfg in
+  let buf = Buffer.create 4096 in
+  let range = function
+    | None -> "-"
+    | Some (lo, hi) -> Printf.sprintf "%Ld..%Ld" lo hi
+  in
+  List.iter
+    (fun (f : Cfg.func) ->
+      let fname = f.Cfg.name in
+      Printf.bprintf buf "func %s\n" fname;
+      List.iter
+        (fun (b : Cfg.block) ->
+          let label = b.Cfg.label in
+          Printf.bprintf buf "block %s reach=%b dir=%s\n" label
+            (Absint.reachable t ~fname ~label)
+            (match Absint.branch_dir t ~fname ~label with
+            | None -> "-"
+            | Some d -> string_of_bool d);
+          for v = 0 to f.Cfg.next_vreg - 1 do
+            match Absint.range_at t ~fname ~label v with
+            | None -> ()
+            | r -> Printf.bprintf buf " v%d=%s" v (range r)
+          done;
+          List.iteri
+            (fun i _ ->
+              Printf.bprintf buf " d%d=%s" i (range (Absint.def_value t ~fname ~label i)))
+            b.Cfg.ins;
+          Buffer.add_char buf '\n')
+        f.Cfg.blocks)
+    cfg.Cfg.funcs;
+  let s = Absint.stats t in
+  Printf.bprintf buf "stats %d %d %d %d %d %d %d %d %d\n" s.Absint.s_funcs
+    s.Absint.s_blocks s.Absint.s_reachable s.Absint.s_const_defs
+    s.Absint.s_dead_branches s.Absint.s_trap_divs s.Absint.s_oor_shifts
+    s.Absint.s_sep_pairs s.Absint.s_widenings;
+  List.iter (fun d -> Printf.bprintf buf "%s\n" (Diag.to_line d)) (Absint.diags t);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_digest name ptag =
+  let b = Registry.find name in
+  absint_fingerprint (Driver.front_end (List.assoc ptag golden_presets) b.Registry.program)
+
+(* TRIPS_ABSINT_GOLDEN_RECORD=FILE rewrites the fixture from the current
+   analysis instead of testing — only for an intended change of facts. *)
+let record_golden path =
+  let oc = open_out path in
+  output_string oc
+    "(* Digests of the abstract interpretation's observable facts per\n\
+    \   workload and preset (see [absint_fingerprint] in test_absint.ml).\n\
+    \   Regenerate only if the analysis is meant to compute different\n\
+    \   facts: TRIPS_ABSINT_GOLDEN_RECORD=test/absint_golden.ml\n\
+    \   dune exec test/test_absint.exe *)\n\n\
+     let digests = [\n";
+  List.iter
+    (fun (b : Registry.bench) ->
+      List.iter
+        (fun (ptag, _) ->
+          Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name ptag
+            (golden_digest b.Registry.name ptag))
+        golden_presets)
+    Registry.all;
+  output_string oc "]\n";
+  close_out oc
+
+(* The default subset keeps the multi-function programs, whose return
+   summaries change between rounds, next to a few single-function ones. *)
+let golden_fast = [ "crafty"; "twolf"; "parser"; "ct"; "fft"; "802.11a" ]
+
+let golden_rows () =
+  if Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_FULL" <> None then Absint_golden.digests
+  else List.filter (fun (n, _, _) -> List.mem n golden_fast) Absint_golden.digests
+
+let test_golden (name, ptag, digest) () =
+  Alcotest.(check string) (name ^ "/" ^ ptag ^ " fact digest") digest
+    (golden_digest name ptag)
+
 let () =
+  (match Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_RECORD" with
+  | Some path ->
+    record_golden path;
+    exit 0
+  | None -> ());
   Alcotest.run "absint"
     [
       ( "facts",
@@ -306,6 +423,7 @@ let () =
             test_load_load_relax;
           Alcotest.test_case "nan constant in relaxed block" `Quick
             test_nan_relax;
+          Alcotest.test_case "msb matches the bit scan" `Quick test_msb;
         ] );
       ( "mutations",
         Alcotest.test_case "bug modes all covered" `Quick test_bug_modes_distinct
@@ -320,4 +438,9 @@ let () =
           [ "ct"; "vadd"; "fft"; "8b10b" ] );
       ( "driver",
         [ Alcotest.test_case "global hits and ablation" `Quick test_driver_hits ] );
+      ( "golden",
+        List.map
+          (fun ((n, p, _) as row) ->
+            Alcotest.test_case (n ^ " " ^ p) `Quick (test_golden row))
+          (golden_rows ()) );
     ]
