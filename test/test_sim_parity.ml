@@ -185,7 +185,70 @@ let check_sampled name () =
     Alcotest.(check bool) "true cycles within the reported CI" true
       (Float.abs (est.Sampled.es_cycles -. actual) <= est.Sampled.es_ci95)
 
+(* Sampled golden: the estimate of every workload at preset C, pinned to
+   test/sampled_golden.ml.  Floats are stored as hex literals, so a
+   change in any bit of the estimate or its interval fails.  The default
+   run checks a subset with both full-detail fallbacks (fft, ct, tblook)
+   and sampled runs (gzip, crafty); TRIPS_SAMPLED_GOLDEN_FULL=1 checks
+   every workload. *)
+let sampled_row name =
+  let b = Registry.find name in
+  let prog = Platforms.edge_program Platforms.C b in
+  let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
+  let _, e = Sampled.run prog image ~entry:"main" ~args:[] in
+  e
+
+(* TRIPS_SAMPLED_GOLDEN_RECORD=FILE rewrites the fixture from the current
+   estimator instead of testing: only for an intended model change. *)
+let record_sampled_golden path =
+  let oc = open_out path in
+  output_string oc
+    "(* Sampled.run estimates per workload at preset C (see the\n\
+    \   sampled_golden suite in test_sim_parity.ml).  Regenerate only if\n\
+    \   the estimator or the model is meant to change:\n\
+    \   TRIPS_SAMPLED_GOLDEN_RECORD=test/sampled_golden.ml\n\
+    \   dune exec test/test_sim_parity.exe *)\n\n\
+     (* name, es_cycles, es_ci95, es_intervals, es_measured_blocks,\n\
+    \   es_total_blocks, es_full *)\n\
+     let per_workload = [\n";
+  List.iter
+    (fun (b : Registry.bench) ->
+      let e = sampled_row b.Registry.name in
+      Printf.fprintf oc "  (%S, %h, %h, %d, %d, %d, %b);\n" b.Registry.name
+        e.Sampled.es_cycles e.Sampled.es_ci95 e.Sampled.es_intervals
+        e.Sampled.es_measured_blocks e.Sampled.es_total_blocks
+        e.Sampled.es_full)
+    Registry.all;
+  output_string oc "]\n";
+  close_out oc
+
+let sampled_fast = [ "fft"; "ct"; "tblook"; "gzip"; "crafty" ]
+
+let sampled_golden_rows () =
+  if Sys.getenv_opt "TRIPS_SAMPLED_GOLDEN_FULL" <> None then
+    Sampled_golden.per_workload
+  else
+    List.filter
+      (fun (name, _, _, _, _, _, _) -> List.mem name sampled_fast)
+      Sampled_golden.per_workload
+
+let check_sampled_golden (name, cycles, ci95, intervals, measured, total, full)
+    () =
+  let e = sampled_row name in
+  Alcotest.(check (float 0.)) "es_cycles" cycles e.Sampled.es_cycles;
+  Alcotest.(check (float 0.)) "es_ci95" ci95 e.Sampled.es_ci95;
+  Alcotest.(check int) "es_intervals" intervals e.Sampled.es_intervals;
+  Alcotest.(check int) "es_measured_blocks" measured
+    e.Sampled.es_measured_blocks;
+  Alcotest.(check int) "es_total_blocks" total e.Sampled.es_total_blocks;
+  Alcotest.(check bool) "es_full" full e.Sampled.es_full
+
 let () =
+  (match Sys.getenv_opt "TRIPS_SAMPLED_GOLDEN_RECORD" with
+  | Some path ->
+    record_sampled_golden path;
+    exit 0
+  | None -> ());
   Alcotest.run "sim_parity"
     [
       ( "golden",
@@ -215,4 +278,9 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_sampled name))
           [ "fft"; "ct"; "tblook" ] );
+      ( "sampled_golden",
+        List.map
+          (fun ((name, _, _, _, _, _, _) as row) ->
+            Alcotest.test_case name `Quick (check_sampled_golden row))
+          (sampled_golden_rows ()) );
     ]
