@@ -15,9 +15,7 @@ module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
-module Specialize = Trips_sim.Specialize
 module Sampled = Trips_sim.Sampled
-module Plan_cache = Trips_sim.Plan_cache
 open Trips_harness
 
 let quality_of = function
@@ -54,25 +52,29 @@ let bench_arg =
 let preset_arg =
   Arg.(value & opt string "C" & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
 
+type sim =
+  | Functional
+  | Cycle
+  | Sampled_sim
+  | Ideal
+  | Risc
+  | Ooo of Trips_superscalar.Ooo.config
+
+let sims =
+  [ ("functional", Functional); ("cycle", Cycle); ("sampled", Sampled_sim);
+    ("ideal", Ideal); ("risc", Risc);
+    ("core2", Ooo Trips_superscalar.Ooo.core2);
+    ("p4", Ooo Trips_superscalar.Ooo.pentium4);
+    ("p3", Ooo Trips_superscalar.Ooo.pentium3) ]
+
 let sim_arg =
   Arg.(
     value
-    & opt string "cycle"
+    & opt (enum sims) Cycle
     & info [ "sim" ] ~docv:"SIM"
-        ~doc:
-          "One of: functional, cycle, spec, sampled, ideal, risc, core2, p4, \
-           p3.")
+        ~doc:("Modeled platform: " ^ Arg.doc_alts_enum sims ^ "."))
 
-let plan_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plan-cache" ] ~docv:"DIR"
-        ~doc:
-          "On-disk compiled-plan cache directory for the specialized engine \
-           (sim spec/sampled).")
-
-let run_bench name preset sim plan_cache =
+let run_bench name preset sim =
   let b = Registry.find name in
   let q = quality_of preset in
   let golden, _ = Registry.golden b in
@@ -82,24 +84,15 @@ let run_bench name preset sim plan_cache =
       (match golden with Some v -> Ty.value_to_string v | None -> "-")
   in
   match sim with
-  | "functional" ->
+  | Functional ->
     let s = Platforms.edge_stats q b in
     show_ret golden;
     Printf.printf "blocks: %d  fetched: %d  executed: %d  useful: %d  moves: %d\n"
       s.Exec.blocks s.Exec.fetched s.Exec.executed s.Exec.useful s.Exec.k_move;
     Printf.printf "avg block size: %.1f\n"
       (Trips_util.Stats.ratio s.Exec.fetched s.Exec.blocks)
-  | "cycle" | "spec" ->
-    let r, rep =
-      if sim = "cycle" then (Platforms.trips q b, None)
-      else begin
-        let prog = Platforms.edge_program q b in
-        let image = Image.build b.Registry.program.Ast.globals in
-        let cache = Option.map (fun dir -> Plan_cache.create ~dir ()) plan_cache in
-        let r, rep = Specialize.run_report ?cache prog image ~entry:"main" ~args:[] in
-        (r, Some rep)
-      end
-    in
+  | Cycle ->
+    let r = Platforms.trips q b in
     show_ret r.Core.ret;
     Printf.printf
       "cycles: %d  IPC: %.2f (useful %.2f)  window: %.0f  avg hops: %.2f\n"
@@ -109,21 +102,11 @@ let run_bench name preset sim plan_cache =
       "branch mispredicts: %d  call/ret: %d  I$ misses: %d  D$ misses: %d  load flushes: %d\n"
       r.Core.timing.Core.branch_mispredicts r.Core.timing.Core.callret_mispredicts
       r.Core.timing.Core.icache_misses r.Core.timing.Core.dcache_misses
-      r.Core.timing.Core.load_flushes;
-    Option.iter
-      (fun (rep : Specialize.report) ->
-        Printf.printf
-          "spec: compiled=%d derived=%d cache_hits_mem=%d cache_hits_disk=%d \
-           interpreted=%d\n"
-          rep.Specialize.rp_blocks_compiled rep.Specialize.rp_tables_derived
-          rep.Specialize.rp_cache_hits_mem rep.Specialize.rp_cache_hits_disk
-          rep.Specialize.rp_interpreted)
-      rep
-  | "sampled" ->
+      r.Core.timing.Core.load_flushes
+  | Sampled_sim ->
     let prog = Platforms.edge_program q b in
     let image = Image.build b.Registry.program.Ast.globals in
-    let cache = Option.map (fun dir -> Plan_cache.create ~dir ()) plan_cache in
-    let r, est = Sampled.run ?cache prog image ~entry:"main" ~args:[] in
+    let r, est = Sampled.run prog image ~entry:"main" ~args:[] in
     show_ret r.Core.ret;
     if est.Sampled.es_full then
       Printf.printf "cycles: %.0f (exact: run too short to sample)\n"
@@ -135,44 +118,36 @@ let run_bench name preset sim plan_cache =
         est.Sampled.es_cycles est.Sampled.es_ci95 est.Sampled.es_intervals
         est.Sampled.es_measured_blocks est.Sampled.es_total_blocks
         est.Sampled.es_cpb_mean est.Sampled.es_cpb_stddev
-  | "ideal" ->
+  | Ideal ->
     let r = Platforms.ideal Trips_limit.Ideal.trips_window ~tag:"1k" q b in
     show_ret r.Trips_limit.Ideal.ret;
     Printf.printf "cycles: %d  IPC: %.2f\n" r.Trips_limit.Ideal.cycles
       (Trips_limit.Ideal.ipc r)
-  | "risc" ->
+  | Risc ->
     let s = Platforms.risc b in
     Printf.printf
       "executed: %d  loads: %d  stores: %d  branches: %d  reg reads: %d  reg writes: %d\n"
       s.Trips_risc.Exec.executed s.Trips_risc.Exec.loads s.Trips_risc.Exec.stores
       s.Trips_risc.Exec.branches s.Trips_risc.Exec.reg_reads s.Trips_risc.Exec.reg_writes
-  | "core2" | "p4" | "p3" ->
-    let cfg =
-      match sim with
-      | "core2" -> Trips_superscalar.Ooo.core2
-      | "p4" -> Trips_superscalar.Ooo.pentium4
-      | _ -> Trips_superscalar.Ooo.pentium3
-    in
+  | Ooo cfg ->
     let r = Platforms.super cfg ~icc:false b in
     Printf.printf "%s cycles: %d  IPC: %.2f  branch mispredicts: %d\n"
       cfg.Trips_superscalar.Ooo.name r.Trips_superscalar.Ooo.stats.Trips_superscalar.Ooo.cycles
       (Trips_superscalar.Ooo.ipc r)
       r.Trips_superscalar.Ooo.stats.Trips_superscalar.Ooo.branch_mispredicts
-  | s -> invalid_arg ("unknown simulator " ^ s)
 
 let run_cmd =
   let doc = "Run one benchmark on one modeled platform." in
-  let main name preset sim plan_cache =
+  let main name preset sim =
     try
-      run_bench name preset sim plan_cache;
+      run_bench name preset sim;
       `Ok ()
     with
     | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
     | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      ret (const main $ bench_arg $ preset_arg $ sim_arg $ plan_cache_arg))
+    Term.(ret (const main $ bench_arg $ preset_arg $ sim_arg))
 
 (* -- exp -------------------------------------------------------------- *)
 
@@ -1166,8 +1141,8 @@ module Core_ref = Trips_sim.Core_ref
 
 (* One sequential cycle-simulator sweep over the registered workloads.
    Compilation and image building happen outside the timed region so the
-   clocks measure the selected engine alone (`Core`, `Core_ref`, the
-   specialized `Specialize`, or the `Sampled` estimator).  Both wall and
+   clocks measure the selected engine alone (`Core`, `Core_ref`, or the
+   `Sampled` estimator).  Both wall and
    process CPU time are recorded: the shared machines this runs on carry
    unpredictable background load, so throughput gates use the CPU-time
    ratio, which that noise cancels out of. *)
@@ -1199,11 +1174,8 @@ let simbench_sweep ~use_ref q benches =
           ( b.Registry.name, t.Core_ref.cycles, t.Core_ref.blocks,
             t.Core_ref.branch_mispredicts, t.Core_ref.callret_mispredicts,
             t.Core_ref.dcache_misses, t.Core_ref.load_flushes )
-        | `Core | `Spec ->
-          let r =
-            if use_ref = `Core then Core.run prog image ~entry:"main" ~args:[]
-            else Specialize.run prog image ~entry:"main" ~args:[]
-          in
+        | `Core ->
+          let r = Core.run prog image ~entry:"main" ~args:[] in
           let t = r.Core.timing in
           ( b.Registry.name, t.Core.cycles, t.Core.blocks,
             t.Core.branch_mispredicts, t.Core.callret_mispredicts,
@@ -1249,15 +1221,6 @@ let simbench_main preset fixture out compare_ref =
       end
       else None
     in
-    (* specialized engine: must reproduce the interpreter's rows exactly
-       (the bit-identity contract), timed for the speedup-vs-plan gate *)
-    let spec_rows, spec_wall, spec_cpu = simbench_sweep ~use_ref:`Spec q benches in
-    if spec_rows <> rows then
-      failwith "simbench: specialized and interpreted engines disagree";
-    Printf.printf
-      "simbench: specialized sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-       speedup x%.2f vs plan interpreter (stats identical)\n%!"
-      spec_wall spec_cpu (bps spec_cpu) (cpu /. spec_cpu);
     (* sampled estimator: throughput plus estimate quality *)
     let samp_rows, samp_wall, samp_cpu =
       simbench_sweep ~use_ref:`Sampled q benches
@@ -1322,10 +1285,6 @@ let simbench_main preset fixture out compare_ref =
               ]
             | None -> [])
           @ [
-              ("spec_wall_s", Json.Float spec_wall);
-              ("spec_cpu_s", Json.Float spec_cpu);
-              ("spec_blocks_per_s", Json.Float (bps spec_cpu));
-              ("speedup_vs_plan", Json.Float (cpu /. spec_cpu));
               ("sampled_wall_s", Json.Float samp_wall);
               ("sampled_cpu_s", Json.Float samp_cpu);
               ("sampled_blocks_per_s", Json.Float (bps samp_cpu));

@@ -57,6 +57,11 @@ echo "== absint fact golden: every workload x O0/C/H/BB =="
 # analysis exposes to test/absint_golden.ml.
 TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test golden >/dev/null
 
+echo "== sampled golden: every workload at preset C =="
+# dune runtest checks a subset; the full sweep pins every Sampled.run
+# estimate to test/sampled_golden.ml.
+TRIPS_SAMPLED_GOLDEN_FULL=1 dune exec test/test_sim_parity.exe -- test sampled_golden >/dev/null
+
 echo "== differential fuzzing: trips_run fuzz --seed 1 =="
 # 100-program smoke by default; TRIPS_FUZZ_FULL=1 deepens the sweep to
 # 5000 programs (the nightly configuration).  Any divergence exits
@@ -94,21 +99,17 @@ dune exec bin/trips_run.exe -- simbench --preset C --compare-ref \
   --out simbench-report.json
 speedup=$(sed -n 's/.*"speedup_vs_ref": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
 min_speedup=$(sed -n 's/.*"min_speedup_vs_ref": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
-spec_speedup=$(sed -n 's/.*"speedup_vs_plan": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
-min_spec=$(sed -n 's/.*"min_speedup_vs_plan": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
 samp_speedup=$(sed -n 's/.*"speedup_vs_plan_sampled": \([0-9.eE+-]*\).*/\1/p' simbench-report.json | tail -1)
 min_samp=$(sed -n 's/.*"min_speedup_vs_plan_sampled": \([0-9.]*\).*/\1/p' bench/BENCH_sim.json)
 awk -v s="$speedup" -v ms="$min_speedup" \
-    -v sp="$spec_speedup" -v msp="$min_spec" \
     -v sa="$samp_speedup" -v msa="$min_samp" 'BEGIN {
-  if (s == "" || sp == "" || sa == "") {
+  if (s == "" || sa == "") {
     print "simbench: speedup fields missing from simbench-report.json" > "/dev/stderr"
     exit 1
   }
   printf "sim throughput: x%.2f vs reference (min x%.2f)\n", s, ms
-  printf "specialized engine: x%.2f vs plan interpreter (min x%.2f)\n", sp, msp
   printf "sampled estimator: x%.2f vs plan interpreter (min x%.2f)\n", sa, msa
-  if (s + 0 < ms + 0 || sp + 0 < msp + 0 || sa + 0 < msa + 0) {
+  if (s + 0 < ms + 0 || sa + 0 < msa + 0) {
     print "sim throughput regressed past bench/BENCH_sim.json thresholds" > "/dev/stderr"
     exit 1
   }
@@ -201,6 +202,16 @@ awk -v c="$computed" -v r="$rate" -v t="$tp" -v p="$p99" -v s="$shed" \
     exit 1
   }
 }'
+
+echo "== run smoke: trips_run run rejects an unknown --sim =="
+# --sim is an enumeration: cmdliner refuses an unknown simulator (exit
+# 124) before the benchmark is compiled or interpreted.
+status=0
+dune exec bin/trips_run.exe -- run fft --sim spec >/dev/null 2>&1 || status=$?
+[ "$status" = "124" ] || {
+  echo "trips_run run fft --sim spec exited $status, expected 124" >&2
+  exit 1
+}
 
 echo "== engine smoke: trips_run --id table1 --jobs 2 --format json =="
 out=$(dune exec bin/trips_run.exe -- --id table1 --jobs 2 --format json 2>/dev/null)

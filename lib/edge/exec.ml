@@ -659,49 +659,17 @@ let exec_block ~stats ~fuel ~(xs : xstatic) ~(xc : xscratch) (b : Block.t)
 (* Program execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Architectural state between two block instances: everything [run]'s
-   driver loop carries from one block to the next, minus the memory
-   image (the caller snapshots that separately — it is the caller's
-   value).  Captured at a block boundary; resuming replays the rest of
-   the program exactly. *)
-type snapshot = {
-  sn_label : string;                        (* next block to execute *)
-  sn_regs : Ty.value array;
-  sn_stack : (Ty.value array * string) list;(* saved regs + return label *)
-  sn_blocks : int;                          (* blocks committed at capture *)
-  sn_stats : stats;                         (* functional stats at capture *)
-}
-
-type outcome = Finished of result | Snapshot of snapshot
-
-let copy_stats (s : stats) = { s with blocks = s.blocks }
-
-let copy_snapshot sn =
-  {
-    sn with
-    sn_regs = Array.copy sn.sn_regs;
-    sn_stack = List.map (fun (r, l) -> (Array.copy r, l)) sn.sn_stack;
-    sn_stats = copy_stats sn.sn_stats;
-  }
-
-let run_gen ?(fuel = 400_000_000) ?on_instance ?debug_regs ?resume
-    ?capture_after (p : Block.program) (image : Image.t) ~entry ~args =
-  let stats =
-    match resume with
-    | None -> empty_stats ()
-    | Some sn -> copy_stats sn.sn_stats
-  in
+let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
+    (image : Image.t) ~entry ~args =
+  let stats = empty_stats () in
   let fuel = ref fuel in
   let regs = Array.make Isa.num_regs (Ty.Vi 0L) in
-  (match resume with
-  | None ->
-    List.iteri
-      (fun i v ->
-        match List.nth_opt abi_arg_regs i with
-        | Some r -> regs.(r) <- v
-        | None -> invalid_arg "Exec.run: too many arguments")
-      args
-  | Some sn -> Array.blit sn.sn_regs 0 regs 0 (Array.length regs));
+  List.iteri
+    (fun i v ->
+      match List.nth_opt abi_arg_regs i with
+      | Some r -> regs.(r) <- v
+      | None -> invalid_arg "Exec.run: too many arguments")
+    args;
   (* one table holding both the block and its static facts: a single
      lookup per dynamic block instance *)
   let blocks = Hashtbl.create 256 in
@@ -712,27 +680,12 @@ let run_gen ?(fuel = 400_000_000) ?on_instance ?debug_regs ?resume
         f.blocks)
     p.funcs;
   let xc = make_xscratch () in
+  let entry_f = Block.find_func p entry in
   (* call stack: saved register file + return label *)
-  let stack : (Ty.value array * string) list ref =
-    ref
-      (match resume with
-      | None -> []
-      | Some sn -> List.map (fun (r, l) -> (Array.copy r, l)) sn.sn_stack)
-  in
-  let current =
-    ref
-      (Some
-         (match resume with
-         | None -> (Block.find_func p entry).entry
-         | Some sn -> sn.sn_label))
-  in
+  let stack : (Ty.value array * string) list ref = ref [] in
+  let current = ref (Some entry_f.entry) in
   let finished = ref None in
-  let captured = ref None in
-  let committed = ref 0 in
-  while
-    (match !finished with None -> true | Some _ -> false)
-    && match !captured with None -> true | Some _ -> false
-  do
+  while match !finished with None -> true | Some _ -> false do
     match !current with
     | None -> assert false
     | Some label ->
@@ -745,7 +698,6 @@ let run_gen ?(fuel = 400_000_000) ?on_instance ?debug_regs ?resume
       (* commit register writes *)
       List.iter (fun (w, v) -> regs.(b.writes.(w).wreg) <- v) writes;
       Option.iter (fun f -> f instance) on_instance;
-      Option.iter (fun f -> f label regs) debug_regs;
       (match instance.exit_dest with
       | Isa.Xjump l -> current := Some l
       | Isa.Xcall (callee, retl) ->
@@ -760,39 +712,6 @@ let run_gen ?(fuel = 400_000_000) ?on_instance ?debug_regs ?resume
           Array.blit saved 0 regs 0 (Array.length regs);
           regs.(abi_ret_reg) <- ret_v;
           stack := rest;
-          current := Some retl));
-      incr committed;
-      (* snapshot at a block boundary: the next label plus the register
-         file and call stack it will start from.  Taken after the exit
-         dispatch so the stack is consistent with [sn_label]. *)
-      match (capture_after, !finished, !current) with
-      | Some n, None, Some next when !committed >= n ->
-        captured :=
-          Some
-            {
-              sn_label = next;
-              sn_regs = Array.copy regs;
-              sn_stack = List.map (fun (r, l) -> (Array.copy r, l)) !stack;
-              sn_blocks = stats.blocks;
-              sn_stats = copy_stats stats;
-            }
-      | _ -> ()
+          current := Some retl))
   done;
-  match !finished with
-  | Some ret -> Finished { ret = Some ret; stats }
-  | None -> (
-    match !captured with
-    | Some sn -> Snapshot sn
-    | None -> assert false)
-
-let run ?fuel ?on_instance ?debug_regs ?resume (p : Block.program)
-    (image : Image.t) ~entry ~args =
-  match run_gen ?fuel ?on_instance ?debug_regs ?resume p image ~entry ~args with
-  | Finished r -> r
-  | Snapshot _ -> assert false
-
-let capture ?fuel ?on_instance ~after (p : Block.program) (image : Image.t)
-    ~entry ~args =
-  match run_gen ?fuel ?on_instance ~capture_after:after p image ~entry ~args with
-  | Finished r -> Finished r
-  | Snapshot sn -> Snapshot sn
+  { ret = !finished; stats }

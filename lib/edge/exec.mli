@@ -69,30 +69,9 @@ type result = {
 exception Stuck of string * string
 (** Block deadlocked or finished without all outputs: (label, reason). *)
 
-type snapshot = {
-  sn_label : string;                         (* next block to execute *)
-  sn_regs : Trips_tir.Ty.value array;
-  sn_stack : (Trips_tir.Ty.value array * string) list;
-  sn_blocks : int;                           (* blocks committed at capture *)
-  sn_stats : stats;                          (* functional stats at capture *)
-}
-(** Architectural state at a block boundary: the next block label plus
-    the register file and call stack it starts from.  The memory image is
-    not included — snapshot it alongside with {!Trips_tir.Image.copy}.
-    Resuming from a snapshot (against a matching image) replays the rest
-    of the program exactly. *)
-
-type outcome = Finished of result | Snapshot of snapshot
-
-val copy_snapshot : snapshot -> snapshot
-(** Deep copy; lets one snapshot be resumed more than once even though
-    resuming mutates nothing (defensive, the arrays inside are owned). *)
-
 val run :
   ?fuel:int ->
   ?on_instance:(instance -> unit) ->
-  ?debug_regs:(string -> Trips_tir.Ty.value array -> unit) ->
-  ?resume:snapshot ->
   Block.program ->
   Trips_tir.Image.t ->
   entry:string ->
@@ -101,25 +80,7 @@ val run :
 (** [run program image ~entry ~args] executes function [entry].  Arguments
     are placed in the argument registers of the EDGE ABI ({!abi_arg_regs});
     the result is taken from {!abi_ret_reg}.  [fuel] bounds total fired
-    instructions (default 400 million).  With [~resume] the driver starts
-    from the snapshot's label/registers/call stack instead of [entry]
-    ([entry] and [args] are then ignored); the image must be the one
-    captured alongside the snapshot. *)
-
-val capture :
-  ?fuel:int ->
-  ?on_instance:(instance -> unit) ->
-  after:int ->
-  Block.program ->
-  Trips_tir.Image.t ->
-  entry:string ->
-  args:Trips_tir.Ty.value list ->
-  outcome
-(** Like {!run}, but stops at the first block boundary once [after] block
-    instances have committed and returns the [Snapshot] there; programs
-    that finish earlier return [Finished].  The passed image is mutated
-    up to the capture point, so [Image.copy] it at capture time to pair
-    with the snapshot. *)
+    instructions (default 400 million). *)
 
 val abi_ret_reg : int
 val abi_arg_regs : int list

@@ -28,15 +28,6 @@ val find : t -> key:string -> Trips_util.Table.t option
 val store : t -> key:string -> Trips_util.Table.t -> unit
 (** Best-effort: an unwritable cache never fails the run. *)
 
-val find_raw : t -> key:string -> string option
-(** Raw-payload variant of {!find} (distinct format tag): arbitrary
-    string payloads, same key guard and failure-as-miss semantics.  Used
-    by the cycle simulator's compiled-plan cache. *)
-
-val store_raw : t -> key:string -> string -> unit
-(** Raw-payload variant of {!store}: same temp-file/fsync/rename
-    discipline, best-effort. *)
-
 val digest : string -> string
 (** Hex digest used to address a key's entry (exposed for tooling). *)
 

@@ -47,21 +47,6 @@ let create cfg =
     tick = 0;
   }
 
-let copy t =
-  {
-    cfg = t.cfg;
-    sets = t.sets;
-    tags = Array.copy t.tags;
-    lru = Array.copy t.lru;
-    st =
-      {
-        accesses = t.st.accesses;
-        misses = t.st.misses;
-        evictions = t.st.evictions;
-      };
-    tick = t.tick;
-  }
-
 let config t = t.cfg
 let stats t = t.st
 

@@ -33,10 +33,6 @@ val create : config -> t
 val config : t -> config
 val stats : t -> stats
 
-val copy : t -> t
-(** Deep copy (tags, LRU state, statistics).  Used for simulation
-    checkpoints. *)
-
 val access : t -> addr:int -> write:bool -> bool
 (** [true] = hit.  Misses allocate (write-allocate) and update LRU. *)
 

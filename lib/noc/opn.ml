@@ -149,33 +149,7 @@ let claim_path t ~ci ~paths ~off ~len ~now =
   p.contention_cycles <- p.contention_cycles + !stall;
   !time
 
-(* [claim_path] without the per-packet histogram updates: identical
-   probe/claim sequence over the occupancy window, and contention — an
-   order-independent sum — still lands in the profile, but packet/hop
-   totals are left to the caller.  For the cycle simulator's specialized
-   engine, which counts packets in batched per-block cells and flushes
-   them once per run; the claim loop stays in this module so [window]
-   and [nlinks] fold as compile-time constants. *)
-let claim_path_quiet t ~paths ~off ~len ~now =
-  let occ = t.occupancy in
-  let time = ref now in
-  let stall = ref 0 in
-  for k = off to off + len - 1 do
-    let id = Array.unsafe_get paths k in
-    let c = ref !time in
-    while Array.unsafe_get occ (((!c land (window - 1)) * nlinks) + id) = !c do
-      incr c
-    done;
-    Array.unsafe_set occ (((!c land (window - 1)) * nlinks) + id) !c;
-    stall := !stall + (!c - !time);
-    time := !c + 1
-  done;
-  if !stall <> 0 then
-    t.prof.contention_cycles <- t.prof.contention_cycles + !stall;
-  !time
-
 let profile t = t.prof
-let occupancy t = t.occupancy
 
 let average_hops t =
   if t.prof.total_packets = 0 then 0.

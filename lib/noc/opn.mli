@@ -54,26 +54,3 @@ val class_index : cls -> int
 val class_name : int -> string
 val average_hops : t -> float
 val reset : t -> unit
-
-val claim_path_quiet :
-  t -> paths:int array -> off:int -> len:int -> now:int -> int
-(** {!claim_path} minus the per-packet profile accounting: identical
-    link claims in the identical order, contention still accumulated
-    (an order-independent sum), but packet/hop counts left to the
-    caller.  For the cycle simulator's specialized engine, which counts
-    packets in batched per-block cells and reconstructs the histogram at
-    flush time. *)
-
-(** {1 Occupancy internals}
-
-    Exposed for the cycle simulator's specialized (closure-compiled)
-    engine and for tests.  The layout contract: slot
-    [((cycle land (window - 1)) * nlinks) + link_id] holds the cycle
-    number that claimed the link, [-1] when free.  Any inlined claim
-    must replay exactly {!claim_path}'s probe/claim sequence. *)
-
-val occupancy : t -> int array
-val window : int
-(** Power of two; occupancy slots are indexed modulo [window]. *)
-
-val nlinks : int

@@ -45,18 +45,6 @@ let create cfg =
     ehist = 0;
   }
 
-let copy t =
-  let dup = Array.map (fun e -> { exit_id = e.exit_id; conf = e.conf }) in
-  {
-    cfg = t.cfg;
-    local_hist = Array.copy t.local_hist;
-    local = dup t.local;
-    global = dup t.global;
-    choice = Array.copy t.choice;
-    targets = Target.copy t.targets;
-    ehist = t.ehist;
-  }
-
 let mask t = t.cfg.exit_entries - 1
 let hmask t = (1 lsl t.cfg.exit_hist_bits) - 1
 

@@ -40,8 +40,4 @@ val predict : t -> block:int -> int option
 
 val update : t -> outcome -> unit
 
-val copy : t -> t
-(** Deep copy of all predictor state (exit tables, histories, target
-    predictor).  Used for simulation checkpoints. *)
-
 val storage_bits : config -> int

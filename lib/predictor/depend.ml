@@ -7,13 +7,6 @@ type t = {
 let create ?(entries = 1024) ?(decay_interval = 100_000) () =
   { table = Array.make entries false; decay_interval; accesses = 0 }
 
-let copy t =
-  {
-    table = Array.copy t.table;
-    decay_interval = t.decay_interval;
-    accesses = t.accesses;
-  }
-
 let site_id ~block index = Hashtbl.hash (block, index)
 
 let index t load_id = load_id land (Array.length t.table - 1)

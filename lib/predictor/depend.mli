@@ -9,10 +9,6 @@ type t
 val create : ?entries:int -> ?decay_interval:int -> unit -> t
 (** Defaults: 1024 entries, decay every 100k accesses. *)
 
-val copy : t -> t
-(** Deep copy, including the access count that drives decay.  Used for
-    simulation checkpoints. *)
-
 val site_id : block:string -> int -> int
 (** [site_id ~block index] is the stable identifier of one load site,
     a polymorphic hash of [(block, index)].  The cycle simulator

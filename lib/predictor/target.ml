@@ -28,15 +28,6 @@ let create cfg =
     ras_top = 0;
   }
 
-let copy t =
-  {
-    cfg = t.cfg;
-    btb = Array.map (fun e -> { tag = e.tag; target = e.target }) t.btb;
-    ctb = Array.map (fun e -> { tag = e.tag; target = e.target }) t.ctb;
-    ras = Array.copy t.ras;
-    ras_top = t.ras_top;
-  }
-
 let lookup table n ~pc =
   let e = table.(pc land (n - 1)) in
   if e.tag = pc then Some e.target else None

@@ -33,8 +33,4 @@ val update : t -> ?fallthrough:int -> pc:int -> kind -> target:int -> unit
     [fallthrough] is the address the matching return should resume at
     (defaults to [pc + 1]). *)
 
-val copy : t -> t
-(** Deep copy (tables, return-address stack); the original keeps
-    evolving independently.  Used for simulation checkpoints. *)
-
 val storage_bits : config -> int

@@ -103,13 +103,6 @@ let k_load = 1
 let k_store = 2
 let k_branch = 3
 
-(* Extension slot for engines layered on top of the interpreter: the
-   specializer ({!Trips_sim.Specialize}) attaches its compiled entry to
-   the plan it was derived from, so the hot path finds it without a side
-   table.  An open type keeps [Core] ignorant of what is attached. *)
-type ext = ..
-type ext += Ext_none
-
 type plan = {
   p_label : string;
   mutable p_id : int;                (* interned label id; -1 until first use *)
@@ -150,7 +143,6 @@ type plan = {
   p_vlen : int array;
   p_paths : int array;
   p_obs : block_obs;                 (* measured profile, updated in place *)
-  mutable p_ext : ext;               (* engine extension (specializer) *)
 }
 
 (* Reusable per-instance scratch state, sized once for the largest block
@@ -323,12 +315,12 @@ let queue_pop sc =
 
 type sim = {
   cfg : config;
-  mutable pred : Blockpred.t;
-  mutable dep : Depend.t;
+  pred : Blockpred.t;
+  dep : Depend.t;
   opn : Opn.t;
-  mutable l1d : Cache.t;
-  mutable l1i : Cache.t;
-  mutable l2 : Cache.t;
+  l1d : Cache.t;
+  l1i : Cache.t;
+  l2 : Cache.t;
   mutable dram_free_at : int;
   st : stats;
   (* static timing plans, one per block label (address, interned id and
@@ -564,7 +556,6 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     p_vlen = of_rev_list !vlen;
     p_paths = of_rev_list !paths;
     p_obs = { bo_instances = 0; bo_latency = 0; bo_residency = 0 };
-    p_ext = Ext_none;
   }
 
 let dram_latency s ~now =
@@ -613,10 +604,10 @@ type btime = {
   bt_flushed : bool;
 }
 
-(* The end-of-instance protocol shared by every dataflow timer: the
-   store-load violation sweep over the instance's memory events, the
-   load-wait learning, and the completion/flush arithmetic.  [resolve]
-   is the branch-resolution time accumulated during the drain. *)
+(* The end of [time_block]: the store-load violation sweep over the
+   instance's memory events, the load-wait learning, and the
+   completion/flush arithmetic.  [resolve] is the branch-resolution time
+   accumulated during the drain. *)
 let finish_instance s (cfg : config) ~resolve : btime =
   let sc = s.scratch in
   (* store-load violations: a load that accessed the DT before an earlier
@@ -1069,16 +1060,62 @@ let infl_push s fetch commit size =
     s.infl_len <- s.infl_len + 1;
     s.infl_insts <- s.infl_insts + size
 
+(* Resolve the instance's exit against the shadow call stack and train
+   the next-block predictor with it; returns the exit kind and the
+   successor's id.  Sampled simulation's functional warming calls this
+   too, so the predictor sees the same training with or without the
+   clock. *)
+let resolve_exit s (plan : plan) (inst : Exec.instance) =
+  let label_id = intern_plan s plan in
+  let actual_label, kind =
+    match inst.Exec.exit_dest with
+    | Isa.Xjump l -> (Some l, Blockpred.Kjump)
+    | Isa.Xcall (fname, retl) ->
+      s.shadow_stack <- retl :: s.shadow_stack;
+      (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
+    | Isa.Xret -> (
+      match s.shadow_stack with
+      | [] -> (None, Blockpred.Kret)
+      | retl :: rest ->
+        s.shadow_stack <- rest;
+        (Some retl, Blockpred.Kret))
+  in
+  let actual_id = Option.map (intern s) actual_label in
+  (match actual_id with
+  | Some target ->
+    let exit_idx =
+      let exits = plan.p_exits in
+      let rec find k =
+        if k >= Array.length exits then 0
+        else if exits.(k) = inst.Exec.exit_inst then k
+        else find (k + 1)
+      in
+      find 0
+    in
+    let fall =
+      match inst.Exec.exit_dest with
+      | Isa.Xcall (_, retl) -> intern s retl
+      | _ -> 0
+    in
+    Blockpred.update s.pred
+      {
+        Blockpred.o_block = label_id;
+        o_exit = exit_idx;
+        o_kind = kind;
+        o_target = target;
+        o_fallthrough = fall;
+      }
+  | None -> ());
+  (kind, actual_id)
+
 (* One committed block instance: everything [run] does around the
    dataflow timing itself — fetch scheduling, I-cache, commit, register
    availability, next-block prediction, occupancy accounting.  [time]
-   computes the dataflow portion; engines that compile plans substitute
-   their own. *)
+   computes the dataflow portion. *)
 type time_fn = sim -> plan -> Exec.instance -> dispatch_start:int -> btime
 
 let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
   let config = s.cfg in
-  let label_id = intern_plan s plan in
   let n = plan.p_n in
     (* 1. fetch start *)
     let frame_limit =
@@ -1117,47 +1154,9 @@ let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
       s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
     done;
     (* 5. next-block prediction *)
-    let actual_label, kind =
-      match inst.Exec.exit_dest with
-      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-      | Isa.Xcall (fname, retl) ->
-        s.shadow_stack <- retl :: s.shadow_stack;
-        (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
-      | Isa.Xret -> (
-        match s.shadow_stack with
-        | [] -> (None, Blockpred.Kret)
-        | retl :: rest ->
-          s.shadow_stack <- rest;
-          (Some retl, Blockpred.Kret))
-    in
-    let actual_id = Option.map (intern s) actual_label in
-    let predicted = Blockpred.predict s.pred ~block:label_id in
+    let predicted = Blockpred.predict s.pred ~block:(intern_plan s plan) in
+    let kind, actual_id = resolve_exit s plan inst in
     let correct = actual_id <> None && predicted = actual_id in
-    (match actual_id with
-    | Some target ->
-      let exit_idx =
-        let exits = plan.p_exits in
-        let rec find k =
-          if k >= Array.length exits then 0
-          else if exits.(k) = inst.Exec.exit_inst then k
-          else find (k + 1)
-        in
-        find 0
-      in
-      let fall =
-        match inst.Exec.exit_dest with
-        | Isa.Xcall (_, retl) -> intern s retl
-        | _ -> 0
-      in
-      Blockpred.update s.pred
-        {
-          Blockpred.o_block = label_id;
-          o_exit = exit_idx;
-          o_kind = kind;
-          o_target = target;
-          o_fallthrough = fall;
-        }
-    | None -> ());
     s.prev <-
       Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
              p_kind = kind };

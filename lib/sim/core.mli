@@ -91,24 +91,11 @@ val avg_window_useful : result -> float
 
 (** {1 Engine hooks}
 
-    The whole-program driver, static plans and per-instance machinery are
-    exposed so engines layered on top — the plan specializer
-    ({!Trips_sim.Specialize}) and checkpointing ({!Trips_sim.Checkpoint})
-    — can reuse the exact model state transitions instead of duplicating
-    them.  Everything below is Core's internal representation; treat it
-    as read-mostly and keep any mutation bit-identical to what
-    {!time_block} / {!step_instance} would have done. *)
-
-type ext = ..
-(** Open extension slot on a {!plan}: engines attach derived/compiled
-    per-block state ({!Trips_sim.Specialize} stores its compiled entry). *)
-
-type ext += Ext_none
-
-val k_alu : int
-val k_load : int
-val k_store : int
-val k_branch : int
+    The whole-program driver and the per-instance machinery, exposed for
+    {!Trips_sim.Sampled}, which alternates detailed instances with
+    functional warming, and for benchmarks that time the dataflow timer
+    on its own.  The records are Core's internal representation: treat
+    them as read-mostly. *)
 
 type plan = {
   p_label : string;
@@ -120,7 +107,7 @@ type plan = {
   p_tile : int array;                (* per-inst ET index *)
   p_need : int array;                (* operand arity + predicate slot *)
   p_lat : int array;                 (* Isa.latency per instruction *)
-  p_kind : int array;                (* k_alu / k_load / k_store / k_branch *)
+  p_kind : int array;                (* alu / load / store / branch code *)
   p_lsid : int array;                (* loads and stores; -1 otherwise *)
   p_wait : int array;                (* Depend site id of the wait check *)
   p_viol : int array;                (* Depend site id of violation learning *)
@@ -145,50 +132,19 @@ type plan = {
   p_vlen : int array;
   p_paths : int array;
   p_obs : block_obs;                 (* measured profile, updated in place *)
-  mutable p_ext : ext;               (* engine extension (specializer) *)
 }
 
-type scratch = {
-  sc_cnt : int array;                (* arrived operand count per inst *)
-  sc_arr : int array;                (* max arrival time per inst *)
-  sc_done : int array;               (* completion time, -1 = pending *)
-  sc_et : int array;                 (* per-ET next free issue cycle *)
-  sc_dt : int array;                 (* per-DT-bank next free cycle *)
-  sc_store : int array;              (* per-LSID store DT arrival *)
-  sc_ev_addr : int array;            (* memory event of the inst, addr *)
-  sc_ev_width : int array;           (* bytes *)
-  sc_ev_bank : int array;            (* L1D bank of the event address *)
-  sc_ev_null : bool array;
-  sc_has_ev : bool array;
-  mutable q_head : int array;        (* calendar queue: time offset -> inst *)
-  mutable q_bits : int array;        (* bucket-occupancy bitmap, 32/word *)
-  q_next : int array;
-  mutable q_cursor : int;
-  mutable q_count : int;
-  mutable q_base : int;
-  m_lsid : int array;                (* per-instance memory events (SoA) *)
-  m_load : bool array;
-  m_addr : int array;
-  m_width : int array;
-  m_null : bool array;
-  m_time : int array;
-  m_viol : int array;
-  mutable m_cnt : int;
-  v_load : int array;                (* violation sweep scratch *)
-  v_store : int array;
-  w_reg : int array;                 (* register writes of the instance *)
-  w_time : int array;
-  mutable w_cnt : int;
-}
+type scratch
+(** Per-instance scratch state of the dataflow timer. *)
 
 type sim = {
   cfg : config;
-  mutable pred : Trips_predictor.Blockpred.t;
-  mutable dep : Trips_predictor.Depend.t;
+  pred : Trips_predictor.Blockpred.t;
+  dep : Trips_predictor.Depend.t;
   opn : Trips_noc.Opn.t;
-  mutable l1d : Trips_mem.Cache.t;
-  mutable l1i : Trips_mem.Cache.t;
-  mutable l2 : Trips_mem.Cache.t;
+  l1d : Trips_mem.Cache.t;
+  l1i : Trips_mem.Cache.t;
+  l2 : Trips_mem.Cache.t;
   mutable dram_free_at : int;
   st : stats;
   plans : (string, plan) Hashtbl.t;
@@ -225,33 +181,21 @@ type btime = {
 }
 
 type time_fn = sim -> plan -> Trips_edge.Exec.instance -> dispatch_start:int -> btime
+(** The dataflow portion of one block instance. *)
 
-val build_plan : config -> Trips_edge.Block.t -> addr:int -> plan
+val interp_time : time_fn
+(** The dataflow timer [run] uses. *)
 
 val make_sim : ?config:config -> Trips_edge.Block.program -> sim
 (** Static planning plus fresh model state; [run] is [drive] over this. *)
 
-val intern_plan : sim -> plan -> int
-val intern : sim -> string -> int
-
-val queue_push : scratch -> int -> int -> unit
-val queue_pop : scratch -> int
-val imax : int -> int -> int
-
-val icache_fetch : sim -> addr:int -> bytes:int -> now:int -> int
-val l2_access : sim -> addr:int -> write:bool -> now:int -> int
-
-val time_block :
-  sim -> config -> plan -> Trips_edge.Exec.instance -> dispatch_start:int -> btime
-(** The interpretive dataflow timer: the reference any compiled engine
-    must match bit for bit. *)
-
-val finish_instance : sim -> config -> resolve:int -> btime
-(** End-of-instance protocol over the scratch memory events: violation
-    sweep, load-wait learning, completion/flush arithmetic.  Every
-    dataflow timer must end with exactly this. *)
-
-val interp_time : time_fn
+val resolve_exit :
+  sim -> plan -> Trips_edge.Exec.instance ->
+  Trips_predictor.Blockpred.kind * int option
+(** Follow the instance's exit (maintaining the shadow call stack) and
+    train the next-block predictor with it.  Returns the exit kind and
+    the successor's predictor id ([None] for a return with an empty
+    shadow stack). *)
 
 val step_instance : sim -> time:time_fn -> plan -> Trips_edge.Exec.instance -> unit
 (** Fetch scheduling, I-cache, [time], commit, register availability,
@@ -269,7 +213,4 @@ val drive :
   args:Trips_tir.Ty.value list ->
   result
 (** [run] with the model state and the dataflow timer supplied by the
-    caller: the seam the specialized engine plugs into. *)
-
-val block_bytes : int -> int
-(** Compressed code footprint of an [n]-instruction block (§4.4). *)
+    caller. *)

@@ -7,11 +7,11 @@
    execution-count profile match a full run.  What is sampled is the
    *timing* model: block instances cycle through
 
-     detail-warm   (w blocks)  detailed model runs, measurement excluded
-     detail-measure(u blocks)  detailed model runs, cycles-per-block kept
-     fast-forward  (p-w-u)     functional warming only, clock frozen
+     detail-warm    ([warm])     detailed model runs, measurement excluded
+     detail-measure ([measure])  detailed model runs, cycles-per-block kept
+     fast-forward   (the rest)   functional warming only, clock frozen
 
-   with period [p].  During fast-forward the block predictor and all
+   per [period] blocks.  During fast-forward the block predictor and all
    three caches keep being trained/touched (state warming), so each
    measurement interval sees realistic microarchitectural state after a
    short re-warm of the frozen clock-dependent structures (operand
@@ -23,23 +23,16 @@
    too short to produce enough intervals fall back to full detailed
    simulation (exact, CI 0). *)
 
-module Ty = Trips_tir.Ty
 module Image = Trips_tir.Image
 module Block = Trips_edge.Block
-module Isa = Trips_edge.Isa
 module Exec = Trips_edge.Exec
 module Blockpred = Trips_predictor.Blockpred
 module Cache = Trips_mem.Cache
 
-type params = {
-  sp_period : int;     (* blocks per sampling period *)
-  sp_warm : int;       (* detailed blocks re-warming the clock state *)
-  sp_measure : int;    (* detailed blocks actually measured *)
-  sp_min_intervals : int;  (* fewer measured intervals -> full fallback *)
-}
-
-let default_params =
-  { sp_period = 1024; sp_warm = 48; sp_measure = 80; sp_min_intervals = 24 }
+let period = 1024        (* blocks per sampling period *)
+let warm = 48            (* detailed blocks re-warming the clock state *)
+let measure = 80         (* detailed blocks actually measured *)
+let min_intervals = 24   (* fewer measured intervals -> full fallback *)
 
 type estimate = {
   es_cycles : float;           (* estimated whole-run cycles *)
@@ -67,13 +60,12 @@ let t95 df =
   else if df <= 120 then 1.98
   else 1.96
 
-(* Functional warming of one block instance: exactly the predictor
-   training and cache touches [Core.step_instance] performs, with every
-   clock-coupled side effect omitted.  The shadow call stack must be
-   maintained here too, or return prediction desynchronizes across
-   fast-forward stretches. *)
+(* Functional warming of one block instance: exactly the cache touches
+   and predictor training [Core.step_instance] performs, with every
+   clock-coupled side effect omitted.  The shadow call stack is
+   maintained too ([Core.resolve_exit]), or return prediction
+   desynchronizes across fast-forward stretches. *)
 let warm_instance (s : Core.sim) (plan : Core.plan) (inst : Exec.instance) =
-  let label_id = Core.intern_plan s plan in
   (* instruction lines *)
   let line = (Cache.config s.Core.l1i).Cache.line in
   let first = plan.Core.p_addr / line
@@ -92,47 +84,10 @@ let warm_instance (s : Core.sim) (plan : Core.plan) (inst : Exec.instance) =
           ignore (Cache.access s.Core.l2 ~addr:ev.Exec.ev_addr ~write)
       end)
     inst.Exec.mem_events;
-  (* next-block predictor training, as in the detailed path *)
-  let actual_label, kind =
-    match inst.Exec.exit_dest with
-    | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-    | Isa.Xcall (fname, retl) ->
-      s.Core.shadow_stack <- retl :: s.Core.shadow_stack;
-      (Hashtbl.find_opt s.Core.func_entry fname, Blockpred.Kcall)
-    | Isa.Xret -> (
-      match s.Core.shadow_stack with
-      | [] -> (None, Blockpred.Kret)
-      | retl :: rest ->
-        s.Core.shadow_stack <- rest;
-        (Some retl, Blockpred.Kret))
-  in
-  (match Option.map (Core.intern s) actual_label with
-  | Some target ->
-    let exit_idx =
-      let exits = plan.Core.p_exits in
-      let rec find k =
-        if k >= Array.length exits then 0
-        else if exits.(k) = inst.Exec.exit_inst then k
-        else find (k + 1)
-      in
-      find 0
-    in
-    let fall =
-      match inst.Exec.exit_dest with
-      | Isa.Xcall (_, retl) -> Core.intern s retl
-      | _ -> 0
-    in
-    Blockpred.update s.Core.pred
-      {
-        Blockpred.o_block = label_id;
-        o_exit = exit_idx;
-        o_kind = kind;
-        o_target = target;
-        o_fallthrough = fall;
-      }
-  | None -> ());
-  (* execution counts keep accumulating so hot-block selection sees the
-     true profile *)
+  ignore (Core.resolve_exit s plan inst);
+  (* execution counts keep accumulating so the result's block profile
+     carries exact instance counts (its latency and residency sums cover
+     the detailed stretches only) *)
   plan.Core.p_obs.Core.bo_instances <- plan.Core.p_obs.Core.bo_instances + 1
 
 let exact_estimate (r : Core.result) =
@@ -149,24 +104,17 @@ let exact_estimate (r : Core.result) =
     es_full = true;
   }
 
-let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
-    ?(params = default_params) (program : Block.program) image ~entry ~args =
-  if params.sp_warm + params.sp_measure >= params.sp_period then
-    invalid_arg "Sampled.run: warm + measure must be below the period";
-  (* the specialized engine times the detailed stretches; compile-on-use
-     so measurement intervals hit compiled plans immediately *)
+let run ?config ?fuel (program : Block.program) image ~entry ~args =
   let image0 = Image.copy image in
   let s = Core.make_sim ?config program in
-  let st = Specialize.make_state ?cache ~threshold s in
-  let time = Specialize.time st in
   let samples = ref [] in
   let n_blocks = ref 0 in
   let measured_blocks = ref 0 in
   let measure_c0 = ref 0 in
-  let detail = params.sp_warm + params.sp_measure in
+  let detail = warm + measure in
   let on_instance (inst : Exec.instance) =
     let plan = Hashtbl.find s.Core.plans inst.Exec.iblock.Block.label in
-    let phase = !n_blocks mod params.sp_period in
+    let phase = !n_blocks mod period in
     if phase < detail then begin
       if phase = 0 && !n_blocks > 0 then
         (* re-enter the detailed model mid-run: continue the frozen clock
@@ -180,34 +128,30 @@ let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
               p_correct = true;
               p_kind = Blockpred.Kjump;
             };
-      if phase = params.sp_warm then measure_c0 := s.Core.last_commit;
-      Core.step_instance s ~time plan inst;
+      if phase = warm then measure_c0 := s.Core.last_commit;
+      Core.step_instance s ~time:Core.interp_time plan inst;
       if phase = detail - 1 then begin
         samples :=
           float_of_int (s.Core.last_commit - !measure_c0)
-          /. float_of_int params.sp_measure
+          /. float_of_int measure
           :: !samples;
-        measured_blocks := !measured_blocks + params.sp_measure
+        measured_blocks := !measured_blocks + measure
       end
     end
     else warm_instance s plan inst;
     incr n_blocks
   in
   let exec_result = Exec.run ?fuel ~on_instance program image ~entry ~args in
-  Specialize.flush st;
   let detailed = Core.collect_result s exec_result in
   let total = exec_result.Exec.stats.Exec.blocks in
   let n = List.length !samples in
   if total <= detail then
     (* the whole run fit inside the first detailed stretch: exact *)
-    (detailed, exact_estimate detailed, Specialize.state_report st)
-  else if n < params.sp_min_intervals then begin
+    (detailed, exact_estimate detailed)
+  else if n < min_intervals then begin
     (* too short to bound the error: fall back to full detailed *)
-    let full, rep =
-      Specialize.run_report ?config ?fuel ~threshold ?cache program image0
-        ~entry ~args
-    in
-    (full, exact_estimate full, rep)
+    let full = Core.run ?config ?fuel program image0 ~entry ~args in
+    (full, exact_estimate full)
   end
   else begin
     let xs = !samples in
@@ -231,12 +175,5 @@ let run_report ?config ?fuel ?(threshold = Specialize.default_threshold) ?cache
         es_full = false;
       }
     in
-    (detailed, est, Specialize.state_report st)
+    (detailed, est)
   end
-
-let run ?config ?fuel ?threshold ?cache ?params program image ~entry ~args =
-  let detailed, est, _ =
-    run_report ?config ?fuel ?threshold ?cache ?params program image ~entry
-      ~args
-  in
-  (detailed, est)

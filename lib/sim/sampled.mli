@@ -13,15 +13,6 @@
     Runs too short to bound the error are simulated fully in detail and
     report an exact estimate with CI 0. *)
 
-type params = {
-  sp_period : int;        (** blocks per sampling period *)
-  sp_warm : int;          (** detailed blocks excluded from measurement *)
-  sp_measure : int;       (** detailed blocks measured per period *)
-  sp_min_intervals : int; (** fewer intervals than this -> full fallback *)
-}
-
-val default_params : params
-
 type estimate = {
   es_cycles : float;        (** estimated whole-run cycles *)
   es_ci95 : float;          (** +/- at 95% confidence *)
@@ -36,9 +27,6 @@ type estimate = {
 val run :
   ?config:Core.config ->
   ?fuel:int ->
-  ?threshold:int ->
-  ?cache:Plan_cache.t ->
-  ?params:params ->
   Trips_edge.Block.program ->
   Trips_tir.Image.t ->
   entry:string ->
@@ -47,19 +35,6 @@ val run :
 (** The [Core.result] carries the exact functional statistics; its
     timing covers only the detailed stretches (clock frozen elsewhere) —
     the [estimate] is the headline cycle figure.  When [es_full] is set
-    the result is a complete detailed simulation and [es_cycles] is
-    exact.  Detailed stretches are timed by the {!Specialize} engine
-    ([threshold]/[cache] as there). *)
-
-val run_report :
-  ?config:Core.config ->
-  ?fuel:int ->
-  ?threshold:int ->
-  ?cache:Plan_cache.t ->
-  ?params:params ->
-  Trips_edge.Block.program ->
-  Trips_tir.Image.t ->
-  entry:string ->
-  args:Trips_tir.Ty.value list ->
-  Core.result * estimate * Specialize.report
-(** {!run} plus the specializer's compilation/cache counters. *)
+    the result is a complete detailed simulation ({!Core.run}) and
+    [es_cycles] is exact.  Detailed stretches are timed by
+    {!Core.interp_time}. *)

@@ -12,11 +12,6 @@
      plus the operand-network profile, catching drift in fields the
      fixture does not pin.
 
-   The specialized engine ([Specialize], compile-on-first-use) runs the
-   same two layers: every golden workload bit-identical to the fixture,
-   and the full-record differential against [Core_ref] — its contract is
-   equality on every statistic, not just the pinned six.
-
    The default run checks a fast subset (a few seconds); set
    TRIPS_PARITY_FULL=1 to sweep all registered workloads (the CI battery
    does). *)
@@ -27,8 +22,6 @@ module Image = Trips_tir.Image
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
 module Core_ref = Trips_sim.Core_ref
-module Specialize = Trips_sim.Specialize
-module Checkpoint = Trips_sim.Checkpoint
 module Sampled = Trips_sim.Sampled
 
 let full = Sys.getenv_opt "TRIPS_PARITY_FULL" <> None
@@ -53,9 +46,9 @@ let compiled name =
   let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
   (prog, image)
 
-let check_golden_with run (name, cycles, blocks, bm, cm, dm, lf) () =
+let check_golden (name, cycles, blocks, bm, cm, dm, lf) () =
   let prog, image = compiled name in
-  let r : Core.result = run prog image ~entry:"main" ~args:[] in
+  let r = Core.run prog image ~entry:"main" ~args:[] in
   let t = r.Core.timing in
   Alcotest.(check int) "cycles" cycles t.Core.cycles;
   Alcotest.(check int) "blocks" blocks t.Core.blocks;
@@ -64,19 +57,13 @@ let check_golden_with run (name, cycles, blocks, bm, cm, dm, lf) () =
   Alcotest.(check int) "dcache_misses" dm t.Core.dcache_misses;
   Alcotest.(check int) "load_flushes" lf t.Core.load_flushes
 
-let check_golden = check_golden_with (fun p i ~entry ~args -> Core.run p i ~entry ~args)
-
-let check_golden_spec =
-  check_golden_with (fun p i ~entry ~args ->
-      Specialize.run ~threshold:0 p i ~entry ~args)
-
 (* Field-by-field comparison against the frozen reference simulator.
    Each run gets a fresh image: execution mutates program memory. *)
-let check_differential_with run name () =
+let check_differential name () =
   let b = Registry.find name in
   let prog = Platforms.edge_program Platforms.C b in
   let fresh_image () = Image.build b.Registry.program.Trips_tir.Ast.globals in
-  let o : Core.result = run prog (fresh_image ()) ~entry:"main" ~args:[] in
+  let o = Core.run prog (fresh_image ()) ~entry:"main" ~args:[] in
   let r = Core_ref.run prog (fresh_image ()) ~entry:"main" ~args:[] in
   let ot = o.Core.timing and rt = r.Core_ref.timing in
   let ck what a b = Alcotest.(check int) what a b in
@@ -114,53 +101,6 @@ let check_differential_with run name () =
   in
   Alcotest.(check bool) "block_profile" true
     (obs o.Core.block_profile = robs r.Core_ref.block_profile)
-
-let check_differential =
-  check_differential_with (fun p i ~entry ~args -> Core.run p i ~entry ~args)
-
-(* threshold 0 compiles every block; the default threshold also exercises
-   the interpreted-to-compiled switch mid-run *)
-let check_differential_spec name () =
-  check_differential_with
-    (fun p i ~entry ~args -> Specialize.run ~threshold:0 p i ~entry ~args)
-    name ();
-  check_differential_with
-    (fun p i ~entry ~args -> Specialize.run p i ~entry ~args)
-    name ()
-
-(* Checkpoint contract: architectural replay of the tail is exact (same
-   return value, block counts adding up to the full run), and resuming
-   the same checkpoint twice is deterministic.  Timing at the seam is
-   approximate by design, so cycle counts are not compared against the
-   full run. *)
-let check_checkpoint name () =
-  let b = Registry.find name in
-  let prog = Platforms.edge_program Platforms.C b in
-  let fresh_image () = Image.build b.Registry.program.Trips_tir.Ast.globals in
-  let full = Core.run prog (fresh_image ()) ~entry:"main" ~args:[] in
-  let total = full.Core.exec.Exec.blocks in
-  let after = total / 2 in
-  (match Checkpoint.capture ~after prog (fresh_image ()) ~entry:"main" ~args:[] with
-  | None -> Alcotest.fail "program finished before the checkpoint"
-  | Some ck ->
-    Alcotest.(check bool) "captured at or after the target" true
-      (ck.Checkpoint.ck_blocks >= after);
-    let tail = Checkpoint.resume ck prog in
-    Alcotest.(check bool) "same return value" true
-      (tail.Core.ret = full.Core.ret);
-    (* functional statistics continue from the snapshot, so the resumed
-       run ends with the full run's block count *)
-    Alcotest.(check int) "blocks add up" total tail.Core.exec.Exec.blocks;
-    let tail2 = Checkpoint.resume ck prog in
-    Alcotest.(check int) "deterministic resume" tail.Core.timing.Core.cycles
-      tail2.Core.timing.Core.cycles);
-  (* a capture point past the end of the run is reported, not invented *)
-  match
-    Checkpoint.capture ~after:(total + 1) prog (fresh_image ()) ~entry:"main"
-      ~args:[]
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "checkpoint past the end of the program"
 
 (* Sampled contract: execution stays exact (return value, block count);
    the cycle estimate either is exact (full-detail fallback) or carries
@@ -260,20 +200,6 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_differential name))
           [ "fft"; "basefp"; "pktflow"; "vortex" ] );
-      ( "golden_specialized",
-        List.map
-          (fun ((name, _, _, _, _, _, _) as row) ->
-            Alcotest.test_case name `Quick (check_golden_spec row))
-          (golden_rows ()) );
-      ( "differential_specialized",
-        List.map
-          (fun name ->
-            Alcotest.test_case name `Quick (check_differential_spec name))
-          [ "fft"; "basefp"; "pktflow"; "vortex"; "a2time"; "8b10b" ] );
-      ( "checkpoint",
-        List.map
-          (fun name -> Alcotest.test_case name `Quick (check_checkpoint name))
-          [ "fft"; "a2time"; "vortex" ] );
       ( "sampled",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_sampled name))
