@@ -62,6 +62,11 @@ echo "== sampled golden: every workload at preset C =="
 # estimate to test/sampled_golden.ml.
 TRIPS_SAMPLED_GOLDEN_FULL=1 dune exec test/test_sim_parity.exe -- test sampled_golden >/dev/null
 
+echo "== exec golden: every workload at preset C =="
+# dune runtest checks a subset; the full sweep pins the functional
+# emulator's result and all of its statistics to test/exec_golden.ml.
+TRIPS_EXEC_GOLDEN_FULL=1 dune exec test/test_exec.exe >/dev/null
+
 echo "== differential fuzzing: trips_run fuzz --seed 1 =="
 # 100-program smoke by default; TRIPS_FUZZ_FULL=1 deepens the sweep to
 # 5000 programs (the nightly configuration).  Any divergence exits

@@ -75,6 +75,189 @@ let is_flop (op : Isa.opcode) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Static per-block facts                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Operand-presence bits, one per port; a target's slot number [s] is the
+   bit [1 lsl s]. *)
+let g_op0 = 1
+let g_op1 = 2
+let g_pred = 4
+
+(* Facts about a block that the executor needs on every instance but that
+   depend only on the static code: computed once per label and [run], on
+   the block's first instance.
+
+   Targets are pre-encoded as ints ([To_write w] is [-w - 1], [To_inst
+   (i, s)] is [i * 4 + slot]) in one flat array per block so the fire
+   loop iterates a slice instead of walking a list of boxed variants.
+
+   Operand-network deliveries are counted statically: a fired
+   instruction always delivers to all of its targets, and every read
+   delivers on every instance, so the commit folds per-instruction and
+   per-block target counts instead of counting each delivery. *)
+type xstatic = {
+  xs_block : Block.t;
+  xs_need : int array;             (* presence bits an inst waits for *)
+  xs_pred : int array;             (* 0 unpredicated, 1 on true, 2 on false *)
+  xs_zero_ready : int array;       (* insts that wait for nothing *)
+  xs_is_load : bool array;
+  xs_class : Isa.klass array;      (* Isa.classify per inst *)
+  xs_flop : bool array;
+  xs_const : token array;
+      (* the value a Geni/Genf produces or a Bin's immediate second
+         operand, built once; [Nul] elsewhere *)
+  xs_inst_targets : int array;     (* To_inst targets delivered on firing *)
+  xs_write_targets : int array;    (* To_write targets delivered on firing *)
+  xs_root : bool array;            (* a block output: store, branch, write *)
+  xs_store_sites : int;            (* static stores in the block *)
+  xs_store_lsids : int;            (* bitmask of LSIDs holding a store *)
+  xs_sites : int array;            (* static stores per LSID *)
+  xs_read_inst : int;              (* read targets that are instructions *)
+  xs_read_write : int;             (* read targets that are write slots *)
+  xs_toff : int array;             (* inst -> first encoded target *)
+  xs_tenc : int array;             (* encoded targets, flattened *)
+  xs_roff : int array;             (* read -> first encoded target *)
+  xs_renc : int array;             (* encoded read targets, flattened *)
+  xs_next : int array;
+      (* per branch: block index of its jump target or callee entry;
+         [-1] for an unknown block, [-2] for an unknown callee *)
+  xs_ret : int array;              (* per call: block index of its return *)
+}
+
+let encode_target = function
+  | Isa.To_write w -> -w - 1
+  | Isa.To_inst (i, Isa.Op0) -> i * 4
+  | Isa.To_inst (i, Isa.Op1) -> (i * 4) + 1
+  | Isa.To_inst (i, Isa.OpPred) -> (i * 4) + 2
+
+(* Flatten per-source target lists into an offset and an encoding array. *)
+let flatten targets =
+  let m = Array.length targets in
+  let off = Array.make (m + 1) 0 in
+  for k = 0 to m - 1 do
+    off.(k + 1) <- off.(k) + List.length targets.(k)
+  done;
+  let enc = Array.make (max 1 off.(m)) 0 in
+  for k = 0 to m - 1 do
+    List.iteri (fun j t -> enc.(off.(k) + j) <- encode_target t) targets.(k)
+  done;
+  (off, enc)
+
+let count_writes ts =
+  List.length (List.filter (function Isa.To_write _ -> true | _ -> false) ts)
+
+(* [index label] is a block's index or [-1]; [entry f] the index of
+   function [f]'s entry block, [-1] if that block is unknown and [-2] if
+   the function is. *)
+let build_xstatic ~index ~entry (b : Block.t) : xstatic =
+  let n = Array.length b.insts in
+  let nw = Array.length b.writes in
+  (* write slots and LSIDs are tracked in bitmasks *)
+  if nw > Isa.max_writes then raise (Stuck (b.label, "too many writes"));
+  let sites = Array.make Isa.max_lsids 0 in
+  let xs_next = Array.make n (-1) and xs_ret = Array.make n (-1) in
+  Array.iteri
+    (fun i (ins : Isa.inst) ->
+      (match ins.op with
+      | Isa.Store (_, l) | Isa.Load (_, _, l) ->
+        if l < 0 || l >= Isa.max_lsids then
+          raise (Stuck (b.label, Printf.sprintf "I%d LSID %d out of range" i l))
+      | _ -> ());
+      List.iter
+        (function
+          | Isa.To_write w when w < 0 || w >= nw ->
+            raise (Stuck (b.label, Printf.sprintf "write target W%d out of range" w))
+          | Isa.To_inst (j, _) when j < 0 || j >= n ->
+            raise (Stuck (b.label, Printf.sprintf "target I%d out of range" j))
+          | _ -> ())
+        ins.targets;
+      match ins.op with
+      | Isa.Store (_, l) -> sites.(l) <- sites.(l) + 1
+      | Isa.Branch (Isa.Xjump l) -> xs_next.(i) <- index l
+      | Isa.Branch (Isa.Xcall (f, retl)) ->
+        xs_next.(i) <- entry f;
+        xs_ret.(i) <- index retl
+      | _ -> ())
+    b.insts;
+  let store_lsids = ref 0 in
+  Array.iteri (fun l c -> if c > 0 then store_lsids := !store_lsids lor (1 lsl l)) sites;
+  (* stores and branches deliver nothing when they fire *)
+  let delivers (ins : Isa.inst) =
+    match ins.op with Isa.Store _ | Isa.Branch _ -> false | _ -> true
+  in
+  let xs_write_targets =
+    Array.map
+      (fun (ins : Isa.inst) -> if delivers ins then count_writes ins.targets else 0)
+      b.insts
+  in
+  let xs_inst_targets =
+    Array.mapi
+      (fun i (ins : Isa.inst) ->
+        if delivers ins then List.length ins.targets - xs_write_targets.(i) else 0)
+      b.insts
+  in
+  let xs_need =
+    Array.map
+      (fun (ins : Isa.inst) ->
+        let a = Isa.operand_arity ins in
+        (if a >= 1 then g_op0 else 0)
+        lor (if a >= 2 then g_op1 else 0)
+        lor (match ins.pred with Isa.Unpred -> 0 | _ -> g_pred))
+      b.insts
+  in
+  let zero = ref [] in
+  for i = n - 1 downto 0 do
+    if xs_need.(i) = 0 then zero := i :: !zero
+  done;
+  let toff, tenc = flatten (Array.map (fun (ins : Isa.inst) -> ins.targets) b.insts) in
+  let rtargets = Array.map (fun (r : Block.read) -> r.rtargets) b.reads in
+  let roff, renc = flatten rtargets in
+  let read_write = Array.fold_left (fun acc ts -> acc + count_writes ts) 0 rtargets in
+  {
+    xs_block = b;
+    xs_need;
+    xs_pred =
+      Array.map
+        (fun (ins : Isa.inst) ->
+          match ins.pred with Isa.Unpred -> 0 | Isa.On_true _ -> 1 | Isa.On_false _ -> 2)
+        b.insts;
+    xs_zero_ready = Array.of_list !zero;
+    xs_is_load =
+      Array.map
+        (fun (ins : Isa.inst) -> match ins.op with Isa.Load _ -> true | _ -> false)
+        b.insts;
+    xs_class = Array.map (fun (ins : Isa.inst) -> Isa.classify ins.op) b.insts;
+    xs_flop = Array.map (fun (ins : Isa.inst) -> is_flop ins.op) b.insts;
+    xs_const =
+      Array.map
+        (fun (ins : Isa.inst) ->
+          match (ins.op, ins.imm) with
+          | Isa.Geni v, _ | Isa.Bin _, Some v -> Val (Ty.Vi v)
+          | Isa.Genf v, _ -> Val (Ty.Vf v)
+          | _ -> Nul)
+        b.insts;
+    xs_inst_targets;
+    xs_write_targets;
+    xs_root =
+      Array.mapi
+        (fun i (ins : Isa.inst) ->
+          xs_write_targets.(i) > 0 || not (delivers ins))
+        b.insts;
+    xs_store_sites = Array.fold_left ( + ) 0 sites;
+    xs_store_lsids = !store_lsids;
+    xs_sites = sites;
+    xs_read_inst = roff.(Array.length b.reads) - read_write;
+    xs_read_write = read_write;
+    xs_toff = toff;
+    xs_tenc = tenc;
+    xs_roff = roff;
+    xs_renc = renc;
+    xs_next;
+    xs_ret;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Single block execution                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -86,117 +269,11 @@ type pending_store = {
   ps_data : token;
 }
 
-let token_int label = function
-  | Val v -> Ty.as_int v
-  | Nul -> raise (Stuck (label, "null token in arithmetic"))
-
-(* Facts about a block that the executor needs on every instance but that
-   depend only on the static code: computed once per label in {!run}.
-
-   Targets are pre-encoded as ints ([To_write w] is [-w - 1], [To_inst
-   (i, s)] is [i * 4 + slot]) in one flat array per block so the fire
-   loop iterates a slice instead of walking a list of boxed variants. *)
-type xstatic = {
-  xs_store_sites : int;                (* static stores in the block *)
-  xs_stores_below : int array;         (* per LSID L: stores with lsid < L *)
-  xs_zero_ready : int array;           (* 0-arity unpredicated insts *)
-  xs_write_producer : bool array;      (* has a To_write target *)
-  xs_arity : int array;                (* operand arity per inst *)
-  xs_is_load : bool array;             (* is a load per inst *)
-  xs_class : Isa.klass array;          (* Isa.classify per inst *)
-  xs_toff : int array;                 (* inst -> first encoded target *)
-  xs_tenc : int array;                 (* encoded targets, flattened *)
-  xs_roff : int array;                 (* read -> first encoded target *)
-  xs_renc : int array;                 (* encoded read targets, flattened *)
-}
-
-let encode_target = function
-  | Isa.To_write w -> -w - 1
-  | Isa.To_inst (i, Isa.Op0) -> i * 4
-  | Isa.To_inst (i, Isa.Op1) -> (i * 4) + 1
-  | Isa.To_inst (i, Isa.OpPred) -> (i * 4) + 2
-
-let build_xstatic (b : Block.t) : xstatic =
-  let max_lsid = ref 0 in
-  Array.iter
-    (fun (ins : Isa.inst) ->
-      match ins.op with
-      | Isa.Store (_, l) | Isa.Load (_, _, l) ->
-        if l > !max_lsid then max_lsid := l
-      | _ -> ())
-    b.insts;
-  let stores_below = Array.make (!max_lsid + 2) 0 in
-  let store_sites = ref 0 in
-  Array.iter
-    (fun (ins : Isa.inst) ->
-      match ins.op with
-      | Isa.Store (_, l) ->
-        incr store_sites;
-        for k = l + 1 to !max_lsid + 1 do
-          stores_below.(k) <- stores_below.(k) + 1
-        done
-      | _ -> ())
-    b.insts;
-  let zero = ref [] in
-  for i = Array.length b.insts - 1 downto 0 do
-    let ins = b.insts.(i) in
-    if Isa.operand_arity ins = 0 && ins.Isa.pred = Isa.Unpred then
-      zero := i :: !zero
-  done;
-  let n = Array.length b.insts in
-  let toff = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    toff.(i + 1) <- toff.(i) + List.length b.insts.(i).Isa.targets
-  done;
-  let tenc = Array.make (max 1 toff.(n)) 0 in
-  for i = 0 to n - 1 do
-    List.iteri
-      (fun k t -> tenc.(toff.(i) + k) <- encode_target t)
-      b.insts.(i).Isa.targets
-  done;
-  let nr = Array.length b.reads in
-  let roff = Array.make (nr + 1) 0 in
-  for r = 0 to nr - 1 do
-    roff.(r + 1) <- roff.(r) + List.length b.reads.(r).Block.rtargets
-  done;
-  let renc = Array.make (max 1 roff.(nr)) 0 in
-  for r = 0 to nr - 1 do
-    List.iteri
-      (fun k t -> renc.(roff.(r) + k) <- encode_target t)
-      b.reads.(r).Block.rtargets
-  done;
-  {
-    xs_store_sites = !store_sites;
-    xs_stores_below = stores_below;
-    xs_zero_ready = Array.of_list !zero;
-    xs_write_producer =
-      Array.map
-        (fun (ins : Isa.inst) ->
-          List.exists
-            (function Isa.To_write _ -> true | Isa.To_inst _ -> false)
-            ins.Isa.targets)
-        b.insts;
-    xs_arity = Array.map Isa.operand_arity b.insts;
-    xs_is_load =
-      Array.map
-        (fun (ins : Isa.inst) ->
-          match ins.Isa.op with Isa.Load _ -> true | _ -> false)
-        b.insts;
-    xs_class = Array.map (fun (ins : Isa.inst) -> Isa.classify ins.Isa.op) b.insts;
-    xs_toff = toff;
-    xs_tenc = tenc;
-    xs_roff = roff;
-    xs_renc = renc;
-  }
-
-(* Reusable per-instance state, grown to the largest block executed so far
-   so the hot loop allocates almost nothing per instance.  Operand slots
-   are struct-of-arrays with a presence bitmask ([xg_*] bits below)
-   instead of one record of [token option]s per instruction. *)
-let g_op0 = 1
-let g_op1 = 2
-let g_pred = 4
-
+(* Reusable per-instance state, grown to the largest block executed so
+   far so the hot loop allocates almost nothing per instance.  Operand
+   slots are struct-of-arrays with a presence bitmask ([g_*] bits), and
+   only [got] is reset per instance: a token or producer slot is read
+   only when its presence bit is set. *)
 type xscratch = {
   mutable got : int array;             (* presence bitmask per inst *)
   mutable tok0 : token array;
@@ -205,32 +282,49 @@ type xscratch = {
   mutable src0 : int array;            (* producer index, -1 = read slot *)
   mutable src1 : int array;
   mutable srcp : int array;
-  mutable value : token array;         (* result after firing *)
-  mutable ustack : int array;          (* usefulness DFS worklist *)
-  mutable ring : int array;            (* ready queue (FIFO) *)
-  mutable rhead : int;
-  mutable rlen : int;
-  mutable store_cnt : int array;       (* fired stores per LSID *)
+  mutable ready : int array;           (* insts whose operands are all in *)
+  mutable nready : int;
+  mutable order : int array;           (* insts in firing order *)
+  mutable nfired : int;
+  mutable fired : bool array;          (* of the current instance *)
+  mutable pending_loads : int list;    (* loads waiting on lower stores *)
+  mutable stores : pending_store list; (* fired stores, newest first *)
+  mutable nstores : int;
+  store_cnt : int array;               (* fired stores per LSID *)
+  mutable unstored : int;              (* LSIDs with a store still to fire *)
+  mutable exit_i : int;                (* branch that fired, -1 = none *)
+  wval : Ty.value array;               (* value per write slot *)
+  mutable wmask : int;                 (* write slots that received one *)
+  mutable wdup : bool;                 (* a write slot received two *)
 }
 
 let make_xscratch () =
+  let n = Isa.max_insts in
   {
-    got = Array.make Isa.max_insts 0;
-    tok0 = Array.make Isa.max_insts Nul;
-    tok1 = Array.make Isa.max_insts Nul;
-    tokp = Array.make Isa.max_insts Nul;
-    src0 = Array.make Isa.max_insts (-1);
-    src1 = Array.make Isa.max_insts (-1);
-    srcp = Array.make Isa.max_insts (-1);
-    value = Array.make Isa.max_insts Nul;
-    ustack = Array.make Isa.max_insts 0;
-    ring = Array.make 256 0;
-    rhead = 0;
-    rlen = 0;
-    store_cnt = Array.make (Isa.max_lsids + 2) 0;
+    got = Array.make n 0;
+    tok0 = Array.make n Nul;
+    tok1 = Array.make n Nul;
+    tokp = Array.make n Nul;
+    src0 = Array.make n (-1);
+    src1 = Array.make n (-1);
+    srcp = Array.make n (-1);
+    ready = Array.make n 0;
+    nready = 0;
+    order = Array.make n 0;
+    nfired = 0;
+    fired = [||];
+    pending_loads = [];
+    stores = [];
+    nstores = 0;
+    store_cnt = Array.make Isa.max_lsids 0;
+    unstored = 0;
+    exit_i = -1;
+    wval = Array.make Isa.max_writes (Ty.Vi 0L);
+    wmask = 0;
+    wdup = false;
   }
 
-let xscratch_grow xc n max_lsid =
+let xscratch_grow xc n =
   if n > Array.length xc.got then begin
     xc.got <- Array.make n 0;
     xc.tok0 <- Array.make n Nul;
@@ -239,421 +333,350 @@ let xscratch_grow xc n max_lsid =
     xc.src0 <- Array.make n (-1);
     xc.src1 <- Array.make n (-1);
     xc.srcp <- Array.make n (-1);
-    xc.value <- Array.make n Nul;
-    xc.ustack <- Array.make n 0
-  end;
-  if max_lsid + 2 > Array.length xc.store_cnt then
-    xc.store_cnt <- Array.make (max_lsid + 2) 0
+    xc.ready <- Array.make n 0;
+    xc.order <- Array.make n 0
+  end
 
-let ring_push xc i =
-  let cap = Array.length xc.ring in
-  if xc.rlen = cap then begin
-    let ring' = Array.make (2 * cap) 0 in
-    for k = 0 to xc.rlen - 1 do
-      ring'.(k) <- xc.ring.((xc.rhead + k) land (cap - 1))
+(* Every instruction is pushed once, when its last needed operand
+   arrives, and a deferred load is either here or in [pending_loads]:
+   [ready] never holds more than the block's instructions. *)
+let push_ready xc i =
+  xc.ready.(xc.nready) <- i;
+  xc.nready <- xc.nready + 1
+
+(* effective address: base operand plus the immediate displacement *)
+let addr_of label tok (ins : Isa.inst) =
+  match tok with
+  | Val v ->
+    Int64.to_int (Ty.as_int v) + (match ins.imm with Some d -> Int64.to_int d | None -> 0)
+  | Nul -> raise (Stuck (label, "null token in arithmetic"))
+
+(* [enc] is a pre-encoded target (see {!xstatic}); [src] the producing
+   instruction, -1 for a read slot. *)
+let deliver xc xs src tok enc =
+  if enc < 0 then begin
+    let w = -enc - 1 in
+    match tok with
+    | Nul -> raise (Stuck (xs.xs_block.label, "null token delivered to a write slot"))
+    | Val v ->
+      let bit = 1 lsl w in
+      if xc.wmask land bit <> 0 then xc.wdup <- true
+      else begin
+        xc.wmask <- xc.wmask lor bit;
+        xc.wval.(w) <- v
+      end
+  end
+  else begin
+    let i = enc lsr 2 and s = enc land 3 in
+    let g = xc.got.(i) in
+    let bit = 1 lsl s in
+    if g land bit <> 0 then
+      raise
+        (Stuck
+           ( xs.xs_block.label,
+             Printf.sprintf "I%d.%s double delivery" i
+               (if s = 0 then "op0" else if s = 1 then "op1" else "pred") ));
+    let g' = g lor bit in
+    xc.got.(i) <- g';
+    if s = 0 then begin
+      xc.tok0.(i) <- tok;
+      xc.src0.(i) <- src
+    end
+    else if s = 1 then begin
+      xc.tok1.(i) <- tok;
+      xc.src1.(i) <- src
+    end
+    else begin
+      (match tok with
+      | Nul when xs.xs_pred.(i) <> 0 -> raise (Stuck (xs.xs_block.label, "null predicate"))
+      | _ -> ());
+      xc.tokp.(i) <- tok;
+      xc.srcp.(i) <- src
+    end;
+    let need = xs.xs_need.(i) in
+    if g' land need = need && g land need <> need then push_ready xc i
+  end
+
+(* deliver to every target of inst [i], in program target order *)
+let deliver_all xc xs i tok =
+  for k = xs.xs_toff.(i) to xs.xs_toff.(i + 1) - 1 do
+    deliver xc xs i tok (Array.unsafe_get xs.xs_tenc k)
+  done
+
+(* forward from in-flight stores: build each byte from the youngest
+   lower-LSID store covering it, falling back to memory.  The common
+   case — no in-flight lower-LSID store overlaps the loaded range — is
+   detected with one scan and served by a single full-width read. *)
+let forward_raw stores image width lsid addr =
+  let bytes = Ty.bytes_of_width width in
+  let live ps =
+    (match ps.ps_data with Nul -> false | Val _ -> true) && ps.ps_lsid < lsid
+  in
+  if
+    not
+      (List.exists
+         (fun ps ->
+           live ps && ps.ps_addr < addr + bytes
+           && addr < ps.ps_addr + Ty.bytes_of_width ps.ps_width)
+         stores)
+  then Image.load_u image width addr
+  else begin
+    let byte k =
+      let a = addr + k in
+      let best = ref None in
+      List.iter
+        (fun ps ->
+          if live ps && a >= ps.ps_addr
+             && a < ps.ps_addr + Ty.bytes_of_width ps.ps_width
+          then
+            match !best with
+            | Some prev when prev.ps_lsid >= ps.ps_lsid -> ()
+            | _ -> best := Some ps)
+        stores;
+      match !best with
+      | Some { ps_data = Val data; ps_addr; _ } ->
+        let raw = match data with Ty.Vi i -> i | Ty.Vf f -> Int64.bits_of_float f in
+        Int64.to_int (Int64.logand (Int64.shift_right_logical raw (8 * (a - ps_addr))) 0xFFL)
+      | _ -> Int64.to_int (Image.load_u image Ty.W1 a)
+    in
+    let raw = ref 0L in
+    for k = bytes - 1 downto 0 do
+      raw := Int64.logor (Int64.shift_left !raw 8) (Int64.of_int (byte k))
     done;
-    xc.ring <- ring';
-    xc.rhead <- 0
-  end;
-  let cap = Array.length xc.ring in
-  xc.ring.((xc.rhead + xc.rlen) land (cap - 1)) <- i;
-  xc.rlen <- xc.rlen + 1
+    !raw
+  end
 
-let ring_pop xc =
-  let i = xc.ring.(xc.rhead) in
-  xc.rhead <- (xc.rhead + 1) land (Array.length xc.ring - 1);
-  xc.rlen <- xc.rlen - 1;
-  i
+let load_value stores image ty width lsid addr =
+  let raw =
+    if List.is_empty stores then Image.load_u image width addr
+    else forward_raw stores image width lsid addr
+  in
+  match (ty : Ty.t) with
+  | Ty.I64 -> Ty.Vi (Semantics.zext width raw)
+  | Ty.F64 -> Ty.Vf (Int64.float_of_bits raw)
 
-(* Execute one block instance against register file and memory.
-   Returns the instance plus commit effects. *)
-let exec_block ~stats ~fuel ~(xs : xstatic) ~(xc : xscratch) (b : Block.t)
-    (regs : Ty.value array) (image : Image.t) : instance * (int * Ty.value) list =
+let null_operand label = raise (Stuck (label, "null operand in ALU op"))
+
+(* Fire instruction [i], whose needed operands have all arrived.  A
+   squashed instruction (predicate mismatch) does nothing; a load whose
+   lower-LSID stores have not all fired waits in [pending_loads]. *)
+let fire ~fuel xc xs image i =
+  let b = xs.xs_block in
+  let ins = Array.unsafe_get b.insts i in
+  let p = xs.xs_pred.(i) in
+  let go =
+    p = 0
+    ||
+    match xc.tokp.(i) with
+    | Val v -> Ty.truthy v = (p = 1)
+    | Nul -> raise (Stuck (b.label, "null predicate"))
+  in
+  if go then
+    match ins.op with
+    | Isa.Load _ when xc.fired.(i) -> ()
+    | Isa.Load (_, _, lsid) when xc.unstored land ((1 lsl lsid) - 1) <> 0 ->
+      xc.pending_loads <- i :: xc.pending_loads
+    | op ->
+      xc.fired.(i) <- true;
+      xc.order.(xc.nfired) <- i;
+      xc.nfired <- xc.nfired + 1;
+      decr fuel;
+      if !fuel <= 0 then raise (Stuck (b.label, "out of fuel"));
+      (match op with
+      | Isa.Bin bop ->
+        let a = match xc.tok0.(i) with Val v -> v | Nul -> null_operand b.label in
+        let c =
+          match xs.xs_const.(i) with
+          | Val imm -> imm
+          | Nul -> (match xc.tok1.(i) with Val v -> v | Nul -> null_operand b.label)
+        in
+        deliver_all xc xs i (Val (Semantics.binop bop a c))
+      | Isa.Un uop ->
+        (match xc.tok0.(i) with
+        | Val v -> deliver_all xc xs i (Val (Semantics.unop uop v))
+        | Nul -> null_operand b.label)
+      | Isa.Geni _ | Isa.Genf _ -> deliver_all xc xs i xs.xs_const.(i)
+      | Isa.Mov -> deliver_all xc xs i xc.tok0.(i)
+      | Isa.Null -> deliver_all xc xs i Nul
+      | Isa.Load (ty, w, lsid) ->
+        let addr = addr_of b.label xc.tok0.(i) ins in
+        deliver_all xc xs i (Val (load_value xc.stores image ty w lsid addr))
+      | Isa.Store (w, lsid) ->
+        (* the immediate on a store is an address displacement, not an
+           operand substitute: data always arrives on op1 *)
+        let a = xc.tok0.(i) and d = xc.tok1.(i) in
+        let nullified =
+          match (a, d) with Val _, Val _ -> false | _ -> true
+        in
+        let addr = if nullified then 0 else addr_of b.label a ins in
+        xc.stores <-
+          { ps_inst = i; ps_lsid = lsid; ps_width = w; ps_addr = addr;
+            ps_data = (if nullified then Nul else d) }
+          :: xc.stores;
+        xc.nstores <- xc.nstores + 1;
+        let c = xc.store_cnt.(lsid) + 1 in
+        xc.store_cnt.(lsid) <- c;
+        if c = xs.xs_sites.(lsid) then
+          xc.unstored <- xc.unstored land lnot (1 lsl lsid);
+        (* a completed store may unblock deferred loads *)
+        List.iter (push_ready xc) xc.pending_loads;
+        xc.pending_loads <- []
+      | Isa.Branch _ ->
+        if xc.exit_i >= 0 then raise (Stuck (b.label, "two branches fired"));
+        xc.exit_i <- i)
+
+(* [j], a producer of a useful instruction, is useful; -1 is a read slot *)
+let mark useful j = if j >= 0 then Array.unsafe_set useful j true
+
+(* Execute one block instance against register file and memory, commit
+   its stores and register writes, and fold its statistics. *)
+let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
+    (regs : Ty.value array) (image : Image.t) : instance =
+  let b = xs.xs_block in
   let n = Array.length b.insts in
-  let max_lsid = Array.length xs.xs_stores_below - 2 in
-  xscratch_grow xc n max_lsid;
-  let got = xc.got and tok0 = xc.tok0 and tok1 = xc.tok1 and tokp = xc.tokp in
-  let src0 = xc.src0 and src1 = xc.src1 and srcp = xc.srcp in
-  let value = xc.value in
-  for i = 0 to n - 1 do
-    Array.unsafe_set got i 0;
-    Array.unsafe_set src0 i (-1);
-    Array.unsafe_set src1 i (-1);
-    Array.unsafe_set srcp i (-1)
-  done;
-  Array.fill xc.store_cnt 0 (max_lsid + 2) 0;
-  xc.rhead <- 0;
-  xc.rlen <- 0;
+  xscratch_grow xc n;
+  let got = xc.got in
+  Array.fill got 0 n 0;
+  if xs.xs_store_sites > 0 then Array.fill xc.store_cnt 0 Isa.max_lsids 0;
   let fired = Array.make n false in
-  let write_results : (int * Ty.value) list ref = ref [] in   (* write slot -> value *)
-  let stores : pending_store list ref = ref [] in
-  let stores_done = ref 0 in
-  let exit_fired = ref None in
-  let pending_loads : int list ref = ref [] in
-  (* can a load with this lsid go? all static stores with lower lsid done *)
-  let lower_stores_done lsid =
-    let fired_below = ref 0 in
-    for l = 0 to lsid - 1 do
-      fired_below := !fired_below + xc.store_cnt.(l)
-    done;
-    !fired_below = xs.xs_stores_below.(lsid)
-  in
-  (* forward from in-flight stores: build each byte from the youngest
-     lower-LSID store covering it, falling back to memory.  The common
-     case — no in-flight lower-LSID store overlaps the loaded range — is
-     detected with one scan and served by a single full-width read. *)
-  let load_value ty width lsid addr =
-    let bytes = Ty.bytes_of_width width in
-    let overlapping = ref false in
-    List.iter
-      (fun ps ->
-        if
-          (match ps.ps_data with Nul -> false | Val _ -> true)
-          && ps.ps_lsid < lsid
-          && ps.ps_addr < addr + bytes
-          && addr < ps.ps_addr + Ty.bytes_of_width ps.ps_width
-        then overlapping := true)
-      !stores;
-    if not !overlapping then begin
-      let raw = Image.load_u image width addr in
-      match ty with
-      | Ty.I64 -> Ty.Vi (Semantics.zext width raw)
-      | Ty.F64 -> Ty.Vf (Int64.float_of_bits raw)
-    end
-    else begin
-      let byte k =
-        let a = addr + k in
-        let best = ref None in
-        List.iter
-          (fun ps ->
-            if (match ps.ps_data with Nul -> false | Val _ -> true)
-               && ps.ps_lsid < lsid
-            then begin
-              let sb = Ty.bytes_of_width ps.ps_width in
-              if a >= ps.ps_addr && a < ps.ps_addr + sb then
-                match !best with
-                | Some prev when prev.ps_lsid >= ps.ps_lsid -> ()
-                | _ -> best := Some ps
-            end)
-          !stores;
-        match !best with
-        | Some ps ->
-          let data = match ps.ps_data with Val v -> v | Nul -> assert false in
-          let raw = (match data with Ty.Vi i -> i | Ty.Vf f -> Int64.bits_of_float f) in
-          Int64.to_int (Int64.logand (Int64.shift_right_logical raw (8 * (a - ps.ps_addr))) 0xFFL)
-        | None -> Int64.to_int (Image.load_u image Ty.W1 a)
-      in
-      let raw = ref 0L in
-      for k = bytes - 1 downto 0 do
-        raw := Int64.logor (Int64.shift_left !raw 8) (Int64.of_int (byte k))
-      done;
-      match ty with
-      | Ty.I64 -> Ty.Vi (Semantics.zext width !raw)
-      | Ty.F64 -> Ty.Vf (Int64.float_of_bits !raw)
-    end
-  in
-  (* [enc] is a pre-encoded target (see {!xstatic}). *)
-  let deliver src tok enc =
-    if enc < 0 then begin
-      let w = -enc - 1 in
-      stats.opn_et_rt <- stats.opn_et_rt + 1;
-      match tok with
-      | Val v -> write_results := (w, v) :: !write_results
-      | Nul -> raise (Stuck (b.label, "null token delivered to a write slot"))
-    end
-    else begin
-      let i = enc lsr 2 and s = enc land 3 in
-      if src < 0 then stats.opn_rt_et <- stats.opn_rt_et + 1
-      else if xs.xs_is_load.(src) then stats.opn_dt_et <- stats.opn_dt_et + 1
-      else stats.opn_et_et <- stats.opn_et_et + 1;
-      (if s = 0 then begin
-         if got.(i) land g_op0 <> 0 then
-           raise (Stuck (b.label, Printf.sprintf "I%d.op0 double delivery" i));
-         got.(i) <- got.(i) lor g_op0;
-         tok0.(i) <- tok;
-         src0.(i) <- src
-       end
-       else if s = 1 then begin
-         if got.(i) land g_op1 <> 0 then
-           raise (Stuck (b.label, Printf.sprintf "I%d.op1 double delivery" i));
-         got.(i) <- got.(i) lor g_op1;
-         tok1.(i) <- tok;
-         src1.(i) <- src
-       end
-       else begin
-         if got.(i) land g_pred <> 0 then
-           raise (Stuck (b.label, Printf.sprintf "I%d.pred double delivery" i));
-         got.(i) <- got.(i) lor g_pred;
-         tokp.(i) <- tok;
-         srcp.(i) <- src
-       end);
-      ring_push xc i
-    end
-  in
-  (* deliver to every target of inst [i], in program target order *)
-  let deliver_all i tok =
-    let stop = Array.unsafe_get xs.xs_toff (i + 1) in
-    for k = Array.unsafe_get xs.xs_toff i to stop - 1 do
-      deliver i tok (Array.unsafe_get xs.xs_tenc k)
-    done
-  in
-  (* predicate check: 0 = not yet decidable, 1 = fire, 2 = squash *)
-  let pred_ok i (ins : Isa.inst) =
-    match ins.pred with
-    | Isa.Unpred -> 1
-    | Isa.On_true _ ->
-      if got.(i) land g_pred = 0 then 0
-      else (
-        match tokp.(i) with
-        | Val v -> if Ty.truthy v then 1 else 2
-        | Nul -> raise (Stuck (b.label, "null predicate")))
-    | Isa.On_false _ ->
-      if got.(i) land g_pred = 0 then 0
-      else (
-        match tokp.(i) with
-        | Val v -> if Ty.truthy v then 2 else 1
-        | Nul -> raise (Stuck (b.label, "null predicate")))
-  in
-  let rec mem_int i l =
-    match l with [] -> false | x :: tl -> x = i || mem_int i tl
-  in
-  let try_fire i =
-    let ins = b.insts.(i) in
-    if fired.(i) then ()
-    else
-      let arity = Array.unsafe_get xs.xs_arity i in
-      let have_ops =
-        (arity < 1 || got.(i) land g_op0 <> 0)
-        && (arity < 2 || got.(i) land g_op1 <> 0)
-      in
-      match pred_ok i ins with
-      | 0 -> ()
-      | 2 -> () (* squashed: counted as fetched-not-executed *)
-      | _ ->
-        if not have_ops then ()
-        else begin
-          (* loads must wait for all lower-LSID stores *)
-          let defer =
-            match ins.op with
-            | Isa.Load (_, _, lsid) -> not (lower_stores_done lsid)
-            | _ -> false
-          in
-          if defer then begin
-            if not (mem_int i !pending_loads) then
-              pending_loads := i :: !pending_loads
-          end
-          else begin
-            fired.(i) <- true;
-            decr fuel;
-            if !fuel <= 0 then raise (Stuck (b.label, "out of fuel"));
-            (match ins.op with
-            | Isa.Bin op ->
-              let a = tok0.(i) in
-              let b2 =
-                match ins.imm with
-                | Some v -> Val (Ty.Vi v)
-                | None -> tok1.(i)
-              in
-              (match (a, b2) with
-              | Val va, Val vb -> value.(i) <- Val (Semantics.binop op va vb)
-              | _ -> raise (Stuck (b.label, "null operand in ALU op")));
-              if is_flop ins.op then stats.flops <- stats.flops + 1;
-              deliver_all i value.(i)
-            | Isa.Un op ->
-              (match tok0.(i) with
-              | Val v -> value.(i) <- Val (Semantics.unop op v)
-              | Nul -> raise (Stuck (b.label, "null operand in ALU op")));
-              deliver_all i value.(i)
-            | Isa.Geni v ->
-              value.(i) <- Val (Ty.Vi v);
-              deliver_all i value.(i)
-            | Isa.Genf v ->
-              value.(i) <- Val (Ty.Vf v);
-              deliver_all i value.(i)
-            | Isa.Mov ->
-              value.(i) <- tok0.(i);
-              deliver_all i value.(i)
-            | Isa.Null ->
-              value.(i) <- Nul;
-              deliver_all i value.(i)
-            | Isa.Load (ty, w, lsid) ->
-              stats.opn_et_dt <- stats.opn_et_dt + 1;
-              let addr =
-                Int64.to_int (token_int b.label tok0.(i))
-                + (match ins.imm with Some v -> Int64.to_int v | None -> 0)
-              in
-              let v = load_value ty w lsid addr in
-              value.(i) <- Val v;
-              deliver_all i value.(i)
-            | Isa.Store (w, lsid) ->
-              stats.opn_et_dt <- stats.opn_et_dt + 1;
-              (* the immediate on a store is an address displacement, not an
-                 operand substitute: data always arrives on op1 *)
-              let a = tok0.(i) and d = tok1.(i) in
-              let nullified =
-                (match a with Nul -> true | Val _ -> false)
-                || (match d with Nul -> true | Val _ -> false)
-              in
-              let addr =
-                if nullified then 0
-                else
-                  Int64.to_int (token_int b.label a)
-                  + (match ins.imm with Some v -> Int64.to_int v | None -> 0)
-              in
-              stores :=
-                { ps_inst = i; ps_lsid = lsid; ps_width = w; ps_addr = addr;
-                  ps_data = (if nullified then Nul else d) }
-                :: !stores;
-              xc.store_cnt.(lsid) <- xc.store_cnt.(lsid) + 1;
-              incr stores_done;
-              (* a completed store may unblock deferred loads *)
-              let retry = !pending_loads in
-              pending_loads := [];
-              List.iter (fun j -> ring_push xc j) retry
-            | Isa.Branch dest ->
-              stats.opn_et_gt <- stats.opn_et_gt + 1;
-              (match !exit_fired with
-              | Some _ -> raise (Stuck (b.label, "two branches fired"))
-              | None -> exit_fired := Some (i, dest)))
-          end
-        end
-  in
+  xc.fired <- fired;
+  xc.nready <- 0;
+  xc.nfired <- 0;
+  xc.pending_loads <- [];
+  xc.stores <- [];
+  xc.nstores <- 0;
+  xc.unstored <- xs.xs_store_lsids;
+  xc.exit_i <- -1;
+  xc.wmask <- 0;
+  xc.wdup <- false;
   (* inject register reads *)
   for r = 0 to Array.length b.reads - 1 do
     let tok = Val regs.(b.reads.(r).Block.rreg) in
     for k = xs.xs_roff.(r) to xs.xs_roff.(r + 1) - 1 do
-      deliver (-1) tok (Array.unsafe_get xs.xs_renc k)
+      deliver xc xs (-1) tok (Array.unsafe_get xs.xs_renc k)
     done
   done;
   (* zero-operand instructions are ready immediately *)
-  Array.iter (fun i -> ring_push xc i) xs.xs_zero_ready;
+  Array.iter (push_ready xc) xs.xs_zero_ready;
   (* dataflow loop *)
-  let rec drain () =
-    if xc.rlen > 0 then begin
-      let i = ring_pop xc in
-      try_fire i;
-      drain ()
-    end
-    else if (match !pending_loads with [] -> false | _ -> true) then begin
-      (* deferred loads whose guard may now pass *)
-      let ls = !pending_loads in
-      pending_loads := [];
-      let before = List.length ls in
-      List.iter (fun j -> ring_push xc j) ls;
-      let rec step () =
-        if xc.rlen > 0 then begin
-          let i = ring_pop xc in
-          try_fire i;
-          step ()
-        end
-      in
-      step ();
-      if List.length !pending_loads >= before && xc.rlen = 0 then
-        raise (Stuck (b.label, "loads deadlocked on incomplete stores"))
-      else drain ()
-    end
-  in
-  drain ();
+  while xc.nready > 0 do
+    xc.nready <- xc.nready - 1;
+    fire ~fuel xc xs image (Array.unsafe_get xc.ready xc.nready)
+  done;
+  (* only a store can unblock a load, and none is left to fire *)
+  if not (List.is_empty xc.pending_loads) then
+    raise (Stuck (b.label, "loads deadlocked on incomplete stores"));
   (* completeness checks *)
-  let exit_i, exit_dest =
-    match !exit_fired with
-    | None -> raise (Stuck (b.label, "no branch fired"))
-    | Some e -> e
+  let exit_i = xc.exit_i in
+  if exit_i < 0 then raise (Stuck (b.label, "no branch fired"));
+  let exit_dest =
+    match b.insts.(exit_i).op with Isa.Branch d -> d | _ -> assert false
   in
-  if !stores_done <> xs.xs_store_sites then
-    raise (Stuck (b.label, Printf.sprintf "only %d/%d stores completed" !stores_done xs.xs_store_sites));
-  let committed_writes = !write_results in
+  if xc.nstores <> xs.xs_store_sites then
+    raise (Stuck (b.label, Printf.sprintf "only %d/%d stores completed" xc.nstores xs.xs_store_sites));
   let declared = Array.length b.writes in
-  let got_writes = List.sort_uniq Int.compare (List.map fst committed_writes) in
-  if List.length got_writes <> declared then
-    raise (Stuck (b.label, Printf.sprintf "only %d/%d writes completed" (List.length got_writes) declared));
-  if List.length committed_writes <> declared then
-    raise (Stuck (b.label, "a write slot received two values"));
-  (* commit stores in LSID order *)
-  let sorted_stores =
-    List.sort (fun a b2 -> Int.compare a.ps_lsid b2.ps_lsid) !stores
-  in
+  if xc.wmask <> (1 lsl declared) - 1 then begin
+    let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1)) in
+    raise
+      (Stuck
+         ( b.label,
+           Printf.sprintf "only %d/%d writes completed" (popcount xc.wmask) declared ))
+  end;
+  if xc.wdup then raise (Stuck (b.label, "a write slot received two values"));
+  (* commit stores in LSID order, then register writes *)
+  let stores = xc.stores in
   List.iter
     (fun ps ->
       match ps.ps_data with
       | Nul -> ()
       | Val v -> Image.store image ps.ps_width ps.ps_addr v)
-    sorted_stores;
-  (* usefulness: reverse reachability from outputs over dynamic edges *)
+    (List.stable_sort (fun a b2 -> Int.compare a.ps_lsid b2.ps_lsid) stores);
+  for w = 0 to declared - 1 do
+    regs.(b.writes.(w).wreg) <- xc.wval.(w)
+  done;
+  (* usefulness: reverse reachability from the outputs (the branch,
+     stores, write producers) over the dynamic operand edges.  A producer
+     fires before all of its consumers, so one pass in reverse firing
+     order settles every instruction before its producers are visited;
+     the same pass folds the per-instruction statistics. *)
   let useful = Array.make n false in
-  let ustack = xc.ustack in
-  let sp = ref 0 in
-  let push i =
-    if i >= 0 && not useful.(i) then begin
-      useful.(i) <- true;
-      ustack.(!sp) <- i;
-      incr sp
-    end
-  in
-  push exit_i;
-  (* write producers: any fired instruction with a To_write target *)
-  for i = 0 to n - 1 do
-    if fired.(i) && xs.xs_write_producer.(i) then push i
-  done;
-  List.iter (fun ps -> push ps.ps_inst) !stores;
-  while !sp > 0 do
-    decr sp;
-    let i = ustack.(!sp) in
-    push src0.(i);
-    push src1.(i);
-    push srcp.(i)
-  done;
-  (* fold into stats *)
-  stats.blocks <- stats.blocks + 1;
-  stats.fetched <- stats.fetched + n;
-  stats.reads_fetched <- stats.reads_fetched + Array.length b.reads;
-  stats.writes_committed <- stats.writes_committed + declared;
+  let executed = xc.nfired in
+  let not_used = ref 0 and useful_n = ref 0 in
+  let arith = ref 0 and memory = ref 0 and control = ref 0 and test = ref 0 in
+  let move = ref 0 and flops = ref 0 and loads = ref 0 in
+  let et_et = ref 0 and dt_et = ref 0 and et_rt = ref 0 in
   let mem_events = ref [] in
-  for i = 0 to n - 1 do
-    if fired.(i) then begin
-      stats.executed <- stats.executed + 1;
-      let cls = Array.unsafe_get xs.xs_class i in
-      (match cls with
-      | Isa.Karith -> stats.k_arith <- stats.k_arith + 1
-      | Isa.Kmemory -> stats.k_memory <- stats.k_memory + 1
-      | Isa.Kcontrol -> stats.k_control <- stats.k_control + 1
-      | Isa.Ktest -> stats.k_test <- stats.k_test + 1
-      | Isa.Kmove -> stats.k_move <- stats.k_move + 1);
-      if not useful.(i) then stats.executed_not_used <- stats.executed_not_used + 1
-      else (
-        match cls with
-        | Isa.Kmove -> ()
-        | _ -> stats.useful <- stats.useful + 1);
-      match b.insts.(i).op with
+  for k = executed - 1 downto 0 do
+    let i = Array.unsafe_get xc.order k in
+    let cls = Array.unsafe_get xs.xs_class i in
+    if Array.unsafe_get useful i || Array.unsafe_get xs.xs_root i then begin
+      useful.(i) <- true;
+      if cls <> Isa.Kmove then incr useful_n;
+      let g = got.(i) in
+      if g land g_op0 <> 0 then mark useful xc.src0.(i);
+      if g land g_op1 <> 0 then mark useful xc.src1.(i);
+      if g land g_pred <> 0 then mark useful xc.srcp.(i)
+    end
+    else incr not_used;
+    (match cls with
+    | Isa.Karith -> incr arith
+    | Isa.Kmemory -> incr memory
+    | Isa.Kcontrol -> incr control
+    | Isa.Ktest -> incr test
+    | Isa.Kmove -> incr move);
+    if Array.unsafe_get xs.xs_flop i then incr flops;
+    et_rt := !et_rt + Array.unsafe_get xs.xs_write_targets i;
+    if Array.unsafe_get xs.xs_is_load i then begin
+      dt_et := !dt_et + Array.unsafe_get xs.xs_inst_targets i;
+      incr loads;
+      let ins = b.insts.(i) in
+      match ins.op with
       | Isa.Load (_, w, lsid) ->
-        stats.loads_executed <- stats.loads_executed + 1;
-        let ins = b.insts.(i) in
-        let addr =
-          Int64.to_int (token_int b.label tok0.(i))
-          + (match ins.imm with Some v -> Int64.to_int v | None -> 0)
-        in
         mem_events :=
-          { ev_inst = i; ev_lsid = lsid; ev_is_load = true; ev_addr = addr;
-            ev_width = w; ev_null = false }
+          { ev_inst = i; ev_lsid = lsid; ev_is_load = true;
+            ev_addr = addr_of b.label xc.tok0.(i) ins; ev_width = w;
+            ev_null = false }
           :: !mem_events
       | _ -> ()
     end
-    else stats.not_executed <- stats.not_executed + 1
+    else et_et := !et_et + Array.unsafe_get xs.xs_inst_targets i
   done;
+  let committed = ref 0 in
   List.iter
     (fun ps ->
       let nul = match ps.ps_data with Nul -> true | Val _ -> false in
-      if not nul then stats.stores_committed <- stats.stores_committed + 1;
+      if not nul then incr committed;
       mem_events :=
         { ev_inst = ps.ps_inst; ev_lsid = ps.ps_lsid; ev_is_load = false;
           ev_addr = ps.ps_addr; ev_width = ps.ps_width; ev_null = nul }
         :: !mem_events)
-    !stores;
+    stores;
+  stats.blocks <- stats.blocks + 1;
+  stats.fetched <- stats.fetched + n;
+  stats.executed <- stats.executed + executed;
+  stats.not_executed <- stats.not_executed + (n - executed);
+  stats.executed_not_used <- stats.executed_not_used + !not_used;
+  stats.useful <- stats.useful + !useful_n;
+  stats.k_arith <- stats.k_arith + !arith;
+  stats.k_memory <- stats.k_memory + !memory;
+  stats.k_control <- stats.k_control + !control;
+  stats.k_test <- stats.k_test + !test;
+  stats.k_move <- stats.k_move + !move;
+  stats.reads_fetched <- stats.reads_fetched + Array.length b.reads;
+  stats.writes_committed <- stats.writes_committed + declared;
+  stats.stores_committed <- stats.stores_committed + !committed;
+  stats.loads_executed <- stats.loads_executed + !loads;
+  stats.opn_et_et <- stats.opn_et_et + !et_et;
+  stats.opn_rt_et <- stats.opn_rt_et + xs.xs_read_inst;
+  stats.opn_et_rt <- stats.opn_et_rt + !et_rt + xs.xs_read_write;
+  stats.opn_et_dt <- stats.opn_et_dt + !loads + xc.nstores;
+  stats.opn_dt_et <- stats.opn_dt_et + !dt_et;
+  stats.opn_et_gt <- stats.opn_et_gt + 1;
+  stats.flops <- stats.flops + !flops;
   let mem_events =
-    List.sort (fun a b2 -> Int.compare a.ev_lsid b2.ev_lsid) !mem_events
+    List.stable_sort (fun a b2 -> Int.compare a.ev_lsid b2.ev_lsid) !mem_events
   in
-  ( { iblock = b; fired; useful; exit_inst = exit_i; exit_dest; mem_events },
-    committed_writes )
+  { iblock = b; fired; useful; exit_inst = exit_i; exit_dest; mem_events }
 
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
@@ -670,48 +693,57 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
       | Some r -> regs.(r) <- v
       | None -> invalid_arg "Exec.run: too many arguments")
     args;
-  (* one table holding both the block and its static facts: a single
-     lookup per dynamic block instance *)
-  let blocks = Hashtbl.create 256 in
-  List.iter
-    (fun (f : Block.func) ->
-      List.iter
-        (fun (b : Block.t) -> Hashtbl.replace blocks b.label (b, build_xstatic b))
-        f.blocks)
-    p.funcs;
+  (* blocks are dispatched by index: labels and callees are resolved
+     once, when a block's static facts are built *)
+  let blocks = Array.of_list (List.concat_map (fun (f : Block.func) -> f.blocks) p.funcs) in
+  let labels = Hashtbl.create 256 in
+  Array.iteri (fun k (b : Block.t) -> Hashtbl.replace labels b.label k) blocks;
+  let index l = Option.value ~default:(-1) (Hashtbl.find_opt labels l) in
+  let find_func f = List.find_opt (fun (g : Block.func) -> g.fname = f) p.funcs in
+  let entry_of f = match find_func f with Some g -> index g.entry | None -> -2 in
+  let statics = Array.make (Array.length blocks) None in
   let xc = make_xscratch () in
-  let entry_f = Block.find_func p entry in
-  (* call stack: saved register file + return label *)
-  let stack : (Ty.value array * string) list ref = ref [] in
-  let current = ref (Some entry_f.entry) in
+  (* [k] is the next block's index, [label] its name for errors *)
+  let static k label =
+    if k < 0 then raise (Stuck (label, "unknown block"));
+    match statics.(k) with
+    | Some xs -> xs
+    | None ->
+      let xs = build_xstatic ~index ~entry:entry_of blocks.(k) in
+      statics.(k) <- Some xs;
+      xs
+  in
+  let entry_f =
+    match find_func entry with
+    | Some f -> f
+    | None -> raise (Stuck (entry, "unknown function " ^ entry))
+  in
+  (* call stack: saved register file + return block *)
+  let stack : (Ty.value array * int * string) list ref = ref [] in
+  let current = ref (static (index entry_f.entry) entry_f.entry) in
   let finished = ref None in
-  while match !finished with None -> true | Some _ -> false do
-    match !current with
-    | None -> assert false
-    | Some label ->
-      let b, xs =
-        match Hashtbl.find_opt blocks label with
-        | Some bx -> bx
-        | None -> raise (Stuck (label, "unknown block"))
-      in
-      let instance, writes = exec_block ~stats ~fuel ~xs ~xc b regs image in
-      (* commit register writes *)
-      List.iter (fun (w, v) -> regs.(b.writes.(w).wreg) <- v) writes;
-      Option.iter (fun f -> f instance) on_instance;
-      (match instance.exit_dest with
-      | Isa.Xjump l -> current := Some l
-      | Isa.Xcall (callee, retl) ->
-        let f = Block.find_func p callee in
-        stack := (Array.copy regs, retl) :: !stack;
-        current := Some f.entry
-      | Isa.Xret -> (
-        match !stack with
-        | [] -> finished := Some regs.(abi_ret_reg)
-        | (saved, retl) :: rest ->
-          let ret_v = regs.(abi_ret_reg) in
-          Array.blit saved 0 regs 0 (Array.length regs);
-          regs.(abi_ret_reg) <- ret_v;
-          stack := rest;
-          current := Some retl))
+  while Option.is_none !finished do
+    let xs = !current in
+    let instance = exec_block ~stats ~fuel ~xc xs regs image in
+    (match on_instance with Some f -> f instance | None -> ());
+    let next = xs.xs_next.(instance.exit_inst) in
+    match instance.exit_dest with
+    | Isa.Xjump l -> current := static next l
+    | Isa.Xcall (callee, retl) ->
+      if next = -2 then
+        raise (Stuck (xs.xs_block.label, "unknown function " ^ callee));
+      if next = -1 then
+        raise (Stuck ((Block.find_func p callee).entry, "unknown block"));
+      stack := (Array.copy regs, xs.xs_ret.(instance.exit_inst), retl) :: !stack;
+      current := static next callee
+    | Isa.Xret -> (
+      match !stack with
+      | [] -> finished := Some regs.(abi_ret_reg)
+      | (saved, ret, retl) :: rest ->
+        let ret_v = regs.(abi_ret_reg) in
+        Array.blit saved 0 regs 0 (Array.length regs);
+        regs.(abi_ret_reg) <- ret_v;
+        stack := rest;
+        current := static ret retl)
   done;
   { ret = !finished; stats }

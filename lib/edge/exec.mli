@@ -14,8 +14,6 @@
     traffic split by tile class.  It can also stream a per-block-instance
     trace into the cycle-level simulator. *)
 
-type token = Val of Trips_tir.Ty.value | Nul
-
 type mem_event = {
   ev_inst : int;                 (* instruction index in the block *)
   ev_lsid : int;
@@ -67,7 +65,11 @@ type result = {
 }
 
 exception Stuck of string * string
-(** Block deadlocked or finished without all outputs: (label, reason). *)
+(** (label, reason): a block deadlocked, finished without all of its
+    outputs, ran out of fuel or is malformed (an LSID, target or write
+    slot out of range), or control reached an unknown block or function
+    ("unknown function f", labelled with the calling block, or with [f]
+    itself for an unknown [~entry]). *)
 
 val run :
   ?fuel:int ->
@@ -80,7 +82,9 @@ val run :
 (** [run program image ~entry ~args] executes function [entry].  Arguments
     are placed in the argument registers of the EDGE ABI ({!abi_arg_regs});
     the result is taken from {!abi_ret_reg}.  [fuel] bounds total fired
-    instructions (default 400 million). *)
+    instructions (default 400 million).  [on_instance] sees every
+    committed block instance after its stores and register writes.
+    @raise Stuck as described above. *)
 
 val abi_ret_reg : int
 val abi_arg_regs : int list

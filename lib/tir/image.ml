@@ -66,13 +66,12 @@ let check t addr bytes =
     raise (Semantics.Trap (Printf.sprintf "memory access out of range: 0x%x (%d bytes)" addr bytes))
 
 let raw_load t w addr =
-  let bytes = Ty.bytes_of_width w in
-  check t addr bytes;
-  let v = ref 0L in
-  for k = bytes - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get t.mem (addr + k))))
-  done;
-  !v
+  check t addr (Ty.bytes_of_width w);
+  match (w : Ty.width) with
+  | Ty.W1 -> Int64.of_int (Bytes.get_uint8 t.mem addr)
+  | Ty.W2 -> Int64.of_int (Bytes.get_uint16_le t.mem addr)
+  | Ty.W4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.mem addr)) 0xFFFFFFFFL
+  | Ty.W8 -> Bytes.get_int64_le t.mem addr
 
 let load_u t w addr = raw_load t w addr
 
@@ -84,16 +83,16 @@ let load t ty w addr =
     Ty.Vf (Int64.float_of_bits (raw_load t Ty.W8 addr))
 
 let store t w addr value =
-  let bytes = Ty.bytes_of_width w in
-  check t addr bytes;
+  check t addr (Ty.bytes_of_width w);
   let raw = match (value : Ty.value) with
     | Ty.Vi i -> i
     | Ty.Vf f -> Int64.bits_of_float f
   in
-  for k = 0 to bytes - 1 do
-    Bytes.set t.mem (addr + k)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical raw (8 * k)) 0xFFL)))
-  done
+  match w with
+  | Ty.W1 -> Bytes.set_uint8 t.mem addr (Int64.to_int raw land 0xFF)
+  | Ty.W2 -> Bytes.set_uint16_le t.mem addr (Int64.to_int raw land 0xFFFF)
+  | Ty.W4 -> Bytes.set_int32_le t.mem addr (Int64.to_int32 raw)
+  | Ty.W8 -> Bytes.set_int64_le t.mem addr raw
 
 let equal a b = Bytes.equal a.mem b.mem
 

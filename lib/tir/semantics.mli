@@ -10,6 +10,10 @@ exception Trap of string
     fuel, and other unrecoverable conditions. *)
 
 val binop : Ast.binop -> Ty.value -> Ty.value -> Ty.value
+(** Shift amounts are taken mod 64; [Div]/[Rem] by zero raise {!Trap}.
+    Float comparisons follow [Float.compare], a total order in which
+    [nan] equals itself and sorts below every other float. *)
+
 val unop : Ast.unop -> Ty.value -> Ty.value
 
 val sext : Ty.width -> int64 -> int64

@@ -321,6 +321,51 @@ let test_call_return () =
   let r = Exec.run p image ~entry:"main" ~args:[ Ty.Vi 20L ] in
   Alcotest.(check (option value)) "dbl(20)+1" (Some (Ty.Vi 41L)) r.ret
 
+(* Unvalidated programs naming a missing function: [Exec.run] reports
+   them as [Stuck], never as a bare [Not_found]. *)
+let test_unknown_entry () =
+  let p = call_program () in
+  Alcotest.check_raises "unknown entry"
+    (Exec.Stuck ("nosuch", "unknown function nosuch"))
+    (fun () -> ignore (Exec.run p (Image.build []) ~entry:"nosuch" ~args:[]))
+
+let test_unknown_callee () =
+  let p = call_program () in
+  (* drop the callee: main.entry now calls a function that does not exist *)
+  let p =
+    { p with Block.funcs = List.filter (fun f -> f.Block.fname = "main") p.funcs }
+  in
+  Alcotest.check_raises "unknown callee"
+    (Exec.Stuck ("main.entry", "unknown function dbl"))
+    (fun () -> ignore (Exec.run p (Image.build []) ~entry:"main" ~args:[ Ty.Vi 1L ]))
+
+(* Malformed blocks that skip validation are reported as [Stuck] when
+   they first execute: the executor indexes its per-block tables with
+   these fields and keeps LSIDs and write slots in bitmasks. *)
+let test_malformed_block_stuck () =
+  let mk op targets = { Isa.op; pred = Isa.Unpred; imm = None; targets } in
+  let run insts =
+    let blk =
+      { Block.label = "bad.entry"; reads = [||]; writes = [||];
+        insts = Array.append insts [| mk (Isa.Branch Isa.Xret) [] |];
+        placement = [||] }
+    in
+    let p =
+      { Block.globals = [];
+        funcs = [ { Block.fname = "main"; entry = "bad.entry"; blocks = [ blk ] } ] }
+    in
+    ignore (Exec.run p (Image.build []) ~entry:"main" ~args:[])
+  in
+  Alcotest.check_raises "LSID out of range"
+    (Exec.Stuck ("bad.entry", "I0 LSID 40 out of range"))
+    (fun () -> run [| mk (Isa.Load (Ty.I64, Ty.W8, 40)) [] |]);
+  Alcotest.check_raises "target out of range"
+    (Exec.Stuck ("bad.entry", "target I9 out of range"))
+    (fun () -> run [| mk (Isa.Geni 1L) [ Isa.To_inst (9, Isa.Op0) ] |]);
+  Alcotest.check_raises "write target out of range"
+    (Exec.Stuck ("bad.entry", "write target W0 out of range"))
+    (fun () -> run [| mk (Isa.Geni 1L) [ Isa.To_write 0 ] |])
+
 let () =
   Alcotest.run "edge"
     [
@@ -333,6 +378,9 @@ let () =
           Alcotest.test_case "null store not taken" `Quick test_null_store_not_taken;
           Alcotest.test_case "intra-block forwarding" `Quick test_intrablock_forwarding;
           Alcotest.test_case "call/return" `Quick test_call_return;
+          Alcotest.test_case "unknown entry is stuck" `Quick test_unknown_entry;
+          Alcotest.test_case "unknown callee is stuck" `Quick test_unknown_callee;
+          Alcotest.test_case "malformed block is stuck" `Quick test_malformed_block_stuck;
           Alcotest.test_case "composition stats" `Quick test_composition_stats;
         ] );
       ( "builder",

@@ -282,6 +282,109 @@ let test_image_bounds () =
        (Printf.sprintf "memory access out of range: 0x%x (8 bytes)" (max_int - 3)))
     (fun () -> Image.store img Ty.W8 (max_int - 3) (Ty.Vi 0L))
 
+(* Loads and stores at every width, pinned byte by byte: little-endian
+   order, zero extension of narrow loads, truncation on narrow stores. *)
+let test_image_widths () =
+  let img = Image.build [ Ast.global "g" 16 ] in
+  let base = Image.addr_of img "g" in
+  let pattern = 0x8877665544332211L in
+  Image.store img Ty.W8 base (Ty.Vi pattern);
+  List.iteri
+    (fun k byte ->
+      Alcotest.(check int64) (Printf.sprintf "byte %d" k) byte
+        (Image.load_u img Ty.W1 (base + k)))
+    [ 0x11L; 0x22L; 0x33L; 0x44L; 0x55L; 0x66L; 0x77L; 0x88L ];
+  Alcotest.(check int64) "W2" 0x2211L (Image.load_u img Ty.W2 base);
+  Alcotest.(check int64) "W2 odd" 0x5544L (Image.load_u img Ty.W2 (base + 3));
+  Alcotest.(check int64) "W4" 0x44332211L (Image.load_u img Ty.W4 base);
+  Alcotest.(check int64) "W4 high bit" 0x88776655L (Image.load_u img Ty.W4 (base + 4));
+  Alcotest.(check int64) "W8" pattern (Image.load_u img Ty.W8 base);
+  Alcotest.(check value) "W1 zero-extends" (Ty.Vi 0x88L)
+    (Image.load img Ty.I64 Ty.W1 (base + 7));
+  Alcotest.(check value) "W2 zero-extends" (Ty.Vi 0x8877L)
+    (Image.load img Ty.I64 Ty.W2 (base + 6));
+  Alcotest.(check value) "W4 zero-extends" (Ty.Vi 0x88776655L)
+    (Image.load img Ty.I64 Ty.W4 (base + 4));
+  (* narrow stores keep only the low bytes and leave the rest alone *)
+  Image.store img Ty.W8 (base + 8) (Ty.Vi (-1L));
+  Image.store img Ty.W1 (base + 8) (Ty.Vi 0x1234L);
+  Image.store img Ty.W2 (base + 10) (Ty.Vi 0xABCDEFL);
+  Image.store img Ty.W4 (base + 12) (Ty.Vi 0x1122334455L);
+  Alcotest.(check int64) "truncating stores" 0x22334455CDEFFF34L
+    (Image.load_u img Ty.W8 (base + 8));
+  (* floats travel as their IEEE bits *)
+  Image.store img Ty.W8 base (Ty.Vf (-1.5));
+  Alcotest.(check int64) "float bits" (Int64.bits_of_float (-1.5))
+    (Image.load_u img Ty.W8 base);
+  Alcotest.(check value) "float load" (Ty.Vf (-1.5)) (Image.load img Ty.F64 Ty.W8 base)
+
+(* The bound is [addr <= size - bytes] at every width; negative and
+   huge addresses trap instead of wrapping. *)
+let test_image_width_bounds () =
+  let img = Image.build [] in
+  let size = Image.size img in
+  let trap addr bytes =
+    Semantics.Trap
+      (Printf.sprintf "memory access out of range: 0x%x (%d bytes)" addr bytes)
+  in
+  List.iter
+    (fun (w, bytes) ->
+      let last = size - bytes in
+      Image.store img w last (Ty.Vi 0x5AL);
+      Alcotest.(check int64) (Printf.sprintf "last W%d" bytes) 0x5AL
+        (Image.load_u img w last);
+      Alcotest.check_raises (Printf.sprintf "load past end W%d" bytes)
+        (trap (last + 1) bytes)
+        (fun () -> ignore (Image.load_u img w (last + 1)));
+      Alcotest.check_raises (Printf.sprintf "store past end W%d" bytes)
+        (trap (last + 1) bytes)
+        (fun () -> Image.store img w (last + 1) (Ty.Vi 0L));
+      Alcotest.check_raises (Printf.sprintf "negative W%d" bytes) (trap (-1) bytes)
+        (fun () -> ignore (Image.load_u img w (-1)));
+      Alcotest.check_raises (Printf.sprintf "max_int W%d" bytes)
+        (trap max_int bytes)
+        (fun () -> Image.store img w max_int (Ty.Vi 0L)))
+    [ (Ty.W1, 1); (Ty.W2, 2); (Ty.W4, 4); (Ty.W8, 8) ]
+
+(* Operator corner cases the emulators rely on. *)
+let test_semantics_quirks () =
+  let bin op a b = Semantics.binop op a b in
+  let nan = Ty.Vf Float.nan and one = Ty.Vf 1.0 in
+  let t = Ty.Vi 1L and f = Ty.Vi 0L in
+  (* float comparisons use a total order in which nan equals itself and
+     sorts below every number *)
+  Alcotest.(check value) "Feq nan nan" t (bin Ast.Feq nan nan);
+  Alcotest.(check value) "Fne nan nan" f (bin Ast.Fne nan nan);
+  Alcotest.(check value) "Flt nan 1.0" t (bin Ast.Flt nan one);
+  Alcotest.(check value) "Fgt nan 1.0" f (bin Ast.Fgt nan one);
+  Alcotest.(check value) "Fle 1.0 nan" f (bin Ast.Fle one nan);
+  Alcotest.(check value) "Fge 1.0 nan" t (bin Ast.Fge one nan);
+  Alcotest.(check value) "Feq -0 +0" t (bin Ast.Feq (Ty.Vf (-0.)) (Ty.Vf 0.));
+  (* signed and unsigned compares split at min_int *)
+  let mn = Ty.Vi Int64.min_int and z = Ty.Vi 0L in
+  Alcotest.(check value) "Lt min_int 0" t (bin Ast.Lt mn z);
+  Alcotest.(check value) "Ult min_int 0" f (bin Ast.Ult mn z);
+  Alcotest.(check value) "Ult 0 min_int" t (bin Ast.Ult z mn);
+  Alcotest.(check value) "Ule -1 min_int" f (bin Ast.Ule (Ty.Vi (-1L)) mn);
+  Alcotest.(check value) "Ge min_int min_int" t (bin Ast.Ge mn mn);
+  (* shift amounts are taken mod 64 *)
+  Alcotest.(check value) "Shl by 65" (Ty.Vi 2L) (bin Ast.Shl t (Ty.Vi 65L));
+  Alcotest.(check value) "Lsr by -1" t (bin Ast.Lsr mn (Ty.Vi (-1L)));
+  Alcotest.(check value) "Asr by 127" (Ty.Vi (-1L)) (bin Ast.Asr mn (Ty.Vi 127L));
+  (* division truncates toward zero and min_int / -1 wraps *)
+  Alcotest.(check value) "Div -7 2" (Ty.Vi (-3L)) (bin Ast.Div (Ty.Vi (-7L)) (Ty.Vi 2L));
+  Alcotest.(check value) "Rem -7 2" (Ty.Vi (-1L)) (bin Ast.Rem (Ty.Vi (-7L)) (Ty.Vi 2L));
+  Alcotest.(check value) "Div min_int -1" mn (bin Ast.Div mn (Ty.Vi (-1L)));
+  Alcotest.check_raises "Div by zero" (Semantics.Trap "integer division by zero")
+    (fun () -> ignore (bin Ast.Div t z));
+  Alcotest.check_raises "Rem by zero" (Semantics.Trap "integer remainder by zero")
+    (fun () -> ignore (bin Ast.Rem t z));
+  (* mixing an integer into a float operator is a type error *)
+  Alcotest.check_raises "Fadd on ints" (Invalid_argument "Ty.as_float: integer value")
+    (fun () -> ignore (bin Ast.Fadd t t));
+  Alcotest.check_raises "Add on floats" (Invalid_argument "Ty.as_int: float value")
+    (fun () -> ignore (bin Ast.Add one one))
+
 let test_trap_div0 () =
   let p =
     Ast.program
@@ -391,5 +494,8 @@ let () =
           Alcotest.test_case "init" `Quick test_image_init;
           Alcotest.test_case "sub-word zero extension" `Quick test_image_subword_load;
           Alcotest.test_case "bounds" `Quick test_image_bounds;
+          Alcotest.test_case "widths and byte order" `Quick test_image_widths;
+          Alcotest.test_case "bounds at every width" `Quick test_image_width_bounds;
+          Alcotest.test_case "operator corner cases" `Quick test_semantics_quirks;
         ] );
     ]
