@@ -16,12 +16,131 @@ module Ty = Trips_tir.Ty
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
 module Sampled = Trips_sim.Sampled
+module Json = Trips_util.Json
+module Analyzer = Trips_analysis.Analyzer
+module Diag = Trips_analysis.Diag
+module Driver = Trips_compiler.Driver
+module Transval = Trips_analysis.Transval
 open Trips_harness
 
-let quality_of = function
-  | "C" | "c" -> Platforms.C
-  | "H" | "h" -> Platforms.H
-  | q -> invalid_arg ("unknown preset " ^ q ^ " (use C or H)")
+(* -- shared command vocabulary ----------------------------------------- *)
+
+(* Every command's failure path: library errors become one-line
+   [trips_run:] messages instead of uncaught exceptions. *)
+let guard f =
+  try f () with
+  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
+  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+
+(* The one preset vocabulary of the CLI: canonical tags and the aliases
+   the commands have always accepted. *)
+let preset_table =
+  Transval_xv.
+    [ ("O0", O0); ("o0", O0); ("C", C); ("c", C); ("compiled", C);
+      ("H", H); ("h", H); ("hand", H);
+      ("BB", BB); ("bb", BB); ("basic-blocks", BB) ]
+
+(* --preset for the commands that model only the paper's two code
+   qualities. *)
+let quality_arg =
+  let quality (name, tag) =
+    match tag with
+    | Transval_xv.C -> Some (name, Platforms.C)
+    | Transval_xv.H -> Some (name, Platforms.H)
+    | _ -> None
+  in
+  Arg.(
+    value
+    & opt (enum (List.filter_map quality preset_table)) Platforms.C
+    & info [ "preset" ] ~docv:"C|H" ~absent:"C" ~doc:"Code quality.")
+
+(* Repeatable --preset over the whole vocabulary, [default] when absent;
+   [aliases] adds command-specific names for several presets at once. *)
+let presets_arg ?(aliases = []) ~docv ~doc default =
+  let table = aliases @ List.map (fun (name, t) -> (name, [ t ])) preset_table in
+  Term.(
+    const (function [] -> default | ps -> List.concat ps)
+    $ Arg.(value & opt_all (enum table) [] & info [ "preset" ] ~docv ~doc))
+
+let format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("txt", `Txt); ("json", `Json) ]) `Txt
+    & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
+
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
+
+let write_report ~what file json =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_string json));
+  Printf.eprintf "%s report: %s\n" what file
+
+(* --format and --out: the report goes to stdout in the chosen rendering
+   and, as JSON, to the --out file. *)
+let render ~what ~format ~out json txt =
+  (match format with
+  | `Txt -> txt ()
+  | `Json -> print_string (Json.to_string json));
+  Option.iter (fun file -> write_report ~what file json) out
+
+type selection = { names : string list; all : bool }
+
+(* --bench and --all.  Names resolve under [guard], so an unknown one is
+   a one-line error. *)
+let selection_arg ~verb ~all_doc =
+  let names =
+    Arg.(
+      value & opt_all string []
+      & info [ "bench" ] ~docv:"NAME"
+          ~doc:(Printf.sprintf "Benchmark to %s (repeatable)." verb))
+  in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  Term.(const (fun names all -> { names; all }) $ names $ all)
+
+let select ~default sel =
+  if sel.all then Registry.all
+  else if sel.names = [] then default
+  else List.map Registry.find sel.names
+
+(* Shared exit policy for the report commands: error-level findings
+   always fail the run; [--strict] also fails on warnings.  Used with
+   [--out] so CI can both archive the JSON report and gate on it. *)
+let strict_exit ~what ~strict ds =
+  if Diag.failed ~strict ds then
+    `Error
+      ( false,
+        Printf.sprintf "%s failed%s: %s" what
+          (if strict then " (strict)" else "")
+          (Analyzer.summary ds) )
+  else `Ok ()
+
+type report = {
+  json : Json.t;             (* --format json and --out *)
+  txt : unit -> unit;        (* --format txt *)
+  findings : Diag.t list;    (* the exit status, under strict_exit *)
+}
+
+(* A report command: [compute] holds the command's own flags and work;
+   rendering, --out, error mapping and the exit status are shared.
+   [strict_doc] adds --strict to commands whose exit depends on it. *)
+let report_cmd name ~doc ~man ?strict_doc compute =
+  let strict =
+    match strict_doc with
+    | Some doc -> Arg.(value & flag & info [ "strict" ] ~doc)
+    | None -> Term.const false
+  in
+  let run compute format strict out =
+    guard (fun () ->
+        let r = compute ~strict in
+        render ~what:name ~format ~out r.json r.txt;
+        strict_exit ~what:name ~strict r.findings)
+  in
+  Cmd.v (Cmd.info name ~doc ~man)
+    Term.(ret (const run $ compute $ format_arg $ strict $ out_arg))
 
 (* -- list ------------------------------------------------------------ *)
 
@@ -49,9 +168,6 @@ let list_cmd =
 let bench_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH")
 
-let preset_arg =
-  Arg.(value & opt string "C" & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
-
 type sim =
   | Functional
   | Cycle
@@ -74,9 +190,8 @@ let sim_arg =
     & info [ "sim" ] ~docv:"SIM"
         ~doc:("Modeled platform: " ^ Arg.doc_alts_enum sims ^ "."))
 
-let run_bench name preset sim =
+let run_bench name q sim =
   let b = Registry.find name in
-  let q = quality_of preset in
   let golden, _ = Registry.golden b in
   let show_ret v =
     Printf.printf "result: %s (golden: %s)\n"
@@ -138,152 +253,108 @@ let run_bench name preset sim =
 
 let run_cmd =
   let doc = "Run one benchmark on one modeled platform." in
-  let main name preset sim =
-    try
-      run_bench name preset sim;
-      `Ok ()
-    with
-    | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-    | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
-  in
+  let main name q sim = guard (fun () -> `Ok (run_bench name q sim)) in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(ret (const main $ bench_arg $ preset_arg $ sim_arg))
+    Term.(ret (const main $ bench_arg $ quality_arg $ sim_arg))
 
 (* -- exp -------------------------------------------------------------- *)
+
+let find_experiment id =
+  match Experiments.find_opt id with
+  | Some e -> e
+  | None -> invalid_arg ("unknown experiment id " ^ id)
 
 let exp_cmd =
   let doc = "Regenerate one of the paper's tables/figures (see `bench/main.exe`)." in
   let id_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
   let run id =
-    let e = Experiments.find id in
-    Printf.printf "%s — paper: %s\n\n" e.Experiments.title e.Experiments.paper_claim;
-    Trips_util.Table.print (e.Experiments.run ())
+    guard (fun () ->
+        let e = find_experiment id in
+        Printf.printf "%s — paper: %s\n\n" e.Experiments.title
+          e.Experiments.paper_claim;
+        `Ok (Trips_util.Table.print (e.Experiments.run ())))
   in
-  Cmd.v (Cmd.info "exp" ~doc) Term.(const run $ id_arg)
+  Cmd.v (Cmd.info "exp" ~doc) Term.(ret (const run $ id_arg))
 
 (* -- disasm ----------------------------------------------------------- *)
 
 let disasm_cmd =
   let doc = "Print the compiled EDGE blocks of a benchmark." in
-  let run name preset =
-    let b = Registry.find name in
-    let prog = Platforms.edge_program (quality_of preset) b in
-    Format.printf "%a@." Trips_edge.Block.pp_program prog
+  let run name q =
+    guard (fun () ->
+        let prog = Platforms.edge_program q (Registry.find name) in
+        `Ok (Format.printf "%a@." Trips_edge.Block.pp_program prog))
   in
-  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ bench_arg $ preset_arg)
+  Cmd.v (Cmd.info "disasm" ~doc) Term.(ret (const run $ bench_arg $ quality_arg))
 
 (* -- lint ------------------------------------------------------------- *)
 
-module Analyzer = Trips_analysis.Analyzer
-module Diag = Trips_analysis.Diag
-module Driver = Trips_compiler.Driver
-module Json = Trips_util.Json
-
-let lint_preset_of = function
-  | "O0" | "o0" -> Driver.o0
-  | "C" | "c" | "compiled" -> Driver.compiled
-  | "H" | "h" | "hand" -> Driver.hand
-  | "BB" | "bb" | "basic-blocks" -> Driver.basic_blocks
-  | q -> invalid_arg ("unknown preset " ^ q ^ " (use O0, C, H or basic-blocks)")
-
-let lint_program (preset : Driver.preset) (b : Registry.bench) :
-    Trips_edge.Block.program option * Diag.t list =
+let lint_diags (preset : Driver.preset) (b : Registry.bench) =
   (* H lints what the experiments execute: the hand-written EDGE program
      when the benchmark ships one *)
   match
     match (preset.Driver.pname, b.Registry.hand_edge) with
-    | "hand", Some prog -> Ok prog
-    | _ -> ( try Ok (Driver.compile preset b.Registry.program) with e -> Error e)
+    | "hand", Some prog -> prog
+    | _ -> Driver.compile preset b.Registry.program
   with
-  | Ok prog -> (Some prog, Analyzer.analyze_program prog)
-  | Error e ->
-    ( None,
+  | prog -> Analyzer.analyze_program prog
+  | exception e ->
+    [
+      Diag.make ~pass:"driver" ~fname:b.Registry.name "compile-fail"
+        (Printf.sprintf "compilation failed: %s" (Printexc.to_string e));
+    ]
+
+let lint_report sel presets ~strict =
+  let benches = select ~default:Registry.all sel in
+  let results =
+    List.concat_map
+      (fun (b : Registry.bench) ->
+        List.map
+          (fun tag ->
+            ( b.Registry.name,
+              Transval_xv.tag_name tag,
+              lint_diags (Transval_xv.preset_of tag) b ))
+          presets)
+      benches
+  in
+  let all_ds = List.concat_map (fun (_, _, ds) -> ds) results in
+  let json =
+    Json.Obj
       [
-        Diag.make ~pass:"driver" ~fname:b.Registry.name "compile-fail"
-          (Printf.sprintf "compilation failed: %s" (Printexc.to_string e));
-      ] )
-
-(* Shared exit policy for the analysis subcommands: error-level findings
-   always fail the run; [--strict] also fails on warnings.  Used with
-   [--out] so CI can both archive the JSON report and gate on it. *)
-let strict_exit ~what ~strict ds =
-  if Diag.failed ~strict ds then
-    `Error
-      ( false,
-        Printf.sprintf "%s failed%s: %s" what
-          (if strict then " (strict)" else "")
-          (Analyzer.summary ds) )
-  else `Ok ()
-
-let lint_main benches all presets format strict out =
-  try
-    let benches =
-      if all || benches = [] then Registry.all
-      else List.map Registry.find benches
-    in
-    let presets = (if presets = [] then [ "C"; "H" ] else presets) in
-    let presets = List.map (fun p -> (p, lint_preset_of p)) presets in
-    let results =
-      List.concat_map
-        (fun (b : Registry.bench) ->
-          List.map
-            (fun (ptag, preset) ->
-              let _, ds = lint_program preset b in
-              (b.Registry.name, ptag, ds))
-            presets)
-        benches
-    in
-    let all_ds = List.concat_map (fun (_, _, ds) -> ds) results in
-    let dirty =
-      List.filter (fun (_, _, ds) -> ds <> []) results
-    in
-    let report_json =
-      Json.Obj
-        [
-          ( "programs",
-            Json.List
-              (List.map
-                 (fun (name, ptag, ds) ->
-                   Json.Obj
-                     [
-                       ("bench", Json.Str name);
-                       ("preset", Json.Str ptag);
-                       ("findings", Diag.list_to_json ds);
-                     ])
-                 results) );
-          ( "summary",
-            Json.Obj
-              [
-                ("programs", Json.Int (List.length results));
-                ("errors", Json.Int (Diag.errors all_ds));
-                ("warnings", Json.Int (Diag.warnings all_ds));
-                ("strict", Json.Bool strict);
-              ] );
-        ]
-    in
-    (match format with
-    | "txt" ->
-      List.iter
-        (fun (name, ptag, ds) ->
+        ( "programs",
+          Json.List
+            (List.map
+               (fun (name, ptag, ds) ->
+                 Json.Obj
+                   [
+                     ("bench", Json.Str name);
+                     ("preset", Json.Str ptag);
+                     ("findings", Diag.list_to_json ds);
+                   ])
+               results) );
+        ( "summary",
+          Json.Obj
+            [
+              ("programs", Json.Int (List.length results));
+              ("errors", Json.Int (Diag.errors all_ds));
+              ("warnings", Json.Int (Diag.warnings all_ds));
+              ("strict", Json.Bool strict);
+            ] );
+      ]
+  in
+  let txt () =
+    List.iter
+      (fun (name, ptag, ds) ->
+        if ds <> [] then begin
           Printf.printf "%s [%s]: %s\n" name ptag (Analyzer.summary ds);
-          print_string (Diag.render_text ds))
-        dirty;
-      Printf.printf "lint: %d program(s) (%d benchmark(s) x %d preset(s)): %s\n"
-        (List.length results) (List.length benches) (List.length presets)
-        (Analyzer.summary all_ds)
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "lint report: %s\n" file
-    | None -> ());
-    strict_exit ~what:"lint" ~strict all_ds
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+          print_string (Diag.render_text ds)
+        end)
+      results;
+    Printf.printf "lint: %d program(s) (%d benchmark(s) x %d preset(s)): %s\n"
+      (List.length results) (List.length benches) (List.length presets)
+      (Analyzer.summary all_ds)
+  in
+  { json; txt; findings = all_ds }
 
 let lint_cmd =
   let doc =
@@ -301,191 +372,140 @@ let lint_cmd =
          writes, branch-target resolution).";
     ]
   in
-  let benches =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark to lint (repeatable).")
-  in
-  let all =
-    Arg.(value & flag & info [ "all" ] ~doc:"Lint every registered benchmark.")
-  in
-  let presets =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "preset" ] ~docv:"O0|C|H|BB"
-          ~doc:"Code-quality preset (repeatable; default C and H).")
-  in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Fail on warnings as well as errors.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc ~man)
+  report_cmd "lint" ~doc ~man
+    ~strict_doc:"Fail on warnings as well as errors."
     Term.(
-      ret (const lint_main $ benches $ all $ presets $ format $ strict $ out))
+      const lint_report
+      $ selection_arg ~verb:"lint" ~all_doc:"Lint every registered benchmark."
+      $ presets_arg ~docv:"O0|C|H|BB"
+          ~doc:"Code-quality preset (repeatable; default C and H)."
+          Transval_xv.[ C; H ])
 
 (* -- absint ----------------------------------------------------------- *)
 
-let absint_refutations ptag (b : Registry.bench) =
-  (* Full translation validation (memoized alongside the transval sweep);
-     with the global passes on, every applied fact and LSID relaxation is
-     re-derived and replayed by the validator. *)
-  let reports =
-    Platforms.memo
-      (Printf.sprintf "transval/%s/%s" ptag b.Registry.name)
-      (fun () -> fst (Driver.validate (Absint_xv.preset_of ptag) b.Registry.program))
+let absint_report sel presets validate ~strict =
+  let benches = select ~default:Registry.all sel in
+  let results =
+    List.concat_map
+      (fun (b : Registry.bench) ->
+        List.map
+          (fun tag ->
+            let ptag = Transval_xv.tag_name tag in
+            let r = Absint_xv.row ptag b in
+            let ds = Absint_xv.diags_of ptag b in
+            (* full translation validation, shared with the transval
+               sweep: every applied global fact and LSID relaxation is
+               re-derived and replayed *)
+            let refuted =
+              if validate then
+                Some
+                  (Transval.summarize (Transval_xv.validate_edge tag b))
+                    .Transval.n_refuted
+              else None
+            in
+            (b, ptag, r, ds, refuted))
+          presets)
+      benches
   in
-  let s = Trips_analysis.Transval.summarize reports in
-  s.Trips_analysis.Transval.n_refuted
-
-let absint_main benches all presets validate format strict out =
-  try
-    let benches =
-      if all || benches = [] then Registry.all
-      else List.map Registry.find benches
-    in
-    let presets = if presets = [] then [ "C"; "H" ] else presets in
-    List.iter (fun p -> ignore (Absint_xv.preset_of p)) presets;
-    let results =
-      List.concat_map
-        (fun (b : Registry.bench) ->
-          List.map
-            (fun ptag ->
-              let r = Absint_xv.row ptag b in
-              let ds = Absint_xv.diags_of ptag b in
-              let refuted =
-                if validate then Some (absint_refutations ptag b) else None
-              in
-              (b, ptag, r, ds, refuted))
-            presets)
-        benches
-    in
-    let all_ds = List.concat_map (fun (_, _, _, ds, _) -> ds) results in
-    let refute_ds =
-      List.filter_map
-        (fun ((b : Registry.bench), ptag, _, _, refuted) ->
-          match refuted with
-          | Some n when n > 0 ->
-            Some
-              (Diag.make ~pass:"transval" ~fname:b.Registry.name "refuted"
-                 (Printf.sprintf "%s [%s]: %d refuted validation report(s)"
-                    b.Registry.name ptag n))
-          | _ -> None)
-        results
-    in
-    let total_hits =
-      List.fold_left
-        (fun acc (_, _, (r : Absint_xv.row), _, _) ->
-          acc + Absint_xv.total_hits r.Absint_xv.a_gs)
-        0 results
-    in
-    let total_refuted =
-      List.fold_left
-        (fun acc (_, _, _, _, refuted) ->
-          acc + Option.value refuted ~default:0)
-        0 results
-    in
-    let report_json =
-      Json.Obj
-        [
-          ( "programs",
-            Json.List
-              (List.map
-                 (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
-                   let s = r.Absint_xv.a_stats in
-                   let gs = r.Absint_xv.a_gs in
-                   Json.Obj
-                     ([
-                        ("bench", Json.Str b.Registry.name);
-                        ("preset", Json.Str ptag);
-                        ( "facts",
-                          Json.Obj
-                            [
-                              ("const_defs", Json.Int s.Trips_analysis.Absint.s_const_defs);
-                              ("dead_branches", Json.Int s.Trips_analysis.Absint.s_dead_branches);
-                              ("sep_pairs", Json.Int s.Trips_analysis.Absint.s_sep_pairs);
-                              ("widenings", Json.Int s.Trips_analysis.Absint.s_widenings);
-                            ] );
-                        ( "hits",
-                          Json.Obj
-                            [
-                              ("consts", Json.Int gs.Driver.gs_consts);
-                              ("branches", Json.Int gs.Driver.gs_branches);
-                              ("rles", Json.Int gs.Driver.gs_rles);
-                              ("dses", Json.Int gs.Driver.gs_dses);
-                              ("relaxed", Json.Int gs.Driver.gs_relaxed);
-                              ("total", Json.Int (Absint_xv.total_hits gs));
-                            ] );
-                        ("findings", Diag.list_to_json ds);
-                      ]
-                     @
-                     match refuted with
-                     | Some n -> [ ("refuted", Json.Int n) ]
-                     | None -> []))
-                 results) );
-          ( "summary",
-            Json.Obj
-              [
-                ("programs", Json.Int (List.length results));
-                ("total_hits", Json.Int total_hits);
-                ("errors", Json.Int (Diag.errors all_ds));
-                ("warnings", Json.Int (Diag.warnings all_ds));
-                ("validated", Json.Bool validate);
-                ("refuted", Json.Int total_refuted);
-                ("strict", Json.Bool strict);
-              ] );
-        ]
-    in
-    (match format with
-    | "txt" ->
-      List.iter
-        (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
-          let s = r.Absint_xv.a_stats in
-          let gs = r.Absint_xv.a_gs in
-          Printf.printf
-            "%s [%s]: %d const def(s), %d dead branch(es), %d sep pair(s); \
-             hits %d (%d/%d/%d/%d/%d)%s\n"
-            b.Registry.name ptag s.Trips_analysis.Absint.s_const_defs
-            s.Trips_analysis.Absint.s_dead_branches
-            s.Trips_analysis.Absint.s_sep_pairs
-            (Absint_xv.total_hits gs) gs.Driver.gs_consts gs.Driver.gs_branches
-            gs.Driver.gs_rles gs.Driver.gs_dses gs.Driver.gs_relaxed
-            (match refuted with
-            | Some n -> Printf.sprintf "; refuted %d" n
-            | None -> "");
-          print_string (Diag.render_text ds))
-        results;
-      Printf.printf "absint: %d program(s): %d global hit(s)%s, %s\n"
-        (List.length results) total_hits
-        (if validate then Printf.sprintf ", %d refuted" total_refuted else "")
-        (Analyzer.summary all_ds)
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "absint report: %s\n" file
-    | None -> ());
-    strict_exit ~what:"absint" ~strict (refute_ds @ all_ds)
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+  let all_ds = List.concat_map (fun (_, _, _, ds, _) -> ds) results in
+  let refute_ds =
+    List.filter_map
+      (fun ((b : Registry.bench), ptag, _, _, refuted) ->
+        match refuted with
+        | Some n when n > 0 ->
+          Some
+            (Diag.make ~pass:"transval" ~fname:b.Registry.name "refuted"
+               (Printf.sprintf "%s [%s]: %d refuted validation report(s)"
+                  b.Registry.name ptag n))
+        | _ -> None)
+      results
+  in
+  let total_hits =
+    List.fold_left
+      (fun acc (_, _, (r : Absint_xv.row), _, _) ->
+        acc + Absint_xv.total_hits r.Absint_xv.a_gs)
+      0 results
+  in
+  let total_refuted =
+    List.fold_left
+      (fun acc (_, _, _, _, refuted) -> acc + Option.value refuted ~default:0)
+      0 results
+  in
+  let json =
+    Json.Obj
+      [
+        ( "programs",
+          Json.List
+            (List.map
+               (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
+                 let s = r.Absint_xv.a_stats in
+                 let gs = r.Absint_xv.a_gs in
+                 Json.Obj
+                   ([
+                      ("bench", Json.Str b.Registry.name);
+                      ("preset", Json.Str ptag);
+                      ( "facts",
+                        Json.Obj
+                          [
+                            ("const_defs", Json.Int s.Trips_analysis.Absint.s_const_defs);
+                            ("dead_branches", Json.Int s.Trips_analysis.Absint.s_dead_branches);
+                            ("sep_pairs", Json.Int s.Trips_analysis.Absint.s_sep_pairs);
+                            ("widenings", Json.Int s.Trips_analysis.Absint.s_widenings);
+                          ] );
+                      ( "hits",
+                        Json.Obj
+                          [
+                            ("consts", Json.Int gs.Driver.gs_consts);
+                            ("branches", Json.Int gs.Driver.gs_branches);
+                            ("rles", Json.Int gs.Driver.gs_rles);
+                            ("dses", Json.Int gs.Driver.gs_dses);
+                            ("relaxed", Json.Int gs.Driver.gs_relaxed);
+                            ("total", Json.Int (Absint_xv.total_hits gs));
+                          ] );
+                      ("findings", Diag.list_to_json ds);
+                    ]
+                   @
+                   match refuted with
+                   | Some n -> [ ("refuted", Json.Int n) ]
+                   | None -> []))
+               results) );
+        ( "summary",
+          Json.Obj
+            [
+              ("programs", Json.Int (List.length results));
+              ("total_hits", Json.Int total_hits);
+              ("errors", Json.Int (Diag.errors all_ds));
+              ("warnings", Json.Int (Diag.warnings all_ds));
+              ("validated", Json.Bool validate);
+              ("refuted", Json.Int total_refuted);
+              ("strict", Json.Bool strict);
+            ] );
+      ]
+  in
+  let txt () =
+    List.iter
+      (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
+        let s = r.Absint_xv.a_stats in
+        let gs = r.Absint_xv.a_gs in
+        Printf.printf
+          "%s [%s]: %d const def(s), %d dead branch(es), %d sep pair(s); \
+           hits %d (%d/%d/%d/%d/%d)%s\n"
+          b.Registry.name ptag s.Trips_analysis.Absint.s_const_defs
+          s.Trips_analysis.Absint.s_dead_branches
+          s.Trips_analysis.Absint.s_sep_pairs
+          (Absint_xv.total_hits gs) gs.Driver.gs_consts gs.Driver.gs_branches
+          gs.Driver.gs_rles gs.Driver.gs_dses gs.Driver.gs_relaxed
+          (match refuted with
+          | Some n -> Printf.sprintf "; refuted %d" n
+          | None -> "");
+        print_string (Diag.render_text ds))
+      results;
+    Printf.printf "absint: %d program(s): %d global hit(s)%s, %s\n"
+      (List.length results) total_hits
+      (if validate then Printf.sprintf ", %d refuted" total_refuted else "")
+      (Analyzer.summary all_ds)
+  in
+  { json; txt; findings = refute_ds @ all_ds }
 
 let absint_cmd =
   let doc =
@@ -508,23 +528,6 @@ let absint_cmd =
          applied fact, and any refutation fails the run.";
     ]
   in
-  let benches =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark to analyze (repeatable).")
-  in
-  let all =
-    Arg.(
-      value & flag & info [ "all" ] ~doc:"Analyze every registered benchmark.")
-  in
-  let presets =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "preset" ] ~docv:"O0|C|H|BB"
-          ~doc:"Code-quality preset (repeatable; default C and H).")
-  in
   let validate =
     Arg.(
       value & flag
@@ -532,239 +535,196 @@ let absint_cmd =
           ~doc:
             "Also run the translation validator and fail on any refutation.")
   in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Fail on warnings as well as errors.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "absint" ~doc ~man)
+  report_cmd "absint" ~doc ~man
+    ~strict_doc:"Fail on warnings as well as errors."
     Term.(
-      ret
-        (const absint_main $ benches $ all $ presets $ validate $ format
-       $ strict $ out))
+      const absint_report
+      $ selection_arg ~verb:"analyze" ~all_doc:"Analyze every registered benchmark."
+      $ presets_arg ~docv:"O0|C|H|BB"
+          ~doc:"Code-quality preset (repeatable; default C and H)."
+          Transval_xv.[ C; H ]
+      $ validate)
 
 (* -- timing ----------------------------------------------------------- *)
 
 module Timing = Trips_analysis.Timing
 
-let timing_main benches all simple preset format top xval strict out =
-  try
-    let q = quality_of preset in
-    let benches =
-      if all then Registry.all
-      else if simple then Registry.simple_suite
-      else if benches = [] then Registry.simple_suite
-      else List.map Registry.find benches
-    in
-    let model = Timing_xv.model_of Core.prototype in
-    let per_bench =
-      List.map
-        (fun (b : Registry.bench) ->
-          let p = Timing_xv.predict q b in
-          let measured =
-            if xval then
-              Some (Platforms.trips q b).Core.timing.Core.cycles
-            else None
-          in
-          (b, p, measured))
-        benches
-    in
-    let top_blocks (p : Timing_xv.prediction) =
-      let items =
-        Hashtbl.fold
-          (fun label (s : Timing.summary) acc ->
-            let count =
-              Option.value ~default:0 (Hashtbl.find_opt p.Timing_xv.pr_counts label)
-            in
-            (* rank by dynamic contribution; never-executed blocks last *)
-            ((count * Timing.predicted_block_cost model s, s.Timing.s_crit), label, count, s)
-            :: acc)
-          p.Timing_xv.pr_summaries []
-      in
-      let sorted =
-        List.sort (fun (w1, _, _, _) (w2, _, _, _) -> compare w2 w1) items
-      in
-      List.filteri (fun i _ -> i < top) sorted
-      |> List.map (fun (_, label, count, s) -> (label, count, s))
-    in
-    let block_json (label, count, (s : Timing.summary)) =
-      let bk = s.Timing.s_breakdown in
-      Json.Obj
-        [
-          ("label", Json.Str label);
-          ("instances", Json.Int count);
-          ("insts", Json.Int s.Timing.s_n);
-          ("crit", Json.Int s.Timing.s_crit);
-          ( "breakdown",
-            Json.Obj
-              [
-                ("compute", Json.Int bk.Timing.bk_compute);
-                ("route", Json.Int bk.Timing.bk_route);
-                ("memory", Json.Int bk.Timing.bk_memory);
-                ("overhead", Json.Int bk.Timing.bk_overhead);
-              ] );
-          ("pred_depth", Json.Int s.Timing.s_pred_depth);
-          ("link_max", Json.Int s.Timing.s_link_max);
-          ("contention_est", Json.Int s.Timing.s_contention_est);
-        ]
-    in
-    let err_pct pred = function
-      | Some m when m <> 0 ->
-        Some (100. *. float_of_int (pred - m) /. float_of_int m)
-      | _ -> None
-    in
-    let report_json =
-      let programs =
-        List.map
-          (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
-            Json.Obj
-              ([
-                 ("bench", Json.Str b.Registry.name);
-                 ("preset", Json.Str (Platforms.quality_tag q));
-                 ("predicted_cycles", Json.Int p.Timing_xv.pr_cycles);
-               ]
-              @ (match measured with
-                | Some m ->
-                  [ ("measured_cycles", Json.Int m) ]
-                  @
-                  (match err_pct p.Timing_xv.pr_cycles measured with
-                  | Some e -> [ ("error_pct", Json.Float e) ]
-                  | None -> [])
-                | None -> [])
-              @ [
-                  ("blocks", Json.Int p.Timing_xv.pr_blocks);
-                  ("mispredicts", Json.Int p.Timing_xv.pr_mispredicts);
-                  ("top_blocks", Json.List (List.map block_json (top_blocks p)));
-                  ("findings", Diag.list_to_json p.Timing_xv.pr_diags);
-                ]))
-          per_bench
-      in
-      let all_ds =
-        List.concat_map (fun (_, p, _) -> p.Timing_xv.pr_diags) per_bench
-      in
-      let xv_summary =
-        if xval then begin
-          let pairs =
-            List.filter_map
-              (fun (_, (p : Timing_xv.prediction), m) ->
-                Option.map
-                  (fun m -> (float_of_int p.Timing_xv.pr_cycles, float_of_int m))
-                  m)
-              per_bench
-          in
-          let predicted = List.map fst pairs and actual = List.map snd pairs in
-          [
-            ("pearson", Json.Float (Trips_util.Stats.pearson predicted actual));
-            ("mape", Json.Float (Trips_util.Stats.mape ~predicted ~actual));
-          ]
-        end
-        else []
-      in
-      Json.Obj
-        [
-          ("programs", Json.List programs);
-          ( "summary",
-            Json.Obj
-              ([
-                 ("programs", Json.Int (List.length per_bench));
-                 ("warnings", Json.Int (Diag.warnings all_ds));
-               ]
-              @ xv_summary) );
-        ]
-    in
-    (match format with
-    | "txt" ->
-      List.iter
-        (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
-          Printf.printf "%s [%s]: predicted %d cycles" b.Registry.name
-            (Platforms.quality_tag q) p.Timing_xv.pr_cycles;
-          (match measured with
-          | Some m ->
-            Printf.printf " (measured %d" m;
-            (match err_pct p.Timing_xv.pr_cycles measured with
-            | Some e -> Printf.printf ", %+.1f%%" e
-            | None -> ());
-            print_string ")"
-          | None -> ());
-          Printf.printf ", %d block instance(s), %d mispredict(s)\n"
-            p.Timing_xv.pr_blocks p.Timing_xv.pr_mispredicts;
-          let t =
-            Trips_util.Table.create
-              [
-                ("block", Trips_util.Table.Left);
-                ("instances", Trips_util.Table.Right);
-                ("insts", Trips_util.Table.Right);
-                ("crit", Trips_util.Table.Right);
-                ("compute", Trips_util.Table.Right);
-                ("route", Trips_util.Table.Right);
-                ("memory", Trips_util.Table.Right);
-                ("overhead", Trips_util.Table.Right);
-                ("pred", Trips_util.Table.Right);
-                ("link", Trips_util.Table.Right);
-              ]
-          in
-          List.iter
-            (fun (label, count, (s : Timing.summary)) ->
-              let bk = s.Timing.s_breakdown in
-              Trips_util.Table.add_row t
-                [
-                  label;
-                  string_of_int count;
-                  string_of_int s.Timing.s_n;
-                  string_of_int s.Timing.s_crit;
-                  string_of_int bk.Timing.bk_compute;
-                  string_of_int bk.Timing.bk_route;
-                  string_of_int bk.Timing.bk_memory;
-                  string_of_int bk.Timing.bk_overhead;
-                  string_of_int s.Timing.s_pred_depth;
-                  string_of_int s.Timing.s_link_max;
-                ])
-            (top_blocks p);
-          Trips_util.Table.print t;
-          print_string (Diag.render_text p.Timing_xv.pr_diags);
-          print_newline ())
-        per_bench;
-      if xval then begin
-        let pairs =
-          List.filter_map
-            (fun (_, (p : Timing_xv.prediction), m) ->
-              Option.map
-                (fun m -> (float_of_int p.Timing_xv.pr_cycles, float_of_int m))
-                m)
-            per_bench
+let timing_report sel simple q top xval ~strict:_ =
+  let benches =
+    select ~default:Registry.simple_suite
+      (if simple then { sel with names = [] } else sel)
+  in
+  let model = Timing_xv.model_of Core.prototype in
+  let per_bench =
+    List.map
+      (fun (b : Registry.bench) ->
+        let p = Timing_xv.predict q b in
+        let measured =
+          if xval then Some (Platforms.trips q b).Core.timing.Core.cycles
+          else None
         in
-        let predicted = List.map fst pairs and actual = List.map snd pairs in
-        Printf.printf "cross-validation: %d program(s), pearson %.3f, mape %.1f%%\n"
-          (List.length pairs)
-          (Trips_util.Stats.pearson predicted actual)
-          (Trips_util.Stats.mape ~predicted ~actual)
-      end
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "timing report: %s\n" file
-    | None -> ());
-    strict_exit ~what:"timing" ~strict
-      (List.concat_map (fun (_, p, _) -> p.Timing_xv.pr_diags) per_bench)
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+        (b, p, measured))
+      benches
+  in
+  let top_blocks (p : Timing_xv.prediction) =
+    let items =
+      Hashtbl.fold
+        (fun label (s : Timing.summary) acc ->
+          let count =
+            Option.value ~default:0 (Hashtbl.find_opt p.Timing_xv.pr_counts label)
+          in
+          (* rank by dynamic contribution; never-executed blocks last *)
+          ((count * Timing.predicted_block_cost model s, s.Timing.s_crit), label, count, s)
+          :: acc)
+        p.Timing_xv.pr_summaries []
+    in
+    let sorted =
+      List.sort (fun (w1, _, _, _) (w2, _, _, _) -> compare w2 w1) items
+    in
+    List.filteri (fun i _ -> i < top) sorted
+    |> List.map (fun (_, label, count, s) -> (label, count, s))
+  in
+  let block_json (label, count, (s : Timing.summary)) =
+    let bk = s.Timing.s_breakdown in
+    Json.Obj
+      [
+        ("label", Json.Str label);
+        ("instances", Json.Int count);
+        ("insts", Json.Int s.Timing.s_n);
+        ("crit", Json.Int s.Timing.s_crit);
+        ( "breakdown",
+          Json.Obj
+            [
+              ("compute", Json.Int bk.Timing.bk_compute);
+              ("route", Json.Int bk.Timing.bk_route);
+              ("memory", Json.Int bk.Timing.bk_memory);
+              ("overhead", Json.Int bk.Timing.bk_overhead);
+            ] );
+        ("pred_depth", Json.Int s.Timing.s_pred_depth);
+        ("link_max", Json.Int s.Timing.s_link_max);
+        ("contention_est", Json.Int s.Timing.s_contention_est);
+      ]
+  in
+  let err_pct pred = function
+    | Some m when m <> 0 ->
+      Some (100. *. float_of_int (pred - m) /. float_of_int m)
+    | _ -> None
+  in
+  (* predicted vs measured cycles of the cross-validated programs *)
+  let predicted, actual =
+    List.split
+      (List.filter_map
+         (fun (_, (p : Timing_xv.prediction), m) ->
+           Option.map
+             (fun m -> (float_of_int p.Timing_xv.pr_cycles, float_of_int m))
+             m)
+         per_bench)
+  in
+  let all_ds = List.concat_map (fun (_, p, _) -> p.Timing_xv.pr_diags) per_bench in
+  let json =
+    let programs =
+      List.map
+        (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
+          Json.Obj
+            ([
+               ("bench", Json.Str b.Registry.name);
+               ("preset", Json.Str (Platforms.quality_tag q));
+               ("predicted_cycles", Json.Int p.Timing_xv.pr_cycles);
+             ]
+            @ (match measured with
+              | Some m ->
+                [ ("measured_cycles", Json.Int m) ]
+                @
+                (match err_pct p.Timing_xv.pr_cycles measured with
+                | Some e -> [ ("error_pct", Json.Float e) ]
+                | None -> [])
+              | None -> [])
+            @ [
+                ("blocks", Json.Int p.Timing_xv.pr_blocks);
+                ("mispredicts", Json.Int p.Timing_xv.pr_mispredicts);
+                ("top_blocks", Json.List (List.map block_json (top_blocks p)));
+                ("findings", Diag.list_to_json p.Timing_xv.pr_diags);
+              ]))
+        per_bench
+    in
+    let xv_summary =
+      if xval then
+        [
+          ("pearson", Json.Float (Trips_util.Stats.pearson predicted actual));
+          ("mape", Json.Float (Trips_util.Stats.mape ~predicted ~actual));
+        ]
+      else []
+    in
+    Json.Obj
+      [
+        ("programs", Json.List programs);
+        ( "summary",
+          Json.Obj
+            ([
+               ("programs", Json.Int (List.length per_bench));
+               ("warnings", Json.Int (Diag.warnings all_ds));
+             ]
+            @ xv_summary) );
+      ]
+  in
+  let txt () =
+    List.iter
+      (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
+        Printf.printf "%s [%s]: predicted %d cycles" b.Registry.name
+          (Platforms.quality_tag q) p.Timing_xv.pr_cycles;
+        (match measured with
+        | Some m ->
+          Printf.printf " (measured %d" m;
+          (match err_pct p.Timing_xv.pr_cycles measured with
+          | Some e -> Printf.printf ", %+.1f%%" e
+          | None -> ());
+          print_string ")"
+        | None -> ());
+        Printf.printf ", %d block instance(s), %d mispredict(s)\n"
+          p.Timing_xv.pr_blocks p.Timing_xv.pr_mispredicts;
+        let t =
+          Trips_util.Table.create
+            [
+              ("block", Trips_util.Table.Left);
+              ("instances", Trips_util.Table.Right);
+              ("insts", Trips_util.Table.Right);
+              ("crit", Trips_util.Table.Right);
+              ("compute", Trips_util.Table.Right);
+              ("route", Trips_util.Table.Right);
+              ("memory", Trips_util.Table.Right);
+              ("overhead", Trips_util.Table.Right);
+              ("pred", Trips_util.Table.Right);
+              ("link", Trips_util.Table.Right);
+            ]
+        in
+        List.iter
+          (fun (label, count, (s : Timing.summary)) ->
+            let bk = s.Timing.s_breakdown in
+            Trips_util.Table.add_row t
+              [
+                label;
+                string_of_int count;
+                string_of_int s.Timing.s_n;
+                string_of_int s.Timing.s_crit;
+                string_of_int bk.Timing.bk_compute;
+                string_of_int bk.Timing.bk_route;
+                string_of_int bk.Timing.bk_memory;
+                string_of_int bk.Timing.bk_overhead;
+                string_of_int s.Timing.s_pred_depth;
+                string_of_int s.Timing.s_link_max;
+              ])
+          (top_blocks p);
+        Trips_util.Table.print t;
+        print_string (Diag.render_text p.Timing_xv.pr_diags);
+        print_newline ())
+      per_bench;
+    if xval then
+      Printf.printf "cross-validation: %d program(s), pearson %.3f, mape %.1f%%\n"
+        (List.length predicted)
+        (Trips_util.Stats.pearson predicted actual)
+        (Trips_util.Stats.mape ~predicted ~actual)
+  in
+  { json; txt; findings = all_ds }
 
 let timing_cmd =
   let doc =
@@ -788,30 +748,10 @@ let timing_cmd =
          Pearson/MAPE aggregates.";
     ]
   in
-  let benches =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark to analyze (repeatable).")
-  in
-  let all =
-    Arg.(
-      value & flag & info [ "all" ] ~doc:"Analyze every registered benchmark.")
-  in
   let simple =
     Arg.(
       value & flag
       & info [ "simple" ] ~doc:"Analyze the paper's Simple suite (default).")
-  in
-  let preset =
-    Arg.(
-      value & opt string "C"
-      & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
-  in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
   in
   let top =
     Arg.(
@@ -825,83 +765,53 @@ let timing_cmd =
       & info [ "xval" ]
           ~doc:"Cross-validate: also run the cycle-level simulator.")
   in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Fail (non-zero exit) when placement findings are reported.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "timing" ~doc ~man)
+  report_cmd "timing" ~doc ~man
+    ~strict_doc:"Fail (non-zero exit) when placement findings are reported."
     Term.(
-      ret
-        (const timing_main $ benches $ all $ simple $ preset $ format $ top
-        $ xval $ strict $ out))
+      const timing_report
+      $ selection_arg ~verb:"analyze" ~all_doc:"Analyze every registered benchmark."
+      $ simple $ quality_arg $ top $ xval)
 
 (* -- sampling --------------------------------------------------------- *)
 
-let sampling_main benches all preset format out =
-  try
-    let q = quality_of preset in
-    let benches =
-      if all || benches = [] then Registry.all
-      else List.map Registry.find benches
-    in
-    let rs = Sampling_xv.rows ~quality:q benches in
-    let within = Sampling_xv.within_of rs in
-    let mean_err = Sampling_xv.mean_abs_error_of rs in
-    let row_json (r : Sampling_xv.row) =
-      Json.Obj
-        [
-          ("bench", Json.Str r.Sampling_xv.sx_bench);
-          ("actual", Json.Int r.Sampling_xv.sx_actual);
-          ("estimate", Json.Float r.Sampling_xv.sx_estimate);
-          ("ci95", Json.Float r.Sampling_xv.sx_ci95);
-          ("error_pct", Json.Float r.Sampling_xv.sx_error_pct);
-          ("intervals", Json.Int r.Sampling_xv.sx_intervals);
-          ("full", Json.Bool r.Sampling_xv.sx_full);
-          ("within_ci", Json.Bool r.Sampling_xv.sx_within);
-        ]
-    in
-    let report_json =
-      Json.Obj
-        [
-          ("preset", Json.Str (Platforms.quality_tag q));
-          ("rows", Json.List (List.map row_json rs));
-          ( "summary",
-            Json.Obj
-              [
-                ("workloads", Json.Int (List.length rs));
-                ("within_ci", Json.Int within);
-                ("mean_abs_error_pct", Json.Float mean_err);
-              ] );
-        ]
-    in
-    (match format with
-    | "txt" ->
-      Trips_util.Table.print (Sampling_xv.table_of rs);
-      Printf.printf
-        "sampling accuracy: %d program(s), %d within CI, mean |error| %.2f%%\n"
-        (List.length rs) within mean_err
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "sampling report: %s\n" file
-    | None -> ());
-    `Ok ()
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+let sampling_report sel q ~strict:_ =
+  let rs = Sampling_xv.rows ~quality:q (select ~default:Registry.all sel) in
+  let within = Sampling_xv.within_of rs in
+  let mean_err = Sampling_xv.mean_abs_error_of rs in
+  let row_json (r : Sampling_xv.row) =
+    Json.Obj
+      [
+        ("bench", Json.Str r.Sampling_xv.sx_bench);
+        ("actual", Json.Int r.Sampling_xv.sx_actual);
+        ("estimate", Json.Float r.Sampling_xv.sx_estimate);
+        ("ci95", Json.Float r.Sampling_xv.sx_ci95);
+        ("error_pct", Json.Float r.Sampling_xv.sx_error_pct);
+        ("intervals", Json.Int r.Sampling_xv.sx_intervals);
+        ("full", Json.Bool r.Sampling_xv.sx_full);
+        ("within_ci", Json.Bool r.Sampling_xv.sx_within);
+      ]
+  in
+  let json =
+    Json.Obj
+      [
+        ("preset", Json.Str (Platforms.quality_tag q));
+        ("rows", Json.List (List.map row_json rs));
+        ( "summary",
+          Json.Obj
+            [
+              ("workloads", Json.Int (List.length rs));
+              ("within_ci", Json.Int within);
+              ("mean_abs_error_pct", Json.Float mean_err);
+            ] );
+      ]
+  in
+  let txt () =
+    Trips_util.Table.print (Sampling_xv.table_of rs);
+    Printf.printf
+      "sampling accuracy: %d program(s), %d within CI, mean |error| %.2f%%\n"
+      (List.length rs) within mean_err
+  in
+  { json; txt; findings = [] }
 
 let sampling_cmd =
   let doc = "Cross-validate the sampled simulator's cycle estimates." in
@@ -917,150 +827,76 @@ let sampling_cmd =
          inside their own interval and the mean absolute error.";
     ]
   in
-  let benches =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark to check (repeatable).")
-  in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Check every registered benchmark (default).")
-  in
-  let preset =
-    Arg.(
-      value & opt string "C"
-      & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
-  in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "sampling" ~doc ~man)
+  report_cmd "sampling" ~doc ~man
     Term.(
-      ret (const sampling_main $ benches $ all $ preset $ format $ out))
+      const sampling_report
+      $ selection_arg ~verb:"check"
+          ~all_doc:"Check every registered benchmark (default)."
+      $ quality_arg)
 
 (* -- transval --------------------------------------------------------- *)
 
-module Transval = Trips_analysis.Transval
-
-let transval_main benches all presets isa format strict out =
-  try
-    let full = Sys.getenv_opt "TRIPS_TRANSVAL_FULL" = Some "1" in
-    let benches =
-      if all || benches = [] then Registry.all else List.map Registry.find benches
-    in
-    let edge_presets =
-      if full then Transval_xv.all_presets
-      else
-        List.concat_map
-          (fun p ->
-            match p with
-            | "fast" -> [ Transval_xv.O0; Transval_xv.C ]
-            | p -> (
-              match Transval_xv.tag_of_string p with
-              | Some t -> [ t ]
-              | None ->
-                invalid_arg
-                  ("unknown preset " ^ p ^ " (use O0, C, H, BB or fast)")))
-          (if presets = [] then [ "fast" ] else presets)
-    in
-    let edge, risc =
-      if full then (true, true)
-      else
-        match isa with
-        | "edge" -> (true, false)
-        | "risc" -> (false, true)
-        | "both" -> (true, true)
-        | s -> invalid_arg ("unknown isa " ^ s ^ " (edge|risc|both)")
-    in
-    let cells =
-      Transval_xv.sweep
-        ~presets:(if edge then edge_presets else [])
-        ~risc benches
-    in
-    let cell_json (c : Transval_xv.cell) =
-      let s = c.Transval_xv.c_summary in
-      Json.Obj
-        [
-          ("bench", Json.Str c.Transval_xv.c_bench);
-          ("config", Json.Str c.Transval_xv.c_config);
-          ("proved", Json.Int s.Transval.n_proved);
-          ("concrete", Json.Int s.Transval.n_concrete);
-          ("refuted", Json.Int s.Transval.n_refuted);
-          ( "findings",
-            Diag.list_to_json (Transval.report_diags c.Transval_xv.c_reports) );
-        ]
-    in
-    let all_ds =
-      List.concat_map
-        (fun (c : Transval_xv.cell) ->
-          Transval.report_diags c.Transval_xv.c_reports)
-        cells
-    in
-    let totals =
-      List.fold_left
-        (fun (p, co, r) (c : Transval_xv.cell) ->
-          let s = c.Transval_xv.c_summary in
-          ( p + s.Transval.n_proved,
-            co + s.Transval.n_concrete,
-            r + s.Transval.n_refuted ))
-        (0, 0, 0) cells
-    in
-    let tp, tc, tr = totals in
-    let report_json =
-      Json.Obj
-        [
-          ("programs", Json.List (List.map cell_json cells));
-          ( "summary",
-            Json.Obj
-              [
-                ("programs", Json.Int (List.length cells));
-                ("proved", Json.Int tp);
-                ("concrete", Json.Int tc);
-                ("refuted", Json.Int tr);
-                ("warnings", Json.Int (Diag.warnings all_ds));
-                ("strict", Json.Bool strict);
-              ] );
-        ]
-    in
-    (match format with
-    | "txt" ->
-      List.iter
-        (fun (c : Transval_xv.cell) ->
-          let s = c.Transval_xv.c_summary in
-          Printf.printf "%s [%s]: proved=%d concrete=%d refuted=%d\n"
-            c.Transval_xv.c_bench c.Transval_xv.c_config s.Transval.n_proved
-            s.Transval.n_concrete s.Transval.n_refuted;
-          print_string
-            (Diag.render_text (Transval.report_diags c.Transval_xv.c_reports)))
-        cells;
-      Printf.printf
-        "transval: %d program(s) (%d benchmark(s)): proved=%d concrete=%d \
-         refuted=%d\n"
-        (List.length cells) (List.length benches) tp tc tr
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "transval report: %s\n" file
-    | None -> ());
-    strict_exit ~what:"transval" ~strict all_ds
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
-  | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+let transval_report sel presets (edge, risc) ~strict =
+  let benches = select ~default:Registry.all sel in
+  let cells =
+    Transval_xv.sweep ~presets:(if edge then presets else []) ~risc benches
+  in
+  let cell_diags (c : Transval_xv.cell) =
+    Transval.report_diags c.Transval_xv.c_reports
+  in
+  let cell_json (c : Transval_xv.cell) =
+    let s = c.Transval_xv.c_summary in
+    Json.Obj
+      [
+        ("bench", Json.Str c.Transval_xv.c_bench);
+        ("config", Json.Str c.Transval_xv.c_config);
+        ("proved", Json.Int s.Transval.n_proved);
+        ("concrete", Json.Int s.Transval.n_concrete);
+        ("refuted", Json.Int s.Transval.n_refuted);
+        ("findings", Diag.list_to_json (cell_diags c));
+      ]
+  in
+  let all_ds = List.concat_map cell_diags cells in
+  let tp, tc, tr =
+    List.fold_left
+      (fun (p, co, r) (c : Transval_xv.cell) ->
+        let s = c.Transval_xv.c_summary in
+        ( p + s.Transval.n_proved,
+          co + s.Transval.n_concrete,
+          r + s.Transval.n_refuted ))
+      (0, 0, 0) cells
+  in
+  let json =
+    Json.Obj
+      [
+        ("programs", Json.List (List.map cell_json cells));
+        ( "summary",
+          Json.Obj
+            [
+              ("programs", Json.Int (List.length cells));
+              ("proved", Json.Int tp);
+              ("concrete", Json.Int tc);
+              ("refuted", Json.Int tr);
+              ("warnings", Json.Int (Diag.warnings all_ds));
+              ("strict", Json.Bool strict);
+            ] );
+      ]
+  in
+  let txt () =
+    List.iter
+      (fun (c : Transval_xv.cell) ->
+        let s = c.Transval_xv.c_summary in
+        Printf.printf "%s [%s]: proved=%d concrete=%d refuted=%d\n"
+          c.Transval_xv.c_bench c.Transval_xv.c_config s.Transval.n_proved
+          s.Transval.n_concrete s.Transval.n_refuted;
+        print_string (Diag.render_text (cell_diags c)))
+      cells;
+    Printf.printf
+      "transval: %d program(s) (%d benchmark(s)): proved=%d concrete=%d \
+       refuted=%d\n"
+      (List.length cells) (List.length benches) tp tc tr
+  in
+  { json; txt; findings = all_ds }
 
 let transval_cmd =
   let doc =
@@ -1083,57 +919,33 @@ let transval_cmd =
          $(b,refuted) — a refutation names the guilty pass and first diverging \
          definition.";
       `P
-        "Setting TRIPS_TRANSVAL_FULL=1 overrides the preset/isa selection with \
-         the full matrix (O0, C, H, BB and both ISAs).";
+        "The full matrix is $(b,--preset) O0 $(b,--preset) C $(b,--preset) H \
+         $(b,--preset) BB $(b,--isa) both.";
     ]
-  in
-  let benches =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark to validate (repeatable).")
-  in
-  let all =
-    Arg.(
-      value & flag & info [ "all" ] ~doc:"Validate every registered benchmark.")
-  in
-  let presets =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "preset" ] ~docv:"O0|C|H|BB|fast"
-          ~doc:
-            "Code-quality preset (repeatable; $(b,fast) = O0 and C; default \
-             fast).")
   in
   let isa =
     Arg.(
-      value & opt string "both"
+      value
+      & opt
+          (enum
+             [ ("edge", (true, false)); ("risc", (false, true));
+               ("both", (true, true)) ])
+          (true, true)
       & info [ "isa" ] ~docv:"edge|risc|both" ~doc:"Backend(s) to validate.")
   in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Fail on warnings (path-limit truncations) as well as refutations.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "transval" ~doc ~man)
+  report_cmd "transval" ~doc ~man
+    ~strict_doc:"Fail on warnings (path-limit truncations) as well as refutations."
     Term.(
-      ret
-        (const transval_main $ benches $ all $ presets $ isa $ format $ strict
-        $ out))
+      const transval_report
+      $ selection_arg ~verb:"validate" ~all_doc:"Validate every registered benchmark."
+      $ presets_arg
+          ~aliases:Transval_xv.[ ("fast", [ O0; C ]) ]
+          ~docv:"O0|C|H|BB|fast"
+          ~doc:
+            "Code-quality preset (repeatable; $(b,fast) = O0 and C; default \
+             fast)."
+          Transval_xv.[ O0; C ]
+      $ isa)
 
 (* -- simbench --------------------------------------------------------- *)
 
@@ -1141,12 +953,12 @@ module Core_ref = Trips_sim.Core_ref
 
 (* One sequential cycle-simulator sweep over the registered workloads.
    Compilation and image building happen outside the timed region so the
-   clocks measure the selected engine alone (`Core`, `Core_ref`, or the
-   `Sampled` estimator).  Both wall and
-   process CPU time are recorded: the shared machines this runs on carry
-   unpredictable background load, so throughput gates use the CPU-time
-   ratio, which that noise cancels out of. *)
-let simbench_sweep ~use_ref q benches =
+   clocks measure the selected engine alone: an exact engine (`Core` or
+   `Core_ref`, which share their types) or the `Sampled` estimator.  Both
+   wall and process CPU time are recorded: the shared machines this runs
+   on carry unpredictable background load, so throughput gates use the
+   CPU-time ratio, which that noise cancels out of. *)
+let simbench_sweep engine q benches =
   let jobs =
     List.map
       (fun (b : Registry.bench) ->
@@ -1156,167 +968,142 @@ let simbench_sweep ~use_ref q benches =
   in
   let t0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
-  let dbg = Sys.getenv_opt "TRIPS_SIMBENCH_DEBUG" <> None in
   let rows =
     List.map
       (fun ((b : Registry.bench), prog, image) ->
-        let w0 = Unix.gettimeofday () and a0 = Gc.allocated_bytes () in
-        Fun.protect ~finally:(fun () ->
-            if dbg then
-              Printf.eprintf "%-24s %8.2fs %10.0f MB\n%!" b.Registry.name
-                (Unix.gettimeofday () -. w0)
-                ((Gc.allocated_bytes () -. a0) /. 1e6))
-        @@ fun () ->
-        match use_ref with
-        | `Ref ->
-          let r = Core_ref.run prog image ~entry:"main" ~args:[] in
-          let t = r.Core_ref.timing in
-          ( b.Registry.name, t.Core_ref.cycles, t.Core_ref.blocks,
-            t.Core_ref.branch_mispredicts, t.Core_ref.callret_mispredicts,
-            t.Core_ref.dcache_misses, t.Core_ref.load_flushes )
-        | `Core ->
-          let r = Core.run prog image ~entry:"main" ~args:[] in
-          let t = r.Core.timing in
-          ( b.Registry.name, t.Core.cycles, t.Core.blocks,
-            t.Core.branch_mispredicts, t.Core.callret_mispredicts,
-            t.Core.dcache_misses, t.Core.load_flushes )
+        let row cycles blocks (t : Core.stats) =
+          ( b.Registry.name, cycles, blocks, t.Core.branch_mispredicts,
+            t.Core.callret_mispredicts, t.Core.dcache_misses,
+            t.Core.load_flushes )
+        in
+        match engine with
+        | (`Core | `Ref) as exact ->
+          let run = if exact = `Core then Core.run else Core_ref.run in
+          let t = (run prog image ~entry:"main" ~args:[]).Core.timing in
+          row t.Core.cycles t.Core.blocks t
         | `Sampled ->
           (* the estimate replaces cycles; the remaining stats cover the
              detailed stretches only, so the row is informational and is
              never compared against the exact engines *)
           let r, est = Sampled.run prog image ~entry:"main" ~args:[] in
-          let t = r.Core.timing in
-          ( b.Registry.name,
-            int_of_float est.Sampled.es_cycles,
-            r.Core.exec.Exec.blocks, t.Core.branch_mispredicts,
-            t.Core.callret_mispredicts, t.Core.dcache_misses,
-            t.Core.load_flushes ))
+          row
+            (int_of_float est.Sampled.es_cycles)
+            r.Core.exec.Exec.blocks r.Core.timing)
       jobs
   in
   let wall = Unix.gettimeofday () -. t0 in
   let cpu = Sys.time () -. c0 in
   (rows, wall, cpu)
 
-let simbench_main preset fixture out compare_ref =
-  try
-    let q = quality_of preset in
-    let benches = Registry.all in
-    let rows, wall, cpu = simbench_sweep ~use_ref:`Core q benches in
-    let blocks = List.fold_left (fun a (_, _, b, _, _, _, _) -> a + b) 0 rows in
-    let bps w = if w > 0. then float_of_int blocks /. w else 0. in
-    Printf.printf
-      "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
-       cpu), %.0f blocks/s\n%!"
-      (List.length rows) preset blocks wall cpu (bps cpu);
-    let ref_times =
-      if compare_ref then begin
-        let ref_rows, ref_wall, ref_cpu = simbench_sweep ~use_ref:`Ref q benches in
-        if ref_rows <> rows then
-          failwith "simbench: optimized and reference simulators disagree";
-        Printf.printf
-          "simbench: reference sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-           speedup x%.2f (stats identical)\n%!"
-          ref_wall ref_cpu (bps ref_cpu) (ref_cpu /. cpu);
-        Some (ref_wall, ref_cpu)
-      end
-      else None
+let simbench_main q fixture out compare_ref =
+  guard @@ fun () ->
+  let preset = Platforms.quality_tag q in
+  let benches = Registry.all in
+  let rows, wall, cpu = simbench_sweep `Core q benches in
+  let blocks = List.fold_left (fun a (_, _, b, _, _, _, _) -> a + b) 0 rows in
+  let bps w = if w > 0. then float_of_int blocks /. w else 0. in
+  Printf.printf
+    "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
+     cpu), %.0f blocks/s\n%!"
+    (List.length rows) preset blocks wall cpu (bps cpu);
+  let ref_times =
+    if compare_ref then begin
+      let ref_rows, ref_wall, ref_cpu = simbench_sweep `Ref q benches in
+      if ref_rows <> rows then
+        failwith "simbench: optimized and reference simulators disagree";
+      Printf.printf
+        "simbench: reference sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
+         speedup x%.2f (stats identical)\n%!"
+        ref_wall ref_cpu (bps ref_cpu) (ref_cpu /. cpu);
+      Some (ref_wall, ref_cpu)
+    end
+    else None
+  in
+  (* sampled estimator: throughput plus estimate quality *)
+  let samp_rows, samp_wall, samp_cpu = simbench_sweep `Sampled q benches in
+  let samp_err =
+    (* mean absolute estimate error vs the exact sweep, in percent *)
+    let tot, n =
+      List.fold_left2
+        (fun (tot, n) (_, est, _, _, _, _, _) (_, cy, _, _, _, _, _) ->
+          if cy > 0 then
+            (tot +. (abs_float (float_of_int (est - cy)) /. float_of_int cy), n + 1)
+          else (tot, n))
+        (0., 0) samp_rows rows
     in
-    (* sampled estimator: throughput plus estimate quality *)
-    let samp_rows, samp_wall, samp_cpu =
-      simbench_sweep ~use_ref:`Sampled q benches
-    in
-    let samp_err =
-      (* mean absolute estimate error vs the exact sweep, in percent *)
-      let tot, n =
-        List.fold_left2
-          (fun (tot, n) (_, est, _, _, _, _, _) (_, cy, _, _, _, _, _) ->
-            if cy > 0 then
-              (tot +. (abs_float (float_of_int (est - cy)) /. float_of_int cy), n + 1)
-            else (tot, n))
-          (0., 0) samp_rows rows
-      in
-      if n = 0 then 0. else 100. *. tot /. float_of_int n
-    in
-    Printf.printf
-      "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-       speedup x%.2f vs plan interpreter, mean |error| %.2f%%\n%!"
-      samp_wall samp_cpu (bps samp_cpu) (cpu /. samp_cpu) samp_err;
-    (match fixture with
-    | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "(* Golden per-workload statistics of the seed (reference) cycle \
-         simulator,\n   recorded by `trips_run simbench --preset %s --fixture \
-         %s`.\n   Regenerate only if the *model* intentionally changes; the \
-         optimized\n   simulator must reproduce these numbers exactly \
-         (test_sim_parity.ml). *)\n\nlet preset = %S\n\n\
-         (* name, cycles, blocks, branch_mispredicts, callret_mispredicts,\n   \
-         dcache_misses, load_flushes *)\n\
-         let per_workload = [\n"
-        preset file preset;
-      List.iter
-        (fun (name, cy, bl, bm, cm, dm, lf) ->
-          Printf.fprintf oc "  (%S, %d, %d, %d, %d, %d, %d);\n" name cy bl bm cm
-            dm lf)
-        rows;
-      Printf.fprintf oc "]\n";
-      close_out oc;
-      Printf.eprintf "fixture: %s\n" file
-    | None -> ());
-    (match out with
-    | Some file ->
-      let json =
-        Json.Obj
-          ([
-             ("preset", Json.Str preset);
-             ("workloads", Json.Int (List.length rows));
-             ("blocks", Json.Int blocks);
-             ("wall_s", Json.Float wall);
-             ("cpu_s", Json.Float cpu);
-             ("blocks_per_s", Json.Float (bps cpu));
-           ]
-          @ (match ref_times with
-            | Some (rw, rc) ->
-              [
-                ("ref_wall_s", Json.Float rw);
-                ("ref_cpu_s", Json.Float rc);
-                ("ref_blocks_per_s", Json.Float (bps rc));
-                ("speedup_vs_ref", Json.Float (rc /. cpu));
-              ]
-            | None -> [])
-          @ [
-              ("sampled_wall_s", Json.Float samp_wall);
-              ("sampled_cpu_s", Json.Float samp_cpu);
-              ("sampled_blocks_per_s", Json.Float (bps samp_cpu));
-              ("speedup_vs_plan_sampled", Json.Float (cpu /. samp_cpu));
-              ("sampled_mean_abs_error_pct", Json.Float samp_err);
+    if n = 0 then 0. else 100. *. tot /. float_of_int n
+  in
+  Printf.printf
+    "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
+     speedup x%.2f vs plan interpreter, mean |error| %.2f%%\n%!"
+    samp_wall samp_cpu (bps samp_cpu) (cpu /. samp_cpu) samp_err;
+  (match fixture with
+  | Some file ->
+    let oc = open_out file in
+    Printf.fprintf oc
+      "(* Golden per-workload statistics of the seed (reference) cycle \
+       simulator,\n   recorded by `trips_run simbench --preset %s --fixture \
+       %s`.\n   Regenerate only if the *model* intentionally changes; the \
+       optimized\n   simulator must reproduce these numbers exactly \
+       (test_sim_parity.ml). *)\n\nlet preset = %S\n\n\
+       (* name, cycles, blocks, branch_mispredicts, callret_mispredicts,\n   \
+       dcache_misses, load_flushes *)\n\
+       let per_workload = [\n"
+      preset file preset;
+    List.iter
+      (fun (name, cy, bl, bm, cm, dm, lf) ->
+        Printf.fprintf oc "  (%S, %d, %d, %d, %d, %d, %d);\n" name cy bl bm cm
+          dm lf)
+      rows;
+    Printf.fprintf oc "]\n";
+    close_out oc;
+    Printf.eprintf "fixture: %s\n" file
+  | None -> ());
+  Option.iter
+    (fun file ->
+      write_report ~what:"simbench" file
+        (Json.Obj
+           ([
+              ("preset", Json.Str preset);
+              ("workloads", Json.Int (List.length rows));
+              ("blocks", Json.Int blocks);
+              ("wall_s", Json.Float wall);
+              ("cpu_s", Json.Float cpu);
+              ("blocks_per_s", Json.Float (bps cpu));
             ]
-          @ [
-              ( "per_workload",
-                Json.List
-                  (List.map
-                     (fun (name, cy, bl, bm, cm, dm, lf) ->
-                       Json.Obj
-                         [
-                           ("name", Json.Str name);
-                           ("cycles", Json.Int cy);
-                           ("blocks", Json.Int bl);
-                           ("branch_mispredicts", Json.Int bm);
-                           ("callret_mispredicts", Json.Int cm);
-                           ("dcache_misses", Json.Int dm);
-                           ("load_flushes", Json.Int lf);
-                         ])
-                     rows) );
-            ])
-      in
-      let oc = open_out file in
-      output_string oc (Json.to_string json);
-      close_out oc;
-      Printf.eprintf "simbench report: %s\n" file
-    | None -> ());
-    `Ok ()
-  with
-  | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
+           @ (match ref_times with
+             | Some (rw, rc) ->
+               [
+                 ("ref_wall_s", Json.Float rw);
+                 ("ref_cpu_s", Json.Float rc);
+                 ("ref_blocks_per_s", Json.Float (bps rc));
+                 ("speedup_vs_ref", Json.Float (rc /. cpu));
+               ]
+             | None -> [])
+           @ [
+               ("sampled_wall_s", Json.Float samp_wall);
+               ("sampled_cpu_s", Json.Float samp_cpu);
+               ("sampled_blocks_per_s", Json.Float (bps samp_cpu));
+               ("speedup_vs_plan_sampled", Json.Float (cpu /. samp_cpu));
+               ("sampled_mean_abs_error_pct", Json.Float samp_err);
+               ( "per_workload",
+                 Json.List
+                   (List.map
+                      (fun (name, cy, bl, bm, cm, dm, lf) ->
+                        Json.Obj
+                          [
+                            ("name", Json.Str name);
+                            ("cycles", Json.Int cy);
+                            ("blocks", Json.Int bl);
+                            ("branch_mispredicts", Json.Int bm);
+                            ("callret_mispredicts", Json.Int cm);
+                            ("dcache_misses", Json.Int dm);
+                            ("load_flushes", Json.Int lf);
+                          ])
+                      rows) );
+             ])))
+    out;
+  `Ok ()
 
 let simbench_cmd =
   let doc =
@@ -1334,21 +1121,12 @@ let simbench_cmd =
          statistics must agree exactly or the command fails.";
     ]
   in
-  let preset =
-    Arg.(value & opt string "C" & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
-  in
   let fixture =
     Arg.(
       value
       & opt (some string) None
       & info [ "fixture" ] ~docv:"FILE"
           ~doc:"Write the per-workload golden fixture as OCaml source to $(docv).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
   in
   let compare_ref =
     Arg.(
@@ -1358,7 +1136,7 @@ let simbench_cmd =
   in
   Cmd.v
     (Cmd.info "simbench" ~doc ~man)
-    Term.(ret (const simbench_main $ preset $ fixture $ out $ compare_ref))
+    Term.(ret (const simbench_main $ quality_arg $ fixture $ out_arg $ compare_ref))
 
 (* -- serve-client: talk to a running trips_serve daemon --------------- *)
 
@@ -1454,74 +1232,63 @@ module Fuzz_corpus = Trips_fuzz.Corpus
 
 let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
     corpus =
-  try
-    let count =
-      match count with
-      | Some n -> n
-      | None -> (
-        match Sys.getenv_opt "TRIPS_FUZZ_FULL" with
-        | Some ("1" | "true" | "yes") -> 5000
-        | _ -> 100)
-    in
-    let presets =
-      match presets with
-      | [] -> Fuzz_oracle.all_presets
-      | ps -> List.map lint_preset_of ps
-    in
-    let inject =
-      Option.map
-        (fun s ->
-          match Fuzz_oracle.inject_of_string s with
-          | Some i -> i
-          | None ->
-            invalid_arg ("unknown injection " ^ s ^ " (geni-bump|imm-bump|absint-N)"))
-        inject
-    in
-    let oracle = Fuzz_xv.oracle ~presets ?inject () in
-    let gen_cfg = { Fuzz_gen.default_cfg with Fuzz_gen.max_stmts } in
-    let t =
-      Fuzz_batch.run ~workers:jobs ~gen_cfg ~shrink_evals oracle ~seed ~count ()
-    in
-    let report_json = Fuzz_batch.to_json t in
-    (match format with
-    | "txt" -> Trips_util.Table.print (Fuzz_batch.table t)
-    | "json" -> print_string (Json.to_string report_json)
-    | f -> invalid_arg ("unknown format " ^ f ^ " (txt|json)"));
-    (match out with
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Json.to_string report_json);
-      close_out oc;
-      Printf.eprintf "fuzz report: %s\n" file
-    | None -> ());
-    (match corpus with
-    | Some dir ->
-      List.iter
-        (fun ((r : Fuzz_batch.row), (f : Fuzz_oracle.failure), sh) ->
-          let config = if f.Fuzz_oracle.f_config = "" then "ref" else f.Fuzz_oracle.f_config in
-          let entry =
-            {
-              Fuzz_corpus.e_name =
-                Printf.sprintf "s%d-%s-%s" r.Fuzz_batch.b_seed
-                  f.Fuzz_oracle.f_check config;
-              e_seed = r.Fuzz_batch.b_seed;
-              e_check = f.Fuzz_oracle.f_check;
-              e_config = f.Fuzz_oracle.f_config;
-              e_detail = f.Fuzz_oracle.f_detail;
-              e_inject = t.Fuzz_batch.bt_inject;
-              e_program = sh.Trips_fuzz.Shrink.sh_program;
-            }
-          in
-          Printf.eprintf "corpus entry: %s\n" (Fuzz_corpus.save dir entry))
-        (Fuzz_batch.divergences t)
-    | None -> ());
-    if t.Fuzz_batch.bt_divergent > 0 then
-      `Error
-        ( false,
-          Printf.sprintf "fuzz: %d divergence(s) across %d program(s)"
-            t.Fuzz_batch.bt_divergent count )
-    else `Ok ()
-  with Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
+  guard @@ fun () ->
+  let count =
+    match count with
+    | Some n -> n
+    | None -> (
+      match Sys.getenv_opt "TRIPS_FUZZ_FULL" with
+      | Some ("1" | "true" | "yes") -> 5000
+      | _ -> 100)
+  in
+  let presets =
+    match presets with
+    | [] -> Fuzz_oracle.all_presets
+    | ps -> List.map Transval_xv.preset_of ps
+  in
+  let inject =
+    Option.map
+      (fun s ->
+        match Fuzz_oracle.inject_of_string s with
+        | Some i -> i
+        | None ->
+          invalid_arg ("unknown injection " ^ s ^ " (geni-bump|imm-bump|absint-N)"))
+      inject
+  in
+  let oracle = Fuzz_xv.oracle ~presets ?inject () in
+  let gen_cfg = { Fuzz_gen.default_cfg with Fuzz_gen.max_stmts } in
+  let t =
+    Fuzz_batch.run ~workers:jobs ~gen_cfg ~shrink_evals oracle ~seed ~count ()
+  in
+  render ~what:"fuzz" ~format ~out (Fuzz_batch.to_json t) (fun () ->
+      Trips_util.Table.print (Fuzz_batch.table t));
+  (match corpus with
+  | Some dir ->
+    List.iter
+      (fun ((r : Fuzz_batch.row), (f : Fuzz_oracle.failure), sh) ->
+        let config = if f.Fuzz_oracle.f_config = "" then "ref" else f.Fuzz_oracle.f_config in
+        let entry =
+          {
+            Fuzz_corpus.e_name =
+              Printf.sprintf "s%d-%s-%s" r.Fuzz_batch.b_seed
+                f.Fuzz_oracle.f_check config;
+            e_seed = r.Fuzz_batch.b_seed;
+            e_check = f.Fuzz_oracle.f_check;
+            e_config = f.Fuzz_oracle.f_config;
+            e_detail = f.Fuzz_oracle.f_detail;
+            e_inject = t.Fuzz_batch.bt_inject;
+            e_program = sh.Trips_fuzz.Shrink.sh_program;
+          }
+        in
+        Printf.eprintf "corpus entry: %s\n" (Fuzz_corpus.save dir entry))
+      (Fuzz_batch.divergences t)
+  | None -> ());
+  if t.Fuzz_batch.bt_divergent > 0 then
+    `Error
+      ( false,
+        Printf.sprintf "fuzz: %d divergence(s) across %d program(s)"
+          t.Fuzz_batch.bt_divergent count )
+  else `Ok ()
 
 let fuzz_cmd =
   let doc = "Differentially fuzz the whole pipeline with random TIR programs." in
@@ -1557,11 +1324,8 @@ let fuzz_cmd =
           ~doc:"Programs to generate (default 100; 5000 under TRIPS_FUZZ_FULL=1).")
   in
   let presets =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "preset" ] ~docv:"O0|C|H|BB"
-          ~doc:"Code-quality preset (repeatable; default all four).")
+    presets_arg ~docv:"O0|C|H|BB"
+      ~doc:"Code-quality preset (repeatable; default all four)." []
   in
   let max_stmts =
     Arg.(
@@ -1588,17 +1352,6 @@ let fuzz_cmd =
       & info [ "shrink-evals" ] ~docv:"N"
           ~doc:"Oracle evaluation budget per shrink.")
   in
-  let format =
-    Arg.(
-      value & opt string "txt"
-      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-  in
   let corpus =
     Arg.(
       value
@@ -1611,7 +1364,69 @@ let fuzz_cmd =
     Term.(
       ret
         (const fuzz_main $ seed $ count $ presets $ max_stmts $ jobs $ inject
-       $ shrink_evals $ format $ out $ corpus))
+       $ shrink_evals $ format_arg $ out_arg $ corpus))
+
+(* -- gate -------------------------------------------------------------- *)
+
+module Gate = Trips_util.Gate
+
+let gate_main bench reports =
+  guard @@ fun () ->
+  let parse file =
+    match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> failwith (file ^ ": " ^ e)
+  in
+  match Gate.of_json (parse bench) with
+  | Error e -> `Error (false, bench ^ ": " ^ e)
+  | Ok gates ->
+    let reports = List.map (fun (name, file) -> (name, parse file)) reports in
+    let failed =
+      List.filter
+        (fun g ->
+          let failed, line =
+            match Gate.check reports g with
+            | Ok line -> (false, "gate ok: " ^ line)
+            | Error line -> (true, "gate FAILED: " ^ line)
+          in
+          print_endline line;
+          failed)
+        gates
+    in
+    if failed = [] then `Ok ()
+    else
+      `Error
+        ( false,
+          Printf.sprintf "%s: %d of %d gate(s) failed" bench
+            (List.length failed) (List.length gates) )
+
+let gate_cmd =
+  let doc = "Check JSON reports against the thresholds of a BENCH file." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Each entry of the BENCH file's $(b,thresholds) list names a \
+         report, a dotted path from that report's root and an inclusive \
+         $(b,min) or $(b,max) bound.  Every $(i,NAME)=$(i,REPORT) argument \
+         supplies the JSON report for one name.  The command fails when a \
+         value is past its bound, when a path is missing or not a number, \
+         or when a named report is not supplied.";
+      `S Manpage.s_examples;
+      `P
+        "trips_run gate bench/BENCH_timing.json timing=timing-report.json";
+    ]
+  in
+  let bench =
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH_FILE")
+  in
+  let reports =
+    Arg.(
+      value
+      & pos_right 0 (pair ~sep:'=' string file) []
+      & info [] ~docv:"NAME=REPORT")
+  in
+  Cmd.v (Cmd.info "gate" ~doc ~man) Term.(ret (const gate_main $ bench $ reports))
 
 (* -- default: the parallel experiment engine -------------------------- *)
 
@@ -1630,14 +1445,7 @@ let engine_main all ids jobs cache_dir out format =
       | None -> invalid_arg ("unknown format " ^ format ^ " (ascii|json|csv)")
     in
     let experiments =
-      if all then Experiments.all
-      else
-        List.map
-          (fun id ->
-            match Experiments.find_opt id with
-            | Some e -> e
-            | None -> invalid_arg ("unknown experiment id " ^ id))
-          ids
+      if all then Experiments.all else List.map find_experiment ids
     in
     let cache = Option.map Result_cache.open_ cache_dir in
     let report =
@@ -1744,4 +1552,4 @@ let () =
        (Cmd.group ~default:default_term info
           [ list_cmd; run_cmd; exp_cmd; disasm_cmd; lint_cmd; absint_cmd;
             timing_cmd; sampling_cmd; transval_cmd; simbench_cmd; fuzz_cmd;
-            serve_client_cmd ]))
+            serve_client_cmd; gate_cmd ]))

@@ -1,6 +1,7 @@
 (* Frozen copy of the pre-optimization simulator (see core_ref.mli).
-   Kept verbatim — the parity suite and `trips_run simbench` depend on
-   this module continuing to produce the seed's exact statistics. *)
+   Kept verbatim apart from its record types, which are [Core]'s — the
+   parity suite and `trips_run simbench` depend on this module continuing
+   to produce the seed's exact statistics. *)
 
 module Ty = Trips_tir.Ty
 module Image = Trips_tir.Image
@@ -14,76 +15,12 @@ module Hier = Trips_mem.Hier
 module Opn = Trips_noc.Opn
 module Schedule = Trips_compiler.Schedule
 
-type config = {
-  predictor : Blockpred.config;
-  fetch_interval : int;
-  dispatch_rate : int;
-  redirect_penalty : int;
-  flush_penalty : int;
-  commit_overhead : int;
-  window_blocks : int;
-  l1d : Cache.config;
-  l1i : Cache.config;
-  l2 : Cache.config;
-  dram : Hier.dram_config;
-}
-
-let prototype =
-  {
-    predictor = Blockpred.prototype;
-    fetch_interval = 8;
-    dispatch_rate = 16;
-    redirect_penalty = 8;
-    flush_penalty = 13;
-    commit_overhead = 4;
-    window_blocks = 8;
-    l1d = Cache.trips_l1d;
-    l1i = Cache.trips_l1i;
-    l2 = Cache.trips_l2;
-    dram = Hier.trips_dram;
-  }
-
-type stats = {
-  mutable cycles : int;
-  mutable blocks : int;
-  mutable branch_mispredicts : int;
-  mutable callret_mispredicts : int;
-  mutable load_flushes : int;
-  mutable icache_misses : int;
-  mutable dcache_misses : int;
-  mutable l2_misses : int;
-  mutable occupancy_weighted : float;
-  mutable occupancy_useful : float;
-  mutable peak_occupancy : int;
-  mutable l1d_bytes : int;
-  mutable l2_bytes : int;
-  mutable dram_bytes : int;
-}
-
-(* Measured per-block timing, aggregated over every committed instance of
-   one static block: the static timing analyzer cross-validates its
-   predicted critical paths against [bo_latency / bo_instances]. *)
-type block_obs = {
-  mutable bo_instances : int;
-  mutable bo_latency : int;     (* sum of (all outputs done - dispatch start) *)
-  mutable bo_residency : int;   (* sum of (commit - fetch) *)
-}
-
-type result = {
-  ret : Ty.value option;
-  exec : Exec.stats;
-  timing : stats;
-  opn : Opn.profile;
-  opn_average_hops : float;
-  block_profile : (string * block_obs) list;  (* sorted by label *)
-}
-
 (* Compressed code footprint of a block: a 128-byte header plus 128-byte
    chunks of 32 instructions (§4.4). *)
 let block_bytes n_insts = 128 + (128 * ((max 1 n_insts + 31) / 32))
 
 type sim = {
-  cfg : config;
+  cfg : Core.config;
   pred : Blockpred.t;
   dep : Depend.t;
   opn : Opn.t;
@@ -91,7 +28,7 @@ type sim = {
   l1i : Cache.t;
   l2 : Cache.t;
   mutable dram_free_at : int;
-  st : stats;
+  st : Core.stats;
   (* label interning and code layout *)
   ids : (string, int) Hashtbl.t;
   code_addr : (string, int) Hashtbl.t;
@@ -176,7 +113,7 @@ type btime = {
   bt_flushed : bool;
 }
 
-let time_block s (cfg : config) (inst : Exec.instance) ~dispatch_start : btime =
+let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : btime =
   let b = inst.Exec.iblock in
   let n = Array.length b.Block.insts in
   let fired = inst.Exec.fired in
@@ -410,7 +347,7 @@ let time_block s (cfg : config) (inst : Exec.instance) ~dispatch_start : btime =
 (* Whole-program simulation                                            *)
 (* ------------------------------------------------------------------ *)
 
-let empty_stats () =
+let empty_stats () : Core.stats =
   {
     cycles = 0; blocks = 0; branch_mispredicts = 0; callret_mispredicts = 0;
     load_flushes = 0; icache_misses = 0; dcache_misses = 0; l2_misses = 0;
@@ -418,7 +355,7 @@ let empty_stats () =
     l1d_bytes = 0; l2_bytes = 0; dram_bytes = 0;
   }
 
-let run ?(config = prototype) ?fuel (program : Block.program) image ~entry ~args =
+let run ?(config = Core.prototype) ?fuel (program : Block.program) image ~entry ~args =
   let s =
     {
       cfg = config;
@@ -442,7 +379,7 @@ let run ?(config = prototype) ?fuel (program : Block.program) image ~entry ~args
       inflight = [];
     }
   in
-  let block_profile : (string, block_obs) Hashtbl.t = Hashtbl.create 64 in
+  let block_profile : (string, Core.block_obs) Hashtbl.t = Hashtbl.create 64 in
   (* code layout in a dedicated text region *)
   let cursor = ref 0x4000000 in
   List.iter
@@ -542,7 +479,7 @@ let run ?(config = prototype) ?fuel (program : Block.program) image ~entry ~args
        match Hashtbl.find_opt block_profile label with
        | Some o -> o
        | None ->
-         let o = { bo_instances = 0; bo_latency = 0; bo_residency = 0 } in
+         let o = { Core.bo_instances = 0; bo_latency = 0; bo_residency = 0 } in
          Hashtbl.replace block_profile label o;
          o
      in
@@ -566,7 +503,7 @@ let run ?(config = prototype) ?fuel (program : Block.program) image ~entry ~args
   let exec_result = Exec.run ?fuel ~on_instance program image ~entry ~args in
   s.st.cycles <- max 1 s.last_commit;
   {
-    ret = exec_result.Exec.ret;
+    Core.ret = exec_result.Exec.ret;
     exec = exec_result.Exec.stats;
     timing = s.st;
     opn = Opn.profile s.opn;
@@ -576,14 +513,3 @@ let run ?(config = prototype) ?fuel (program : Block.program) image ~entry ~args
         (fun (a, _) (b, _) -> compare a b)
         (Hashtbl.fold (fun l o acc -> (l, o) :: acc) block_profile []);
   }
-
-let ipc r =
-  float_of_int r.exec.Exec.executed /. float_of_int (max 1 r.timing.cycles)
-
-let useful_ipc r =
-  float_of_int r.exec.Exec.useful /. float_of_int (max 1 r.timing.cycles)
-
-let avg_window r = r.timing.occupancy_weighted /. float_of_int (max 1 r.timing.cycles)
-
-let avg_window_useful r =
-  r.timing.occupancy_useful /. float_of_int (max 1 r.timing.cycles)

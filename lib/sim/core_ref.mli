@@ -25,75 +25,15 @@
       branch at the GT), in-order commit, and an eight-block window;
     - misprediction redirects that restart fetch at branch resolution.
 
-    The statistics cover Figs 6, 8, 9 and Table 3. *)
-
-type config = {
-  predictor : Trips_predictor.Blockpred.config;
-  fetch_interval : int;        (* min cycles between back-to-back fetches *)
-  dispatch_rate : int;         (* instructions dispatched per cycle *)
-  redirect_penalty : int;      (* fetch restart after a misprediction *)
-  flush_penalty : int;         (* pipeline flush on a load violation *)
-  commit_overhead : int;       (* distributed commit protocol *)
-  window_blocks : int;         (* 8 in the prototype *)
-  l1d : Trips_mem.Cache.config;
-  l1i : Trips_mem.Cache.config;
-  l2 : Trips_mem.Cache.config;
-  dram : Trips_mem.Hier.dram_config;
-}
-
-val prototype : config
-
-type stats = {
-  mutable cycles : int;
-  mutable blocks : int;
-  mutable branch_mispredicts : int;       (* jump-exit mispredictions *)
-  mutable callret_mispredicts : int;      (* call/return mispredictions *)
-  mutable load_flushes : int;
-  mutable icache_misses : int;
-  mutable dcache_misses : int;
-  mutable l2_misses : int;
-  mutable occupancy_weighted : float;     (* Σ insts-in-flight per cycle *)
-  mutable occupancy_useful : float;
-  mutable peak_occupancy : int;
-  mutable l1d_bytes : int;
-  mutable l2_bytes : int;
-  mutable dram_bytes : int;
-}
-
-type block_obs = {
-  mutable bo_instances : int;    (* committed instances of the block *)
-  mutable bo_latency : int;      (* Σ (dataflow done - dispatch start) *)
-  mutable bo_residency : int;    (* Σ (commit - fetch) *)
-}
-(** Measured per-block cycle counts, the reference the static timing
-    analyzer ({!Trips_analysis.Timing}) cross-validates against:
-    [bo_latency / bo_instances] is the mean measured dataflow critical
-    path of the block, on the same clock as the analyzer's prediction. *)
-
-type result = {
-  ret : Trips_tir.Ty.value option;
-  exec : Trips_edge.Exec.stats;           (* architectural counts *)
-  timing : stats;
-  opn : Trips_noc.Opn.profile;
-  opn_average_hops : float;
-  block_profile : (string * block_obs) list;  (* sorted by block label *)
-}
+    The statistics cover Figs 6, 8, 9 and Table 3.  The module consumes
+    and produces {!Core}'s types, so a parity check compares whole
+    [Core.result] records. *)
 
 val run :
-  ?config:config ->
+  ?config:Core.config ->
   ?fuel:int ->
   Trips_edge.Block.program ->
   Trips_tir.Image.t ->
   entry:string ->
   args:Trips_tir.Ty.value list ->
-  result
-
-val ipc : result -> float
-(** Executed instructions per cycle (the metric of Fig 9). *)
-
-val useful_ipc : result -> float
-
-val avg_window : result -> float
-(** Average instructions in flight (Fig 6). *)
-
-val avg_window_useful : result -> float
+  Core.result

@@ -57,50 +57,20 @@ let check_golden (name, cycles, blocks, bm, cm, dm, lf) () =
   Alcotest.(check int) "dcache_misses" dm t.Core.dcache_misses;
   Alcotest.(check int) "load_flushes" lf t.Core.load_flushes
 
-(* Field-by-field comparison against the frozen reference simulator.
-   Each run gets a fresh image: execution mutates program memory. *)
+(* Whole-record comparison against the frozen reference simulator: the
+   timing statistics, the operand-network profile and the per-block
+   profile must all be identical.  Each run gets a fresh image: execution
+   mutates program memory. *)
 let check_differential name () =
   let b = Registry.find name in
   let prog = Platforms.edge_program Platforms.C b in
   let fresh_image () = Image.build b.Registry.program.Trips_tir.Ast.globals in
   let o = Core.run prog (fresh_image ()) ~entry:"main" ~args:[] in
   let r = Core_ref.run prog (fresh_image ()) ~entry:"main" ~args:[] in
-  let ot = o.Core.timing and rt = r.Core_ref.timing in
-  let ck what a b = Alcotest.(check int) what a b in
-  ck "cycles" rt.Core_ref.cycles ot.Core.cycles;
-  ck "blocks" rt.Core_ref.blocks ot.Core.blocks;
-  ck "branch_mispredicts" rt.Core_ref.branch_mispredicts ot.Core.branch_mispredicts;
-  ck "callret_mispredicts" rt.Core_ref.callret_mispredicts
-    ot.Core.callret_mispredicts;
-  ck "load_flushes" rt.Core_ref.load_flushes ot.Core.load_flushes;
-  ck "icache_misses" rt.Core_ref.icache_misses ot.Core.icache_misses;
-  ck "dcache_misses" rt.Core_ref.dcache_misses ot.Core.dcache_misses;
-  ck "l2_misses" rt.Core_ref.l2_misses ot.Core.l2_misses;
-  ck "peak_occupancy" rt.Core_ref.peak_occupancy ot.Core.peak_occupancy;
-  ck "l1d_bytes" rt.Core_ref.l1d_bytes ot.Core.l1d_bytes;
-  ck "l2_bytes" rt.Core_ref.l2_bytes ot.Core.l2_bytes;
-  ck "dram_bytes" rt.Core_ref.dram_bytes ot.Core.dram_bytes;
-  Alcotest.(check (float 1e-9)) "occupancy_weighted"
-    rt.Core_ref.occupancy_weighted ot.Core.occupancy_weighted;
-  Alcotest.(check (float 1e-9)) "occupancy_useful" rt.Core_ref.occupancy_useful
-    ot.Core.occupancy_useful;
-  let op = o.Core.opn and rp = r.Core_ref.opn in
-  ck "opn_packets" rp.Trips_noc.Opn.total_packets op.Trips_noc.Opn.total_packets;
-  ck "opn_hops" rp.Trips_noc.Opn.total_hops op.Trips_noc.Opn.total_hops;
-  ck "opn_contention" rp.Trips_noc.Opn.contention_cycles
-    op.Trips_noc.Opn.contention_cycles;
-  (* per-block profiles must agree label by label *)
-  let obs =
-    List.map (fun (l, (b : Core.block_obs)) ->
-        (l, b.Core.bo_instances, b.Core.bo_latency, b.Core.bo_residency))
-  in
-  let robs =
-    List.map (fun (l, (b : Core_ref.block_obs)) ->
-        ( l, b.Core_ref.bo_instances, b.Core_ref.bo_latency,
-          b.Core_ref.bo_residency ))
-  in
+  Alcotest.(check bool) "timing" true (o.Core.timing = r.Core.timing);
+  Alcotest.(check bool) "opn" true (o.Core.opn = r.Core.opn);
   Alcotest.(check bool) "block_profile" true
-    (obs o.Core.block_profile = robs r.Core_ref.block_profile)
+    (o.Core.block_profile = r.Core.block_profile)
 
 (* Sampled contract: execution stays exact (return value, block count);
    the cycle estimate either is exact (full-detail fallback) or carries

@@ -190,6 +190,64 @@ let prop_mean_between_min_max =
       let lo = List.fold_left min infinity xs and hi = List.fold_left max neg_infinity xs in
       m >= lo -. 1e-9 && m <= hi +. 1e-9)
 
+(* -- gate ----------------------------------------------------------- *)
+
+module Gate = Trips_util.Gate
+
+let json_of s =
+  match Json.parse s with Ok j -> j | Error e -> Alcotest.fail e
+
+(* The serve report's shape: every concurrency level carries a "shed"
+   count, and the shed phase's own count sits under the "shed" object. *)
+let serve_report =
+  json_of
+    {|{"levels": [{"c": 1, "shed": 0}, {"c": 8, "shed": 7}],
+       "shed": {"requests": 32, "shed": 29, "pool_shed": 29},
+       "dedup": {"computed": 1, "coalesce_rate": null, "note": "x"}}|}
+
+let gate report path bound = { Gate.report; path; bound }
+
+let verdict g = Result.is_ok (Gate.check [ ("serve", serve_report) ] g)
+
+let test_gate_lookup () =
+  Alcotest.(check (result (float 0.) string)) "keyed field, not the list"
+    (Ok 29.) (Gate.lookup "shed.shed" serve_report);
+  Alcotest.(check (result (float 0.) string)) "nested int" (Ok 1.)
+    (Gate.lookup "dedup.computed" serve_report)
+
+let test_gate_missing_and_non_numeric () =
+  let fails path = Result.is_error (Gate.lookup path serve_report) in
+  Alcotest.(check bool) "missing leaf" true (fails "shed.absent");
+  Alcotest.(check bool) "missing root" true (fails "nosuch.shed");
+  Alcotest.(check bool) "no path into a list" true (fails "levels.shed");
+  Alcotest.(check bool) "null" true (fails "dedup.coalesce_rate");
+  Alcotest.(check bool) "string" true (fails "dedup.note");
+  Alcotest.(check bool) "object" true (fails "shed");
+  Alcotest.(check bool) "missing path fails the gate" false
+    (verdict (gate "serve" "shed.absent" (Gate.Min 0.)));
+  Alcotest.(check bool) "unsupplied report fails the gate" false
+    (verdict (gate "sampling" "shed.shed" (Gate.Min 0.)))
+
+let test_gate_bounds () =
+  let at b = verdict (gate "serve" "shed.shed" b) in
+  Alcotest.(check bool) "min at the bound" true (at (Gate.Min 29.));
+  Alcotest.(check bool) "max at the bound" true (at (Gate.Max 29.));
+  Alcotest.(check bool) "min one past" false (at (Gate.Min 30.));
+  Alcotest.(check bool) "max one past" false (at (Gate.Max 28.))
+
+let test_gate_of_json () =
+  let parse s = Gate.of_json (json_of s) in
+  Alcotest.(check bool) "min and max entries" true
+    (parse
+       {|{"thresholds": [{"report": "r", "path": "a.b", "min": 1},
+                         {"report": "r", "path": "c", "max": 0.5}]}|}
+    = Ok [ gate "r" "a.b" (Gate.Min 1.); gate "r" "c" (Gate.Max 0.5) ]);
+  let bad s = Alcotest.(check bool) s true (Result.is_error (parse s)) in
+  bad {|{"thresholds": {"min_x": 1}}|};
+  bad {|{"thresholds": [{"report": "r", "path": "a"}]}|};
+  bad {|{"thresholds": [{"report": "r", "path": "a", "min": 1, "max": 2}]}|};
+  bad {|{"thresholds": [{"path": "a", "min": 1}]}|}
+
 let () =
   Alcotest.run "util"
     [
@@ -220,5 +278,13 @@ let () =
           Alcotest.test_case "json escaping" `Quick test_table_json;
           Alcotest.test_case "serialize roundtrip" `Quick test_table_serialize_roundtrip;
           Alcotest.test_case "json emitter" `Quick test_json_emitter;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "dotted lookup" `Quick test_gate_lookup;
+          Alcotest.test_case "missing or non-numeric fails" `Quick
+            test_gate_missing_and_non_numeric;
+          Alcotest.test_case "inclusive bounds" `Quick test_gate_bounds;
+          Alcotest.test_case "thresholds parse" `Quick test_gate_of_json;
         ] );
     ]
