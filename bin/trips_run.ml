@@ -5,8 +5,13 @@
      trips_run --all --cache-dir _results/cache       -- cached re-run
      trips_run list                         -- registered benchmarks
      trips_run run fft --preset H --sim cycle
-     trips_run exp fig9                     -- one table/figure
-     trips_run disasm conv --preset C       -- EDGE block listing *)
+     trips_run disasm conv --preset C       -- EDGE block listing
+     trips_run simbench --compare-ref       -- simulator throughput
+     trips_run serve-bench --out FILE       -- trips_serve load report
+
+   Each report subcommand (lint, absint, timing, sampling, transval,
+   simbench, fuzz, serve-bench) writes the JSON report that
+   `trips_run gate` checks against a bench/BENCH_*.json file. *)
 
 open Cmdliner
 module Registry = Trips_workloads.Registry
@@ -31,6 +36,8 @@ let guard f =
   try f () with
   | Invalid_argument msg | Sys_error msg | Failure msg -> `Error (false, msg)
   | Not_found -> `Error (false, "unknown benchmark (see `trips_run list`)")
+  | Unix.Unix_error (e, fn, arg) ->
+    `Error (false, Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
 
 (* The one preset vocabulary of the CLI: canonical tags and the aliases
    the commands have always accepted. *)
@@ -73,6 +80,20 @@ let out_arg =
     value
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
+
+(* --jobs/-j: worker domains; cmdliner refuses N < 1 before any work. *)
+let jobs_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value & opt positive 1
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the engine.")
 
 let write_report ~what file json =
   Out_channel.with_open_text file (fun oc ->
@@ -256,25 +277,6 @@ let run_cmd =
   let main name q sim = guard (fun () -> `Ok (run_bench name q sim)) in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(ret (const main $ bench_arg $ quality_arg $ sim_arg))
-
-(* -- exp -------------------------------------------------------------- *)
-
-let find_experiment id =
-  match Experiments.find_opt id with
-  | Some e -> e
-  | None -> invalid_arg ("unknown experiment id " ^ id)
-
-let exp_cmd =
-  let doc = "Regenerate one of the paper's tables/figures (see `bench/main.exe`)." in
-  let id_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let run id =
-    guard (fun () ->
-        let e = find_experiment id in
-        Printf.printf "%s — paper: %s\n\n" e.Experiments.title
-          e.Experiments.paper_claim;
-        `Ok (Trips_util.Table.print (e.Experiments.run ())))
-  in
-  Cmd.v (Cmd.info "exp" ~doc) Term.(ret (const run $ id_arg))
 
 (* -- disasm ----------------------------------------------------------- *)
 
@@ -1035,7 +1037,7 @@ let simbench_main q fixture out compare_ref =
   in
   Printf.printf
     "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-     speedup x%.2f vs plan interpreter, mean |error| %.2f%%\n%!"
+     speedup x%.2f vs Core, mean |error| %.2f%%\n%!"
     samp_wall samp_cpu (bps samp_cpu) (cpu /. samp_cpu) samp_err;
   (match fixture with
   | Some file ->
@@ -1137,6 +1139,31 @@ let simbench_cmd =
   Cmd.v
     (Cmd.info "simbench" ~doc ~man)
     Term.(ret (const simbench_main $ quality_arg $ fixture $ out_arg $ compare_ref))
+
+(* -- serve-bench: load report of the trips_serve daemon --------------- *)
+
+let serve_bench_cmd =
+  let doc = "Measure the trips_serve daemon under closed-loop load." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Boots in-process servers and runs three phases: 16 identical \
+         concurrent requests against a cold 1-worker server (in-flight \
+         dedup), a warmed 4-worker server swept at 1, 4 and 8 closed-loop \
+         clients of 20 requests each (throughput and latency), and 32 \
+         distinct cold requests against a 1-worker, 2-deep-queue server \
+         (the overflow must be answered 429).  The report is the input of \
+         $(b,trips_run gate bench/BENCH_serve.json).";
+    ]
+  in
+  let run out =
+    guard @@ fun () ->
+    let json = Trips_serve.Load.report ~log:(Printf.printf "%s\n%!") in
+    Option.iter (fun file -> write_report ~what:"serve-bench" file json) out;
+    `Ok ()
+  in
+  Cmd.v (Cmd.info "serve-bench" ~doc ~man) Term.(ret (const run $ out_arg))
 
 (* -- serve-client: talk to a running trips_serve daemon --------------- *)
 
@@ -1332,11 +1359,6 @@ let fuzz_cmd =
       value & opt int Fuzz_gen.default_cfg.Fuzz_gen.max_stmts
       & info [ "max-stmts" ] ~docv:"N" ~doc:"Statement budget per function.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the engine.")
-  in
   let inject =
     Arg.(
       value
@@ -1363,7 +1385,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc ~man)
     Term.(
       ret
-        (const fuzz_main $ seed $ count $ presets $ max_stmts $ jobs $ inject
+        (const fuzz_main $ seed $ count $ presets $ max_stmts $ jobs_arg $ inject
        $ shrink_evals $ format_arg $ out_arg $ corpus))
 
 (* -- gate -------------------------------------------------------------- *)
@@ -1434,16 +1456,15 @@ module Engine = Trips_engine.Engine
 module Artifacts = Trips_engine.Artifacts
 module Result_cache = Trips_engine.Result_cache
 
+let find_experiment id =
+  match Experiments.find_opt id with
+  | Some e -> e
+  | None -> invalid_arg ("unknown experiment id " ^ id)
+
 let engine_main all ids jobs cache_dir out format =
-  if (not all) && ids = [] then
-    `Help (`Auto, None)
-  else begin
-    try
-    let format =
-      match Artifacts.format_of_string format with
-      | Some f -> f
-      | None -> invalid_arg ("unknown format " ^ format ^ " (ascii|json|csv)")
-    in
+  if (not all) && ids = [] then `Help (`Auto, None)
+  else
+    guard @@ fun () ->
     let experiments =
       if all then Experiments.all else List.map find_experiment ids
     in
@@ -1457,8 +1478,8 @@ let engine_main all ids jobs cache_dir out format =
         match r.Engine.outcome with
         | Engine.Finished table ->
           if format = Artifacts.Ascii then
-            Printf.printf "=== %s: %s ===\n%s\n" e.Experiments.id
-              e.Experiments.title
+            Printf.printf "=== %s: %s ===\nPaper: %s\n%s\n" e.Experiments.id
+              e.Experiments.title e.Experiments.paper_claim
               (Artifacts.render format table)
           else print_string (Artifacts.render format table)
         | Engine.Failed { attempts; error } ->
@@ -1497,11 +1518,6 @@ let engine_main all ids jobs cache_dir out format =
         report.Engine.job_reports
     in
     if failed then `Error (false, "one or more experiments failed") else `Ok ()
-    with
-    | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
-    | Unix.Unix_error (e, fn, arg) ->
-      `Error (false, Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
-  end
 
 let default_term =
   let all =
@@ -1512,11 +1528,6 @@ let default_term =
       value
       & opt_all string []
       & info [ "id" ] ~docv:"ID" ~doc:"Experiment id to run (repeatable).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the engine.")
   in
   let cache_dir =
     Arg.(
@@ -1534,11 +1545,15 @@ let default_term =
   in
   let format =
     Arg.(
-      value & opt string "ascii"
-      & info [ "format" ] ~docv:"ascii|json|csv" ~doc:"Stdout rendering.")
+      value
+      & opt
+          (enum Artifacts.[ ("ascii", Ascii); ("json", Json_fmt); ("csv", Csv) ])
+          Artifacts.Ascii
+      & info [ "format" ] ~docv:"ascii|json|csv" ~absent:"ascii"
+          ~doc:"Stdout rendering.")
   in
   Term.(
-    ret (const engine_main $ all $ ids $ jobs $ cache_dir $ out $ format))
+    ret (const engine_main $ all $ ids $ jobs_arg $ cache_dir $ out $ format))
 
 let () =
   (* The emulator allocates short-lived tokens at a high rate; a larger
@@ -1550,6 +1565,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default:default_term info
-          [ list_cmd; run_cmd; exp_cmd; disasm_cmd; lint_cmd; absint_cmd;
+          [ list_cmd; run_cmd; disasm_cmd; lint_cmd; absint_cmd;
             timing_cmd; sampling_cmd; transval_cmd; simbench_cmd; fuzz_cmd;
-            serve_client_cmd; gate_cmd ]))
+            serve_bench_cmd; serve_client_cmd; gate_cmd ]))

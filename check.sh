@@ -114,16 +114,17 @@ kill -TERM "$serve_pid"
 wait "$serve_pid" || true
 echo "serve smoke: health + timing + metrics OK on port $port"
 
-echo "== serve load benchmark: bench/serve_bench =="
-./_build/default/bench/serve_bench.exe --out serve-report.json
+echo "== serve load benchmark: trips_run serve-bench =="
+dune exec bin/trips_run.exe -- serve-bench --out serve-report.json
 dune exec bin/trips_run.exe -- gate bench/BENCH_serve.json \
   serve=serve-report.json
 
 echo "== error smoke: bad arguments exit 124, never 125 =="
-# --sim is an enumeration: cmdliner refuses an unknown simulator (exit
-# 124) before the benchmark is compiled or interpreted.  An unknown
-# benchmark is a one-line error too, never an uncaught exception (125).
-for args in "run fft --sim spec" "disasm nosuch"; do
+# --sim, --format and --jobs are checked by cmdliner (exit 124) before
+# any benchmark is compiled or interpreted.  An unknown benchmark or
+# experiment is a one-line error too, never an uncaught exception (125).
+for args in "run fft --sim spec" "disasm nosuch" "--id nosuch" \
+  "--id table1 --format xml" "--id table1 --jobs 0"; do
   status=0
   dune exec bin/trips_run.exe -- $args >/dev/null 2>&1 || status=$?
   [ "$status" = "124" ] || {

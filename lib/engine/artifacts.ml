@@ -5,12 +5,6 @@ type meta = { id : string; title : string; note : string }
 
 type format = Ascii | Json_fmt | Csv
 
-let format_of_string = function
-  | "ascii" | "txt" -> Some Ascii
-  | "json" -> Some Json_fmt
-  | "csv" -> Some Csv
-  | _ -> None
-
 let format_name = function Ascii -> "ascii" | Json_fmt -> "json" | Csv -> "csv"
 
 let render fmt table =

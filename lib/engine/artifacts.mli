@@ -11,9 +11,6 @@ type meta = { id : string; title : string; note : string }
 
 type format = Ascii | Json_fmt | Csv
 
-val format_of_string : string -> format option
-(** Recognizes ["ascii"]/["txt"], ["json"], ["csv"]. *)
-
 val format_name : format -> string
 
 val render : format -> Trips_util.Table.t -> string

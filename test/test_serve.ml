@@ -1,7 +1,7 @@
 (* Tests for the trips_serve subsystem: the HTTP front door, the JSON
    codec and protocol, the latency histogram, and an end-to-end daemon
    round trip asserting that concurrent identical requests run exactly
-   one underlying job. *)
+   one underlying job, and the invariants of the load report. *)
 
 module Json = Trips_util.Json
 module Histogram = Trips_util.Histogram
@@ -363,6 +363,37 @@ let test_e2e_shutdown_rejects_new_work () =
     Alcotest.fail "stopped server must not answer"
   | Result.Error (_ : string) -> ()
 
+(* The load report: only its order-independent invariants, never a
+   timing.  One job computes the dedup burst (two at most, if the cache
+   store races the last arrivals), a full queue answers 429 and nothing
+   else, and no level request fails. *)
+let test_load_report_invariants () =
+  let v = Trips_serve.Load.report ~log:ignore in
+  let int path =
+    let rec go v = function
+      | [] -> Json.as_int v
+      | k :: ks -> Option.bind (Json.member k v) (fun v -> go v ks)
+    in
+    match go v path with
+    | Some n -> n
+    | None -> Alcotest.fail ("missing " ^ String.concat "." path)
+  in
+  Alcotest.(check int) "dedup requests" 16 (int [ "dedup"; "requests" ]);
+  Alcotest.(check bool) "dedup computes at most twice" true
+    (int [ "dedup"; "computed" ] <= 2);
+  Alcotest.(check int) "shed requests" 32 (int [ "shed"; "requests" ]);
+  Alcotest.(check bool) "a full queue sheds" true (int [ "shed"; "shed" ] >= 1);
+  Alcotest.(check int) "shed answers only 200 or 429" 0
+    (int [ "shed"; "other" ]);
+  match Option.bind (Json.member "levels" v) Json.as_list with
+  | Some (_ :: _ as levels) ->
+    List.iter
+      (fun l ->
+        Alcotest.(check (option int)) "no level request fails" (Some 0)
+          (Json.mem_int "failed" l))
+      levels
+  | _ -> Alcotest.fail "report without levels"
+
 let () =
   Random.self_init ();
   Alcotest.run "serve"
@@ -404,5 +435,7 @@ let () =
             `Quick test_e2e_concurrent_identical_requests_compute_once;
           Alcotest.test_case "stopped server refuses connections" `Quick
             test_e2e_shutdown_rejects_new_work;
+          Alcotest.test_case "load report invariants" `Quick
+            test_load_report_invariants;
         ] );
     ]
