@@ -81,16 +81,17 @@ let out_arg =
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
 
-(* --jobs/-j: worker domains; cmdliner refuses N < 1 before any work. *)
-let jobs_arg =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* Integer counts: cmdliner refuses N < 1 before any work. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* --jobs/-j: worker domains. *)
+let jobs_arg =
   Arg.(
     value & opt positive 1
     & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the engine.")
@@ -549,14 +550,13 @@ let absint_cmd =
 
 (* -- timing ----------------------------------------------------------- *)
 
-module Timing = Trips_analysis.Timing
+module Timing = Trips_sim.Timing
 
 let timing_report sel simple q top xval ~strict:_ =
   let benches =
     select ~default:Registry.simple_suite
       (if simple then { sel with names = [] } else sel)
   in
-  let model = Timing_xv.model_of Core.prototype in
   let per_bench =
     List.map
       (fun (b : Registry.bench) ->
@@ -568,17 +568,18 @@ let timing_report sel simple q top xval ~strict:_ =
         (b, p, measured))
       benches
   in
-  let top_blocks (p : Timing_xv.prediction) =
+  let top_blocks (p : Timing.prediction) =
     let items =
       Hashtbl.fold
         (fun label (s : Timing.summary) acc ->
           let count =
-            Option.value ~default:0 (Hashtbl.find_opt p.Timing_xv.pr_counts label)
+            Option.value ~default:0 (Hashtbl.find_opt p.Timing.pr_counts label)
           in
           (* rank by dynamic contribution; never-executed blocks last *)
-          ((count * Timing.predicted_block_cost model s, s.Timing.s_crit), label, count, s)
+          ( (count * Timing.predicted_block_cost Core.prototype s, s.Timing.s_crit),
+            label, count, s )
           :: acc)
-        p.Timing_xv.pr_summaries []
+        p.Timing.pr_summaries []
     in
     let sorted =
       List.sort (fun (w1, _, _, _) (w2, _, _, _) -> compare w2 w1) items
@@ -616,36 +617,36 @@ let timing_report sel simple q top xval ~strict:_ =
   let predicted, actual =
     List.split
       (List.filter_map
-         (fun (_, (p : Timing_xv.prediction), m) ->
+         (fun (_, (p : Timing.prediction), m) ->
            Option.map
-             (fun m -> (float_of_int p.Timing_xv.pr_cycles, float_of_int m))
+             (fun m -> (float_of_int p.Timing.pr_cycles, float_of_int m))
              m)
          per_bench)
   in
-  let all_ds = List.concat_map (fun (_, p, _) -> p.Timing_xv.pr_diags) per_bench in
+  let all_ds = List.concat_map (fun (_, p, _) -> p.Timing.pr_diags) per_bench in
   let json =
     let programs =
       List.map
-        (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
+        (fun ((b : Registry.bench), (p : Timing.prediction), measured) ->
           Json.Obj
             ([
                ("bench", Json.Str b.Registry.name);
                ("preset", Json.Str (Platforms.quality_tag q));
-               ("predicted_cycles", Json.Int p.Timing_xv.pr_cycles);
+               ("predicted_cycles", Json.Int p.Timing.pr_cycles);
              ]
             @ (match measured with
               | Some m ->
                 [ ("measured_cycles", Json.Int m) ]
                 @
-                (match err_pct p.Timing_xv.pr_cycles measured with
+                (match err_pct p.Timing.pr_cycles measured with
                 | Some e -> [ ("error_pct", Json.Float e) ]
                 | None -> [])
               | None -> [])
             @ [
-                ("blocks", Json.Int p.Timing_xv.pr_blocks);
-                ("mispredicts", Json.Int p.Timing_xv.pr_mispredicts);
+                ("blocks", Json.Int p.Timing.pr_blocks);
+                ("mispredicts", Json.Int p.Timing.pr_mispredicts);
                 ("top_blocks", Json.List (List.map block_json (top_blocks p)));
-                ("findings", Diag.list_to_json p.Timing_xv.pr_diags);
+                ("findings", Diag.list_to_json p.Timing.pr_diags);
               ]))
         per_bench
     in
@@ -671,19 +672,19 @@ let timing_report sel simple q top xval ~strict:_ =
   in
   let txt () =
     List.iter
-      (fun ((b : Registry.bench), (p : Timing_xv.prediction), measured) ->
+      (fun ((b : Registry.bench), (p : Timing.prediction), measured) ->
         Printf.printf "%s [%s]: predicted %d cycles" b.Registry.name
-          (Platforms.quality_tag q) p.Timing_xv.pr_cycles;
+          (Platforms.quality_tag q) p.Timing.pr_cycles;
         (match measured with
         | Some m ->
           Printf.printf " (measured %d" m;
-          (match err_pct p.Timing_xv.pr_cycles measured with
+          (match err_pct p.Timing.pr_cycles measured with
           | Some e -> Printf.printf ", %+.1f%%" e
           | None -> ());
           print_string ")"
         | None -> ());
         Printf.printf ", %d block instance(s), %d mispredict(s)\n"
-          p.Timing_xv.pr_blocks p.Timing_xv.pr_mispredicts;
+          p.Timing.pr_blocks p.Timing.pr_mispredicts;
         let t =
           Trips_util.Table.create
             [
@@ -717,7 +718,7 @@ let timing_report sel simple q top xval ~strict:_ =
               ])
           (top_blocks p);
         Trips_util.Table.print t;
-        print_string (Diag.render_text p.Timing_xv.pr_diags);
+        print_string (Diag.render_text p.Timing.pr_diags);
         print_newline ())
       per_bench;
     if xval then
@@ -757,7 +758,7 @@ let timing_cmd =
   in
   let top =
     Arg.(
-      value & opt int 3
+      value & opt positive 3
       & info [ "top" ] ~docv:"N"
           ~doc:"Blocks to detail per benchmark, hottest first.")
   in
@@ -1282,7 +1283,7 @@ let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
           invalid_arg ("unknown injection " ^ s ^ " (geni-bump|imm-bump|absint-N)"))
       inject
   in
-  let oracle = Fuzz_xv.oracle ~presets ?inject () in
+  let oracle = Fuzz_oracle.make ~presets ?inject () in
   let gen_cfg = { Fuzz_gen.default_cfg with Fuzz_gen.max_stmts } in
   let t =
     Fuzz_batch.run ~workers:jobs ~gen_cfg ~shrink_evals oracle ~seed ~count ()
@@ -1346,7 +1347,7 @@ let fuzz_cmd =
   let count =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "count" ] ~docv:"N"
           ~doc:"Programs to generate (default 100; 5000 under TRIPS_FUZZ_FULL=1).")
   in
@@ -1356,7 +1357,7 @@ let fuzz_cmd =
   in
   let max_stmts =
     Arg.(
-      value & opt int Fuzz_gen.default_cfg.Fuzz_gen.max_stmts
+      value & opt positive Fuzz_gen.default_cfg.Fuzz_gen.max_stmts
       & info [ "max-stmts" ] ~docv:"N" ~doc:"Statement budget per function.")
   in
   let inject =

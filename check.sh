@@ -47,6 +47,11 @@ echo "== exec golden: every workload at preset C =="
 # emulator's result and all of its statistics to test/exec_golden.ml.
 TRIPS_EXEC_GOLDEN_FULL=1 dune exec test/test_exec.exe >/dev/null
 
+echo "== timing golden: every workload at preset C =="
+# dune runtest checks a subset; the full sweep pins the static timing
+# analyzer's whole-program prediction to test/timing_golden.ml.
+TRIPS_TIMING_GOLDEN_FULL=1 dune exec test/test_static_timing.exe -- test pred-golden >/dev/null
+
 echo "== differential fuzzing: trips_run fuzz --seed 1 =="
 # 100-program smoke by default; TRIPS_FUZZ_FULL=1 deepens the sweep to
 # 5000 programs (the nightly configuration).  Any divergence exits
@@ -120,11 +125,12 @@ dune exec bin/trips_run.exe -- gate bench/BENCH_serve.json \
   serve=serve-report.json
 
 echo "== error smoke: bad arguments exit 124, never 125 =="
-# --sim, --format and --jobs are checked by cmdliner (exit 124) before
-# any benchmark is compiled or interpreted.  An unknown benchmark or
+# --sim, --format, --jobs, --count and --top are checked by cmdliner
+# (exit 124) before any benchmark is compiled or interpreted.  An unknown benchmark or
 # experiment is a one-line error too, never an uncaught exception (125).
 for args in "run fft --sim spec" "disasm nosuch" "--id nosuch" \
-  "--id table1 --format xml" "--id table1 --jobs 0"; do
+  "--id table1 --format xml" "--id table1 --jobs 0" "fuzz --count=-3" \
+  "timing --bench fft --top=-3"; do
   status=0
   dune exec bin/trips_run.exe -- $args >/dev/null 2>&1 || status=$?
   [ "$status" = "124" ] || {

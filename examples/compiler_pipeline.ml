@@ -54,7 +54,7 @@ let () =
     blk.Trips_edge.Block.label;
   Array.iteri
     (fun i et ->
-      let r, c = Trips_compiler.Schedule.tile_position et in
+      let r, c = Trips_edge.Isa.tile_position et in
       Printf.printf "  I%-3d -> ET%-2d (row %d, col %d)\n" i et r c)
     blk.Trips_edge.Block.placement;
 

@@ -3,14 +3,7 @@ module Block = Trips_edge.Block
 
 (* 5x5 mesh: (0,0) = GT, (0,1..4) = RT0..3, (1..4,0) = DT0..3,
    (1..4,1..4) = the ET grid.  The geometry lives in Isa (shared with the
-   block validator, the cycle simulator and the static timing analyzer);
-   these are re-exports so scheduler clients keep one import. *)
-let tile_position = Isa.tile_position
-let rt_position = Isa.rt_position
-let dt_position = Isa.dt_position
-let gt_position = Isa.gt_position
-
-let dist = Isa.mesh_dist
+   block validator, the cycle simulator and the static timing analyzer). *)
 
 let place (b : Block.t) =
   let n = Array.length b.insts in
@@ -37,7 +30,8 @@ let place (b : Block.t) =
       (fun (r : Block.read) ->
         List.iter
           (function
-            | Isa.To_inst (j, _) -> read_feeds.(j) <- rt_position r.rreg :: read_feeds.(j)
+            | Isa.To_inst (j, _) ->
+              read_feeds.(j) <- Isa.rt_position r.rreg :: read_feeds.(j)
             | Isa.To_write _ -> ())
           r.rtargets)
       b.reads;
@@ -67,7 +61,7 @@ let place (b : Block.t) =
     let writes_to_rt i =
       List.filter_map
         (function
-          | Isa.To_write w -> Some (rt_position b.writes.(w).Block.wreg)
+          | Isa.To_write w -> Some (Isa.rt_position b.writes.(w).Block.wreg)
           | Isa.To_inst _ -> None)
         b.insts.(i).Isa.targets
     in
@@ -75,24 +69,26 @@ let place (b : Block.t) =
       (fun i ->
         let ins = b.insts.(i) in
         let producer_pos =
-          List.map (fun p -> tile_position b.placement.(p)) preds.(i) @ read_feeds.(i)
+          List.map (fun p -> Isa.tile_position b.placement.(p)) preds.(i)
+          @ read_feeds.(i)
         in
         let anchors =
           producer_pos
           @ writes_to_rt i
           @ (match ins.op with
-            | Isa.Load _ | Isa.Store _ -> [ dt_position 0; dt_position 3 ]
+            | Isa.Load _ | Isa.Store _ ->
+              [ Isa.dt_position 0; Isa.dt_position 3 ]
               (* bank unknown statically: pull toward the DT column *)
-            | Isa.Branch _ -> [ gt_position ]
+            | Isa.Branch _ -> [ Isa.gt_position ]
             | _ -> [])
         in
         let best = ref (-1) in
         let best_cost = ref max_int in
         for et = 0 to Isa.num_ets - 1 do
           if occupancy.(et) < Isa.et_slots then begin
-            let pos = tile_position et in
+            let pos = Isa.tile_position et in
             let c =
-              List.fold_left (fun acc a -> acc + dist a pos) 0 anchors
+              List.fold_left (fun acc a -> acc + Isa.mesh_dist a pos) 0 anchors
               + occupancy.(et)
             in
             if c < !best_cost then begin

@@ -9,18 +9,6 @@
     This is the optimization whose quality the OPN hop profile of Fig 8
     measures. *)
 
-val tile_position : int -> int * int
-(** Physical (row, col) of an execution tile id in the 5x5 OPN mesh.
-    Row 0 holds GT and the four RTs, column 0 the four DTs. *)
-
-val rt_position : int -> int * int
-(** Position of the register-tile bank serving an architectural register. *)
-
-val dt_position : int -> int * int
-(** Position of the data-tile bank serving an address. *)
-
-val gt_position : int * int
-
 val place : Trips_edge.Block.t -> unit
 (** Fill [block.placement] in place. *)
 

@@ -9,6 +9,7 @@ module Block = Trips_edge.Block
 module Isa = Trips_edge.Isa
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
+module Timing = Trips_sim.Timing
 module Analyzer = Trips_analysis.Analyzer
 module Diag = Trips_analysis.Diag
 module Rcodegen = Trips_risc.Codegen
@@ -46,19 +47,26 @@ type t = {
   check_risc : bool;
   check_cfg : bool;
   inject : inject option;
-  timing_predict : (Block.program -> Image.t -> int) option;
-  timing_slack : float;
-  timing_margin : int;
   fuel : int;
 }
+
+(* The static timing estimate must stay within
+   [timing_slack * simulated + timing_margin] cycles.  The model composes
+   per-block critical paths serially (plus predictor redirects), while
+   the simulator overlaps up to a window's worth of blocks, so the
+   estimate is not a strict lower bound on predication-heavy random
+   programs (worst observed overshoot ~2.3x over 500 seeds).  The check
+   is a sanity corridor that still catches gross model breakage; the
+   margin swamps tiny programs. *)
+let timing_slack = 4.0
+let timing_margin = 1000
 
 let all_presets =
   [ Driver.o0; Driver.compiled; Driver.hand; Driver.basic_blocks ]
 
 let make ?(presets = all_presets) ?(check_verify = true) ?(check_lint = true)
     ?(check_transval = true) ?(check_sim = true) ?(check_risc = true)
-    ?(check_cfg = true) ?inject ?timing_predict ?(timing_slack = 4.0)
-    ?(timing_margin = 1000) ?(fuel = 50_000_000) () =
+    ?(check_cfg = true) ?inject ?(fuel = 50_000_000) () =
   {
     presets;
     check_verify;
@@ -68,9 +76,6 @@ let make ?(presets = all_presets) ?(check_verify = true) ?(check_lint = true)
     check_risc;
     check_cfg;
     inject;
-    timing_predict;
-    timing_slack;
-    timing_margin;
     fuel;
   }
 
@@ -190,35 +195,23 @@ let run t (p : Ast.program) : verdict =
                   addf "sim-mem" pname
                     (Printf.sprintf "memory image diverged: %Ld vs %Ld"
                        (Image.checksum simg) ref_sum);
-                (match t.timing_predict with
-                | None -> ()
-                | Some predict -> (
-                  let timg = Image.build p.globals in
-                  match predict bp timg with
-                  | exception e ->
+                let timg = Image.build p.globals in
+                match Timing.predict_program bp timg ~entry ~args:[] with
+                | exception e ->
+                  addf "timing" pname ("predictor raised " ^ Printexc.to_string e)
+                | pr ->
+                  let measured = r.Core.timing.Core.cycles in
+                  let limit =
+                    (timing_slack *. float_of_int measured)
+                    +. float_of_int timing_margin
+                  in
+                  if float_of_int pr.Timing.pr_cycles > limit then
                     addf "timing" pname
-                      ("predictor raised " ^ Printexc.to_string e)
-                  | predicted ->
-                    (* The static model composes per-block critical paths
-                       serially (plus predictor redirects), while the
-                       simulator overlaps up to a window's worth of blocks —
-                       so the estimate is not a strict lower bound on
-                       predication-heavy random programs (worst observed
-                       overshoot ~2.3x over 500 seeds).  The check is a
-                       sanity corridor: fail
-                       only when the estimate exceeds slack * measured +
-                       margin, which still catches gross model breakage. *)
-                    let measured = r.Core.timing.Core.cycles in
-                    let limit =
-                      (t.timing_slack *. float_of_int measured)
-                      +. float_of_int t.timing_margin
-                    in
-                    if float_of_int predicted > limit then
-                      addf "timing" pname
-                        (Printf.sprintf
-                           "static estimate %d outside corridor (%.1fx \
-                            simulated %d + %d)"
-                           predicted t.timing_slack measured t.timing_margin)))))
+                      (Printf.sprintf
+                         "static estimate %d outside corridor (%.1fx \
+                          simulated %d + %d)"
+                         pr.Timing.pr_cycles timing_slack measured
+                         timing_margin)))
         t.presets;
       (if t.check_risc then
          match Rcodegen.compile p with
@@ -255,7 +248,6 @@ let focus t (f : failure) =
     check_lint = is [ "lint" ];
     check_transval = is [ "verify"; "compile" ] && t.check_transval;
     check_sim = is [ "sim"; "sim-mem"; "timing" ];
-    timing_predict = (if is [ "timing" ] then t.timing_predict else None);
     (* Shrink candidates are small; a tight fuel bound rejects candidates
        that became non-terminating without burning seconds each. *)
     fuel = min t.fuel 5_000_000;

@@ -5,11 +5,14 @@
     and translation validation ([Driver.compile ~verify ~validate]), strict
     lint of the compiled blocks, the EDGE functional executor's result and
     memory image, the cycle simulator's result and memory image, and the
-    static timing analyzer's sanity corridor (the estimate must stay
-    within a documented factor of simulated cycles; see [timing_slack] for
-    why a strict lower bound does not hold).  Independently it checks the
-    lowered-CFG
-    interpreter and the RISC backend against the same reference.
+    static timing analyzer's sanity corridor: the estimate of
+    {!Trips_sim.Timing.predict_program} must stay within 4x simulated
+    cycles plus 1000.  It is {e not} a strict lower bound: the model
+    composes per-block critical paths serially while the simulator
+    overlaps blocks in flight, so predication-heavy random programs
+    overshoot by over 2x (worst observed ~2.3x over 500 seeds).
+    Independently it checks the lowered-CFG interpreter and the RISC
+    backend against the same reference.
 
     The memory comparison is {!Trips_tir.Image.checksum}, which covers the
     program-data region only (below the scratch/stack area), so backend
@@ -51,15 +54,6 @@ type t = {
   check_risc : bool;
   check_cfg : bool;
   inject : inject option;
-  timing_predict : (Trips_edge.Block.program -> Trips_tir.Image.t -> int) option;
-  timing_slack : float;
-      (** the static estimate must stay within
-          [timing_slack * simulated + timing_margin] cycles.  It is {e not}
-          a strict lower bound: the model composes per-block critical paths
-          serially while the simulator overlaps blocks in flight, so
-          predication-heavy random programs overshoot by over 2x
-          (worst observed ~2.3x over 500 seeds; default slack 4.0). *)
-  timing_margin : int;  (** absolute headroom, swamps tiny programs (1000) *)
   fuel : int;
 }
 
@@ -75,14 +69,10 @@ val make :
   ?check_risc:bool ->
   ?check_cfg:bool ->
   ?inject:inject ->
-  ?timing_predict:(Trips_edge.Block.program -> Trips_tir.Image.t -> int) ->
-  ?timing_slack:float ->
-  ?timing_margin:int ->
   ?fuel:int ->
   unit ->
   t
-(** Everything on by default except [timing_predict], which lives in
-    {!Trips_harness} (dependency layering) and is injected by callers. *)
+(** Every check on by default; the timing corridor runs with [check_sim]. *)
 
 val apply_inject : inject -> Trips_edge.Block.program -> Trips_edge.Block.program
 

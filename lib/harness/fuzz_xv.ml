@@ -2,16 +2,6 @@ module Oracle = Trips_fuzz.Oracle
 module Batch = Trips_fuzz.Batch
 module Table = Trips_util.Table
 
-(* The full oracle: {!Trips_fuzz.Oracle.make} leaves [timing_predict]
-   empty (lib/fuzz cannot depend on the harness), so the harness closes
-   the loop here with the static analyzer's whole-program prediction. *)
-
-let timing_predict bp img =
-  (Timing_xv.predict_program bp img ~entry:"main" ~args:[]).Timing_xv.pr_cycles
-
-let oracle ?presets ?inject ?fuel () =
-  Oracle.make ?presets ?inject ?fuel ~timing_predict ()
-
 (* ------------------------------------------------------------------ *)
 (* The [fuzz] experiment: a fixed-seed differential sweep, fanned      *)
 (* across the engine's worker domains as warm sub-jobs (never cached   *)
@@ -23,7 +13,7 @@ let count = 48
 
 let slots : Batch.row option array = Array.make count None
 
-let the_oracle = lazy (oracle ())
+let the_oracle = lazy (Oracle.make ())
 
 let warm () =
   List.init count (fun i ->

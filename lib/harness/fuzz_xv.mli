@@ -1,22 +1,11 @@
 (** Differential fuzzing as a harness experiment.
 
-    {!Trips_fuzz} cannot depend on the harness, so its oracle leaves the
-    static-timing check empty; this module assembles the {e full} oracle
-    by injecting {!Timing_xv.predict_program} (the estimate must stay
-    inside the oracle's timing corridor), and registers a fixed-seed sweep as
-    the cache-bypassed [fuzz] experiment: per-seed warm sub-jobs fan
-    across the engine's worker domains, and {!crossval} assembles the
-    summary table (backfilling sequentially if warm never ran). *)
-
-val timing_predict : Trips_edge.Block.program -> Trips_tir.Image.t -> int
-
-val oracle :
-  ?presets:Trips_compiler.Driver.preset list ->
-  ?inject:Trips_fuzz.Oracle.inject ->
-  ?fuel:int ->
-  unit ->
-  Trips_fuzz.Oracle.t
-(** {!Trips_fuzz.Oracle.make} with [timing_predict] wired in. *)
+    Registers a fixed-seed sweep under the default
+    {!Trips_fuzz.Oracle.make} (every check, the static-timing corridor
+    included) as the cache-bypassed [fuzz] experiment: per-seed warm
+    sub-jobs fan across the engine's worker domains, and {!crossval}
+    assembles the summary table (backfilling sequentially if warm never
+    ran). *)
 
 val seed : int
 val count : int

@@ -5,6 +5,7 @@ module Diag = Trips_analysis.Diag
 module Transval = Trips_analysis.Transval
 module Block = Trips_edge.Block
 module Core = Trips_sim.Core
+module Timing = Trips_sim.Timing
 module Table = Trips_util.Table
 
 (* Bump when any verb's table layout or derivation changes, so stale
@@ -182,10 +183,10 @@ let run_timing r (b : Registry.bench) =
   let p = Timing_xv.predict (quality_of r.preset) b in
   kv_table
     [
-      ("predicted_cycles", string_of_int p.Timing_xv.pr_cycles);
-      ("block_instances", string_of_int p.Timing_xv.pr_blocks);
-      ("mispredicts", string_of_int p.Timing_xv.pr_mispredicts);
-      ("findings", string_of_int (List.length p.Timing_xv.pr_diags));
+      ("predicted_cycles", string_of_int p.Timing.pr_cycles);
+      ("block_instances", string_of_int p.Timing.pr_blocks);
+      ("mispredicts", string_of_int p.Timing.pr_mispredicts);
+      ("findings", string_of_int (List.length p.Timing.pr_diags));
     ]
 
 (* The sampled engine's response carries the estimate and its error

@@ -1,142 +1,29 @@
 (* Cross-validation of the static timing analyzer against the
    cycle-level simulator.
 
-   The analyzer predicts whole-program cycles by composing its per-block
-   max-plus summaries over the functional execution's block trace, with
-   the next-block predictor replayed over the same trace (identical label
-   interning, identical update sequence) so redirects land on exactly the
-   block instances where the simulator mispredicts.  Everything else in
-   the model is optimistic — no contention, no cache misses, no load
-   flushes — so the prediction tracks the simulator from below. *)
+   [Timing.predict_program] composes the analyzer's per-block max-plus
+   summaries over the functional execution's block trace, replaying the
+   next-block predictor so redirects land where the simulator
+   mispredicts.  Everything else in the model is optimistic — no
+   contention, no cache misses, no load flushes — so the prediction
+   tracks the simulator from below. *)
 
 module Registry = Trips_workloads.Registry
 module Image = Trips_tir.Image
 module Ast = Trips_tir.Ast
-module Block = Trips_edge.Block
-module Isa = Trips_edge.Isa
-module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
-module Blockpred = Trips_predictor.Blockpred
-module Timing = Trips_analysis.Timing
-module Diag = Trips_analysis.Diag
+module Timing = Trips_sim.Timing
 module Stats = Trips_util.Stats
 module Table = Trips_util.Table
 
-let model_of (cfg : Core.config) : Timing.model =
-  {
-    Timing.dispatch_rate = cfg.Core.dispatch_rate;
-    fetch_interval = cfg.Core.fetch_interval;
-    redirect_penalty = cfg.Core.redirect_penalty;
-    commit_overhead = cfg.Core.commit_overhead;
-    window_blocks = cfg.Core.window_blocks;
-    l1i_hit = cfg.Core.l1i.Trips_mem.Cache.hit_latency;
-    l1d_hit = cfg.Core.l1d.Trips_mem.Cache.hit_latency;
-  }
-
-type prediction = {
-  pr_cycles : int;              (* predicted whole-program cycles *)
-  pr_blocks : int;              (* block instances composed *)
-  pr_mispredicts : int;         (* redirects the replayed predictor took *)
-  pr_counts : (string, int) Hashtbl.t;  (* block label -> instances *)
-  pr_summaries : (string, Timing.summary) Hashtbl.t;
-  pr_diags : Diag.t list;
-}
-
-let predict_program ?(config = Core.prototype) (prog : Block.program) image
-    ~entry ~args : prediction =
-  let model = model_of config in
-  let options = { Timing.model } in
-  let summaries, diags = Timing.summarize_program ~options prog in
-  let st = Timing.create model in
-  (* predictor replay: same interning (first-seen, ids from 1), same
-     shadow stack and update sequence as Core.run *)
-  let pred = Blockpred.create config.Core.predictor in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 128 in
-  let intern label =
-    match Hashtbl.find_opt ids label with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids + 1 in
-      Hashtbl.replace ids label i;
-      i
-  in
-  let func_entry = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Block.func) ->
-      Hashtbl.replace func_entry f.Block.fname f.Block.entry)
-    prog.Block.funcs;
-  let shadow_stack = ref [] in
-  let prev_correct = ref true in
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let on_instance (inst : Exec.instance) =
-    let b = inst.Exec.iblock in
-    let label = b.Block.label in
-    Hashtbl.replace counts label
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts label));
-    let label_id = intern label in
-    let exit_idx =
-      match
-        List.find_index (fun (i, _) -> i = inst.Exec.exit_inst) (Block.exits b)
-      with
-      | Some k -> k
-      | None -> 0
-    in
-    (match Hashtbl.find_opt summaries label with
-    | Some s -> Timing.step st s ~exit_idx ~prev_correct:!prev_correct
-    | None -> ());
-    let actual_label, kind =
-      match inst.Exec.exit_dest with
-      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-      | Isa.Xcall (fname, retl) ->
-        shadow_stack := retl :: !shadow_stack;
-        (Hashtbl.find_opt func_entry fname, Blockpred.Kcall)
-      | Isa.Xret -> (
-        match !shadow_stack with
-        | [] -> (None, Blockpred.Kret)
-        | retl :: rest ->
-          shadow_stack := rest;
-          (Some retl, Blockpred.Kret))
-    in
-    let actual_id = Option.map intern actual_label in
-    let predicted = Blockpred.predict pred ~block:label_id in
-    let correct = actual_id <> None && predicted = actual_id in
-    (match actual_id with
-    | Some target ->
-      let fall =
-        match inst.Exec.exit_dest with
-        | Isa.Xcall (_, retl) -> intern retl
-        | _ -> 0
-      in
-      Blockpred.update pred
-        {
-          Blockpred.o_block = label_id;
-          o_exit = exit_idx;
-          o_kind = kind;
-          o_target = target;
-          o_fallthrough = fall;
-        }
-    | None -> ());
-    prev_correct := correct
-  in
-  let r = Exec.run ~on_instance prog image ~entry ~args in
-  ignore r.Exec.ret;
-  {
-    pr_cycles = Timing.cycles st;
-    pr_blocks = Timing.blocks_stepped st;
-    pr_mispredicts = Timing.mispredicts st;
-    pr_counts = counts;
-    pr_summaries = summaries;
-    pr_diags = diags;
-  }
-
-let predict ?(config = Core.prototype) (q : Platforms.quality)
-    (b : Registry.bench) : prediction =
+(* At [Core.prototype], the configuration [Platforms.trips] simulates. *)
+let predict (q : Platforms.quality) (b : Registry.bench) : Timing.prediction =
   let tag = match q with Platforms.C -> "C" | Platforms.H -> "H" in
   Platforms.memo (Printf.sprintf "timingxv/%s/%s" tag b.Registry.name)
     (fun () ->
       let prog = Platforms.edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
-      predict_program ~config prog image ~entry:"main" ~args:[])
+      Timing.predict_program prog image ~entry:"main" ~args:[])
 
 (* ------------------------------------------------------------------ *)
 (* Per-benchmark comparison                                            *)
@@ -152,31 +39,28 @@ type row = {
   xv_sim_mispredicts : int;
 }
 
-let compare_bench ?(config = Core.prototype) q (b : Registry.bench) : row =
-  let p = predict ~config q b in
+let compare_bench q (b : Registry.bench) : row =
+  let p = predict q b in
   let r = Platforms.trips q b in
   let measured = r.Core.timing.Core.cycles in
   {
     xv_bench = b.Registry.name;
-    xv_predicted = p.pr_cycles;
+    xv_predicted = p.Timing.pr_cycles;
     xv_measured = measured;
     xv_error_pct =
       (if measured = 0 then 0.
        else
          100.
-         *. float_of_int (p.pr_cycles - measured)
+         *. float_of_int (p.Timing.pr_cycles - measured)
          /. float_of_int measured);
-    xv_blocks = p.pr_blocks;
-    xv_pred_mispredicts = p.pr_mispredicts;
+    xv_blocks = p.Timing.pr_blocks;
+    xv_pred_mispredicts = p.Timing.pr_mispredicts;
     xv_sim_mispredicts =
       r.Core.timing.Core.branch_mispredicts
       + r.Core.timing.Core.callret_mispredicts;
   }
 
-let benches () = Registry.all
-
-let rows ?(config = Core.prototype) ?(quality = Platforms.C) bs =
-  List.map (compare_bench ~config quality) bs
+let rows ?(quality = Platforms.C) bs = List.map (compare_bench quality) bs
 
 let pearson_of rows =
   Stats.pearson
@@ -189,7 +73,7 @@ let mape_of rows =
     ~actual:(List.map (fun r -> float_of_int r.xv_measured) rows)
 
 let crossval () : Table.t =
-  let rs = rows (benches ()) in
+  let rs = rows Registry.all in
   let t =
     Table.create
       ~title:

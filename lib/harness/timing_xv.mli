@@ -1,43 +1,20 @@
 (** Cross-validation of the static timing analyzer
-    ({!Trips_analysis.Timing}) against the cycle-level simulator
+    ({!Trips_sim.Timing}) against the cycle-level simulator
     ({!Trips_sim.Core}).
 
-    The analyzer's per-block max-plus summaries are composed over the
-    functional execution's block trace, with the next-block predictor
-    replayed over the same trace so redirects land exactly where the
+    {!Trips_sim.Timing.predict_program} composes the analyzer's per-block
+    max-plus summaries over the functional execution's block trace, with
+    the next-block predictor replayed so redirects land exactly where the
     simulator mispredicts.  The remaining model is optimistic (no
     contention, no cache misses, no load flushes), so predictions track
     measured cycles from below. *)
 
-val model_of : Trips_sim.Core.config -> Trips_analysis.Timing.model
-(** Derive the analyzer's timing parameters from a simulator
-    configuration, so the two can never silently diverge. *)
-
-type prediction = {
-  pr_cycles : int;              (** predicted whole-program cycles *)
-  pr_blocks : int;              (** block instances composed *)
-  pr_mispredicts : int;         (** redirects the replayed predictor took *)
-  pr_counts : (string, int) Hashtbl.t;  (** block label -> executed instances *)
-  pr_summaries : (string, Trips_analysis.Timing.summary) Hashtbl.t;
-  pr_diags : Trips_analysis.Diag.t list;
-}
-
-val predict_program :
-  ?config:Trips_sim.Core.config ->
-  Trips_edge.Block.program ->
-  Trips_tir.Image.t ->
-  entry:string ->
-  args:Trips_tir.Ty.value list ->
-  prediction
-(** Predict whole-program cycles without the cycle-level simulator: one
-    functional execution plus O(blocks) summary composition. *)
-
 val predict :
-  ?config:Trips_sim.Core.config ->
-  Platforms.quality ->
-  Trips_workloads.Registry.bench ->
-  prediction
-(** Memoized {!predict_program} over a registered benchmark. *)
+  Platforms.quality -> Trips_workloads.Registry.bench ->
+  Trips_sim.Timing.prediction
+(** Memoized {!Trips_sim.Timing.predict_program} over a registered
+    benchmark, at {!Trips_sim.Core.prototype} (the configuration
+    {!Platforms.trips} simulates). *)
 
 type row = {
   xv_bench : string;
@@ -49,17 +26,7 @@ type row = {
   xv_sim_mispredicts : int;
 }
 
-val compare_bench :
-  ?config:Trips_sim.Core.config ->
-  Platforms.quality ->
-  Trips_workloads.Registry.bench ->
-  row
-
-val benches : unit -> Trips_workloads.Registry.bench list
-(** Every registered workload (the cross-validation population). *)
-
 val rows :
-  ?config:Trips_sim.Core.config ->
   ?quality:Platforms.quality ->
   Trips_workloads.Registry.bench list ->
   row list

@@ -65,7 +65,8 @@ let hops ~src:(r1, c1) ~dst:(r2, c2) = abs (r1 - r2) + abs (c1 - c2)
 
 (* Y-first (row) then X (column) dimension-ordered routing.  [send] walks
    the same path in place; this list-building version is kept as the
-   specification (and for tests/tools that inspect paths). *)
+   specification, and through [path_ids] it is also the static timing
+   analyzer's link-load path. *)
 let route (r1, c1) (r2, c2) =
   let steps = ref [] in
   let r = ref r1 and c = ref c1 in

@@ -25,7 +25,8 @@ val route : int * int -> int * int -> (int * int) list
 (** [route src dst] is the Y-first dimension-ordered path as
     [(node, direction)] link claims, one per hop ([direction]: 0 = row-,
     1 = row+, 2 = col+, 3 = col-).  [send] traverses exactly this path
-    (without materializing it); exposed for tests and path inspection. *)
+    (without materializing it); through {!path_ids} it is also the static
+    timing analyzer's link-load path. *)
 
 val node : int -> int -> int
 (** [node row col] is the mesh node index used in {!route} steps. *)
@@ -33,7 +34,8 @@ val node : int -> int -> int
 val path_ids : src:int * int -> dst:int * int -> int list
 (** The link ids claimed by [route src dst], in claim order.  Callers with
     static endpoints (the cycle simulator's per-block timing plans)
-    precompute these once and replay them with {!claim_path}. *)
+    precompute these once and replay them with {!claim_path}; the static
+    timing analyzer counts them as per-link loads. *)
 
 val claim_path :
   t -> ci:int -> paths:int array -> off:int -> len:int -> now:int -> int

@@ -8,7 +8,6 @@ module Depend = Trips_predictor.Depend
 module Cache = Trips_mem.Cache
 module Hier = Trips_mem.Hier
 module Opn = Trips_noc.Opn
-module Schedule = Trips_compiler.Schedule
 
 type config = {
   predictor : Blockpred.config;
@@ -396,7 +395,7 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
         fail i "targets an out-of-range write slot";
       let reg = b.Block.writes.(w).Block.wreg in
       wreg := reg :: !wreg;
-      wpos := Schedule.rt_position reg :: !wpos;
+      wpos := Isa.rt_position reg :: !wpos;
       incr wcount;
       - !wcount            (* occurrence id !wcount - 1, encoded negative *)
   in
@@ -454,14 +453,14 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     (fun i t ->
       if t < 0 || t >= Isa.num_ets then fail i "is placed on an invalid ET")
     b.Block.placement;
-  let pos = Array.init n (fun i -> Schedule.tile_position b.Block.placement.(i)) in
+  let pos = Array.init n (fun i -> Isa.tile_position b.Block.placement.(i)) in
   let wpos_a = of_rev_list !wpos in
   let rd_pos =
     Array.map
-      (fun (r : Block.read) -> Schedule.rt_position r.Block.rreg)
+      (fun (r : Block.read) -> Isa.rt_position r.Block.rreg)
       b.Block.reads
   in
-  let dt_pos = Array.init Isa.num_dt_banks Schedule.dt_position in
+  let dt_pos = Array.init Isa.num_dt_banks Isa.dt_position in
   (* path-variant table: flatten every static route once *)
   let voff = ref [] and vlen = ref [] and nvar = ref 0 in
   let paths = ref [] and npath = ref 0 in
@@ -512,7 +511,7 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
       dtvar.(i) <- base
     end
     else if kind.(i) = k_branch then
-      brvar.(i) <- add_variant pos.(i) Schedule.gt_position
+      brvar.(i) <- add_variant pos.(i) Isa.gt_position
   done;
   let rtgt = of_rev_list !rtgt_rev in
   let rvar = Array.make (max 1 (Array.length rtgt)) (-1) in
@@ -1011,7 +1010,7 @@ let make_sim ?(config = prototype) (program : Block.program) =
       next_id = 1;
       ids = Hashtbl.create 8;
       func_entry;
-      dt_pos = Array.init Isa.num_dt_banks Schedule.dt_position;
+      dt_pos = Array.init Isa.num_dt_banks Isa.dt_position;
       scratch =
         make_scratch ~max_insts:!max_insts ~max_writes:!max_writes
           ~max_lsid:!max_lsid;

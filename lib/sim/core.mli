@@ -57,7 +57,7 @@ type block_obs = {
   mutable bo_residency : int;    (* Σ (commit - fetch) *)
 }
 (** Measured per-block cycle counts, the reference the static timing
-    analyzer ({!Trips_analysis.Timing}) cross-validates against:
+    analyzer ({!Timing}) cross-validates against:
     [bo_latency / bo_instances] is the mean measured dataflow critical
     path of the block, on the same clock as the analyzer's prediction. *)
 

@@ -13,7 +13,6 @@ module Depend = Trips_predictor.Depend
 module Cache = Trips_mem.Cache
 module Hier = Trips_mem.Hier
 module Opn = Trips_noc.Opn
-module Schedule = Trips_compiler.Schedule
 
 (* Compressed code footprint of a block: a 128-byte header plus 128-byte
    chunks of 32 instructions (§4.4). *)
@@ -117,7 +116,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
   let b = inst.Exec.iblock in
   let n = Array.length b.Block.insts in
   let fired = inst.Exec.fired in
-  let pos i = Schedule.tile_position b.Block.placement.(i) in
+  let pos i = Isa.tile_position b.Block.placement.(i) in
   (* instructions dispatch progressively, [dispatch_rate] per cycle in slot
      order; the header's read/write slots dispatch first *)
   let dispatched i = dispatch_start + 1 + (i / cfg.dispatch_rate) in
@@ -178,7 +177,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
           let cls = if is_load then Opn.Dt_et else Opn.Et_et in
           let src = if is_load then
               (match Hashtbl.find_opt mem_of i with
-               | Some ev -> Schedule.dt_position (Cache.bank_of s.l1d ~addr:ev.Exec.ev_addr)
+               | Some ev -> Isa.dt_position (Cache.bank_of s.l1d ~addr:ev.Exec.ev_addr)
                | None -> src_pos)
             else src_pos
           in
@@ -187,7 +186,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
         | Isa.To_write w ->
           let reg = b.Block.writes.(w).Block.wreg in
           let t =
-            Opn.send s.opn ~src:src_pos ~dst:(Schedule.rt_position reg) Opn.Et_rt
+            Opn.send s.opn ~src:src_pos ~dst:(Isa.rt_position reg) Opn.Et_rt
               ~now:completion
           in
           writes := (reg, t) :: !writes)
@@ -202,7 +201,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
           match tgt with
           | Isa.To_inst (j, _) ->
             let t =
-              Opn.send s.opn ~src:(Schedule.rt_position r.Block.rreg) ~dst:(pos j)
+              Opn.send s.opn ~src:(Isa.rt_position r.Block.rreg) ~dst:(pos j)
                 Opn.Rt_et ~now:avail
             in
             arrive j t
@@ -243,7 +242,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
             else issue
           in
           let at_dt =
-            Opn.send s.opn ~src:(pos i) ~dst:(Schedule.dt_position bank) Opn.Et_dt
+            Opn.send s.opn ~src:(pos i) ~dst:(Isa.dt_position bank) Opn.Et_dt
               ~now:wait
           in
           let start = max at_dt dt_free.(bank) in
@@ -274,7 +273,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
         in
         let bank = if is_null then lsid land 3 else Cache.bank_of s.l1d ~addr in
         let at_dt =
-          Opn.send s.opn ~src:(pos i) ~dst:(Schedule.dt_position bank) Opn.Et_dt
+          Opn.send s.opn ~src:(pos i) ~dst:(Isa.dt_position bank) Opn.Et_dt
             ~now:(issue + Isa.latency ins.Isa.op)
         in
         let start = max at_dt dt_free.(bank) in
@@ -296,7 +295,7 @@ let time_block s (cfg : Core.config) (inst : Exec.instance) ~dispatch_start : bt
         let done_t = issue + Isa.latency ins.Isa.op in
         complete.(i) <- done_t;
         let t =
-          Opn.send s.opn ~src:(pos i) ~dst:Schedule.gt_position Opn.Et_gt ~now:done_t
+          Opn.send s.opn ~src:(pos i) ~dst:Isa.gt_position Opn.Et_gt ~now:done_t
         in
         if i = inst.Exec.exit_inst then resolve := max !resolve t
       | op ->

@@ -1,49 +1,29 @@
 (* Static critical-path timing analysis of scheduled EDGE blocks.
 
    The model is the optimistic core of the cycle-level simulator
-   (Trips_sim.Core.time_block): progressive 16-wide dispatch, dataflow
-   issue, per-opcode latencies from Isa.latency, operand-network hop
-   costs as Manhattan distance on the Isa mesh geometry, cache-hit
-   memory latency — but no link contention, no tile issue serialization,
-   no cache misses and no load-wait serialization, so on an unpredicated
-   block the prediction is a lower bound on the simulator.
+   ([Core.time_block]), with its parameters read from the same
+   [Core.config]: progressive dispatch, dataflow issue, per-opcode
+   latencies from Isa.latency, operand-network hop costs as Manhattan
+   distance on the Isa mesh geometry, cache-hit memory latency — but no
+   link contention, no tile issue serialization, no cache misses and no
+   load-wait serialization, so on an unpredicated block the prediction
+   is a lower bound on the simulator.
 
    Every block is summarized as a max-plus system: each output (write
    slot availability at its RT, memory completion at the DTs, branch
    resolution at the GT) is the max of a constant lag from dispatch and,
    for each read slot, a lag from that register's availability.  The
-   summaries compose over a dynamic block trace (see [step]), which is
-   how the cross-validation harness predicts whole-program cycles
-   without running the cycle-level simulator. *)
+   summaries compose over a dynamic block trace (see [step] and
+   [predict_program]), which predicts whole-program cycles without
+   running the cycle-level simulator. *)
 
 module Isa = Trips_edge.Isa
 module Block = Trips_edge.Block
-
-type model = {
-  dispatch_rate : int;         (* instructions dispatched per cycle *)
-  fetch_interval : int;        (* min cycles between back-to-back fetches *)
-  redirect_penalty : int;      (* fetch restart after a misprediction *)
-  commit_overhead : int;       (* distributed commit protocol *)
-  window_blocks : int;         (* in-flight block frames *)
-  l1i_hit : int;               (* I-cache hit latency (fetch cost floor) *)
-  l1d_hit : int;               (* D-cache hit latency (load cost floor) *)
-}
-
-(* Mirrors Trips_sim.Core.prototype and the Trips_mem cache configs; the
-   harness rebuilds the model from the simulator config it validates
-   against, so a config change cannot silently diverge. *)
-let prototype =
-  {
-    dispatch_rate = 16;
-    fetch_interval = 8;
-    redirect_penalty = 8;
-    commit_overhead = 4;
-    window_blocks = 8;
-    l1i_hit = 1;
-    l1d_hit = 2;
-  }
-
-let op_latency = Isa.latency
+module Exec = Trips_edge.Exec
+module Blockpred = Trips_predictor.Blockpred
+module Cache = Trips_mem.Cache
+module Opn = Trips_noc.Opn
+module Diag = Trips_analysis.Diag
 
 (* Sentinel for "unreachable from this source"; far enough from min_int
    that adding lags cannot wrap. *)
@@ -86,38 +66,20 @@ type summary = {
 (* Mesh helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let dist = Isa.mesh_dist
-
 (* The D-cache bank of a load/store is an address property the static
    analyzer cannot know; the nearest bank keeps the estimate a lower
    bound. *)
-let min_dt_hops pos =
-  let best = ref max_int in
-  for b = 0 to Isa.num_dt_banks - 1 do
-    let d = dist pos (Isa.dt_position b) in
-    if d < !best then best := d
-  done;
-  !best
-
 let argmin_dt_bank pos =
   let best = ref 0 in
   for b = 1 to Isa.num_dt_banks - 1 do
-    if dist pos (Isa.dt_position b) < dist pos (Isa.dt_position !best) then
-      best := b
+    if
+      Isa.mesh_dist pos (Isa.dt_position b)
+      < Isa.mesh_dist pos (Isa.dt_position !best)
+    then best := b
   done;
   !best
 
-(* YX (row-first) routing as in Trips_noc.Opn, for static link loads. *)
-let route_links (r1, c1) (r2, c2) f =
-  let r = ref r1 and c = ref c1 in
-  while !r <> r2 do
-    f ((!r * 5) + !c) (if r2 > !r then 1 else 0);
-    r := if r2 > !r then !r + 1 else !r - 1
-  done;
-  while !c <> c2 do
-    f ((!r * 5) + !c) (if c2 > !c then 2 else 3);
-    c := if c2 > !c then !c + 1 else !c - 1
-  done
+let min_dt_hops pos = Isa.mesh_dist pos (Isa.dt_position (argmin_dt_bank pos))
 
 (* ------------------------------------------------------------------ *)
 (* Per-block analysis                                                  *)
@@ -130,10 +92,6 @@ type prov =
   | Pdispatch                       (* the 16-wide dispatch slot bound *)
   | Pread of int * int              (* read slot, route hops *)
   | Pinst of int * int              (* producer instruction, route hops *)
-
-type options = { model : model }
-
-let default_options = { model = prototype }
 
 let degenerate ~label n =
   {
@@ -159,9 +117,9 @@ let degenerate ~label n =
     s_read_resolve = [||];
   }
 
-let analyze_block ?(options = default_options) ~fname (b : Block.t) :
-    summary * Diag.t list =
-  let m = options.model in
+let analyze_block ~fname (b : Block.t) : summary * Diag.t list =
+  let config = Core.prototype in
+  let l1d_hit = config.Core.l1d.Cache.hit_latency in
   let n = Array.length b.Block.insts in
   let nr = Array.length b.Block.reads in
   let nw = Array.length b.Block.writes in
@@ -184,8 +142,8 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
   end
   else begin
     let pos i = Isa.tile_position b.Block.placement.(i) in
-    let dispatched i = 1 + (i / m.dispatch_rate) in
-    let dispatch_done = 1 + ((max 1 n - 1) / m.dispatch_rate) in
+    let dispatched i = 1 + (i / config.Core.dispatch_rate) in
+    let dispatch_done = 1 + ((max 1 n - 1) / config.Core.dispatch_rate) in
     (* topological order over To_inst edges *)
     let indeg = Array.make n 0 in
     let succs = Array.make n [] in
@@ -233,9 +191,9 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
       (* static link loads *)
       let link_load = Array.make (5 * 5 * 4) 0 in
       let add_route src dst =
-        route_links src dst (fun node dir ->
-            let id = (node * 4) + dir in
-            link_load.(id) <- link_load.(id) + 1)
+        List.iter
+          (fun id -> link_load.(id) <- link_load.(id) + 1)
+          (Opn.path_ids ~src ~dst)
       in
       let bump_arrival s j t p =
         if t > arrival.(s).(j) then begin
@@ -259,7 +217,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
           List.iter
             (function
               | Isa.To_inst (j, _) when j >= 0 && j < n ->
-                let h = dist rp (pos j) in
+                let h = Isa.mesh_dist rp (pos j) in
                 add_route rp (pos j);
                 bump_arrival 0 j (dispatch_done + h) (Pread (k, h));
                 bump_arrival (1 + k) j h Pnone
@@ -296,7 +254,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
                   mem_out.(s) <- t_dt;
                   if s = 0 then mem_prov := Pinst (i, 0)
                 end;
-                comp.(s).(i) <- t_dt + m.l1d_hit
+                comp.(s).(i) <- t_dt + l1d_hit
               | Isa.Store _ ->
                 let d1 = min_dt_hops p in
                 let t_dt = ready + lat i + d1 in
@@ -308,7 +266,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
               | Isa.Branch _ ->
                 let done_t = ready + lat i in
                 comp.(s).(i) <- done_t;
-                let t = done_t + dist p Isa.gt_position in
+                let t = done_t + Isa.mesh_dist p Isa.gt_position in
                 (match
                    Array.to_seqi exit_insts
                    |> Seq.find (fun (_, bi) -> bi = i)
@@ -327,34 +285,30 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
               (function
                 | Isa.To_inst (j, _) when j >= 0 && j < n ->
                   (* data returns from the DT, not the load's ET *)
-                  let dtj = ref max_int and bank = ref 0 in
-                  for bk = 0 to Isa.num_dt_banks - 1 do
-                    let d = dist (Isa.dt_position bk) (pos j) in
-                    if d < !dtj then begin dtj := d; bank := bk end
-                  done;
-                  add_route (Isa.dt_position !bank) (pos j);
+                  let dt = Isa.dt_position (argmin_dt_bank (pos j)) in
+                  let dtj = Isa.mesh_dist dt (pos j) in
+                  add_route dt (pos j);
                   for s = 0 to ns - 1 do
                     if comp.(s).(i) > neg then
-                      bump_arrival s j (comp.(s).(i) + !dtj) (Pinst (i, !dtj))
+                      bump_arrival s j (comp.(s).(i) + dtj) (Pinst (i, dtj))
                   done
                 | Isa.To_write w when w >= 0 && w < nw ->
-                  let h = dist p (Isa.rt_position b.Block.writes.(w).Block.wreg) in
-                  add_route p (Isa.rt_position b.Block.writes.(w).Block.wreg);
+                  let rp = Isa.rt_position b.Block.writes.(w).Block.wreg in
+                  let h = Isa.mesh_dist p rp in
+                  add_route p rp;
                   for s = 0 to ns - 1 do
                     if comp.(s).(i) > neg then
                       bump_write s w (comp.(s).(i) + h) (Pinst (i, h))
                   done
                 | _ -> ())
               ins.Isa.targets
-          | Isa.Store _ | Isa.Branch _ ->
-            (match ins.Isa.op with
-            | Isa.Branch _ -> add_route p Isa.gt_position
-            | _ -> add_route p (Isa.dt_position (argmin_dt_bank p)))
+          | Isa.Store _ -> add_route p (Isa.dt_position (argmin_dt_bank p))
+          | Isa.Branch _ -> add_route p Isa.gt_position
           | _ ->
             List.iter
               (function
                 | Isa.To_inst (j, _) when j >= 0 && j < n ->
-                  let h = dist p (pos j) in
+                  let h = Isa.mesh_dist p (pos j) in
                   add_route p (pos j);
                   for s = 0 to ns - 1 do
                     if comp.(s).(i) > neg then
@@ -362,7 +316,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
                   done
                 | Isa.To_write w when w >= 0 && w < nw ->
                   let rp = Isa.rt_position b.Block.writes.(w).Block.wreg in
-                  let h = dist p rp in
+                  let h = Isa.mesh_dist p rp in
                   add_route p rp;
                   for s = 0 to ns - 1 do
                     if comp.(s).(i) > neg then
@@ -392,7 +346,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
         (match b.Block.insts.(i).Isa.op with
         | Isa.Load _ ->
           bk_route := !bk_route + min_dt_hops (pos i);
-          bk_memory := !bk_memory + m.l1d_hit
+          bk_memory := !bk_memory + l1d_hit
         | Isa.Store _ ->
           bk_route := !bk_route + min_dt_hops (pos i);
           bk_compute := !bk_compute + lat i
@@ -407,8 +361,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
           walk_node j
       in
       let walk_output = function
-        | Pnone -> bk_overhead := !bk_overhead + crit
-        | Pdispatch -> bk_overhead := !bk_overhead + crit
+        | Pnone | Pdispatch -> bk_overhead := !bk_overhead + crit
         | Pread (_, h) ->
           bk_route := !bk_route + h;
           bk_overhead := !bk_overhead + dispatch_done
@@ -424,7 +377,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
          Array.iteri (fun k t -> if t = best_resolve && !e < 0 then e := k) base_resolve;
          if !e >= 0 && resolve.(0).(!e) = best_resolve then begin
            let i = exit_insts.(!e) in
-           bk_route := !bk_route + dist (pos i) Isa.gt_position;
+           bk_route := !bk_route + Isa.mesh_dist (pos i) Isa.gt_position;
            walk_node i
          end
          else bk_overhead := !bk_overhead + crit (* resolve floor *)
@@ -451,28 +404,26 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
             List.fold_left
               (fun acc -> function
                 | Isa.To_inst (j, _) when j >= 0 && j < n ->
-                  let d2 = ref max_int in
-                  for bk = 0 to Isa.num_dt_banks - 1 do
-                    let d = dist (Isa.dt_position bk) (pos j) in
-                    if d < !d2 then d2 := d
-                  done;
-                  max acc (d1 + m.l1d_hit + !d2 + tail.(j))
+                  max acc (d1 + l1d_hit + min_dt_hops (pos j) + tail.(j))
                 | Isa.To_write w when w >= 0 && w < nw ->
                   max acc
-                    (d1 + m.l1d_hit
-                    + dist p (Isa.rt_position b.Block.writes.(w).Block.wreg))
+                    (d1 + l1d_hit
+                    + Isa.mesh_dist p
+                        (Isa.rt_position b.Block.writes.(w).Block.wreg))
                 | _ -> acc)
               d1 ins.Isa.targets
           | Isa.Store _ -> lat i + min_dt_hops p
-          | Isa.Branch _ -> lat i + dist p Isa.gt_position
+          | Isa.Branch _ -> lat i + Isa.mesh_dist p Isa.gt_position
           | _ ->
             List.fold_left
               (fun acc -> function
                 | Isa.To_inst (j, _) when j >= 0 && j < n ->
-                  max acc (lat i + dist p (pos j) + tail.(j))
+                  max acc (lat i + Isa.mesh_dist p (pos j) + tail.(j))
                 | Isa.To_write w when w >= 0 && w < nw ->
                   max acc
-                    (lat i + dist p (Isa.rt_position b.Block.writes.(w).Block.wreg))
+                    (lat i
+                    + Isa.mesh_dist p
+                        (Isa.rt_position b.Block.writes.(w).Block.wreg))
                 | _ -> acc)
               (lat i) ins.Isa.targets
         in
@@ -542,8 +493,7 @@ let analyze_block ?(options = default_options) ~fname (b : Block.t) :
         | _ -> ()));
       let busiest = ref 0 in
       Array.iteri
-        (fun et c -> if c > tile_load.(!busiest) then busiest := et
-                     ; ignore c)
+        (fun et c -> if c > tile_load.(!busiest) then busiest := et)
         tile_load;
       if
         n >= 8
@@ -654,7 +604,7 @@ let check_roundtrips ~fname (f : Block.func)
     f.Block.blocks;
   List.rev !out
 
-let summarize_program ?(options = default_options) (p : Block.program) :
+let summarize_program (p : Block.program) :
     (string, summary) Hashtbl.t * Diag.t list =
   let summaries = Hashtbl.create 64 in
   let diags = ref [] in
@@ -662,7 +612,7 @@ let summarize_program ?(options = default_options) (p : Block.program) :
     (fun (f : Block.func) ->
       List.iter
         (fun (b : Block.t) ->
-          let s, ds = analyze_block ~options ~fname:f.Block.fname b in
+          let s, ds = analyze_block ~fname:f.Block.fname b in
           Hashtbl.replace summaries b.Block.label s;
           diags := List.rev_append ds !diags)
         f.Block.blocks)
@@ -679,7 +629,7 @@ let summarize_program ?(options = default_options) (p : Block.program) :
 (* ------------------------------------------------------------------ *)
 
 type state = {
-  m : model;
+  m : Core.config;
   reg_ready : int array;
   commits : int array;              (* window ring of commit times *)
   mutable last_commit : int;
@@ -690,11 +640,11 @@ type state = {
   mutable mispredicts : int;
 }
 
-let create m =
+let create (m : Core.config) =
   {
     m;
     reg_ready = Array.make Isa.num_regs 0;
-    commits = Array.make m.window_blocks 0;
+    commits = Array.make m.Core.window_blocks 0;
     last_commit = 0;
     prev_fetch = 0;
     prev_resolve = 0;
@@ -705,19 +655,20 @@ let create m =
 
 let step st (s : summary) ~exit_idx ~prev_correct =
   let m = st.m in
+  let window = m.Core.window_blocks in
   let frame_limit =
-    if st.seq >= m.window_blocks then st.commits.(st.seq mod m.window_blocks)
-    else 0
+    if st.seq >= window then st.commits.(st.seq mod window) else 0
   in
   let fetch =
     if st.stepped = 0 then 0
-    else if prev_correct then max (st.prev_fetch + m.fetch_interval) frame_limit
+    else if prev_correct then
+      max (st.prev_fetch + m.Core.fetch_interval) frame_limit
     else begin
       st.mispredicts <- st.mispredicts + 1;
-      max (st.prev_resolve + m.redirect_penalty) frame_limit
+      max (st.prev_resolve + m.Core.redirect_penalty) frame_limit
     end
   in
-  let d = fetch + m.l1i_hit in
+  let d = fetch + m.Core.l1i.Cache.hit_latency in
   let nr = Array.length s.s_reads in
   let nw = Array.length s.s_writes in
   let read_avail = Array.map (fun r -> st.reg_ready.(r)) s.s_reads in
@@ -746,9 +697,9 @@ let step st (s : summary) ~exit_idx ~prev_correct =
   let done_t =
     Array.fold_left max (max resolve (max mem (d + 1))) writes
   in
-  let commit = max (done_t + m.commit_overhead) (st.last_commit + 1) in
+  let commit = max (done_t + m.Core.commit_overhead) (st.last_commit + 1) in
   st.last_commit <- commit;
-  st.commits.(st.seq mod m.window_blocks) <- commit;
+  st.commits.(st.seq mod window) <- commit;
   st.seq <- st.seq + 1;
   st.stepped <- st.stepped + 1;
   Array.iteri (fun w t -> if t > neg then st.reg_ready.(s.s_writes.(w)) <- t) writes;
@@ -759,5 +710,103 @@ let cycles st = max 1 st.last_commit
 let blocks_stepped st = st.stepped
 let mispredicts st = st.mispredicts
 
-let predicted_block_cost m (s : summary) =
-  m.l1i_hit + s.s_crit + m.commit_overhead
+let predicted_block_cost (m : Core.config) (s : summary) =
+  m.Core.l1i.Cache.hit_latency + s.s_crit + m.Core.commit_overhead
+
+(* ------------------------------------------------------------------ *)
+(* Whole-program prediction over the functional execution's trace      *)
+(* ------------------------------------------------------------------ *)
+
+type prediction = {
+  pr_cycles : int;              (* predicted whole-program cycles *)
+  pr_blocks : int;              (* block instances composed *)
+  pr_mispredicts : int;         (* redirects the replayed predictor took *)
+  pr_counts : (string, int) Hashtbl.t;  (* block label -> instances *)
+  pr_summaries : (string, summary) Hashtbl.t;
+  pr_diags : Diag.t list;
+}
+
+let predict_program (prog : Block.program) image ~entry ~args : prediction =
+  let config = Core.prototype in
+  let summaries, diags = summarize_program prog in
+  let st = create config in
+  (* predictor replay: same interning (first-seen, ids from 1), same
+     shadow stack and update sequence as Core.run *)
+  let pred = Blockpred.create config.Core.predictor in
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 128 in
+  let intern label =
+    match Hashtbl.find_opt ids label with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids + 1 in
+      Hashtbl.replace ids label i;
+      i
+  in
+  let func_entry = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Block.func) ->
+      Hashtbl.replace func_entry f.Block.fname f.Block.entry)
+    prog.Block.funcs;
+  let shadow_stack = ref [] in
+  let prev_correct = ref true in
+  let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let on_instance (inst : Exec.instance) =
+    let b = inst.Exec.iblock in
+    let label = b.Block.label in
+    Hashtbl.replace counts label
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts label));
+    let label_id = intern label in
+    let exit_idx =
+      match
+        List.find_index (fun (i, _) -> i = inst.Exec.exit_inst) (Block.exits b)
+      with
+      | Some k -> k
+      | None -> 0
+    in
+    (match Hashtbl.find_opt summaries label with
+    | Some s -> step st s ~exit_idx ~prev_correct:!prev_correct
+    | None -> ());
+    let actual_label, kind =
+      match inst.Exec.exit_dest with
+      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
+      | Isa.Xcall (fname, retl) ->
+        shadow_stack := retl :: !shadow_stack;
+        (Hashtbl.find_opt func_entry fname, Blockpred.Kcall)
+      | Isa.Xret -> (
+        match !shadow_stack with
+        | [] -> (None, Blockpred.Kret)
+        | retl :: rest ->
+          shadow_stack := rest;
+          (Some retl, Blockpred.Kret))
+    in
+    let actual_id = Option.map intern actual_label in
+    let predicted = Blockpred.predict pred ~block:label_id in
+    let correct = actual_id <> None && predicted = actual_id in
+    (match actual_id with
+    | Some target ->
+      let fall =
+        match inst.Exec.exit_dest with
+        | Isa.Xcall (_, retl) -> intern retl
+        | _ -> 0
+      in
+      Blockpred.update pred
+        {
+          Blockpred.o_block = label_id;
+          o_exit = exit_idx;
+          o_kind = kind;
+          o_target = target;
+          o_fallthrough = fall;
+        }
+    | None -> ());
+    prev_correct := correct
+  in
+  let r = Exec.run ~on_instance prog image ~entry ~args in
+  ignore r.Exec.ret;
+  {
+    pr_cycles = cycles st;
+    pr_blocks = blocks_stepped st;
+    pr_mispredicts = mispredicts st;
+    pr_counts = counts;
+    pr_summaries = summaries;
+    pr_diags = diags;
+  }

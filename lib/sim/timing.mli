@@ -1,6 +1,7 @@
 (** Static critical-path timing analysis of scheduled EDGE blocks.
 
-    The cost model is the optimistic core of the cycle-level simulator:
+    The cost model is the optimistic core of the cycle-level simulator
+    ({!Core}), with its parameters read from the same {!Core.config}:
     progressive dispatch, dataflow issue with per-opcode latencies from
     {!Trips_edge.Isa.latency}, operand-network hops as Manhattan distance
     on the {!Trips_edge.Isa} mesh geometry, and cache-hit memory latency —
@@ -11,29 +12,15 @@
     Each block is summarized as a max-plus system: every output (write
     slot, memory completion, per-exit branch resolution) is the max of a
     constant lag from dispatch and a lag from each read slot's register
-    availability.  Summaries compose over a dynamic block trace ({!step}),
-    which is how the cross-validation harness predicts whole-program
-    cycles without the cycle-level simulator. *)
+    availability.  Summaries compose over a dynamic block trace ({!step},
+    {!predict_program}), which predicts whole-program cycles without the
+    cycle-level simulator.
 
-(** Timing parameters, mirroring [Trips_sim.Core.config]. *)
-type model = {
-  dispatch_rate : int;         (** instructions dispatched per cycle *)
-  fetch_interval : int;        (** min cycles between back-to-back fetches *)
-  redirect_penalty : int;      (** fetch restart after a misprediction *)
-  commit_overhead : int;       (** distributed commit protocol *)
-  window_blocks : int;         (** in-flight block frames *)
-  l1i_hit : int;               (** I-cache hit latency *)
-  l1d_hit : int;               (** D-cache hit latency *)
-}
-
-val prototype : model
-(** The TRIPS prototype parameters (same numbers as
-    [Trips_sim.Core.prototype] and the [Trips_mem] cache configs). *)
-
-val op_latency : Trips_edge.Isa.opcode -> int
-(** Per-opcode execution latency used by the analyzer — the single shared
-    table [Trips_edge.Isa.latency], re-exported so tests can assert the
-    analyzer and the simulator agree on every opcode. *)
+    The parameters read from {!Core.config} are [dispatch_rate],
+    [fetch_interval], [redirect_penalty], [commit_overhead],
+    [window_blocks], the predictor, and the L1I/L1D [hit_latency].
+    {!analyze_block}, {!summarize_program} and {!predict_program} use
+    {!Core.prototype}'s. *)
 
 val neg : int
 (** Sentinel for "no path" in the summary lag tables. *)
@@ -72,28 +59,24 @@ type summary = {
   s_read_resolve : int array array;
 }
 
-type options = { model : model }
-
-val default_options : options
-
 val analyze_block :
-  ?options:options -> fname:string -> Trips_edge.Block.t ->
-  summary * Diag.t list
+  fname:string -> Trips_edge.Block.t -> summary * Trips_analysis.Diag.t list
 (** Analyze one scheduled block: build the dependence DAG, compute the
     weighted critical path, slack map and cost breakdown, and emit
     [pass:"timing"] placement-quality diagnostics (route-critical,
     et-hotspot, opn-hotspot, pred-chain).  Blocks without a valid
     placement or with a cyclic dataflow graph get a degenerate summary
-    plus a ["timing-skipped"] diagnostic. *)
+    plus a ["timing-skipped"] diagnostic.  Machine parameters are
+    {!Core.prototype}'s. *)
 
 val summarize_program :
-  ?options:options -> Trips_edge.Block.program ->
-  (string, summary) Hashtbl.t * Diag.t list
+  Trips_edge.Block.program ->
+  (string, summary) Hashtbl.t * Trips_analysis.Diag.t list
 (** Summaries for every block (keyed by label), all per-block diagnostics,
     plus cross-block ["reg-roundtrip"] findings: a register write carrying
     the critical path from a block into its unique jump successor. *)
 
-val predicted_block_cost : model -> summary -> int
+val predicted_block_cost : Core.config -> summary -> int
 (** Standalone per-block latency estimate: fetch + critical path + commit
     overhead, ignoring inter-block overlap. *)
 
@@ -105,7 +88,7 @@ val predicted_block_cost : model -> summary -> int
 
 type state
 
-val create : model -> state
+val create : Core.config -> state
 
 val step : state -> summary -> exit_idx:int -> prev_correct:bool -> unit
 (** Account one block instance.  [exit_idx] indexes [s_exit_insts] /
@@ -118,3 +101,26 @@ val cycles : state -> int
 
 val blocks_stepped : state -> int
 val mispredicts : state -> int
+
+(** {1 Whole-program prediction} *)
+
+type prediction = {
+  pr_cycles : int;              (** predicted whole-program cycles *)
+  pr_blocks : int;              (** block instances composed *)
+  pr_mispredicts : int;         (** redirects the replayed predictor took *)
+  pr_counts : (string, int) Hashtbl.t;  (** block label -> executed instances *)
+  pr_summaries : (string, summary) Hashtbl.t;
+  pr_diags : Trips_analysis.Diag.t list;
+}
+
+val predict_program :
+  Trips_edge.Block.program ->
+  Trips_tir.Image.t ->
+  entry:string ->
+  args:Trips_tir.Ty.value list ->
+  prediction
+(** Predict whole-program cycles without the cycle-level simulator: one
+    functional execution plus O(blocks) summary composition.  The
+    next-block predictor is replayed over the trace with [Core.run]'s
+    label interning, shadow stack and update sequence, so redirects land
+    on exactly the instances the simulator mispredicts. *)

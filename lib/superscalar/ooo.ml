@@ -118,7 +118,6 @@ let run cfg (program : Risc.Isa.program) image ~entry ~args =
   let last_line = ref (-1) in
   let on_retire (r : Risc.Exec.retire) =
     st.instructions <- st.instructions + 1;
-    if Risc.Exec.(match r.r_kind with Kplain -> false | _ -> false) then ();
     (* 1. fetch: [width] per cycle, stalling on I-cache misses *)
     if !fetch_in_cycle >= cfg.width then begin
       incr fetch_cycle;

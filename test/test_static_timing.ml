@@ -18,8 +18,8 @@ open Trips_edge
 open Trips_analysis
 module Xv = Trips_harness.Timing_xv
 module Core = Trips_sim.Core
-
-let model = Timing.prototype
+module Timing = Trips_sim.Timing
+module Registry = Trips_workloads.Registry
 
 (* All known-answer blocks place every instruction on ET 0, tile (1,1):
    reads of low registers arrive from RT bank 0 at (0,1) over 1 hop,
@@ -228,28 +228,6 @@ let test_et_hotspot () =
     (Array.length b.Block.insts)
     s.Timing.s_tile_load.(0)
 
-(* -- latency table agreement ------------------------------------------ *)
-
-let test_latency_agreement () =
-  let opcodes =
-    [
-      Isa.Bin Ast.Add; Isa.Bin Ast.Sub; Isa.Bin Ast.Mul; Isa.Bin Ast.Div;
-      Isa.Bin Ast.Rem; Isa.Bin Ast.And; Isa.Bin Ast.Or; Isa.Bin Ast.Xor;
-      Isa.Bin Ast.Shl; Isa.Bin Ast.Lsr; Isa.Bin Ast.Asr; Isa.Bin Ast.Lt;
-      Isa.Bin Ast.Eq; Isa.Bin Ast.Ne; Isa.Bin Ast.Fadd; Isa.Bin Ast.Fsub;
-      Isa.Bin Ast.Fmul; Isa.Bin Ast.Fdiv; Isa.Bin Ast.Flt; Isa.Bin Ast.Feq;
-      Isa.Un Ast.Neg; Isa.Un Ast.Not; Isa.Un Ast.Itof; Isa.Un Ast.Ftoi;
-      Isa.Geni 7L; Isa.Genf 1.5; Isa.Mov; Isa.Null;
-      Isa.Load (Ty.I64, Ty.W8, 0); Isa.Store (Ty.W8, 1); Isa.Branch Isa.Xret;
-    ]
-  in
-  List.iter
-    (fun op ->
-      Alcotest.(check int)
-        ("latency " ^ Isa.opcode_name op)
-        (Isa.latency op) (Timing.op_latency op))
-    opcodes
-
 (* -- diag pass field --------------------------------------------------- *)
 
 let contains hay needle =
@@ -323,7 +301,7 @@ let prop_lower_bound =
       let prog = build_random_program case in
       let image = Image.build [] in
       let predicted =
-        (Xv.predict_program prog image ~entry:"main" ~args:[]).Xv.pr_cycles
+        (Timing.predict_program prog image ~entry:"main" ~args:[]).Timing.pr_cycles
       in
       let r = Core.run prog image ~entry:"main" ~args:[] in
       let measured = r.Core.timing.Core.cycles in
@@ -338,7 +316,7 @@ let test_lower_bound_scheduled () =
   Trips_compiler.Schedule.place_program prog;
   let image = Image.build [] in
   let predicted =
-    (Xv.predict_program prog image ~entry:"main" ~args:[]).Xv.pr_cycles
+    (Timing.predict_program prog image ~entry:"main" ~args:[]).Timing.pr_cycles
   in
   let r = Core.run prog image ~entry:"main" ~args:[] in
   Alcotest.(check bool) "predicted <= measured" true
@@ -352,22 +330,97 @@ let test_lower_bound_scheduled () =
 let test_composition_pipelining () =
   let b = chain_block () in
   let s = summary_of b in
-  let st1 = Timing.create model in
+  let st1 = Timing.create Core.prototype in
   Timing.step st1 s ~exit_idx:0 ~prev_correct:true;
   let one = Timing.cycles st1 in
   Timing.step st1 s ~exit_idx:0 ~prev_correct:true;
   let two = Timing.cycles st1 in
-  Alcotest.(check int) "pipelined second block" (one + model.Timing.fetch_interval)
+  Alcotest.(check int) "pipelined second block"
+    (one + Core.prototype.Core.fetch_interval)
     two;
   (* a misprediction costs the redirect penalty from resolution *)
-  let st2 = Timing.create model in
+  let st2 = Timing.create Core.prototype in
   Timing.step st2 s ~exit_idx:0 ~prev_correct:true;
   Timing.step st2 s ~exit_idx:0 ~prev_correct:false;
   Alcotest.(check bool) "redirect is slower" true
     (Timing.cycles st2 > two);
   Alcotest.(check int) "mispredict counted" 1 (Timing.mispredicts st2)
 
+
+(* -- replayed predictor equals Core's ----------------------------------- *)
+
+(* The composition driver replays the next-block predictor with its own
+   copy of Core.run's label interning, shadow stack and update sequence,
+   so redirects land on exactly the instances the simulator mispredicts.
+   Pin the two together on workloads with many call/return exits. *)
+let test_predictor_replay name () =
+  let b = Registry.find name in
+  let p = Xv.predict Trips_harness.Platforms.C b in
+  let t = (Trips_harness.Platforms.trips Trips_harness.Platforms.C b).Core.timing in
+  Alcotest.(check int) "mispredicts"
+    (t.Core.branch_mispredicts + t.Core.callret_mispredicts)
+    p.Timing.pr_mispredicts;
+  Alcotest.(check int) "blocks" t.Core.blocks p.Timing.pr_blocks
+
+(* -- golden: whole-program predictions ----------------------------------- *)
+
+(* The analyzer's whole-program prediction per workload at preset C,
+   pinned to test/timing_golden.ml: predicted cycles, composed block
+   instances, replayed-predictor redirects and the finding count.  Any
+   refactor of the analyzer or its composition driver must leave all four
+   unchanged.  The default run checks a subset; TRIPS_TIMING_GOLDEN_FULL=1
+   checks every workload. *)
+let golden_row name =
+  let p = Xv.predict Trips_harness.Platforms.C (Registry.find name) in
+  ( p.Timing.pr_cycles,
+    p.Timing.pr_blocks,
+    p.Timing.pr_mispredicts,
+    List.length p.Timing.pr_diags )
+
+(* TRIPS_TIMING_GOLDEN_RECORD=FILE rewrites the fixture from the current
+   analyzer instead of testing: only for an intended model change. *)
+let record_golden path =
+  let oc = open_out path in
+  output_string oc
+    "(* Static timing predictions per workload at preset C (see the\n\
+    \   pred-golden suite in test_static_timing.ml).  Regenerate only if\n\
+    \   the analyzer's model is meant to change:\n\
+    \   TRIPS_TIMING_GOLDEN_RECORD=test/timing_golden.ml\n\
+    \   dune exec test/test_static_timing.exe *)\n\n\
+     (* name, pr_cycles, pr_blocks, pr_mispredicts, findings *)\n\
+     let per_workload = [\n";
+  List.iter
+    (fun (b : Registry.bench) ->
+      let cycles, blocks, mispredicts, findings = golden_row b.Registry.name in
+      Printf.fprintf oc "  (%S, %d, %d, %d, %d);\n" b.Registry.name cycles
+        blocks mispredicts findings)
+    Registry.all;
+  output_string oc "]\n";
+  close_out oc
+
+let golden_fast = [ "fft"; "ct"; "a2time"; "canrdr"; "rspeed"; "vortex" ]
+
+let golden_rows () =
+  if Sys.getenv_opt "TRIPS_TIMING_GOLDEN_FULL" <> None then
+    Timing_golden.per_workload
+  else
+    List.filter
+      (fun (name, _, _, _, _) -> List.mem name golden_fast)
+      Timing_golden.per_workload
+
+let check_golden (name, cycles, blocks, mispredicts, findings) () =
+  let c, b, m, f = golden_row name in
+  Alcotest.(check int) "pr_cycles" cycles c;
+  Alcotest.(check int) "pr_blocks" blocks b;
+  Alcotest.(check int) "pr_mispredicts" mispredicts m;
+  Alcotest.(check int) "findings" findings f
+
 let () =
+  (match Sys.getenv_opt "TRIPS_TIMING_GOLDEN_RECORD" with
+  | Some path ->
+    record_golden path;
+    exit 0
+  | None -> ());
   Alcotest.run "static_timing"
     [
       ( "known-answer",
@@ -385,7 +438,6 @@ let () =
         ] );
       ( "model",
         [
-          Alcotest.test_case "latency-agreement" `Quick test_latency_agreement;
           Alcotest.test_case "composition-pipelining" `Quick
             test_composition_pipelining;
           Alcotest.test_case "lower-bound-scheduled" `Quick
@@ -393,4 +445,14 @@ let () =
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_lower_bound ] );
+      ( "pred-replay",
+        List.map
+          (fun name ->
+            Alcotest.test_case name `Quick (test_predictor_replay name))
+          [ "a2time"; "canrdr"; "rspeed" ] );
+      ( "pred-golden",
+        List.map
+          (fun ((name, _, _, _, _) as row) ->
+            Alcotest.test_case name `Quick (check_golden row))
+          (golden_rows ()) );
     ]
