@@ -47,6 +47,11 @@ echo "== exec golden: every workload at preset C =="
 # emulator's result and all of its statistics to test/exec_golden.ml.
 TRIPS_EXEC_GOLDEN_FULL=1 dune exec test/test_exec.exe >/dev/null
 
+echo "== compile golden: every workload x O0/C/H/BB, plus the RISC baseline =="
+# dune runtest checks a subset; the full sweep pins every compiled
+# program's code, register numbers and placement to test/compile_golden.ml.
+TRIPS_COMPILE_GOLDEN_FULL=1 dune exec test/test_compiler.exe -- test golden >/dev/null
+
 echo "== timing golden: every workload at preset C =="
 # dune runtest checks a subset; the full sweep pins the static timing
 # analyzer's whole-program prediction to test/timing_golden.ml.

@@ -16,9 +16,10 @@ type t = {
 }
 
 exception Pressure of string
-(** Raised when more than 128 simultaneously-live values exist (the paper's
-    workloads never spill with 128 registers; we fail loudly instead of
-    implementing spill code). *)
+(** Raised when the greedy coloring finds no free register among r1..r127
+    (r0 stays free as scratch), e.g. for more than 127 values live across
+    one block boundary (the paper's workloads never spill with 128
+    registers; we fail loudly instead of implementing spill code). *)
 
 val allocate : Hyperblock.hfunc -> t
 

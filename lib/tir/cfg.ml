@@ -86,34 +86,55 @@ let map_term_operands f = function
 
 let find_func p name = List.find (fun f -> f.name = name) p.funcs
 
-let pp_operand ppf = function
-  | Reg r -> Format.fprintf ppf "v%d" r
-  | Ci i -> Format.fprintf ppf "%Ld" i
-  | Cf x -> Format.fprintf ppf "%g" x
-  | Sym s -> Format.fprintf ppf "&%s" s
+(* One spelling of operands, instructions and terminators, written into a
+   buffer: the printers below and [Opt.run]'s fixpoint test share it. *)
+let add_operand buf = function
+  | Reg r ->
+    Buffer.add_char buf 'v';
+    Buffer.add_string buf (string_of_int r)
+  | Ci i -> Buffer.add_string buf (Int64.to_string i)
+  | Cf x -> Buffer.add_string buf (Printf.sprintf "%g" x)
+  | Sym s ->
+    Buffer.add_char buf '&';
+    Buffer.add_string buf s
 
-let pp_ins ppf = function
-  | Bin (op, d, a, b) ->
-    Format.fprintf ppf "v%d = %a %s %a" d pp_operand a (Ast.binop_name op) pp_operand b
-  | Un (op, d, a) -> Format.fprintf ppf "v%d = %s %a" d (Ast.unop_name op) pp_operand a
-  | Mov (d, a) -> Format.fprintf ppf "v%d = %a" d pp_operand a
+let add_ins buf ins =
+  let str = Buffer.add_string buf and op = add_operand buf in
+  let def d = op (Reg d); str " = " in
+  match ins with
+  | Bin (o, d, a, b) -> def d; op a; str " "; str (Ast.binop_name o); str " "; op b
+  | Un (o, d, a) -> def d; str (Ast.unop_name o); str " "; op a
+  | Mov (d, a) -> def d; op a
   | Load (t, w, d, a, off) ->
-    Format.fprintf ppf "v%d = load.%a.%d [%a + %d]" d Ty.pp t (Ty.bytes_of_width w)
-      pp_operand a off
+    def d;
+    str (match t with Ty.I64 -> "load.i64." | Ty.F64 -> "load.f64.");
+    str (string_of_int (Ty.bytes_of_width w)); str " ["; op a; str " + ";
+    str (string_of_int off); str "]"
   | Store (w, a, off, v) ->
-    Format.fprintf ppf "store.%d [%a + %d] = %a" (Ty.bytes_of_width w) pp_operand a off
-      pp_operand v
+    str "store."; str (string_of_int (Ty.bytes_of_width w)); str " ["; op a;
+    str " + "; str (string_of_int off); str "] = "; op v
   | Call (d, name, args) ->
-    let pp_args = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_operand in
-    (match d with
-    | Some d -> Format.fprintf ppf "v%d = call %s(%a)" d name pp_args args
-    | None -> Format.fprintf ppf "call %s(%a)" name pp_args args)
+    Option.iter def d;
+    str "call "; str name; str "(";
+    List.iteri (fun k a -> if k > 0 then str ", "; op a) args;
+    str ")"
 
-let pp_term ppf = function
-  | Jmp l -> Format.fprintf ppf "jmp %s" l
-  | Br (c, l1, l2) -> Format.fprintf ppf "br %a ? %s : %s" pp_operand c l1 l2
-  | Ret None -> Format.pp_print_string ppf "ret"
-  | Ret (Some v) -> Format.fprintf ppf "ret %a" pp_operand v
+let add_term buf term =
+  let str = Buffer.add_string buf and op = add_operand buf in
+  match term with
+  | Jmp l -> str "jmp "; str l
+  | Br (c, l1, l2) -> str "br "; op c; str " ? "; str l1; str " : "; str l2
+  | Ret None -> str "ret"
+  | Ret (Some v) -> str "ret "; op v
+
+let printer add ppf x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Format.pp_print_string ppf (Buffer.contents buf)
+
+let pp_operand = printer add_operand
+let pp_ins = printer add_ins
+let pp_term = printer add_term
 
 let pp_block ppf b =
   Format.fprintf ppf "@[<v 2>%s:@,%a%s%a@]" b.label

@@ -55,6 +55,10 @@ val map_ins_operands : (operand -> operand) -> ins -> ins
 val map_term_operands : (operand -> operand) -> term -> term
 
 val find_func : program -> string -> func
+val add_ins : Buffer.t -> ins -> unit
+val add_term : Buffer.t -> term -> unit
+(** Append the text {!pp_ins} / {!pp_term} prints, without [Format]. *)
+
 val pp_operand : Format.formatter -> operand -> unit
 val pp_ins : Format.formatter -> ins -> unit
 val pp_term : Format.formatter -> term -> unit

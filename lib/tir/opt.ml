@@ -1,5 +1,3 @@
-let pp_compact ppf (f : Cfg.func) = Cfg.pp_func ppf f
-
 let is_const = function Cfg.Ci _ | Cfg.Cf _ -> true | Cfg.Reg _ | Cfg.Sym _ -> false
 
 let const_value = function
@@ -535,10 +533,38 @@ let run_global facts (f : Cfg.func) : gfact list =
   if gfs <> [] then apply_global f gfs;
   gfs
 
-let run ?(rounds = 10) (f : Cfg.func) =
-  (* iterate to a fixpoint (bounded): later passes expose work for earlier
-     ones, e.g. CSE introduces moves that copyprop then propagates *)
-  let fingerprint () = Format.asprintf "%a" pp_compact f in
+(* The fixpoint test's view of a function: one line per token that
+   [Cfg.pp_func] prints (the function name, each block label with its
+   colon, each instruction, each terminator), spelled by the same
+   [Cfg.add_ins]/[Cfg.add_term].  Both forms are injective in that token
+   sequence, so two states get equal fingerprints exactly when they print
+   equally; this one skips [Format]'s layout engine. *)
+let fingerprint (f : Cfg.func) =
+  let buf = Buffer.create 4096 in
+  let line add x =
+    add buf x;
+    Buffer.add_char buf '\n'
+  in
+  line Buffer.add_string f.name;
+  List.iter
+    (fun (b : Cfg.block) ->
+      Buffer.add_string buf b.label;
+      line Buffer.add_string ":";
+      List.iter (line Cfg.add_ins) b.ins;
+      line Cfg.add_term b.term)
+    f.blocks;
+  Buffer.contents buf
+
+(* Far above the most rounds any function has needed, counting the one
+   that confirms the fixpoint: 7 across the registry at every preset, 17
+   across 5000 fuzz-generated programs through the front end at C and H.
+   Reaching it leaves a correct function that a further round could still
+   shrink. *)
+let max_rounds = 64
+
+let run (f : Cfg.func) =
+  (* iterate to a fixpoint: later passes expose work for earlier ones,
+     e.g. CSE introduces moves that copyprop then propagates *)
   let rec go n prev =
     if n > 0 then begin
       constfold f;
@@ -546,10 +572,10 @@ let run ?(rounds = 10) (f : Cfg.func) =
       cse f;
       dce f;
       simplify_branches f;
-      let now = fingerprint () in
+      let now = fingerprint f in
       if now <> prev then go (n - 1) now
     end
   in
-  go rounds (fingerprint ())
+  go max_rounds (fingerprint f)
 
-let run_program ?rounds (p : Cfg.program) = List.iter (run ?rounds) p.funcs
+let run_program (p : Cfg.program) = List.iter run p.funcs

@@ -24,10 +24,12 @@ val dce : Cfg.func -> unit
 val simplify_branches : Cfg.func -> unit
 (** Turn branches on constants into jumps and drop unreachable blocks. *)
 
-val run : ?rounds:int -> Cfg.func -> unit
-(** Fixpoint driver: apply all passes [rounds] times (default 10, stops early at fixpoint). *)
+val run : Cfg.func -> unit
+(** Fixpoint driver: apply the five passes above, in that order, until a
+    round leaves the printed function ({!Cfg.pp_func}) unchanged, or a
+    private safety bound far above any measured round count is reached. *)
 
-val run_program : ?rounds:int -> Cfg.program -> unit
+val run_program : Cfg.program -> unit
 
 (** {2 Global passes}
 

@@ -302,7 +302,142 @@ let prop_compile_correct =
           got_v = exp_v)
         [ Driver.compiled; Driver.basic_blocks ])
 
+(* -- register capacity ---------------------------------------------------- *)
+
+(* [n] values live across a loop back edge: [n - 1] accumulators plus the
+   loop counter.  The allocator colors onto r1..r127 (r0 is reserved), and
+   the return-value pin does not interfere with them, so n = 127 is the
+   most that fits.  O0 keeps the loop body free of extra temporaries that
+   unrolling would make live across the same edge. *)
+let prog_live_across n =
+  let x j = Printf.sprintf "x%d" j in
+  let xs = List.init (n - 1) Fun.id in
+  Ast.program
+    [
+      Ast.func "main" ~ret:Ty.I64
+        (List.map (fun j -> set (x j) (i ((3 * j) + 1))) xs
+        @ [
+            for_ "k" (i 0) (i 3) (List.map (fun j -> set (x j) (v (x j) +: v "k")) xs);
+            ret (List.fold_left (fun acc j -> acc +: v (x j)) (i 0) xs);
+          ]);
+    ]
+
+let test_register_capacity () =
+  let cap = Isa.num_regs - 1 in
+  let p = prog_live_across cap in
+  let exp_v, _ = golden p [] in
+  let got_v, _, _ = run_edge Driver.o0 p [] in
+  Alcotest.(check (option value)) (Printf.sprintf "%d live values" cap) exp_v got_v;
+  match Driver.compile Driver.o0 (prog_live_across (cap + 1)) with
+  | _ -> Alcotest.failf "%d live values compiled" (cap + 1)
+  | exception Failure msg ->
+    Alcotest.(check string) (Printf.sprintf "%d live values" (cap + 1))
+      "compile main: block main cannot fit: register pressure" msg
+
+(* -- compile golden ------------------------------------------------------ *)
+
+(* Per workload and preset: the EDGE block and instruction counts and a
+   digest of the printed program plus every block's placement (the text
+   shows register numbers but not tiles); per workload, a digest of the
+   RISC baseline's code at unroll 1 and 4.  Any change to register
+   numbering, scheduling or optimizer output changes a digest, even when
+   every simulated cycle count stays put. *)
+
+module Registry = Trips_workloads.Registry
+module Codegen = Trips_risc.Codegen
+module Risc_isa = Trips_risc.Isa
+
+let golden_presets =
+  [ ("O0", Driver.o0); ("C", Driver.compiled); ("H", Driver.hand); ("BB", Driver.basic_blocks) ]
+
+let edge_row name ptag =
+  let prog = Driver.compile (List.assoc ptag golden_presets) (Registry.find name).Registry.program in
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf (Format.asprintf "%a" Block.pp_program prog);
+  let blocks = ref 0 and insts = ref 0 in
+  List.iter
+    (fun (f : Block.func) ->
+      List.iter
+        (fun (b : Block.t) ->
+          incr blocks;
+          insts := !insts + Array.length b.Block.insts;
+          Printf.bprintf buf "placement %s %s:" f.Block.fname b.Block.label;
+          Array.iter (Printf.bprintf buf " %d") b.Block.placement;
+          Buffer.add_char buf '\n')
+        f.Block.blocks)
+    prog.Block.funcs;
+  (!blocks, !insts, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let risc_digest name unroll =
+  let prog = Codegen.compile ~unroll (Registry.find name).Registry.program in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun f -> Buffer.add_string buf (Format.asprintf "%a@." Risc_isa.pp_func f))
+    prog.Risc_isa.funcs;
+  Printf.bprintf buf "pool_base %d\n" prog.Risc_isa.pool_base;
+  List.iter (fun (a, x) -> Printf.bprintf buf "pool %d %h\n" a x) prog.Risc_isa.pool;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* TRIPS_COMPILE_GOLDEN_RECORD=FILE rewrites the fixture from the current
+   compiler instead of testing: only for an intended change of code. *)
+let record_golden path =
+  let oc = open_out path in
+  output_string oc
+    "(* Compiled code per workload (see the compile golden in\n\
+    \   test_compiler.ml).  Regenerate only if the compiler is meant to\n\
+    \   emit different code:\n\
+    \   TRIPS_COMPILE_GOLDEN_RECORD=test/compile_golden.ml\n\
+    \   dune exec test/test_compiler.exe *)\n\n\
+     (* name, preset, EDGE blocks, EDGE instructions, EDGE digest *)\n\
+     let edge = [\n";
+  List.iter
+    (fun (b : Registry.bench) ->
+      List.iter
+        (fun (ptag, _) ->
+          let blocks, insts, digest = edge_row b.Registry.name ptag in
+          Printf.fprintf oc "  (%S, %S, %d, %d, %S);\n" b.Registry.name ptag blocks
+            insts digest)
+        golden_presets)
+    Registry.all;
+  output_string oc "]\n\n(* name, RISC digest at unroll 1, at unroll 4 *)\nlet risc = [\n";
+  List.iter
+    (fun (b : Registry.bench) ->
+      Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name
+        (risc_digest b.Registry.name 1) (risc_digest b.Registry.name 4))
+    Registry.all;
+  output_string oc "]\n";
+  close_out oc
+
+(* Multi-function programs (calls, pinned argument registers) beside
+   loop kernels with large hyperblocks. *)
+let golden_fast = [ "ct"; "fft"; "802.11a"; "crafty"; "vortex" ]
+
+let golden_full = Sys.getenv_opt "TRIPS_COMPILE_GOLDEN_FULL" <> None
+
+let edge_rows () =
+  if golden_full then Compile_golden.edge
+  else List.filter (fun (n, _, _, _, _) -> List.mem n golden_fast) Compile_golden.edge
+
+let risc_rows () =
+  if golden_full then Compile_golden.risc
+  else List.filter (fun (n, _, _) -> List.mem n golden_fast) Compile_golden.risc
+
+let test_edge_golden (name, ptag, blocks, insts, digest) () =
+  let b, n, d = edge_row name ptag in
+  Alcotest.(check int) "blocks" blocks b;
+  Alcotest.(check int) "instructions" insts n;
+  Alcotest.(check string) "code digest" digest d
+
+let test_risc_golden (name, u1, u4) () =
+  Alcotest.(check string) "unroll 1" u1 (risc_digest name 1);
+  Alcotest.(check string) "unroll 4" u4 (risc_digest name 4)
+
 let () =
+  (match Sys.getenv_opt "TRIPS_COMPILE_GOLDEN_RECORD" with
+  | Some path ->
+    record_golden path;
+    exit 0
+  | None -> ());
   Alcotest.run "compiler"
     [
       ( "differential",
@@ -317,5 +452,15 @@ let () =
           Alcotest.test_case "if-conversion reduces block count" `Quick test_hyperblocks_fewer_blocks;
           Alcotest.test_case "predication squashes instructions" `Quick test_predication_produces_squashed;
           Alcotest.test_case "placement capacity" `Quick test_placement_capacity;
+          Alcotest.test_case "register capacity" `Quick test_register_capacity;
         ] );
+      ( "golden",
+        List.map
+          (fun ((n, p, _, _, _) as row) ->
+            Alcotest.test_case ("edge " ^ n ^ " " ^ p) `Quick (test_edge_golden row))
+          (edge_rows ())
+        @ List.map
+            (fun ((n, _, _) as row) ->
+              Alcotest.test_case ("risc " ^ n) `Quick (test_risc_golden row))
+            (risc_rows ()) );
     ]

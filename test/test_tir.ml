@@ -154,6 +154,84 @@ let test_opt_reduces_work () =
   let opt = (Interp.run_cfg cfg2 image2 "main" [ Ty.Vi 200L ]).counts in
   Alcotest.(check bool) "ops not increased" true (opt.Interp.ops <= base.Interp.ops)
 
+(* A slow converger: [Opt.run] runs 12 rounds on it, the last one
+   confirming the fixpoint (shrunk from the random program of
+   QCHECK_SEED=69535527, which takes 15), so under a 10-round cap a second
+   [Opt.run_program] still changed it. *)
+let prog_slow_fixpoint =
+  Ast.program
+    [
+      Ast.func "main"
+        ~params:[ ("a", Ty.I64); ("b", Ty.I64); ("c", Ty.I64); ("d", Ty.I64) ]
+        ~ret:Ty.I64
+        [
+          set "b" (i 0);
+          set "c" (i 1);
+          set "d" (i 0 -: (v "b" *: i (-1)) <: i 0);
+          set "b" (i 0 -: ((v "d" *: i 2) |: v "c"));
+          set "d" (v "b" ^: (i 1 |: v "b"));
+          ret (v "c" |: (v "d" -: i 1));
+        ];
+    ]
+
+let test_opt_slow_fixpoint () =
+  let cfg = Lower.program prog_slow_fixpoint in
+  Opt.run_program cfg;
+  let once = Format.asprintf "%a" Cfg.pp_program cfg in
+  Opt.run_program cfg;
+  Alcotest.(check string) "second run is a no-op" once
+    (Format.asprintf "%a" Cfg.pp_program cfg);
+  Alcotest.(check string) "folds to its value" "func main:\n  main.entry:\n    ret -1" once
+
+(* The reference fixpoint loop: the five exported passes in [Opt.run]'s
+   order, stopping when the [Format]-printed function stops changing. *)
+let reference_opt (f : Cfg.func) =
+  let printed () = Format.asprintf "%a" Cfg.pp_func f in
+  let rec go n prev =
+    if n = 0 then Alcotest.failf "%s: no fixpoint after 1000 rounds" f.Cfg.name;
+    Opt.constfold f;
+    Opt.copyprop f;
+    Opt.cse f;
+    Opt.dce f;
+    Opt.simplify_branches f;
+    let now = printed () in
+    if now <> prev then go (n - 1) now
+  in
+  go 1000 (printed ())
+
+(* [Opt.run]'s fingerprint must stop after the same round as the printed
+   form, so both loops leave every function printing identically. *)
+let check_same_fixpoint tag (p : Ast.program) =
+  let a = Lower.program p and b = Lower.program p in
+  Opt.run_program a;
+  List.iter reference_opt b.Cfg.funcs;
+  Alcotest.(check string) tag
+    (Format.asprintf "%a" Cfg.pp_program b)
+    (Format.asprintf "%a" Cfg.pp_program a)
+
+(* As lowered, and inlined and unrolled as the C (2) and H (8) presets do. *)
+let shapes ~unrolls (p : Ast.program) =
+  ("", p)
+  :: List.map
+       (fun k ->
+         (Printf.sprintf " inline+unroll%d" k, Transform.unroll_program ~factor:k (Transform.inline p)))
+       unrolls
+
+let test_fixpoint_registry () =
+  List.iter
+    (fun (b : Trips_workloads.Registry.bench) ->
+      List.iter
+        (fun (shape, p) -> check_same_fixpoint (b.Trips_workloads.Registry.name ^ shape) p)
+        (shapes ~unrolls:[ 2; 8 ] b.Trips_workloads.Registry.program))
+    Trips_workloads.Registry.all
+
+let test_fixpoint_fuzz () =
+  for seed = 1 to 200 do
+    List.iter
+      (fun (shape, p) -> check_same_fixpoint (Printf.sprintf "fuzz seed %d%s" seed shape) p)
+      (shapes ~unrolls:[ 2 ] (Trips_fuzz.Gen.gen_program ~seed ()))
+  done
+
 let test_unroll_preserves () =
   List.iter
     (fun (tag, p, args) ->
@@ -479,6 +557,11 @@ let () =
           Alcotest.test_case "reduces dynamic work" `Quick test_opt_reduces_work;
           QCheck_alcotest.to_alcotest prop_pipelines_agree;
           QCheck_alcotest.to_alcotest prop_opt_idempotent;
+          Alcotest.test_case "slow fixpoint reached" `Quick test_opt_slow_fixpoint;
+          Alcotest.test_case "fingerprint stops like printing: registry" `Quick
+            test_fixpoint_registry;
+          Alcotest.test_case "fingerprint stops like printing: fuzz" `Quick
+            test_fixpoint_fuzz;
         ] );
       ( "transform",
         [
