@@ -35,7 +35,12 @@ dune exec bin/trips_run.exe -- absint --all --preset C --preset H --preset BB \
 echo "== absint fact golden: every workload x O0/C/H/BB =="
 # dune runtest checks a subset; the full sweep pins every fact the
 # analysis exposes to test/absint_golden.ml.
-TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test golden >/dev/null
+TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test '^golden$' >/dev/null
+
+echo "== absint fuzz fact golden: 500 fuzz seeds x O0/C/H/BB =="
+# The same facts plus every gathered global rewrite, pinned per fuzz
+# program to test/absint_fuzz_golden.ml (dune runtest checks 50 seeds).
+TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test fuzz-golden >/dev/null
 
 echo "== sampled golden: every workload at preset C =="
 # dune runtest checks a subset; the full sweep pins every Sampled.run

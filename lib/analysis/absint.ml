@@ -453,10 +453,30 @@ let t_load (ty : Ty.t) (w : Ty.width) : aval =
 (* Environments and the per-function fixpoint                          *)
 (* ------------------------------------------------------------------ *)
 
-type env = aval IM.t
+(* A function's environment maps each of its vregs to a value.  It is
+   a small table of fixed-size chunks: block entries share chunks
+   copy-on-write, so a block visit pays for the chunks it writes, not for
+   the whole function, and every copy (65 words at most) stays in the
+   minor heap.  [absent] marks a vreg bound on no path yet.  It reads as
+   top, but a merge adopts the other side's value for it, as a map union
+   would; only its physical identity is ever tested. *)
+type env = aval array array
 
-(* [IM.find] rather than [find_opt]: a hit allocates no option *)
-let lookup env v = match IM.find v env with x -> x | exception Not_found -> top_any
+let chunk_bits = 6
+let chunk = 1 lsl chunk_bits
+let absent = { top_any with lo = 0L }
+
+(* An environment over vregs [0 .. n-1] binding none of them.  All its
+   chunks are one array, which is safe because chunks are never written
+   in place once shared. *)
+let empty_env n : env = Array.make ((n + chunk - 1) / chunk) (Array.make chunk absent)
+
+let lookup (env : env) v =
+  let c = v lsr chunk_bits in
+  if c >= Array.length env then top_any
+  else
+    let x = env.(c).(v land (chunk - 1)) in
+    if x == absent then top_any else x
 
 let eval_operand env (o : Cfg.operand) : aval =
   match o with
@@ -465,41 +485,99 @@ let eval_operand env (o : Cfg.operand) : aval =
   | Cfg.Cf _ -> top_any
   | Cfg.Sym g -> of_base g
 
-(* Merge [next] into [old] vreg by vreg with [f].  Where [f] leaves a value
-   as it was, [old]'s own record is kept, so that later comparisons against
-   it stop at physical equality. *)
-let env_merge f old next =
-  IM.union
-    (fun _ x y ->
-      let z = f x y in
-      Some (if equal z x then x else z))
-    old next
+(* A writable copy of an environment's chunk table.  A chunk it still
+   shares with [base] is copied on its first write, so [base] itself
+   never changes. *)
+type writer = { base : env; tbl : env }
+
+let writer (env : env) = { base = env; tbl = Array.copy env }
+
+(* Bind [v] to [x].  A bound vreg whose value equals [x] field for field
+   keeps its record: every result of the analysis depends on fields
+   only, and skipping the write saves a chunk copy. *)
+let set w v x =
+  let c = v lsr chunk_bits and i = v land (chunk - 1) in
+  let cur = w.tbl.(c).(i) in
+  if cur == absent || not (equal cur x) then begin
+    if w.tbl.(c) == w.base.(c) then w.tbl.(c) <- Array.copy w.base.(c);
+    w.tbl.(c).(i) <- x
+  end
+
+(* Merge [next] into [old] vreg by vreg with [f], as a map union would: a
+   vreg bound on one side only adopts that side's value, and where [f]
+   leaves a value as it was, [old]'s own record is kept, so that later
+   comparisons against it stop at physical equality.  An equal pair skips
+   [f] only when [norm] fixes the value, because [f] normalizes and
+   [norm] is not idempotent in general.  Chunks, and the table, are
+   [old]'s own wherever nothing moves. *)
+let merge_slot f x y =
+  if y == absent then x
+  else if x == absent then y
+  else if (x == y || equal x y) && norm x == x then x
+  else
+    let z = f x y in
+    if equal z x then x else z
+
+let merge_chunk f (oc : aval array) (nc : aval array) =
+  let out = ref oc in
+  for i = 0 to chunk - 1 do
+    let x = oc.(i) in
+    let z = merge_slot f x nc.(i) in
+    if z != x then begin
+      if !out == oc then out := Array.copy oc;
+      !out.(i) <- z
+    end
+  done;
+  !out
+
+let env_merge f (old : env) (next : env) : env =
+  let out = ref old in
+  for c = 0 to Array.length old - 1 do
+    let oc = old.(c) in
+    let m = merge_chunk f oc next.(c) in
+    if m != oc then begin
+      if !out == old then out := Array.copy old;
+      !out.(c) <- m
+    end
+  done;
+  !out
 
 let env_join = env_merge join
 let env_widen = env_merge widen
 
+(* [p] holds for every slot pair of [a] and [b]; a chunk the two share is
+   skipped, so [p x x] must hold for any [x]. *)
+let env_for_all2 p (a : env) (b : env) =
+  let rec slots ac bc i = i = chunk || (p ac.(i) bc.(i) && slots ac bc (i + 1)) in
+  let rec chunks c =
+    c = Array.length a || ((a.(c) == b.(c) || slots a.(c) b.(c) 0) && chunks (c + 1))
+  in
+  chunks 0
+
 let env_leq a b =
-  (* a <= b iff every binding of b over-approximates a's; vregs absent from
-     b are top there, so only b's bindings need checking *)
-  IM.for_all (fun v bv -> leq (lookup a v) bv) b
+  (* a <= b iff every bound vreg of b over-approximates a's value; vregs
+     b does not bind are top there *)
+  env_for_all2
+    (fun x y -> y == absent || leq (if x == absent then top_any else x) y)
+    a b
 
 (* [env_leq merged old && env_leq old merged] in one pass, for a [merged]
    that is a join or widening of [old], so binds a superset of its vregs:
    a vreg [old] lacks is top there, so [merged] must hold top for it. *)
 let env_unchanged merged old =
-  IM.for_all
-    (fun v m ->
-      match IM.find v old with o -> equal m o | exception Not_found -> leq top_any m)
-    merged
+  env_for_all2
+    (fun m o -> m == absent || if o == absent then leq top_any m else equal m o)
+    merged old
 
 (* Per-vreg compare provenance for branch refinement: which comparison a
    vreg was last defined by, invalidated when any mentioned reg changes. *)
 type cmps = (Ast.binop * Cfg.operand * Cfg.operand) IM.t
 
+(* [o = Cfg.Reg d], without building the register or walking it. *)
+let is_reg d (o : Cfg.operand) = match o with Cfg.Reg x -> x = d | _ -> false
+
 let cmps_kill (c : cmps) (d : Cfg.vreg) : cmps =
-  IM.filter
-    (fun dest (_, a, b) -> dest <> d && a <> Cfg.Reg d && b <> Cfg.Reg d)
-    c
+  IM.filter (fun dest (_, a, b) -> dest <> d && not (is_reg d a || is_reg d b)) c
 
 (* Block-local copy equalities, vreg -> canonical representative.  Branch
    refinement narrows a compare's operands; without this, a [Mov] copy of
@@ -525,9 +603,11 @@ type summaries = (string, aval) Hashtbl.t
 let summary (summ : summaries) f =
   match Hashtbl.find_opt summ f with Some s -> s | None -> top_any
 
-(* One instruction: new env, new cmp/eq maps, and the def's value if any. *)
-let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins)
-    : env * (cmps * eqs) * (Cfg.vreg * aval) option =
+(* One instruction, writing its def into [wr]: new cmp/eq maps, and the
+   def's value if any. *)
+let transfer ctx (summ : summaries) (wr : writer) ((cm : cmps), (eq : eqs))
+    (ins : Cfg.ins) : (cmps * eqs) * (Cfg.vreg * aval) option =
+  let env = wr.tbl in
   let def ?copy_of d v cm_update =
     let cm = cmps_kill cm d in
     let cm = cm_update cm in
@@ -537,7 +617,9 @@ let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins
       | Some s when s <> d -> IM.add d (eq_canon eq s) eq
       | _ -> eq
     in
-    (IM.add d (norm v) env, (cm, eq), Some (d, norm v))
+    let v = norm v in
+    set wr d v;
+    ((cm, eq), Some (d, v))
   in
   match ins with
   | Cfg.Bin (op, d, a, b) ->
@@ -552,7 +634,7 @@ let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins
     (* don't record a compare whose operands mention the destination: the
        recorded entry would refer to the post-assignment value *)
     def d v (fun cm ->
-        if is_icmp && a <> Cfg.Reg d && b <> Cfg.Reg d then IM.add d (op, a, b) cm
+        if is_icmp && not (is_reg d a || is_reg d b) then IM.add d (op, a, b) cm
         else cm)
   | Cfg.Un (op, d, a) -> def d (t_unop ctx op (eval_operand env a)) (fun cm -> cm)
   | Cfg.Mov (d, src) ->
@@ -564,132 +646,128 @@ let transfer ctx (summ : summaries) env ((cm : cmps), (eq : eqs)) (ins : Cfg.ins
           match IM.find_opt s cm with Some c -> IM.add d c cm | None -> cm)
         | _ -> cm)
   | Cfg.Load (ty, w, d, _, _) -> def d (t_load ty w) (fun cm -> cm)
-  | Cfg.Store _ -> (env, (cm, eq), None)
+  | Cfg.Store _ -> ((cm, eq), None)
   | Cfg.Call (Some d, f, _) -> def d (summary summ f) (fun cm -> cm)
-  | Cfg.Call (None, _, _) -> (env, (cm, eq), None)
+  | Cfg.Call (None, _, _) -> ((cm, eq), None)
 
-(* Meet a vreg's entry with a refined range; None when contradictory. *)
-let meet_range env x ~lo ~hi : env option =
-  let v = lookup env x in
-  if not (v.ik && v.base = Bnone) then Some env
+(* Meet a vreg's value in [wr] with a refined range; false when
+   contradictory. *)
+let meet_one wr x ~lo ~hi =
+  let v = lookup wr.tbl x in
+  if not (v.ik && v.base = Bnone) then true
   else
     let lo = max v.lo lo and hi = min v.hi hi in
-    if lo > hi then None
-    else Some (IM.add x (norm { v with lo; hi }) env)
+    lo <= hi
+    && begin
+      set wr x (norm { v with lo; hi });
+      true
+    end
 
-(* Refine [env] along the [pol] edge of a branch on [c].  [cm] supplies the
-   defining comparison of condition vregs; [eq] extends every narrowing to
-   the refined register's whole copy class. *)
-let refine (ctx : tctx) (cm : cmps) (eq : eqs) env (c : Cfg.operand) (pol : bool)
-    : env option =
+(* Refine [env] along the [pol] edge of a branch on [c]; None when the
+   edge is infeasible.  [cm] supplies the defining comparison of condition
+   vregs; [eq] extends every narrowing to the refined register's whole
+   copy class.  [env] itself is untouched: the edge gets its own copy of
+   the chunks it narrows. *)
+let refine (ctx : tctx) (cm : cmps) (eq : eqs) (env : env) (c : Cfg.operand)
+    (pol : bool) : env option =
   let pol = if ctx.bug = Some Bug_refine_flip then not pol else pol in
+  let wr = writer env in
   (* shadow the single-register meet with one that narrows every copy *)
-  let meet_range env x ~lo ~hi =
-    List.fold_left
-      (fun acc y ->
-        match acc with None -> None | Some e -> meet_range e y ~lo ~hi)
-      (Some env) (eq_class eq x)
+  let meet_range x ~lo ~hi =
+    List.for_all (fun y -> meet_one wr y ~lo ~hi) (eq_class eq x)
   in
-  let refine_cond env =
+  let refine_cond () =
     match c with
     | Cfg.Reg x ->
-      let v = lookup env x in
-      if not (v.ik && v.base = Bnone) then Some env
+      let v = lookup wr.tbl x in
+      if not (v.ik && v.base = Bnone) then true
       else if pol then
-        if always_zero v then None
-        else if v.lo = 0L && v.hi > 0L then meet_range env x ~lo:1L ~hi:v.hi
-        else Some env
-      else if never_zero v then None
-      else meet_range env x ~lo:0L ~hi:0L
-    | _ -> Some env
+        if always_zero v then false
+        else if v.lo = 0L && v.hi > 0L then meet_range x ~lo:1L ~hi:v.hi
+        else true
+      else if never_zero v then false
+      else meet_range x ~lo:0L ~hi:0L
+    | _ -> true
   in
-  let refine_cmp env =
+  let refine_cmp () =
     match c with
     | Cfg.Reg x -> (
       match IM.find_opt x cm with
-      | None -> Some env
+      | None -> true
       | Some (op, a, b) -> (
-        let va = eval_operand env a and vb = eval_operand env b in
-        if not (va.ik && vb.ik && va.base = Bnone && vb.base = Bnone) then Some env
+        let va = eval_operand wr.tbl a and vb = eval_operand wr.tbl b in
+        if not (va.ik && vb.ik && va.base = Bnone && vb.base = Bnone) then true
         else
           (* constraint: [a OP b] == pol *)
-          let bind side env f =
-            match side with
-            | Cfg.Reg r -> (
-              match f r with Some e -> Some e | None -> None)
-            | _ -> Some env
-          in
-          let ( >>= ) o f = match o with Some e -> f e | None -> None in
-          let app_left env =
-            bind a env (fun x ->
+          let bind side f = match side with Cfg.Reg r -> f r | _ -> true in
+          let app_left () =
+            bind a (fun x ->
                 match (op, pol) with
                 | Ast.Lt, true ->
-                  meet_range env x ~lo:Int64.min_int ~hi:(Int64.sub vb.hi 1L)
-                | Ast.Lt, false -> meet_range env x ~lo:vb.lo ~hi:Int64.max_int
-                | Ast.Le, true -> meet_range env x ~lo:Int64.min_int ~hi:vb.hi
+                  meet_range x ~lo:Int64.min_int ~hi:(Int64.sub vb.hi 1L)
+                | Ast.Lt, false -> meet_range x ~lo:vb.lo ~hi:Int64.max_int
+                | Ast.Le, true -> meet_range x ~lo:Int64.min_int ~hi:vb.hi
                 | Ast.Le, false ->
-                  meet_range env x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
+                  meet_range x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
                 | Ast.Gt, true ->
-                  meet_range env x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
-                | Ast.Gt, false -> meet_range env x ~lo:Int64.min_int ~hi:vb.hi
-                | Ast.Ge, true -> meet_range env x ~lo:vb.lo ~hi:Int64.max_int
+                  meet_range x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
+                | Ast.Gt, false -> meet_range x ~lo:Int64.min_int ~hi:vb.hi
+                | Ast.Ge, true -> meet_range x ~lo:vb.lo ~hi:Int64.max_int
                 | Ast.Ge, false ->
-                  meet_range env x ~lo:Int64.min_int ~hi:(Int64.sub vb.hi 1L)
-                | Ast.Eq, true -> meet_range env x ~lo:vb.lo ~hi:vb.hi
+                  meet_range x ~lo:Int64.min_int ~hi:(Int64.sub vb.hi 1L)
+                | Ast.Eq, true -> meet_range x ~lo:vb.lo ~hi:vb.hi
                 | Ast.Eq, false | Ast.Ne, true ->
                   if vb.lo = vb.hi then
-                    let v = lookup env x in
-                    if v.lo = vb.lo && v.hi = vb.lo then None
+                    let v = lookup wr.tbl x in
+                    if v.lo = vb.lo && v.hi = vb.lo then false
                     else if v.lo = vb.lo then
-                      meet_range env x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
+                      meet_range x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
                     else if v.hi = vb.lo then
-                      meet_range env x ~lo:Int64.min_int ~hi:(Int64.sub vb.lo 1L)
-                    else Some env
-                  else Some env
-                | Ast.Ne, false -> meet_range env x ~lo:vb.lo ~hi:vb.hi
+                      meet_range x ~lo:Int64.min_int ~hi:(Int64.sub vb.lo 1L)
+                    else true
+                  else true
+                | Ast.Ne, false -> meet_range x ~lo:vb.lo ~hi:vb.hi
                 | Ast.Ult, true ->
                   if vb.lo >= 0L then
-                    meet_range env x ~lo:0L ~hi:(Int64.sub vb.hi 1L)
-                  else Some env
+                    meet_range x ~lo:0L ~hi:(Int64.sub vb.hi 1L)
+                  else true
                 | Ast.Ule, true ->
-                  if vb.lo >= 0L then meet_range env x ~lo:0L ~hi:vb.hi
-                  else Some env
+                  if vb.lo >= 0L then meet_range x ~lo:0L ~hi:vb.hi
+                  else true
                 | Ast.Ult, false ->
-                  let v = lookup env x in
+                  let v = lookup wr.tbl x in
                   if v.lo >= 0L && vb.lo >= 0L then
-                    meet_range env x ~lo:vb.lo ~hi:Int64.max_int
-                  else Some env
+                    meet_range x ~lo:vb.lo ~hi:Int64.max_int
+                  else true
                 | Ast.Ule, false ->
-                  let v = lookup env x in
+                  let v = lookup wr.tbl x in
                   if v.lo >= 0L && vb.lo >= 0L then
-                    meet_range env x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
-                  else Some env
-                | _ -> Some env)
+                    meet_range x ~lo:(Int64.add vb.lo 1L) ~hi:Int64.max_int
+                  else true
+                | _ -> true)
           in
-          let app_right env =
-            bind b env (fun y ->
+          let app_right () =
+            bind b (fun y ->
                 match (op, pol) with
                 | Ast.Lt, true ->
-                  meet_range env y ~lo:(Int64.add va.lo 1L) ~hi:Int64.max_int
-                | Ast.Lt, false -> meet_range env y ~lo:Int64.min_int ~hi:va.hi
-                | Ast.Le, true -> meet_range env y ~lo:va.lo ~hi:Int64.max_int
+                  meet_range y ~lo:(Int64.add va.lo 1L) ~hi:Int64.max_int
+                | Ast.Lt, false -> meet_range y ~lo:Int64.min_int ~hi:va.hi
+                | Ast.Le, true -> meet_range y ~lo:va.lo ~hi:Int64.max_int
                 | Ast.Le, false ->
-                  meet_range env y ~lo:Int64.min_int ~hi:(Int64.sub va.hi 1L)
+                  meet_range y ~lo:Int64.min_int ~hi:(Int64.sub va.hi 1L)
                 | Ast.Gt, true ->
-                  meet_range env y ~lo:Int64.min_int ~hi:(Int64.sub va.hi 1L)
-                | Ast.Gt, false -> meet_range env y ~lo:va.lo ~hi:Int64.max_int
-                | Ast.Ge, true -> meet_range env y ~lo:Int64.min_int ~hi:va.hi
+                  meet_range y ~lo:Int64.min_int ~hi:(Int64.sub va.hi 1L)
+                | Ast.Gt, false -> meet_range y ~lo:va.lo ~hi:Int64.max_int
+                | Ast.Ge, true -> meet_range y ~lo:Int64.min_int ~hi:va.hi
                 | Ast.Ge, false ->
-                  meet_range env y ~lo:(Int64.add va.lo 1L) ~hi:Int64.max_int
-                | Ast.Eq, true -> meet_range env y ~lo:va.lo ~hi:va.hi
-                | _ -> Some env)
+                  meet_range y ~lo:(Int64.add va.lo 1L) ~hi:Int64.max_int
+                | Ast.Eq, true -> meet_range y ~lo:va.lo ~hi:va.hi
+                | _ -> true)
           in
-          app_left env >>= app_right))
-    | _ -> Some env
+          app_left () && app_right ()))
+    | _ -> true
   in
-  match refine_cond env with
-  | None -> None
-  | Some env -> refine_cmp env
+  if refine_cond () && refine_cmp () then Some wr.tbl else None
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -726,8 +804,19 @@ let widen_threshold = 3
 let max_sweeps = 200
 let summary_rounds = 3
 
+(* Slots for every vreg the function binds: its parameters and defs. *)
+let env_size (f : Cfg.func) =
+  let n = ref f.next_vreg in
+  let see v = if v >= !n then n := v + 1 in
+  List.iter (fun (v, _) -> see v) f.params;
+  List.iter
+    (fun (b : Cfg.block) -> List.iter (fun ins -> List.iter see (Cfg.defs ins)) b.Cfg.ins)
+    f.blocks;
+  !n
+
 let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
   let blocks = Array.of_list f.blocks in
+  let nvregs = env_size f in
   let index = Hashtbl.create 16 in
   Array.iteri (fun i (b : Cfg.block) -> Hashtbl.replace index b.Cfg.label i) blocks;
   let entry_env : env option array = Array.make (Array.length blocks) None in
@@ -735,10 +824,11 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
   let widens = ref 0 in
   (* parameters stay top: entry functions can be called with anything *)
   let init =
-    List.fold_left
-      (fun e (v, ty) ->
-        IM.add v (match ty with Ty.I64 -> top_i | Ty.F64 -> top_any) e)
-      IM.empty f.params
+    let wr = writer (empty_env nvregs) in
+    List.iter
+      (fun (v, ty) -> set wr v (match ty with Ty.I64 -> top_i | Ty.F64 -> top_any))
+      f.params;
+    wr.tbl
   in
   if Array.length blocks > 0 then entry_env.(0) <- Some init;
   let dirty = Array.make (Array.length blocks) true in
@@ -751,14 +841,13 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
         | None -> ()
         | Some env0 when dirty.(bi) ->
           dirty.(bi) <- false;
-          let env, (cm, eq) =
+          let wr = writer env0 in
+          let cm, eq =
             List.fold_left
-              (fun (env, maps) ins ->
-                let env, maps, _ = transfer ctx summ env maps ins in
-                (env, maps))
-              (env0, (IM.empty, IM.empty))
-              b.Cfg.ins
+              (fun maps ins -> fst (transfer ctx summ wr maps ins))
+              (IM.empty, IM.empty) b.Cfg.ins
           in
+          let env = wr.tbl in
           let push label env' =
             match Hashtbl.find_opt index label with
             | None -> ()
@@ -809,8 +898,9 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
     incr sweeps;
     if !sweeps >= max_sweeps then begin
       (* safety valve: drop to all-top so the final pass stays sound *)
+      let empty = empty_env nvregs in
       Array.iteri
-        (fun i e -> if e <> None then entry_env.(i) <- Some IM.empty)
+        (fun i e -> if Option.is_some e then entry_env.(i) <- Some empty)
         entry_env;
       ret_acc := Some top_any
     end
@@ -832,20 +922,22 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
       | None -> ()
       | Some env0 ->
         Hashtbl.replace f_entry b.Cfg.label env0;
-        let env, (cm, eq) =
+        let wr = writer env0 in
+        let cm, eq =
           List.fold_left
-            (fun ((env, maps), i) ins ->
-              let env, maps, dv = transfer ctx summ env maps ins in
+            (fun (maps, i) ins ->
+              let maps, dv = transfer ctx summ wr maps ins in
               (match dv with
               | Some (d, v) ->
                 Hashtbl.replace f_defs (b.Cfg.label, i) v;
                 note_join d v
               | None -> ());
-              ((env, maps), i + 1))
-            ((env0, (IM.empty, IM.empty)), 0)
+              (maps, i + 1))
+            ((IM.empty, IM.empty), 0)
             b.Cfg.ins
           |> fst
         in
+        let env = wr.tbl in
         (match b.Cfg.term with
         | Cfg.Br (c, _, _) -> (
           let cv = eval_operand env c in

@@ -252,7 +252,41 @@ let pp_gfact ppf = function
    is syntactic; the vreg-redefinition kills below keep [Reg] roots honest. *)
 type mkey = { mroot : Cfg.operand; moff : int; mw : Ty.width; mty : Ty.t }
 
-let mentions_reg (o : Cfg.operand) r = o = Cfg.Reg r
+let mentions_reg (o : Cfg.operand) r = match o with Cfg.Reg x -> x = r | _ -> false
+
+(* [(=)] on operands, without the polymorphic walk: a [Cf nan] root is
+   unequal to itself, as it is under [(=)]. *)
+let operand_eq (a : Cfg.operand) (b : Cfg.operand) =
+  match (a, b) with
+  | Cfg.Reg x, Cfg.Reg y -> x = y
+  | Cfg.Ci x, Cfg.Ci y -> Int64.equal x y
+  | Cfg.Cf x, Cfg.Cf y -> x = y
+  | Cfg.Sym x, Cfg.Sym y -> String.equal x y
+  | _ -> false
+
+(* The order [Stdlib.compare] gives operands and keys, field by field with
+   monomorphic comparisons. *)
+let operand_rank = function Cfg.Reg _ -> 0 | Cfg.Ci _ -> 1 | Cfg.Cf _ -> 2 | Cfg.Sym _ -> 3
+
+let compare_operand (a : Cfg.operand) (b : Cfg.operand) =
+  match (a, b) with
+  | Cfg.Reg x, Cfg.Reg y -> Int.compare x y
+  | Cfg.Ci x, Cfg.Ci y -> Int64.compare x y
+  | Cfg.Cf x, Cfg.Cf y -> Float.compare x y
+  | Cfg.Sym x, Cfg.Sym y -> String.compare x y
+  | _ -> Int.compare (operand_rank a) (operand_rank b)
+
+let ty_rank = function Ty.I64 -> 0 | Ty.F64 -> 1
+
+let compare_mkey a b =
+  let c = compare_operand a.mroot b.mroot in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.moff b.moff in
+    if c <> 0 then c
+    else
+      let c = Int.compare (Ty.bytes_of_width a.mw) (Ty.bytes_of_width b.mw) in
+      if c <> 0 then c else Int.compare (ty_rank a.mty) (ty_rank b.mty)
 
 (* --- global constant propagation + branch folding ------------------- *)
 
@@ -297,7 +331,7 @@ let gather_const facts (f : Cfg.func) : gfact list =
 module MKeyMap = Map.Make (struct
   type t = mkey
 
-  let compare = compare
+  let compare = compare_mkey
 end)
 
 let rle_transfer facts (avail : Cfg.operand MKeyMap.t) idx ins emit =
@@ -343,7 +377,7 @@ let gather_rle facts (f : Cfg.func) : gfact list =
         (MKeyMap.merge
            (fun _ v1 v2 ->
              match (v1, v2) with
-             | Some x, Some y when x = y -> Some x
+             | Some x, Some y when operand_eq x y -> Some x
              | _ -> None)
            m1 m2)
   in
@@ -354,6 +388,10 @@ let gather_rle facts (f : Cfg.func) : gfact list =
       (b_entry, 0) b.ins
     |> fst
   in
+  (* A round changes an entry only when its bindings change, so the loop
+     stops at the fixpoint: at most 5 rounds, counting the confirming
+     one, across the registry and 5000 fuzz programs at C/H/BB (as for
+     [gather_dse]).  The cap of 64 is a safety bound. *)
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 64 do
@@ -371,7 +409,7 @@ let gather_rle facts (f : Cfg.func) : gfact list =
               | None -> ()
               | Some cur ->
                 let nw = meet cur (Some ex) in
-                if nw <> cur then begin
+                if not (Option.equal (MKeyMap.equal operand_eq) nw cur) then begin
                   Hashtbl.replace entry succ nw;
                   changed := true
                 end)
@@ -403,11 +441,11 @@ let gather_rle facts (f : Cfg.func) : gfact list =
 module MSet = Set.Make (struct
   type t = mkey
 
-  let compare = compare
+  let compare = compare_mkey
 end)
 
 let covers (outer : mkey) (inner : mkey) =
-  outer.mroot = inner.mroot
+  operand_eq outer.mroot inner.mroot
   && outer.moff <= inner.moff
   && outer.moff + Ty.bytes_of_width outer.mw
      >= inner.moff + Ty.bytes_of_width inner.mw

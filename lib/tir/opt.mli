@@ -29,6 +29,11 @@ val run : Cfg.func -> unit
     round leaves the printed function ({!Cfg.pp_func}) unchanged, or a
     private safety bound far above any measured round count is reached. *)
 
+val fingerprint : Cfg.func -> string
+(** A text that two functions share exactly when {!Cfg.pp_func} prints
+    them equally, built without [Format]; {!run} tests its fixpoint on
+    it. *)
+
 val run_program : Cfg.program -> unit
 
 (** {2 Global passes}

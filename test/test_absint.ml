@@ -1,11 +1,14 @@
 (* Global abstract interpretation: known-answer range/alias facts on
-   hand-written programs, the seeded-bug mutation suite (every broken
+   hand-written programs and hand-built CFGs (the environment's merge and
+   copy-on-write rules), the seeded-bug mutation suite (every broken
    analysis mode must be refuted by the validator's clean re-derivation),
    the fixpoint/idempotence property of the extended optimization
-   pipeline (local passes + fact-driven global passes), and the fact
-   golden: a digest of every fact the analysis exposes, per workload and
-   preset, pinned to test/absint_golden.ml (a subset by default; all
-   workloads x O0/C/H/BB with TRIPS_ABSINT_GOLDEN_FULL=1). *)
+   pipeline (local passes + fact-driven global passes), and two fact
+   goldens: a digest of every fact the analysis exposes, per workload and
+   preset, pinned to test/absint_golden.ml, and the same facts plus every
+   gathered global rewrite per fuzz program, pinned to
+   test/absint_fuzz_golden.ml (subsets by default; everything with
+   TRIPS_ABSINT_GOLDEN_FULL=1). *)
 
 module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
@@ -197,6 +200,76 @@ let test_msb () =
       Alcotest.(check int) (Printf.sprintf "msb %Ld" n) (msb_scan n) (Absint.msb n))
     inputs
 
+(* -- merge and copy-on-write rules, on hand-built CFGs ------------------- *)
+
+let cfg_main ?(next_vreg = 16) blocks : Cfg.program =
+  let blocks =
+    List.map (fun (label, ins, term) -> { Cfg.label; ins; term }) blocks
+  in
+  {
+    Cfg.globals = [ Ast.global "gA" 64 ];
+    funcs = [ { Cfg.name = "main"; params = []; ret = Some Ty.I64; blocks; next_vreg } ];
+  }
+
+let load_a d = Cfg.Load (Ty.I64, Ty.W8, d, Cfg.Sym "gA", 0)
+let range_opt = Alcotest.(option (pair int64 int64))
+
+let test_one_arm_def () =
+  (* v2 is defined on the then-arm only: the join adopts that arm's
+     range rather than dropping to top, whichever arm is visited first *)
+  let diamond then_ins else_ins =
+    cfg_main
+      [ ("entry", [ load_a 0; Cfg.Bin (Ast.Lt, 1, Cfg.Reg 0, Cfg.Ci 0L) ],
+          Cfg.Br (Cfg.Reg 1, "then", "else"));
+        ("then", then_ins, Cfg.Jmp "join");
+        ("else", else_ins, Cfg.Jmp "join");
+        ("join", [], Cfg.Ret (Some (Cfg.Reg 2))) ]
+  in
+  let mask = [ Cfg.Bin (Ast.And, 2, Cfg.Reg 0, Cfg.Ci 7L) ] in
+  List.iter
+    (fun (what, p) ->
+      let t = Absint.analyze p in
+      Alcotest.check range_opt (what ^ ": v2 at the join") (Some (0L, 7L))
+        (Absint.range_at t ~fname:"main" ~label:"join" 2))
+    [ ("defined on the first arm", diamond mask []);
+      ("defined on the second arm", diamond [] mask) ]
+
+let test_undefined_top () =
+  (* v9 is read but never written: it reads as top, so a compare of it
+     with itself stays undecided *)
+  let p =
+    cfg_main ~next_vreg:10
+      [ ("entry", [ Cfg.Bin (Ast.Eq, 1, Cfg.Reg 9, Cfg.Reg 9) ], Cfg.Jmp "exit");
+        ("exit", [], Cfg.Ret (Some (Cfg.Reg 1))) ]
+  in
+  let t = Absint.analyze p in
+  Alcotest.check range_opt "v9 has no range" None
+    (Absint.range_at t ~fname:"main" ~label:"exit" 9);
+  Alcotest.check range_opt "v9 == v9 is undecided" (Some (0L, 1L))
+    (Absint.def_value t ~fname:"main" ~label:"entry" 0);
+  Alcotest.check range_opt "a vreg past the function's own reads as top" None
+    (Absint.range_at t ~fname:"main" ~label:"exit" 1000)
+
+let test_refine_edges () =
+  (* v1 is a copy of v0; the branch on v0 < 10 narrows both on each edge,
+     and neither edge sees the other's narrowing *)
+  let p =
+    cfg_main
+      [ ("entry",
+          [ load_a 0; Cfg.Mov (1, Cfg.Reg 0); Cfg.Bin (Ast.Lt, 2, Cfg.Reg 0, Cfg.Ci 10L) ],
+          Cfg.Br (Cfg.Reg 2, "small", "big"));
+        ("small", [], Cfg.Ret (Some (Cfg.Reg 1)));
+        ("big", [], Cfg.Ret (Some (Cfg.Reg 1))) ]
+  in
+  let t = Absint.analyze p in
+  let at label v = Absint.range_at t ~fname:"main" ~label v in
+  Alcotest.check range_opt "true edge: v0 < 10" (Some (Int64.min_int, 9L)) (at "small" 0);
+  Alcotest.check range_opt "true edge: its copy v1 < 10" (Some (Int64.min_int, 9L)) (at "small" 1);
+  Alcotest.check range_opt "false edge: v0 >= 10" (Some (10L, Int64.max_int)) (at "big" 0);
+  Alcotest.check range_opt "false edge: its copy v1 >= 10" (Some (10L, Int64.max_int)) (at "big" 1);
+  Alcotest.check range_opt "the load itself stays top" (Some (Int64.min_int, Int64.max_int))
+    (Absint.def_value t ~fname:"main" ~label:"entry" 0)
+
 (* -- seeded-bug mutation suite ---------------------------------------- *)
 
 (* Each broken analysis mode gets a program where the corrupted
@@ -326,8 +399,7 @@ let test_driver_hits () =
 let golden_presets =
   [ ("O0", Driver.o0); ("C", Driver.compiled); ("H", Driver.hand); ("BB", Driver.basic_blocks) ]
 
-let absint_fingerprint (cfg : Cfg.program) =
-  let t = Absint.analyze cfg in
+let absint_text t (cfg : Cfg.program) =
   let buf = Buffer.create 4096 in
   let range = function
     | None -> "-"
@@ -363,7 +435,10 @@ let absint_fingerprint (cfg : Cfg.program) =
     s.Absint.s_dead_branches s.Absint.s_trap_divs s.Absint.s_oor_shifts
     s.Absint.s_sep_pairs s.Absint.s_widenings;
   List.iter (fun d -> Printf.bprintf buf "%s\n" (Diag.to_line d)) (Absint.diags t);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Buffer.contents buf
+
+let absint_fingerprint (cfg : Cfg.program) =
+  Digest.to_hex (Digest.string (absint_text (Absint.analyze cfg) cfg))
 
 let golden_digest name ptag =
   let b = Registry.find name in
@@ -403,7 +478,70 @@ let test_golden (name, ptag, digest) () =
   Alcotest.(check string) (name ^ "/" ^ ptag ^ " fact digest") digest
     (golden_digest name ptag)
 
+(* -- fuzz fact golden ---------------------------------------------------- *)
+
+(* The registry golden covers 55 programs and no gathered rewrites.  This
+   one pins, per fuzz-generated program and preset, the fact text above
+   plus every function's [Opt.gather_global] list, so a change to the
+   analysis or to the global-opt dataflows that moves a single fact or
+   rewrite on any of the seeds shows up.  [dune runtest] checks the first
+   [fuzz_fast] seeds; TRIPS_ABSINT_GOLDEN_FULL=1 checks all of them. *)
+
+let fuzz_seeds = List.init 500 (fun i -> i + 1)
+let fuzz_fast = 50
+
+let fuzz_digest seed ptag =
+  let p = Trips_fuzz.Gen.gen_program ~seed () in
+  let cfg = Driver.front_end (List.assoc ptag golden_presets) p in
+  let t = Absint.analyze cfg in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (absint_text t cfg);
+  List.iter
+    (fun (f : Cfg.func) ->
+      Printf.bprintf buf "gather %s\n" f.Cfg.name;
+      List.iter
+        (fun g -> Buffer.add_string buf (Format.asprintf "%a\n" Opt.pp_gfact g))
+        (Opt.gather_global (Absint.facts t f.Cfg.name) f))
+    cfg.Cfg.funcs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* TRIPS_ABSINT_FUZZ_GOLDEN_RECORD=FILE rewrites the fuzz fixture instead
+   of testing — only for an intended change of facts or rewrites. *)
+let record_fuzz_golden path =
+  let oc = open_out path in
+  output_string oc
+    "(* Digests of the abstract interpretation's facts plus every gathered\n\
+    \   global rewrite per fuzz seed and preset (see [fuzz_digest] in\n\
+    \   test_absint.ml).  Regenerate only if the analysis or the global\n\
+    \   passes are meant to compute something different:\n\
+    \   TRIPS_ABSINT_FUZZ_GOLDEN_RECORD=test/absint_fuzz_golden.ml\n\
+    \   dune exec test/test_absint.exe *)\n\n\
+     let digests = [\n";
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (ptag, _) ->
+          Printf.fprintf oc "  (%d, %S, %S);\n" seed ptag (fuzz_digest seed ptag))
+        golden_presets)
+    fuzz_seeds;
+  output_string oc "]\n";
+  close_out oc
+
+let fuzz_golden_rows () =
+  if Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_FULL" <> None then Absint_fuzz_golden.digests
+  else List.filter (fun (s, _, _) -> s <= fuzz_fast) Absint_fuzz_golden.digests
+
+let test_fuzz_golden (seed, ptag, digest) () =
+  Alcotest.(check string)
+    (Printf.sprintf "seed %d/%s fact and rewrite digest" seed ptag)
+    digest (fuzz_digest seed ptag)
+
 let () =
+  (match Sys.getenv_opt "TRIPS_ABSINT_FUZZ_GOLDEN_RECORD" with
+  | Some path ->
+    record_fuzz_golden path;
+    exit 0
+  | None -> ());
   (match Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_RECORD" with
   | Some path ->
     record_golden path;
@@ -424,6 +562,9 @@ let () =
           Alcotest.test_case "nan constant in relaxed block" `Quick
             test_nan_relax;
           Alcotest.test_case "msb matches the bit scan" `Quick test_msb;
+          Alcotest.test_case "one-arm def survives the join" `Quick test_one_arm_def;
+          Alcotest.test_case "undefined vreg reads as top" `Quick test_undefined_top;
+          Alcotest.test_case "refinement stays on its edge" `Quick test_refine_edges;
         ] );
       ( "mutations",
         Alcotest.test_case "bug modes all covered" `Quick test_bug_modes_distinct
@@ -443,4 +584,10 @@ let () =
           (fun ((n, p, _) as row) ->
             Alcotest.test_case (n ^ " " ^ p) `Quick (test_golden row))
           (golden_rows ()) );
+      ( "fuzz-golden",
+        List.map
+          (fun ((s, p, _) as row) ->
+            Alcotest.test_case (Printf.sprintf "seed %d %s" s p) `Quick
+              (test_fuzz_golden row))
+          (fuzz_golden_rows ()) );
     ]
