@@ -960,7 +960,11 @@ module Core_ref = Trips_sim.Core_ref
    `Core_ref`, which share their types) or the `Sampled` estimator.  Both
    wall and process CPU time are recorded: the shared machines this runs
    on carry unpredictable background load, so throughput gates use the
-   CPU-time ratio, which that noise cancels out of. *)
+   CPU-time ratio, which that noise cancels out of.  Each row comes with
+   its run's operand-network profile (packets per class and hop bucket,
+   hops, contention cycles), which [--compare-ref] compares too; the
+   sweep also counts the [Core] runs whose OPN reservation ring spilled
+   into its overflow table (a slower path with the same answers). *)
 let simbench_sweep engine q benches =
   let jobs =
     List.map
@@ -971,68 +975,90 @@ let simbench_sweep engine q benches =
   in
   let t0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
-  let rows =
+  let spills = ref 0 in
+  let results =
     List.map
       (fun ((b : Registry.bench), prog, image) ->
-        let row cycles blocks (t : Core.stats) =
-          ( b.Registry.name, cycles, blocks, t.Core.branch_mispredicts,
-            t.Core.callret_mispredicts, t.Core.dcache_misses,
-            t.Core.load_flushes )
+        let row (r : Core.result) cycles blocks =
+          let t = r.Core.timing in
+          ( ( b.Registry.name, cycles, blocks, t.Core.branch_mispredicts,
+              t.Core.callret_mispredicts, t.Core.dcache_misses,
+              t.Core.load_flushes ),
+            r.Core.opn )
         in
         match engine with
         | (`Core | `Ref) as exact ->
-          let run = if exact = `Core then Core.run else Core_ref.run in
-          let t = (run prog image ~entry:"main" ~args:[]).Core.timing in
-          row t.Core.cycles t.Core.blocks t
+          let r =
+            if exact = `Ref then Core_ref.run prog image ~entry:"main" ~args:[]
+            else begin
+              (* [Core.run], with the model state kept *)
+              let s = Core.make_sim prog in
+              let r =
+                Core.drive s ~time:Core.interp_time prog image ~entry:"main"
+                  ~args:[]
+              in
+              if Trips_noc.Opn.spilled s.Core.opn then incr spills;
+              r
+            end
+          in
+          row r r.Core.timing.Core.cycles r.Core.timing.Core.blocks
         | `Sampled ->
           (* the estimate replaces cycles; the remaining stats cover the
              detailed stretches only, so the row is informational and is
              never compared against the exact engines *)
           let r, est = Sampled.run prog image ~entry:"main" ~args:[] in
-          row
-            (int_of_float est.Sampled.es_cycles)
-            r.Core.exec.Exec.blocks r.Core.timing)
+          row r (int_of_float est.Sampled.es_cycles) r.Core.exec.Exec.blocks)
       jobs
   in
   let wall = Unix.gettimeofday () -. t0 in
   let cpu = Sys.time () -. c0 in
-  (rows, wall, cpu)
+  (results, !spills, wall, cpu)
 
 let simbench_main q fixture out compare_ref =
   guard @@ fun () ->
   let preset = Platforms.quality_tag q in
   let benches = Registry.all in
-  let rows, wall, cpu = simbench_sweep `Core q benches in
+  let results, spills, wall, cpu = simbench_sweep `Core q benches in
+  let rows = List.map fst results in
   let blocks = List.fold_left (fun a (_, _, b, _, _, _, _) -> a + b) 0 rows in
   let bps w = if w > 0. then float_of_int blocks /. w else 0. in
   Printf.printf
     "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
-     cpu), %.0f blocks/s\n%!"
-    (List.length rows) preset blocks wall cpu (bps cpu);
+     cpu), %.0f blocks/s, %d OPN ring spill(s)\n%!"
+    (List.length rows) preset blocks wall cpu (bps cpu) spills;
   let ref_times =
     if compare_ref then begin
-      let ref_rows, ref_wall, ref_cpu = simbench_sweep `Ref q benches in
-      if ref_rows <> rows then
-        failwith "simbench: optimized and reference simulators disagree";
+      let ref_results, _, ref_wall, ref_cpu = simbench_sweep `Ref q benches in
+      List.iter2
+        (fun (((name, _, _, _, _, _, _) as row), opn) (ref_row, ref_opn) ->
+          let disagree what =
+            failwith
+              (Printf.sprintf
+                 "simbench: optimized and reference simulators disagree on %s %s"
+                 name what)
+          in
+          if row <> ref_row then disagree "statistics";
+          if opn <> ref_opn then disagree "OPN profile")
+        results ref_results;
       Printf.printf
         "simbench: reference sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-         speedup x%.2f (stats identical)\n%!"
+         speedup x%.2f (stats and OPN profiles identical)\n%!"
         ref_wall ref_cpu (bps ref_cpu) (ref_cpu /. cpu);
       Some (ref_wall, ref_cpu)
     end
     else None
   in
   (* sampled estimator: throughput plus estimate quality *)
-  let samp_rows, samp_wall, samp_cpu = simbench_sweep `Sampled q benches in
+  let samp_results, _, samp_wall, samp_cpu = simbench_sweep `Sampled q benches in
   let samp_err =
     (* mean absolute estimate error vs the exact sweep, in percent *)
     let tot, n =
       List.fold_left2
-        (fun (tot, n) (_, est, _, _, _, _, _) (_, cy, _, _, _, _, _) ->
+        (fun (tot, n) ((_, est, _, _, _, _, _), _) (_, cy, _, _, _, _, _) ->
           if cy > 0 then
             (tot +. (abs_float (float_of_int (est - cy)) /. float_of_int cy), n + 1)
           else (tot, n))
-        (0., 0) samp_rows rows
+        (0., 0) samp_results rows
     in
     if n = 0 then 0. else 100. *. tot /. float_of_int n
   in
@@ -1073,6 +1099,7 @@ let simbench_main q fixture out compare_ref =
               ("wall_s", Json.Float wall);
               ("cpu_s", Json.Float cpu);
               ("blocks_per_s", Json.Float (bps cpu));
+              ("opn_spills", Json.Int spills);
             ]
            @ (match ref_times with
              | Some (rw, rc) ->
@@ -1121,7 +1148,8 @@ let simbench_cmd =
          block instances per second.  With $(b,--compare-ref) the frozen \
          pre-optimization simulator (Core_ref) runs the same sweep and the \
          report gains a machine-independent speedup; the two simulators' \
-         statistics must agree exactly or the command fails.";
+         statistics and operand-network profiles must agree exactly or the \
+         command fails.";
     ]
   in
   let fixture =

@@ -16,6 +16,7 @@ type mem_event = {
 
 type instance = {
   iblock : Block.t;
+  iindex : int;
   fired : bool array;
   useful : bool array;
   exit_inst : int;
@@ -98,6 +99,7 @@ let g_pred = 4
    per-block target counts instead of counting each delivery. *)
 type xstatic = {
   xs_block : Block.t;
+  xs_index : int;                  (* the block's index in [blocks] *)
   xs_need : int array;             (* presence bits an inst waits for *)
   xs_pred : int array;             (* 0 unpredicated, 1 on true, 2 on false *)
   xs_zero_ready : int array;       (* insts that wait for nothing *)
@@ -150,7 +152,7 @@ let count_writes ts =
 (* [index label] is a block's index or [-1]; [entry f] the index of
    function [f]'s entry block, [-1] if that block is unknown and [-2] if
    the function is. *)
-let build_xstatic ~index ~entry (b : Block.t) : xstatic =
+let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
   let n = Array.length b.insts in
   let nw = Array.length b.writes in
   (* write slots and LSIDs are tracked in bitmasks *)
@@ -216,6 +218,7 @@ let build_xstatic ~index ~entry (b : Block.t) : xstatic =
   let read_write = Array.fold_left (fun acc ts -> acc + count_writes ts) 0 rtargets in
   {
     xs_block = b;
+    xs_index = k;
     xs_need;
     xs_pred =
       Array.map
@@ -676,11 +679,15 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
   let mem_events =
     List.stable_sort (fun a b2 -> Int.compare a.ev_lsid b2.ev_lsid) !mem_events
   in
-  { iblock = b; fired; useful; exit_inst = exit_i; exit_dest; mem_events }
+  { iblock = b; iindex = xs.xs_index; fired; useful; exit_inst = exit_i;
+    exit_dest; mem_events }
 
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
 (* ------------------------------------------------------------------ *)
+
+let blocks (p : Block.program) =
+  Array.of_list (List.concat_map (fun (f : Block.func) -> f.blocks) p.funcs)
 
 let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     (image : Image.t) ~entry ~args =
@@ -695,7 +702,7 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     args;
   (* blocks are dispatched by index: labels and callees are resolved
      once, when a block's static facts are built *)
-  let blocks = Array.of_list (List.concat_map (fun (f : Block.func) -> f.blocks) p.funcs) in
+  let blocks = blocks p in
   let labels = Hashtbl.create 256 in
   Array.iteri (fun k (b : Block.t) -> Hashtbl.replace labels b.label k) blocks;
   let index l = Option.value ~default:(-1) (Hashtbl.find_opt labels l) in
@@ -709,7 +716,7 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     match statics.(k) with
     | Some xs -> xs
     | None ->
-      let xs = build_xstatic ~index ~entry:entry_of blocks.(k) in
+      let xs = build_xstatic ~index ~entry:entry_of k blocks.(k) in
       statics.(k) <- Some xs;
       xs
   in

@@ -25,6 +25,8 @@ type mem_event = {
 
 type instance = {
   iblock : Block.t;
+  iindex : int;
+      (* [iblock]'s index in {!blocks} *)
   fired : bool array;            (* instruction fired *)
   useful : bool array;           (* fired and on a path to a block output *)
   exit_inst : int;               (* index of the branch that fired *)
@@ -85,6 +87,12 @@ val run :
     instructions (default 400 million).  [on_instance] sees every
     committed block instance after its stores and register writes.
     @raise Stuck as described above. *)
+
+val blocks : Block.program -> Block.t array
+(** The program's blocks, function by function in program order: the
+    order [run] dispatches by and {!instance.iindex} indexes.  A label
+    defined twice names its later block, which is the only one [run]
+    executes. *)
 
 val abi_ret_reg : int
 val abi_arg_regs : int list

@@ -51,42 +51,44 @@ let config t = t.cfg
 let stats t = t.st
 
 let line_of t addr = addr / t.cfg.line
-let set_of t addr = line_of t addr mod t.sets
 
-let find_way t addr =
-  let s = set_of t addr in
-  let tag = line_of t addr in
-  let base = s * t.cfg.assoc in
-  let rec go w =
-    if w = t.cfg.assoc then None
-    else if t.tags.(base + w) = tag then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
+(* The way of set-base [base] holding line [tag] as an index into
+   [tags], or -1. *)
+let find_way t base tag =
+  let w = ref 0 and found = ref (-1) in
+  while !found < 0 && !w < t.cfg.assoc do
+    if t.tags.(base + !w) = tag then found := base + !w;
+    incr w
+  done;
+  !found
 
-let probe t ~addr = find_way t addr <> None
+let probe t ~addr =
+  let line = line_of t addr in
+  find_way t ((line mod t.sets) * t.cfg.assoc) line >= 0
 
 let access t ~addr ~write =
   ignore write;
   t.tick <- t.tick + 1;
   t.st.accesses <- t.st.accesses + 1;
-  match find_way t addr with
-  | Some idx ->
+  let line = line_of t addr in
+  let base = (line mod t.sets) * t.cfg.assoc in
+  let idx = find_way t base line in
+  if idx >= 0 then begin
     t.lru.(idx) <- t.tick;
     true
-  | None ->
+  end
+  else begin
     t.st.misses <- t.st.misses + 1;
-    let s = set_of t addr in
-    let base = s * t.cfg.assoc in
     (* victim = least recently used way *)
     let victim = ref base in
     for w = 1 to t.cfg.assoc - 1 do
       if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
     done;
     if t.tags.(!victim) >= 0 then t.st.evictions <- t.st.evictions + 1;
-    t.tags.(!victim) <- line_of t addr;
+    t.tags.(!victim) <- line;
     t.lru.(!victim) <- t.tick;
     false
+  end
 
 let bank_of t ~addr = line_of t addr mod t.cfg.banks
 

@@ -27,20 +27,35 @@ type profile = {
   mutable total_hops : int;
 }
 
-(* Each link carries one operand per cycle.  Occupancy is tracked with a
-   per-link circular table over cycles (slot c mod window holds the cycle
-   number that claimed it), so messages timed out of order — the simulator
-   walks dataflow, not time — still contend only when they genuinely
-   overlap in time.
+(* Each link carries one operand per cycle.  Messages are timed out of
+   order — the simulator walks dataflow, not time — so occupancy is kept
+   per cycle, and messages contend only when they genuinely overlap.
 
-   The table is laid out time-major (slot rows of one cell per link):
-   claims cluster around the simulation's slowly-advancing time frontier,
-   so the hot footprint is a contiguous band of rows instead of a strided
-   cell in every link's private region. *)
+   Reservations live in a ring of link bit rows: ring slot [c mod window]
+   holds cycle [c]'s links as two words of 50 bits ([link_id] < 100).
+   The ring is valid for cycles in [floor, floor + window).  The caller
+   raises the floor ({!set_floor}) to a cycle below which it will never
+   claim again; the rows it passes are cleared, ready for the cycles
+   [window] later.  The whole ring is 64 KB, so a probe stays in cache.
+
+   A probe at or beyond [floor + window] cannot be answered by the ring.
+   The first one spills it into the overflow table, a per-link circular
+   table over cycles (slot [c mod window] holds the cycle that claimed
+   it), and that table answers every probe for the rest of the run.  The
+   spill is exact: while every claim lies in its window, two live claims
+   never share a table slot, so a table built claim by claim from the
+   start would hold the same live reservations, and its stale entries are
+   cycles below the floor that no later probe reaches.  The table is laid
+   out time-major (slot rows of one cell per link): claims cluster around
+   the slowly-advancing time frontier. *)
 let window = 4096
 
 type t = {
-  occupancy : int array;       (* (slot * nlinks + link) -> claiming cycle *)
+  rows : int array;            (* (slot * 2 + link / 50) -> link bits *)
+  mutable floor : int;
+  mutable limit : int;         (* floor + window; min_int once spilled *)
+  mutable table : int array;   (* (slot * nlinks + link) -> claiming cycle;
+                                  allocated by the first spill *)
   prof : profile;
 }
 
@@ -48,10 +63,14 @@ let size = 5
 let node r c = (r * size) + c
 let link_id n dir = (n * 4) + dir
 let nlinks = size * size * 4
+let row_bits = 50
 
 let create () =
   {
-    occupancy = Array.make (size * size * 4 * window) (-1);
+    rows = Array.make (2 * window) 0;
+    floor = 0;
+    limit = window;
+    table = [||];
     prof =
       {
         packets = Array.make_matrix 8 6 0;
@@ -60,6 +79,74 @@ let create () =
         total_hops = 0;
       };
   }
+
+let spilled t = t.limit = min_int
+
+let set_floor t c =
+  if c < t.floor then
+    invalid_arg (Printf.sprintf "Opn.set_floor: %d is below the floor %d" c t.floor);
+  if not (spilled t) then begin
+    for k = t.floor to min c t.limit - 1 do
+      let slot = (k land (window - 1)) * 2 in
+      Array.unsafe_set t.rows slot 0;
+      Array.unsafe_set t.rows (slot + 1) 0
+    done;
+    t.limit <- c + window
+  end;
+  t.floor <- c
+
+let check_floor t now =
+  if now < t.floor then
+    invalid_arg
+      (Printf.sprintf "Opn: claim at cycle %d is below the floor %d" now t.floor)
+
+(* Rebuild the overflow table from the live rows; it answers every probe
+   from now on. *)
+let spill t =
+  if Array.length t.table = 0 then t.table <- Array.make (nlinks * window) (-1)
+  else Array.fill t.table 0 (Array.length t.table) (-1);
+  for c = t.floor to t.limit - 1 do
+    let slot = c land (window - 1) in
+    for id = 0 to nlinks - 1 do
+      let w = t.rows.((slot * 2) + (id / row_bits)) in
+      if w land (1 lsl (id mod row_bits)) <> 0 then
+        t.table.((slot * nlinks) + id) <- c
+    done
+  done;
+  t.limit <- min_int
+
+(* [claim] past the ring: spill on the first such probe, then probe the
+   table from cycle [c]. *)
+let claim_table t id c =
+  if not (spilled t) then spill t;
+  (* window is a power of two: slot index is a mask, not a division *)
+  let occ = t.table in
+  let c = ref c in
+  while Array.unsafe_get occ (((!c land (window - 1)) * nlinks) + id) = !c do
+    incr c
+  done;
+  Array.unsafe_set occ (((!c land (window - 1)) * nlinks) + id) !c;
+  !c
+
+(* Claim the first free cycle at or after [time] on link [id]; returns
+   the claimed cycle.  [time] is at or above the floor. *)
+let[@inline] claim t id time =
+  let rows = t.rows and limit = t.limit in
+  let w = if id >= row_bits then 1 else 0 in
+  let bit = 1 lsl (id - (w * row_bits)) in
+  let c = ref time in
+  while
+    !c < limit
+    && Array.unsafe_get rows (((!c land (window - 1)) * 2) + w) land bit <> 0
+  do
+    incr c
+  done;
+  if !c < limit then begin
+    let k = ((!c land (window - 1)) * 2) + w in
+    Array.unsafe_set rows k (Array.unsafe_get rows k lor bit);
+    !c
+  end
+  else claim_table t id !c
 
 let hops ~src:(r1, c1) ~dst:(r2, c2) = abs (r1 - r2) + abs (c1 - c2)
 
@@ -82,19 +169,8 @@ let route (r1, c1) (r2, c2) =
   done;
   List.rev !steps
 
-(* Claim the first free cycle at or after [time] on link [id]; returns the
-   cycle after traversing the hop. *)
-let claim t id time =
-  let p = t.prof in
-  let c = ref time in
-  (* window is a power of two: slot index is a mask, not a division *)
-  while t.occupancy.(((!c land (window - 1)) * nlinks) + id) = !c do incr c done;
-  t.occupancy.(((!c land (window - 1)) * nlinks) + id) <- !c;
-  p.contention_cycles <- p.contention_cycles + (!c - time);
-  (* one cycle to traverse the hop *)
-  !c + 1
-
 let send t ~src:(r1, c1) ~dst:(r2, c2) cls ~now =
+  check_floor t now;
   let h = abs (r1 - r2) + abs (c1 - c2) in
   let p = t.prof in
   let bucket = min h 5 in
@@ -106,15 +182,19 @@ let send t ~src:(r1, c1) ~dst:(r2, c2) cls ~now =
     (* in-place dimension-ordered walk: same link claims, in the same
        order, as iterating [route src dst] — without allocating it *)
     let time = ref now in
+    (* one cycle to traverse the hop *)
+    let hop id =
+      let c = claim t id !time in
+      p.contention_cycles <- p.contention_cycles + (c - !time);
+      time := c + 1
+    in
     let r = ref r1 and c = ref c1 in
     while !r <> r2 do
-      let dir = if r2 > !r then 1 else 0 in
-      time := claim t (link_id (node !r !c) dir) !time;
+      hop (link_id (node !r !c) (if r2 > !r then 1 else 0));
       r := if r2 > !r then !r + 1 else !r - 1
     done;
     while !c <> c2 do
-      let dir = if c2 > !c then 2 else 3 in
-      time := claim t (link_id (node !r !c) dir) !time;
+      hop (link_id (node !r !c) (if c2 > !c then 2 else 3));
       c := if c2 > !c then !c + 1 else !c - 1
     done;
     !time
@@ -129,23 +209,18 @@ let path_ids ~src ~dst =
    claims in the same order.  [ci] is the {!class_index}; the path is
    [paths.(off) .. paths.(off + len - 1)] and [len] is the hop count. *)
 let claim_path t ~ci ~paths ~off ~len ~now =
+  check_floor t now;
   let p = t.prof in
   let bucket = if len < 5 then len else 5 in
   p.packets.(ci).(bucket) <- p.packets.(ci).(bucket) + 1;
   p.total_packets <- p.total_packets + 1;
   p.total_hops <- p.total_hops + len;
-  let occ = t.occupancy in
   let time = ref now in
   let stall = ref 0 in
   for k = off to off + len - 1 do
-    let id = Array.unsafe_get paths k in
-    let c = ref !time in
-    while Array.unsafe_get occ (((!c land (window - 1)) * nlinks) + id) = !c do
-      incr c
-    done;
-    Array.unsafe_set occ (((!c land (window - 1)) * nlinks) + id) !c;
-    stall := !stall + (!c - !time);
-    time := !c + 1
+    let c = claim t (Array.unsafe_get paths k) !time in
+    stall := !stall + (c - !time);
+    time := c + 1
   done;
   p.contention_cycles <- p.contention_cycles + !stall;
   !time
@@ -157,7 +232,9 @@ let average_hops t =
   else float_of_int t.prof.total_hops /. float_of_int t.prof.total_packets
 
 let reset t =
-  Array.fill t.occupancy 0 (Array.length t.occupancy) (-1);
+  Array.fill t.rows 0 (Array.length t.rows) 0;
+  t.floor <- 0;
+  t.limit <- window;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.prof.packets;
   t.prof.contention_cycles <- 0;
   t.prof.total_packets <- 0;

@@ -12,12 +12,37 @@
 type cls = Et_et | Et_dt | Et_rt | Et_gt | Dt_rt | Dt_et | Rt_et | Gt_any
 
 type t
+(** Link reservations.  Messages may be sent out of time order; a link is
+    held for exactly the cycles claimed on it.
+
+    {b Floor contract.}  [t] keeps a floor, a cycle below which no message
+    is sent any more: {!send} and {!claim_path} raise [Invalid_argument]
+    for [~now] below it.  Raising the floor ({!set_floor}) lets [t] forget
+    the reservations below it, so its live state fits a ring of
+    {!window} cycles of link bit rows.  A claim at or beyond
+    [floor + window] spills the ring into a per-link table over cycles
+    that serves the rest of the run (or until {!reset}); the answers are
+    the same either way.  A caller that never raises the floor keeps it
+    at 0 and runs on the table past the first {!window} cycles. *)
 
 val create : unit -> t
 
+val window : int
+(** Cycles the reservation ring covers above the floor (4096). *)
+
+val set_floor : t -> int -> unit
+(** [set_floor t c] promises that no later message is sent at a cycle
+    below [c].
+    @raise Invalid_argument if [c] is below the current floor. *)
+
+val spilled : t -> bool
+(** Whether a claim has reached past the ring, so that the table answers
+    from now on. *)
+
 val send : t -> src:int * int -> dst:int * int -> cls -> now:int -> int
 (** [send t ~src ~dst cls ~now] routes one operand and returns its arrival
-    cycle.  A local bypass ([src = dst]) arrives at [now]. *)
+    cycle.  A local bypass ([src = dst]) arrives at [now].
+    @raise Invalid_argument if [now] is below the floor. *)
 
 val hops : src:int * int -> dst:int * int -> int
 
@@ -42,7 +67,8 @@ val claim_path :
 (** [claim_path t ~ci ~paths ~off ~len ~now] is {!send} over the
     precomputed path [paths.(off) .. paths.(off + len - 1)] for a message
     of class index [ci] ([len] = hop count): identical link claims, in the
-    same order, and identical profile accounting. *)
+    same order, and identical profile accounting.
+    @raise Invalid_argument if [now] is below the floor. *)
 
 type profile = {
   packets : int array array;   (* class index x hop bucket (0..5, 5 = 5+) *)
@@ -56,3 +82,4 @@ val class_index : cls -> int
 val class_name : int -> string
 val average_hops : t -> float
 val reset : t -> unit
+(** Clears every reservation and the profile, and lowers the floor to 0. *)

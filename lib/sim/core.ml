@@ -128,6 +128,11 @@ type plan = {
   p_roff : int array;                (* reads+1 offsets into p_rtgt *)
   p_rtgt : int array;
   p_exits : int array;               (* branch inst indices, ascending *)
+  (* per exit, the successors resolved when the plans are built: the
+     jump target or the callee's entry ([None]: unknown function), and a
+     call's return block *)
+  mutable p_next : plan option array;
+  mutable p_ret : plan option array;
   (* precomputed operand-network paths.  Almost every message's endpoints
      are static per block, so the link ids it claims are too: variant [v]
      is [p_paths.(p_voff.(v)) .. p_voff.(v) + p_vlen.(v) - 1].  Loads
@@ -322,16 +327,14 @@ type sim = {
   l2 : Cache.t;
   mutable dram_free_at : int;
   st : stats;
-  (* static timing plans, one per block label (address, interned id and
-     measured profile live inside the plan) *)
-  plans : (string, plan) Hashtbl.t;
+  (* static timing plans, one per block in {!Exec.blocks} order
+     (address, interned id and measured profile live inside the plan) *)
+  plans : plan array;
   mutable next_id : int;                      (* label id counter *)
-  ids : (string, int) Hashtbl.t;              (* ids of plan-less labels *)
-  func_entry : (string, string) Hashtbl.t;    (* function -> entry label *)
   dt_pos : (int * int) array;                 (* DT bank mesh positions *)
   scratch : scratch;
   mutable reg_ready : int array;              (* RT value availability *)
-  mutable shadow_stack : string list;         (* return labels *)
+  mutable shadow_stack : plan list;           (* return blocks *)
   (* previous block bookkeeping *)
   mutable prev : prev option;
   mutable last_commit : int;
@@ -364,19 +367,6 @@ let intern_plan s (p : plan) =
     s.next_id <- s.next_id + 1
   end;
   p.p_id
-
-let intern s label =
-  match Hashtbl.find_opt s.plans label with
-  | Some p -> intern_plan s p
-  | None -> (
-    (* label without a plan (defensive; cannot happen for valid programs) *)
-    match Hashtbl.find_opt s.ids label with
-    | Some i -> i
-    | None ->
-      let i = s.next_id in
-      s.next_id <- s.next_id + 1;
-      Hashtbl.replace s.ids label i;
-      i)
 
 let build_plan (cfg : config) (b : Block.t) ~addr : plan =
   let n = Array.length b.Block.insts in
@@ -546,6 +536,8 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     p_roff = roff;
     p_rtgt = rtgt;
     p_exits = Array.of_list (List.map fst (Block.exits b));
+    p_next = [||];
+    p_ret = [||];
     p_tvar = tvar;
     p_tci = tci;
     p_dtvar = dtvar;
@@ -959,43 +951,78 @@ let empty_stats () =
 
 let make_sim ?(config = prototype) (program : Block.program) =
   (* static planning: code layout plus one timing plan per block *)
-  let plans : (string, plan) Hashtbl.t = Hashtbl.create 128 in
-  let func_entry = Hashtbl.create 16 in
+  let blocks = Exec.blocks program in
   let cursor = ref 0x4000000 in
   let max_insts = ref 1 and max_writes = ref 1 and max_lsid = ref 0 in
+  let plans =
+    Array.map
+      (fun (b : Block.t) ->
+        let addr = !cursor in
+        cursor := !cursor + block_bytes (Array.length b.Block.insts);
+        if Array.length b.Block.insts > !max_insts then
+          max_insts := Array.length b.Block.insts;
+        (* bound on register writes an instance can emit: one per
+           To_write target, whether reached from an instruction or a
+           read slot *)
+        let writes = ref 0 in
+        let count_targets =
+          List.iter (function
+            | Isa.To_write _ -> incr writes
+            | Isa.To_inst _ -> ())
+        in
+        Array.iter
+          (fun (ins : Isa.inst) ->
+            count_targets ins.Isa.targets;
+            match ins.Isa.op with
+            | Isa.Load (_, _, lsid) | Isa.Store (_, lsid) ->
+              if lsid > !max_lsid then max_lsid := lsid
+            | _ -> ())
+          b.Block.insts;
+        Array.iter
+          (fun (r : Block.read) -> count_targets r.Block.rtargets)
+          b.Block.reads;
+        if !writes > !max_writes then max_writes := !writes;
+        build_plan config b ~addr)
+      blocks
+  in
+  (* successors by label: a label defined twice names its later block and
+     a function defined twice its later entry, as a table filled in
+     program order would; a label with no block (defensive; not in a
+     valid program) gets an empty plan of its own, so it still draws one
+     predictor id on first use *)
+  let by_label = Hashtbl.create 128 in
+  Array.iter (fun (p : plan) -> Hashtbl.replace by_label p.p_label p) plans;
+  let func_entry = Hashtbl.create 16 in
   List.iter
-    (fun (f : Block.func) ->
-      Hashtbl.replace func_entry f.Block.fname f.Block.entry;
-      List.iter
-        (fun (b : Block.t) ->
-          let addr = !cursor in
-          cursor := !cursor + block_bytes (Array.length b.Block.insts);
-          if Array.length b.Block.insts > !max_insts then
-            max_insts := Array.length b.Block.insts;
-          (* bound on register writes an instance can emit: one per
-             To_write target, whether reached from an instruction or a
-             read slot *)
-          let writes = ref 0 in
-          let count_targets =
-            List.iter (function
-              | Isa.To_write _ -> incr writes
-              | Isa.To_inst _ -> ())
-          in
-          Array.iter
-            (fun (ins : Isa.inst) ->
-              count_targets ins.Isa.targets;
-              match ins.Isa.op with
-              | Isa.Load (_, _, lsid) | Isa.Store (_, lsid) ->
-                if lsid > !max_lsid then max_lsid := lsid
-              | _ -> ())
-            b.Block.insts;
-          Array.iter
-            (fun (r : Block.read) -> count_targets r.Block.rtargets)
-            b.Block.reads;
-          if !writes > !max_writes then max_writes := !writes;
-          Hashtbl.replace plans b.Block.label (build_plan config b ~addr))
-        f.Block.blocks)
+    (fun (f : Block.func) -> Hashtbl.replace func_entry f.Block.fname f.Block.entry)
     program.Block.funcs;
+  let plan_of label =
+    match Hashtbl.find_opt by_label label with
+    | Some p -> p
+    | None ->
+      let p =
+        build_plan config
+          { Block.label; reads = [||]; writes = [||]; insts = [||]; placement = [||] }
+          ~addr:0
+      in
+      Hashtbl.replace by_label label p;
+      p
+  in
+  Array.iteri
+    (fun k (b : Block.t) ->
+      let exits = Array.of_list (List.map snd (Block.exits b)) in
+      plans.(k).p_next <-
+        Array.map
+          (function
+            | Isa.Xjump l -> Some (plan_of l)
+            | Isa.Xcall (f, _) -> Option.map plan_of (Hashtbl.find_opt func_entry f)
+            | Isa.Xret -> None)
+          exits;
+      plans.(k).p_ret <-
+        Array.map
+          (function Isa.Xcall (_, r) -> Some (plan_of r) | _ -> None)
+          exits)
+    blocks;
     {
       cfg = config;
       pred = Blockpred.create config.predictor;
@@ -1008,8 +1035,6 @@ let make_sim ?(config = prototype) (program : Block.program) =
       st = empty_stats ();
       plans;
       next_id = 1;
-      ids = Hashtbl.create 8;
-      func_entry;
       dt_pos = Array.init Isa.num_dt_banks Isa.dt_position;
       scratch =
         make_scratch ~max_insts:!max_insts ~max_writes:!max_writes
@@ -1059,53 +1084,64 @@ let infl_push s fetch commit size =
     s.infl_len <- s.infl_len + 1;
     s.infl_insts <- s.infl_insts + size
 
+let exit_kind (inst : Exec.instance) =
+  match inst.Exec.exit_dest with
+  | Isa.Xjump _ -> Blockpred.Kjump
+  | Isa.Xcall _ -> Blockpred.Kcall
+  | Isa.Xret -> Blockpred.Kret
+
 (* Resolve the instance's exit against the shadow call stack and train
-   the next-block predictor with it; returns the exit kind and the
-   successor's id.  Sampled simulation's functional warming calls this
+   the next-block predictor with it; returns the successor's id, or -1
+   for a return with an empty shadow stack or a call to an unknown
+   function.  Successors are plans resolved by [make_sim], so no label
+   is hashed here.  Sampled simulation's functional warming calls this
    too, so the predictor sees the same training with or without the
    clock. *)
 let resolve_exit s (plan : plan) (inst : Exec.instance) =
   let label_id = intern_plan s plan in
-  let actual_label, kind =
+  let exits = plan.p_exits in
+  let exit_idx =
+    let rec find k =
+      if k >= Array.length exits then
+        invalid_arg
+          (Printf.sprintf "Core: block %s exits at I%d, not a branch"
+             plan.p_label inst.Exec.exit_inst)
+      else if Array.unsafe_get exits k = inst.Exec.exit_inst then k
+      else find (k + 1)
+    in
+    find 0
+  in
+  let next =
     match inst.Exec.exit_dest with
-    | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-    | Isa.Xcall (fname, retl) ->
-      s.shadow_stack <- retl :: s.shadow_stack;
-      (Hashtbl.find_opt s.func_entry fname, Blockpred.Kcall)
+    | Isa.Xjump _ -> plan.p_next.(exit_idx)
+    | Isa.Xcall _ ->
+      (match plan.p_ret.(exit_idx) with
+      | Some r -> s.shadow_stack <- r :: s.shadow_stack
+      | None -> ());
+      plan.p_next.(exit_idx)
     | Isa.Xret -> (
       match s.shadow_stack with
-      | [] -> (None, Blockpred.Kret)
-      | retl :: rest ->
+      | [] -> None
+      | r :: rest ->
         s.shadow_stack <- rest;
-        (Some retl, Blockpred.Kret))
+        Some r)
   in
-  let actual_id = Option.map (intern s) actual_label in
-  (match actual_id with
+  match next with
+  | None -> -1
   | Some target ->
-    let exit_idx =
-      let exits = plan.p_exits in
-      let rec find k =
-        if k >= Array.length exits then 0
-        else if exits.(k) = inst.Exec.exit_inst then k
-        else find (k + 1)
-      in
-      find 0
-    in
+    let target = intern_plan s target in
     let fall =
-      match inst.Exec.exit_dest with
-      | Isa.Xcall (_, retl) -> intern s retl
-      | _ -> 0
+      match plan.p_ret.(exit_idx) with Some r -> intern_plan s r | None -> 0
     in
     Blockpred.update s.pred
       {
         Blockpred.o_block = label_id;
         o_exit = exit_idx;
-        o_kind = kind;
+        o_kind = exit_kind inst;
         o_target = target;
         o_fallthrough = fall;
-      }
-  | None -> ());
-  (kind, actual_id)
+      };
+    target
 
 (* One committed block instance: everything [run] does around the
    dataflow timing itself — fetch scheduling, I-cache, commit, register
@@ -1135,6 +1171,9 @@ let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
           imax (p.p_resolve + config.redirect_penalty) frame_limit
         end
     in
+    (* no message of this instance or a later one leaves before its
+       fetch *)
+    Opn.set_floor s.opn fetch;
     (* 2. instruction fetch *)
     let ilat = icache_fetch s ~addr:plan.p_addr ~bytes:plan.p_bytes ~now:fetch in
     (* 3. dataflow *)
@@ -1154,11 +1193,13 @@ let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
     done;
     (* 5. next-block prediction *)
     let predicted = Blockpred.predict s.pred ~block:(intern_plan s plan) in
-    let kind, actual_id = resolve_exit s plan inst in
-    let correct = actual_id <> None && predicted = actual_id in
+    let actual = resolve_exit s plan inst in
+    let correct =
+      match predicted with Some p -> actual >= 0 && p = actual | None -> false
+    in
     s.prev <-
       Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
-             p_kind = kind };
+             p_kind = exit_kind inst };
     (* 6. occupancy accounting *)
     s.st.blocks <- s.st.blocks + 1;
     let obs = plan.p_obs in
@@ -1191,10 +1232,10 @@ let collect_result s (exec_result : Exec.result) =
     block_profile =
       List.sort
         (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold
-           (fun label (p : plan) acc ->
-             if p.p_obs.bo_instances > 0 then (label, p.p_obs) :: acc else acc)
-           s.plans []);
+        (Array.fold_left
+           (fun acc (p : plan) ->
+             if p.p_obs.bo_instances > 0 then (p.p_label, p.p_obs) :: acc else acc)
+           [] s.plans);
   }
 
 let interp_time : time_fn =
@@ -1203,8 +1244,7 @@ let interp_time : time_fn =
 
 let drive ?fuel s ~(time : time_fn) (program : Block.program) image ~entry ~args =
   let on_instance (inst : Exec.instance) =
-    let plan = Hashtbl.find s.plans inst.Exec.iblock.Block.label in
-    step_instance s ~time plan inst
+    step_instance s ~time s.plans.(inst.Exec.iindex) inst
   in
   let exec_result = Exec.run ?fuel ~on_instance program image ~entry ~args in
   collect_result s exec_result

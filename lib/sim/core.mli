@@ -123,6 +123,10 @@ type plan = {
   p_roff : int array;                (* reads+1 offsets into p_rtgt *)
   p_rtgt : int array;
   p_exits : int array;               (* branch inst indices, ascending *)
+  mutable p_next : plan option array;
+      (* per exit: jump target or callee entry, [None] for a return or an
+         unknown callee; a label with no block has an empty plan *)
+  mutable p_ret : plan option array; (* per exit: a call's return block *)
   p_tvar : int array;                (* per p_tgt entry: variant base *)
   p_tci : int array;                 (* per p_tgt entry: message class *)
   p_dtvar : int array;               (* per inst: ET->DT variant base, -1 *)
@@ -147,14 +151,12 @@ type sim = {
   l2 : Trips_mem.Cache.t;
   mutable dram_free_at : int;
   st : stats;
-  plans : (string, plan) Hashtbl.t;
+  plans : plan array;                (* indexed by [Exec.instance.iindex] *)
   mutable next_id : int;
-  ids : (string, int) Hashtbl.t;
-  func_entry : (string, string) Hashtbl.t;
   dt_pos : (int * int) array;
   scratch : scratch;
   mutable reg_ready : int array;
-  mutable shadow_stack : string list;
+  mutable shadow_stack : plan list;
   mutable prev : prev option;
   mutable last_commit : int;
   mutable commits : int array;
@@ -187,19 +189,24 @@ val interp_time : time_fn
 (** The dataflow timer [run] uses. *)
 
 val make_sim : ?config:config -> Trips_edge.Block.program -> sim
-(** Static planning plus fresh model state; [run] is [drive] over this. *)
+(** Static planning plus fresh model state; [run] is [drive] over this.
+    Every exit's successor plans are resolved here, by label; a label
+    defined twice names its later block, as in {!Trips_edge.Exec.run}. *)
 
-val resolve_exit :
-  sim -> plan -> Trips_edge.Exec.instance ->
-  Trips_predictor.Blockpred.kind * int option
+val resolve_exit : sim -> plan -> Trips_edge.Exec.instance -> int
 (** Follow the instance's exit (maintaining the shadow call stack) and
-    train the next-block predictor with it.  Returns the exit kind and
-    the successor's predictor id ([None] for a return with an empty
-    shadow stack). *)
+    train the next-block predictor with it.  Returns the successor's
+    predictor id, or -1 for a return with an empty shadow stack or a call
+    to an unknown function.
+    @raise Invalid_argument if the instance's exit is not a branch of
+    the plan's block. *)
 
 val step_instance : sim -> time:time_fn -> plan -> Trips_edge.Exec.instance -> unit
 (** Fetch scheduling, I-cache, [time], commit, register availability,
-    prediction and occupancy accounting for one committed instance. *)
+    prediction and occupancy accounting for one committed instance.
+    First raises the operand network's floor ({!Trips_noc.Opn.set_floor})
+    to the instance's fetch cycle: fetch cycles strictly increase, and
+    every message of an instance is sent at or after its fetch. *)
 
 val collect_result : sim -> Trips_edge.Exec.result -> result
 

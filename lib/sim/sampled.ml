@@ -113,7 +113,7 @@ let run ?config ?fuel (program : Block.program) image ~entry ~args =
   let measure_c0 = ref 0 in
   let detail = warm + measure in
   let on_instance (inst : Exec.instance) =
-    let plan = Hashtbl.find s.Core.plans inst.Exec.iblock.Block.label in
+    let plan = s.Core.plans.(inst.Exec.iindex) in
     let phase = !n_blocks mod period in
     if phase < detail then begin
       if phase = 0 && !n_blocks > 0 then

@@ -72,6 +72,32 @@ let check_differential name () =
   Alcotest.(check bool) "block_profile" true
     (o.Core.block_profile = r.Core.block_profile)
 
+(* A label defined twice names its later block, in [Core] as in the
+   reference: every function's blocks are listed twice, so the first
+   copies shift the code layout but never run.  A simulator that
+   resolved a label to its first definition would hand each successor
+   the idle copy's predictor id. *)
+let check_duplicate_labels () =
+  let module Block = Trips_edge.Block in
+  let b = Registry.find "vortex" in
+  let prog = Platforms.edge_program Platforms.C b in
+  let prog =
+    {
+      prog with
+      Block.funcs =
+        List.map
+          (fun (f : Block.func) -> { f with Block.blocks = f.Block.blocks @ f.Block.blocks })
+          prog.Block.funcs;
+    }
+  in
+  let fresh_image () = Image.build b.Registry.program.Trips_tir.Ast.globals in
+  let o = Core.run prog (fresh_image ()) ~entry:"main" ~args:[] in
+  let r = Core_ref.run prog (fresh_image ()) ~entry:"main" ~args:[] in
+  Alcotest.(check bool) "timing" true (o.Core.timing = r.Core.timing);
+  Alcotest.(check bool) "opn" true (o.Core.opn = r.Core.opn);
+  Alcotest.(check bool) "block_profile" true
+    (o.Core.block_profile = r.Core.block_profile)
+
 (* Sampled contract: execution stays exact (return value, block count);
    the cycle estimate either is exact (full-detail fallback) or carries
    the true count within its own 95% interval on these workloads. *)
@@ -169,7 +195,8 @@ let () =
       ( "differential",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_differential name))
-          [ "fft"; "basefp"; "pktflow"; "vortex" ] );
+          [ "fft"; "basefp"; "pktflow"; "vortex" ]
+        @ [ Alcotest.test_case "duplicate labels" `Quick check_duplicate_labels ] );
       ( "sampled",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_sampled name))

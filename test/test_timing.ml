@@ -136,6 +136,117 @@ let test_cache_hierarchy_sanity () =
   Alcotest.(check bool) "second hits" true hit2;
   Alcotest.(check bool) "miss slower than hit" true (miss_lat > hit_lat)
 
+(* The cache model before its lookup stopped allocating, kept verbatim
+   as the oracle of [test_cache_equivalence]. *)
+module Old_cache = struct
+  open Trips_mem.Cache
+
+  type t = {
+    cfg : config;
+    sets : int;
+    tags : int array;            (* sets * assoc, -1 = invalid *)
+    lru : int array;             (* timestamps *)
+    st : stats;
+    mutable tick : int;
+  }
+
+  let create cfg =
+    let sets = cfg.size_kb * 1024 / cfg.line / cfg.assoc in
+    assert (sets > 0);
+    {
+      cfg;
+      sets;
+      tags = Array.make (sets * cfg.assoc) (-1);
+      lru = Array.make (sets * cfg.assoc) 0;
+      st = { accesses = 0; misses = 0; evictions = 0 };
+      tick = 0;
+    }
+
+  let line_of t addr = addr / t.cfg.line
+  let set_of t addr = line_of t addr mod t.sets
+
+  let find_way t addr =
+    let s = set_of t addr in
+    let tag = line_of t addr in
+    let base = s * t.cfg.assoc in
+    let rec go w =
+      if w = t.cfg.assoc then None
+      else if t.tags.(base + w) = tag then Some (base + w)
+      else go (w + 1)
+    in
+    go 0
+
+  let probe t ~addr = find_way t addr <> None
+
+  let access t ~addr ~write =
+    ignore write;
+    t.tick <- t.tick + 1;
+    t.st.accesses <- t.st.accesses + 1;
+    match find_way t addr with
+    | Some idx ->
+      t.lru.(idx) <- t.tick;
+      true
+    | None ->
+      t.st.misses <- t.st.misses + 1;
+      let s = set_of t addr in
+      let base = s * t.cfg.assoc in
+      (* victim = least recently used way *)
+      let victim = ref base in
+      for w = 1 to t.cfg.assoc - 1 do
+        if t.lru.(base + w) < t.lru.(!victim) then victim := base + w
+      done;
+      if t.tags.(!victim) >= 0 then t.st.evictions <- t.st.evictions + 1;
+      t.tags.(!victim) <- line_of t addr;
+      t.lru.(!victim) <- t.tick;
+      false
+end
+
+(* Random access streams over the TRIPS and superscalar caches: every
+   hit, the miss and eviction counts, and at the end which lines are
+   resident (so every LRU victim) match the oracle.  Addresses span four
+   times the capacity, half of them re-touching a recent line. *)
+let test_cache_equivalence () =
+  let module Cache = Trips_mem.Cache in
+  let configs =
+    [ Cache.trips_l1d; Cache.trips_l1i; Cache.trips_l2 ]
+    @ List.concat_map
+        (fun (c : Ooo.config) -> [ c.Ooo.l1d; c.Ooo.l1i ] @ Option.to_list c.Ooo.l2)
+        [ Ooo.core2; Ooo.pentium4; Ooo.pentium3 ]
+  in
+  List.iteri
+    (fun k (cfg : Cache.config) ->
+      let rng = Random.State.make [| k |] in
+      let c = Cache.create cfg and o = Old_cache.create cfg in
+      let span = 4 * cfg.Cache.size_kb * 1024 in
+      let recent = Array.make 64 0 in
+      for i = 1 to 40_000 do
+        let addr =
+          if Random.State.bool rng then
+            recent.(Random.State.int rng 64) + Random.State.int rng cfg.Cache.line
+          else Random.State.int rng span
+        in
+        recent.(i land 63) <- addr;
+        let write = Random.State.bool rng in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s access %d hit" cfg.Cache.name i)
+          (Old_cache.access o ~addr ~write)
+          (Cache.access c ~addr ~write)
+      done;
+      let st = Cache.stats c in
+      let what = cfg.Cache.name in
+      Alcotest.(check int) (what ^ " accesses") o.Old_cache.st.Cache.accesses
+        st.Cache.accesses;
+      Alcotest.(check int) (what ^ " misses") o.Old_cache.st.Cache.misses st.Cache.misses;
+      Alcotest.(check int) (what ^ " evictions") o.Old_cache.st.Cache.evictions
+        st.Cache.evictions;
+      Alcotest.(check bool) (what ^ " evicts") true (st.Cache.evictions > 0);
+      let line = cfg.Cache.line in
+      for l = 0 to (span / line) - 1 do
+        if Old_cache.probe o ~addr:(l * line) <> Cache.probe c ~addr:(l * line) then
+          Alcotest.failf "%s: line %d residency differs" what l
+      done)
+    configs
+
 let () =
   Alcotest.run "timing"
     [
@@ -161,5 +272,6 @@ let () =
         [
           Alcotest.test_case "opn per-cycle links" `Quick test_opn_occupancy_exact;
           Alcotest.test_case "cache hierarchy" `Quick test_cache_hierarchy_sanity;
+          Alcotest.test_case "cache lookup as before" `Quick test_cache_equivalence;
         ] );
     ]
