@@ -15,6 +15,7 @@
 
 open Cmdliner
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Image = Trips_tir.Image
 module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
@@ -39,35 +40,38 @@ let guard f =
   | Unix.Unix_error (e, fn, arg) ->
     `Error (false, Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
 
-(* The one preset vocabulary of the CLI: canonical tags and the aliases
-   the commands have always accepted. *)
-let preset_table =
-  Transval_xv.
-    [ ("O0", O0); ("o0", O0); ("C", C); ("c", C); ("compiled", C);
-      ("H", H); ("h", H); ("hand", H);
-      ("BB", BB); ("bb", BB); ("basic-blocks", BB) ]
+(* One --preset value: a {!Preset.of_string} spelling of one of [among]. *)
+let parse_preset among s =
+  match Preset.of_string s with
+  | Some p when List.mem p among -> Ok p
+  | _ ->
+    Error
+      (`Msg
+        (Printf.sprintf "unknown preset %S (one of: %s)" s
+           (String.concat ", " (List.map Preset.name among))))
+
+let print_preset ppf p = Format.pp_print_string ppf (Preset.name p)
 
 (* --preset for the commands that model only the paper's two code
    qualities. *)
 let quality_arg =
-  let quality (name, tag) =
-    match tag with
-    | Transval_xv.C -> Some (name, Platforms.C)
-    | Transval_xv.H -> Some (name, Platforms.H)
-    | _ -> None
-  in
   Arg.(
     value
-    & opt (enum (List.filter_map quality preset_table)) Platforms.C
-    & info [ "preset" ] ~docv:"C|H" ~absent:"C" ~doc:"Code quality.")
+    & opt (conv (parse_preset Preset.qualities, print_preset)) Preset.C
+    & info [ "preset" ] ~docv:"C|H" ~doc:"Code quality.")
 
-(* Repeatable --preset over the whole vocabulary, [default] when absent;
+(* Repeatable --preset over every preset, [default] when absent;
    [aliases] adds command-specific names for several presets at once. *)
 let presets_arg ?(aliases = []) ~docv ~doc default =
-  let table = aliases @ List.map (fun (name, t) -> (name, [ t ])) preset_table in
+  let parse s =
+    match List.assoc_opt s aliases with
+    | Some ps -> Ok ps
+    | None -> Result.map (fun p -> [ p ]) (parse_preset Preset.all s)
+  in
+  let presets = Arg.conv (parse, Format.pp_print_list print_preset) in
   Term.(
     const (function [] -> default | ps -> List.concat ps)
-    $ Arg.(value & opt_all (enum table) [] & info [ "preset" ] ~docv ~doc))
+    $ Arg.(value & opt_all presets [] & info [ "preset" ] ~docv ~doc))
 
 let format_arg =
   Arg.(
@@ -292,21 +296,6 @@ let disasm_cmd =
 
 (* -- lint ------------------------------------------------------------- *)
 
-let lint_diags (preset : Driver.preset) (b : Registry.bench) =
-  (* H lints what the experiments execute: the hand-written EDGE program
-     when the benchmark ships one *)
-  match
-    match (preset.Driver.pname, b.Registry.hand_edge) with
-    | "hand", Some prog -> prog
-    | _ -> Driver.compile preset b.Registry.program
-  with
-  | prog -> Analyzer.analyze_program prog
-  | exception e ->
-    [
-      Diag.make ~pass:"driver" ~fname:b.Registry.name "compile-fail"
-        (Printf.sprintf "compilation failed: %s" (Printexc.to_string e));
-    ]
-
 let lint_report sel presets ~strict =
   let benches = select ~default:Registry.all sel in
   let results =
@@ -314,9 +303,7 @@ let lint_report sel presets ~strict =
       (fun (b : Registry.bench) ->
         List.map
           (fun tag ->
-            ( b.Registry.name,
-              Transval_xv.tag_name tag,
-              lint_diags (Transval_xv.preset_of tag) b ))
+            (b.Registry.name, Preset.name tag, Service.lint tag b))
           presets)
       benches
   in
@@ -382,7 +369,7 @@ let lint_cmd =
       $ selection_arg ~verb:"lint" ~all_doc:"Lint every registered benchmark."
       $ presets_arg ~docv:"O0|C|H|BB"
           ~doc:"Code-quality preset (repeatable; default C and H)."
-          Transval_xv.[ C; H ])
+          Preset.qualities)
 
 (* -- absint ----------------------------------------------------------- *)
 
@@ -393,9 +380,9 @@ let absint_report sel presets validate ~strict =
       (fun (b : Registry.bench) ->
         List.map
           (fun tag ->
-            let ptag = Transval_xv.tag_name tag in
-            let r = Absint_xv.row ptag b in
-            let ds = Absint_xv.diags_of ptag b in
+            let ptag = Preset.name tag in
+            let r = Absint_xv.row tag b in
+            let ds = Absint_xv.diags_of tag b in
             (* full translation validation, shared with the transval
                sweep: every applied global fact and LSID relaxation is
                re-derived and replayed *)
@@ -545,7 +532,7 @@ let absint_cmd =
       $ selection_arg ~verb:"analyze" ~all_doc:"Analyze every registered benchmark."
       $ presets_arg ~docv:"O0|C|H|BB"
           ~doc:"Code-quality preset (repeatable; default C and H)."
-          Transval_xv.[ C; H ]
+          Preset.qualities
       $ validate)
 
 (* -- timing ----------------------------------------------------------- *)
@@ -631,7 +618,7 @@ let timing_report sel simple q top xval ~strict:_ =
           Json.Obj
             ([
                ("bench", Json.Str b.Registry.name);
-               ("preset", Json.Str (Platforms.quality_tag q));
+               ("preset", Json.Str (Preset.name q));
                ("predicted_cycles", Json.Int p.Timing.pr_cycles);
              ]
             @ (match measured with
@@ -674,7 +661,7 @@ let timing_report sel simple q top xval ~strict:_ =
     List.iter
       (fun ((b : Registry.bench), (p : Timing.prediction), measured) ->
         Printf.printf "%s [%s]: predicted %d cycles" b.Registry.name
-          (Platforms.quality_tag q) p.Timing.pr_cycles;
+          (Preset.name q) p.Timing.pr_cycles;
         (match measured with
         | Some m ->
           Printf.printf " (measured %d" m;
@@ -797,7 +784,7 @@ let sampling_report sel q ~strict:_ =
   let json =
     Json.Obj
       [
-        ("preset", Json.Str (Platforms.quality_tag q));
+        ("preset", Json.Str (Preset.name q));
         ("rows", Json.List (List.map row_json rs));
         ( "summary",
           Json.Obj
@@ -942,12 +929,12 @@ let transval_cmd =
       const transval_report
       $ selection_arg ~verb:"validate" ~all_doc:"Validate every registered benchmark."
       $ presets_arg
-          ~aliases:Transval_xv.[ ("fast", [ O0; C ]) ]
+          ~aliases:Preset.[ ("fast", [ O0; C ]) ]
           ~docv:"O0|C|H|BB|fast"
           ~doc:
             "Code-quality preset (repeatable; $(b,fast) = O0 and C; default \
              fast)."
-          Transval_xv.[ O0; C ]
+          Preset.[ O0; C ]
       $ isa)
 
 (* -- simbench --------------------------------------------------------- *)
@@ -1016,7 +1003,7 @@ let simbench_sweep engine q benches =
 
 let simbench_main q fixture out compare_ref =
   guard @@ fun () ->
-  let preset = Platforms.quality_tag q in
+  let preset = Preset.name q in
   let benches = Registry.all in
   let results, spills, wall, cpu = simbench_sweep `Core q benches in
   let rows = List.map fst results in
@@ -1297,11 +1284,6 @@ let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
       | Some ("1" | "true" | "yes") -> 5000
       | _ -> 100)
   in
-  let presets =
-    match presets with
-    | [] -> Fuzz_oracle.all_presets
-    | ps -> List.map Transval_xv.preset_of ps
-  in
   let inject =
     Option.map
       (fun s ->
@@ -1311,7 +1293,7 @@ let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
           invalid_arg ("unknown injection " ^ s ^ " (geni-bump|imm-bump|absint-N)"))
       inject
   in
-  let oracle = Fuzz_oracle.make ~presets ?inject () in
+  let oracle = Fuzz_oracle.make ~presets:(List.map Preset.driver presets) ?inject () in
   let gen_cfg = { Fuzz_gen.default_cfg with Fuzz_gen.max_stmts } in
   let t =
     Fuzz_batch.run ~workers:jobs ~gen_cfg ~shrink_evals oracle ~seed ~count ()
@@ -1381,7 +1363,7 @@ let fuzz_cmd =
   in
   let presets =
     presets_arg ~docv:"O0|C|H|BB"
-      ~doc:"Code-quality preset (repeatable; default all four)." []
+      ~doc:"Code-quality preset (repeatable; default all four)." Preset.all
   in
   let max_stmts =
     Arg.(

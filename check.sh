@@ -14,8 +14,9 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== static analyzer: trips_run lint --all --strict =="
-dune exec bin/trips_run.exe -- lint --all --strict --out lint-report.json
+echo "== static analyzer: trips_run lint --all --strict, every preset =="
+dune exec bin/trips_run.exe -- lint --all --strict \
+  --preset O0 --preset C --preset H --preset BB --out lint-report.json
 
 echo "== translation validation: trips_run transval --all (full matrix) =="
 # All four EDGE pipelines (O0/C/H/BB) plus the RISC backend over every
@@ -135,10 +136,12 @@ dune exec bin/trips_run.exe -- gate bench/BENCH_serve.json \
   serve=serve-report.json
 
 echo "== error smoke: bad arguments exit 124, never 125 =="
-# --sim, --format, --jobs, --count and --top are checked by cmdliner
-# (exit 124) before any benchmark is compiled or interpreted.  An unknown benchmark or
-# experiment is a one-line error too, never an uncaught exception (125).
-for args in "run fft --sim spec" "disasm nosuch" "--id nosuch" \
+# --sim, --preset, --format, --jobs, --count and --top are checked by
+# cmdliner (exit 124) before any benchmark is compiled or interpreted; run
+# models only C and H.  An unknown benchmark or experiment is a one-line
+# error too, never an uncaught exception (125).
+for args in "run fft --sim spec" "run fft --preset O0" \
+  "lint --bench fft --preset Z" "disasm nosuch" "--id nosuch" \
   "--id table1 --format xml" "--id table1 --jobs 0" "fuzz --count=-3" \
   "timing --bench fft --top=-3"; do
   status=0

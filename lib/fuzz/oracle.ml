@@ -5,6 +5,7 @@ module Interp = Trips_tir.Interp
 module Lower = Trips_tir.Lower
 module Semantics = Trips_tir.Semantics
 module Driver = Trips_compiler.Driver
+module Preset = Trips_workloads.Preset
 module Block = Trips_edge.Block
 module Isa = Trips_edge.Isa
 module Exec = Trips_edge.Exec
@@ -61,12 +62,9 @@ type t = {
 let timing_slack = 4.0
 let timing_margin = 1000
 
-let all_presets =
-  [ Driver.o0; Driver.compiled; Driver.hand; Driver.basic_blocks ]
-
-let make ?(presets = all_presets) ?(check_verify = true) ?(check_lint = true)
-    ?(check_transval = true) ?(check_sim = true) ?(check_risc = true)
-    ?(check_cfg = true) ?inject ?(fuel = 50_000_000) () =
+let make ?(presets = List.map Preset.driver Preset.all) ?(check_verify = true)
+    ?(check_lint = true) ?(check_transval = true) ?(check_sim = true)
+    ?(check_risc = true) ?(check_cfg = true) ?inject ?(fuel = 50_000_000) () =
   {
     presets;
     check_verify;

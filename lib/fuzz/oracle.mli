@@ -57,9 +57,6 @@ type t = {
   fuel : int;
 }
 
-val all_presets : Trips_compiler.Driver.preset list
-(** O0, C, H, BB. *)
-
 val make :
   ?presets:Trips_compiler.Driver.preset list ->
   ?check_verify:bool ->
@@ -72,7 +69,8 @@ val make :
   ?fuel:int ->
   unit ->
   t
-(** Every check on by default; the timing corridor runs with [check_sim]. *)
+(** Every check on by default, at every {!Trips_workloads.Preset}; the
+    timing corridor runs with [check_sim]. *)
 
 val apply_inject : inject -> Trips_edge.Block.program -> Trips_edge.Block.program
 

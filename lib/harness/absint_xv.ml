@@ -9,6 +9,7 @@
    requires nonzero hits with zero validator refutations. *)
 
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Driver = Trips_compiler.Driver
 module Absint = Trips_analysis.Absint
 module Core = Trips_sim.Core
@@ -18,55 +19,51 @@ module Table = Trips_util.Table
 
 type row = {
   a_bench : string;
-  a_preset : string;
+  a_preset : Preset.t;
   a_stats : Absint.stats;
   a_gs : Driver.gstats;
   a_cycles_on : int option;  (* simulated cycles, global passes on *)
   a_cycles_off : int option;  (* same, passes off; simple suite only *)
 }
 
-let all_presets = [ "C"; "H"; "BB" ]
+(* the optimizing presets *)
+let swept = List.filter (fun p -> p <> Preset.O0) Preset.all
 
-let preset_of = function
-  | "O0" | "o0" -> Driver.o0
-  | "C" | "c" | "compiled" -> Driver.compiled
-  | "H" | "h" | "hand" -> Driver.hand
-  | "BB" | "bb" | "basic-blocks" -> Driver.basic_blocks
-  | q -> invalid_arg ("unknown preset " ^ q ^ " (use O0, C, H or BB)")
+let key what p (b : Registry.bench) =
+  Printf.sprintf "absint/%s/%s/%s" what (Preset.name p) b.Registry.name
 
-let facts_of ptag (b : Registry.bench) : Absint.stats =
-  Platforms.memo (Printf.sprintf "absint/facts/%s/%s" ptag b.Registry.name)
+let facts_of p (b : Registry.bench) : Absint.stats =
+  Platforms.memo (key "facts" p b)
     (fun () ->
-      let cfg = Driver.front_end (preset_of ptag) b.Registry.program in
+      let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
       Absint.stats (Absint.analyze cfg))
 
-let diags_of ptag (b : Registry.bench) =
-  Platforms.memo (Printf.sprintf "absint/diags/%s/%s" ptag b.Registry.name)
+let diags_of p (b : Registry.bench) =
+  Platforms.memo (key "diags" p b)
     (fun () ->
-      let cfg = Driver.front_end (preset_of ptag) b.Registry.program in
+      let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
       Trips_analysis.Diag.dedup (Absint.diags (Absint.analyze cfg)))
 
-let hits_of ptag (b : Registry.bench) : Driver.gstats =
-  Platforms.memo (Printf.sprintf "absint/hits/%s/%s" ptag b.Registry.name)
-    (fun () -> snd (Driver.compile_stats (preset_of ptag) b.Registry.program))
+let hits_of p (b : Registry.bench) : Driver.gstats =
+  Platforms.memo (key "hits" p b)
+    (fun () -> snd (Driver.compile_stats (Preset.driver p) b.Registry.program))
 
-let cycles_of ~global_opt ptag (b : Registry.bench) : int =
-  Platforms.memo
-    (Printf.sprintf "absint/cycles/%s/%s/%b" ptag b.Registry.name global_opt)
+let cycles_of ~global_opt p (b : Registry.bench) : int =
+  Platforms.memo (Printf.sprintf "%s/%b" (key "cycles" p b) global_opt)
     (fun () ->
-      let prog = Driver.compile ~global_opt (preset_of ptag) b.Registry.program in
+      let prog = Driver.compile ~global_opt (Preset.driver p) b.Registry.program in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Core.run prog image ~entry:"main" ~args:[] in
       r.Core.timing.Core.cycles)
 
-let row ?(cycles = false) ptag (b : Registry.bench) : row =
+let row ?(cycles = false) p (b : Registry.bench) : row =
   {
     a_bench = b.Registry.name;
-    a_preset = ptag;
-    a_stats = facts_of ptag b;
-    a_gs = hits_of ptag b;
-    a_cycles_on = (if cycles then Some (cycles_of ~global_opt:true ptag b) else None);
-    a_cycles_off = (if cycles then Some (cycles_of ~global_opt:false ptag b) else None);
+    a_preset = p;
+    a_stats = facts_of p b;
+    a_gs = hits_of p b;
+    a_cycles_on = (if cycles then Some (cycles_of ~global_opt:true p b) else None);
+    a_cycles_off = (if cycles then Some (cycles_of ~global_opt:false p b) else None);
   }
 
 let total_hits (gs : Driver.gstats) =
@@ -80,10 +77,10 @@ let total_hits (gs : Driver.gstats) =
 let warm () =
   List.concat_map
     (fun (b : Registry.bench) ->
-      List.map (fun ptag () -> ignore (row ptag b)) all_presets)
+      List.map (fun p () -> ignore (row p b)) swept)
     Registry.all
   @ List.map
-      (fun (b : Registry.bench) () -> ignore (row ~cycles:true "C" b))
+      (fun (b : Registry.bench) () -> ignore (row ~cycles:true Preset.C b))
       Registry.simple_suite
 
 let crossval () =
@@ -105,9 +102,9 @@ let crossval () =
   List.iter
     (fun (b : Registry.bench) ->
       List.iter
-        (fun ptag ->
-          let cycles = ptag = "C" && List.memq b Registry.simple_suite in
-          let r = row ~cycles ptag b in
+        (fun p ->
+          let cycles = p = Preset.C && List.memq b Registry.simple_suite in
+          let r = row ~cycles p b in
           let s = r.a_stats and gs = r.a_gs in
           tot_hits := !tot_hits + total_hits gs;
           tot_facts :=
@@ -122,7 +119,7 @@ let crossval () =
           in
           Table.add_row t
             [
-              r.a_bench; r.a_preset;
+              r.a_bench; Preset.name r.a_preset;
               string_of_int s.Absint.s_const_defs;
               string_of_int s.Absint.s_dead_branches;
               string_of_int s.Absint.s_sep_pairs;
@@ -131,7 +128,7 @@ let crossval () =
                 gs.Driver.gs_dses gs.Driver.gs_relaxed;
               cyc r.a_cycles_on; cyc r.a_cycles_off; delta;
             ])
-        all_presets)
+        swept)
     Registry.all;
   Table.add_sep t;
   Table.add_row t

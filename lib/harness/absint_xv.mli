@@ -8,29 +8,24 @@
     {!Platforms.memo}, so the CLI and the experiment share work. *)
 
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Driver = Trips_compiler.Driver
 module Absint = Trips_analysis.Absint
 
 type row = {
   a_bench : string;
-  a_preset : string;
+  a_preset : Preset.t;
   a_stats : Absint.stats;
   a_gs : Driver.gstats;
   a_cycles_on : int option;
   a_cycles_off : int option;
 }
 
-val all_presets : string list
-(** The optimizing presets the sweep covers: ["C"; "H"; "BB"]. *)
-
-val preset_of : string -> Driver.preset
-(** @raise Invalid_argument on an unknown preset tag. *)
-
-val row : ?cycles:bool -> string -> Registry.bench -> row
-(** [row ~cycles ptag b]; [~cycles:true] additionally simulates the
+val row : ?cycles:bool -> Preset.t -> Registry.bench -> row
+(** [row ~cycles p b]; [~cycles:true] additionally simulates the
     bench with the global passes on and off. *)
 
-val diags_of : string -> Registry.bench -> Trips_analysis.Diag.t list
+val diags_of : Preset.t -> Registry.bench -> Trips_analysis.Diag.t list
 (** Deduplicated [absint] findings for one bench under one preset. *)
 
 val total_hits : Driver.gstats -> int

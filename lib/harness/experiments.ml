@@ -237,7 +237,7 @@ let all =
            (fun (b : Registry.bench) ->
              List.map
                (fun tag () -> ignore (Transval_xv.validate_edge tag b))
-               Transval_xv.all_presets
+               Trips_workloads.Preset.all
              @ [ (fun () -> ignore (Transval_xv.validate_risc b)) ])
            Registry.all)
       Transval_xv.crossval;

@@ -1,4 +1,5 @@
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Exec = Trips_edge.Exec
 module Block = Trips_edge.Block
 module Stats = Trips_util.Stats
@@ -194,9 +195,7 @@ let fig5 () =
 (* Unique blocks fetched during execution. *)
 let touched_blocks q (b : Registry.bench) =
   Platforms.memo
-    (Printf.sprintf "codesize/%s/%s"
-       (match q with Platforms.C -> "C" | Platforms.H -> "H")
-       b.Registry.name)
+    (Printf.sprintf "codesize/%s/%s" (Preset.name q) b.Registry.name)
   @@ fun () ->
   let prog = Platforms.edge_program q b in
   let image = Image.build b.Registry.program.Ast.globals in

@@ -1,4 +1,5 @@
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
 module Ooo = Trips_superscalar.Ooo
@@ -91,9 +92,7 @@ let fig10 () =
     let i1 = Ideal.ipc (Platforms.ideal Ideal.trips_window ~tag:"1k" q b) in
     let i0 = Ideal.ipc (Platforms.ideal Ideal.zero_dispatch ~tag:"0d" q b) in
     let ih = Ideal.ipc (Platforms.ideal Ideal.huge_window ~tag:"128k" q b) in
-    Table.add_row t
-      [ name; (match q with Platforms.C -> "C" | Platforms.H -> "H");
-        fnum hw; fnum i1; fnum i0; fnum ih ]
+    Table.add_row t [ name; Preset.name q; fnum hw; fnum i1; fnum i0; fnum ih ]
   in
   List.iter
     (fun b ->

@@ -2,18 +2,16 @@ module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
 module Image = Trips_tir.Image
 module Registry = Trips_workloads.Registry
-module Driver = Trips_compiler.Driver
 module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
 module Ooo = Trips_superscalar.Ooo
 module Ideal = Trips_limit.Ideal
 module Risc = Trips_risc
+module Preset = Trips_workloads.Preset
 
-type quality = C | H
+type quality = Preset.t = O0 | C | H | BB
 
 exception Mismatch of string
-
-let quality_tag = function C -> "C" | H -> "H"
 
 let check name expected got =
   if expected <> got then
@@ -68,29 +66,26 @@ let clear_caches () =
   Mutex.unlock table_lock
 
 let edge_program q (b : Registry.bench) : Trips_edge.Block.program =
-  cached (Printf.sprintf "prog/%s/%s" (quality_tag q) b.Registry.name) (fun () ->
-      match (q, b.Registry.hand_edge) with
-      | H, Some prog -> prog
-      | H, None -> Driver.compile Driver.hand b.Registry.program
-      | C, _ -> Driver.compile Driver.compiled b.Registry.program)
+  cached (Printf.sprintf "prog/%s/%s" (Preset.name q) b.Registry.name) (fun () ->
+      Preset.edge_program q b)
 
 let edge_stats q (b : Registry.bench) : Exec.stats =
-  cached (Printf.sprintf "exec/%s/%s" (quality_tag q) b.Registry.name) (fun () ->
+  cached (Printf.sprintf "exec/%s/%s" (Preset.name q) b.Registry.name) (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Exec.run prog image ~entry:"main" ~args:[] in
       let exp_v, _ = Registry.golden b in
-      check (b.Registry.name ^ "/edge-" ^ quality_tag q) exp_v r.Exec.ret;
+      check (b.Registry.name ^ "/edge-" ^ Preset.name q) exp_v r.Exec.ret;
       r.Exec.stats)
 
 let trips_with config ~tag q (b : Registry.bench) : Core.result =
-  cached (Printf.sprintf "trips/%s/%s/%s" tag (quality_tag q) b.Registry.name)
+  cached (Printf.sprintf "trips/%s/%s/%s" tag (Preset.name q) b.Registry.name)
     (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Core.run ~config prog image ~entry:"main" ~args:[] in
       let exp_v, _ = Registry.golden b in
-      check (b.Registry.name ^ "/trips-" ^ tag ^ quality_tag q) exp_v r.Core.ret;
+      check (b.Registry.name ^ "/trips-" ^ tag ^ Preset.name q) exp_v r.Core.ret;
       r)
 
 let trips q b = trips_with Core.prototype ~tag:"proto" q b
@@ -124,7 +119,7 @@ let super (cfg : Ooo.config) ~icc (b : Registry.bench) : Ooo.result =
       r)
 
 let ideal (cfg : Ideal.config) ~tag q (b : Registry.bench) : Ideal.result =
-  cached (Printf.sprintf "ideal/%s/%s/%s" tag (quality_tag q) b.Registry.name)
+  cached (Printf.sprintf "ideal/%s/%s/%s" tag (Preset.name q) b.Registry.name)
     (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in

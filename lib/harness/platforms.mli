@@ -6,13 +6,10 @@
     golden value and raises if a pipeline miscomputes — experiments can
     never silently report numbers from a broken simulation. *)
 
-type quality = C | H
-(** Code quality: the paper's compiled (C) and hand-optimized (H) bars.
-    [H] uses the aggressive compiler preset, or genuinely hand-written EDGE
-    code where the registry provides it (vadd). *)
-
-val quality_tag : quality -> string
-(** ["C"] or ["H"] (cache keys, report fields). *)
+type quality = Trips_workloads.Preset.t = O0 | C | H | BB
+(** Code quality: the paper's compiled (C) and hand-optimized (H) bars
+    and the O0/BB ablations; programs come from
+    {!Trips_workloads.Preset.edge_program}. *)
 
 val edge_program : quality -> Trips_workloads.Registry.bench -> Trips_edge.Block.program
 

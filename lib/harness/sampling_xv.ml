@@ -36,7 +36,7 @@ type row = {
 let estimate ?(config = Core.prototype) (q : Platforms.quality)
     (b : Registry.bench) : Sampled.estimate =
   Platforms.memo
-    (Printf.sprintf "samplingxv/%s/%s" (Platforms.quality_tag q)
+    (Printf.sprintf "samplingxv/%s/%s" (Trips_workloads.Preset.name q)
        b.Registry.name)
     (fun () ->
       let prog = Platforms.edge_program q b in

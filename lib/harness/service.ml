@@ -1,5 +1,5 @@
 module Registry = Trips_workloads.Registry
-module Driver = Trips_compiler.Driver
+module Preset = Trips_workloads.Preset
 module Analyzer = Trips_analysis.Analyzer
 module Diag = Trips_analysis.Diag
 module Transval = Trips_analysis.Transval
@@ -37,8 +37,8 @@ type request = { verb : verb; bench : string; preset : string; mode : string }
 (* Pipeline verbs traverse one compiler preset; execution verbs run the
    modeled platform at one code-quality level. *)
 let presets_of_verb = function
-  | Compile | Lint | Transval_v -> [ "O0"; "C"; "H"; "BB" ]
-  | Timing | Simulate -> [ "C"; "H" ]
+  | Compile | Lint | Transval_v -> Preset.all
+  | Timing | Simulate -> Preset.qualities
 
 (* Only simulation has a second engine: the sampled estimator (exact
    execution, systematically sampled timing, confidence-interval cycle
@@ -48,13 +48,9 @@ let modes_of_verb = function
   | Compile | Lint | Timing | Transval_v -> [ "detail" ]
 
 let canonical_preset verb p =
-  let p =
-    match String.uppercase_ascii p with
-    | "BASIC-BLOCKS" -> "BB"
-    | "" -> "C"
-    | u -> u
-  in
-  if List.mem p (presets_of_verb verb) then Some p else None
+  match Preset.of_string (if p = "" then "C" else p) with
+  | Some t when List.mem t (presets_of_verb verb) -> Some (Preset.name t)
+  | _ -> None
 
 let canonical_mode verb m =
   let m =
@@ -74,7 +70,7 @@ let make ~mode ~verb ~bench ~preset =
       Result.Error
         (Printf.sprintf "unknown preset %S for verb %s (one of: %s)" preset
            (verb_name v)
-           (String.concat ", " (presets_of_verb v)))
+           (String.concat ", " (List.map Preset.name (presets_of_verb v))))
     | Some p -> (
       match canonical_mode v mode with
       | None ->
@@ -110,31 +106,16 @@ let cache_key r =
         Experiments.content_fingerprint ();
       ]
 
-let quality_of = function "H" -> Platforms.H | _ -> Platforms.C
-
-let driver_preset_of = function
-  | "O0" -> Driver.o0
-  | "H" -> Driver.hand
-  | "BB" -> Driver.basic_blocks
-  | _ -> Driver.compiled
-
-let transval_tag_of p =
-  match Transval_xv.tag_of_string p with Some t -> t | None -> Transval_xv.C
+(* [make] stores the canonical name *)
+let preset r = Option.get (Preset.of_string r.preset)
 
 let kv_table rows =
   let t = Table.create [ ("metric", Table.Left); ("value", Table.Right) ] in
   List.iter (fun (k, v) -> Table.add_row t [ k; v ]) rows;
   t
 
-(* H serves what the experiments execute: the hand-written EDGE program
-   when the benchmark ships one (mirrors the lint CLI). *)
-let edge_program_of preset (b : Registry.bench) =
-  match (preset, b.Registry.hand_edge) with
-  | "H", Some prog -> prog
-  | p, _ -> Driver.compile (driver_preset_of p) b.Registry.program
-
 let run_compile r (b : Registry.bench) =
-  let prog = edge_program_of r.preset b in
+  let prog = Preset.edge_program (preset r) b in
   let blocks = List.concat_map (fun f -> f.Block.blocks) prog.Block.funcs in
   let insts =
     List.fold_left (fun a (bl : Block.t) -> a + Array.length bl.Block.insts) 0 blocks
@@ -159,16 +140,17 @@ let run_compile r (b : Registry.bench) =
       );
     ]
 
+let lint p (b : Registry.bench) =
+  match Preset.edge_program p b with
+  | prog -> Analyzer.analyze_program prog
+  | exception e ->
+    [
+      Diag.make ~pass:"driver" ~fname:b.Registry.name "compile-fail"
+        (Printf.sprintf "compilation failed: %s" (Printexc.to_string e));
+    ]
+
 let run_lint r (b : Registry.bench) =
-  let ds =
-    match edge_program_of r.preset b with
-    | prog -> Analyzer.analyze_program prog
-    | exception e ->
-      [
-        Diag.make ~pass:"driver" ~fname:b.Registry.name "compile-fail"
-          (Printf.sprintf "compilation failed: %s" (Printexc.to_string e));
-      ]
-  in
+  let ds = lint (preset r) b in
   kv_table
     ([
        ("errors", string_of_int (Diag.errors ds));
@@ -180,7 +162,7 @@ let run_lint r (b : Registry.bench) =
         (Diag.dedup (Diag.sort ds)))
 
 let run_timing r (b : Registry.bench) =
-  let p = Timing_xv.predict (quality_of r.preset) b in
+  let p = Timing_xv.predict (preset r) b in
   kv_table
     [
       ("predicted_cycles", string_of_int p.Timing.pr_cycles);
@@ -192,7 +174,7 @@ let run_timing r (b : Registry.bench) =
 (* The sampled engine's response carries the estimate and its error
    bound; exact functional statistics come from the same run. *)
 let run_simulate_sampled r (b : Registry.bench) =
-  let est = Sampling_xv.estimate (quality_of r.preset) b in
+  let est = Sampling_xv.estimate (preset r) b in
   kv_table
     [
       ("estimated_cycles", Printf.sprintf "%.0f" est.Trips_sim.Sampled.es_cycles);
@@ -207,7 +189,7 @@ let run_simulate_sampled r (b : Registry.bench) =
     ]
 
 let run_simulate r (b : Registry.bench) =
-  let res = Platforms.trips (quality_of r.preset) b in
+  let res = Platforms.trips (preset r) b in
   let t = res.Core.timing in
   kv_table
     [
@@ -225,7 +207,7 @@ let run_simulate r (b : Registry.bench) =
     ]
 
 let run_transval r (b : Registry.bench) =
-  let cell = Transval_xv.cell_edge (transval_tag_of r.preset) b in
+  let cell = Transval_xv.cell_edge (preset r) b in
   let s = cell.Transval_xv.c_summary in
   kv_table
     [

@@ -30,7 +30,8 @@ type request = private {
   mode : string;    (* canonical: "detail", or "sampled" for simulate *)
 }
 
-val presets_of_verb : verb -> string list
+val presets_of_verb : verb -> Trips_workloads.Preset.t list
+(** Pipeline verbs take every preset; execution verbs only C and H. *)
 
 val modes_of_verb : verb -> string list
 (** Engine variants a verb accepts: ["detail"] everywhere, plus
@@ -41,7 +42,9 @@ val make :
   mode:string ->
   verb:string -> bench:string -> preset:string -> (request, string) result
 (** Validate and canonicalize; the error string is client-presentable.
-    An empty [preset] defaults to ["C"]; an empty [mode] to ["detail"]. *)
+    [preset] is parsed by {!Trips_workloads.Preset.of_string} and
+    stored by name; an empty one defaults to ["C"], an empty [mode] to
+    ["detail"]. *)
 
 val id_of : request -> string
 (** Stable display id, e.g. ["timing/fft/C"]. *)
@@ -49,6 +52,12 @@ val id_of : request -> string
 val cache_key : request -> string
 (** Content identity for the result cache: verb, bench, preset, response
     schema and the shared {!Experiments.content_fingerprint}. *)
+
+val lint :
+  Trips_workloads.Preset.t -> Trips_workloads.Registry.bench ->
+  Trips_analysis.Diag.t list
+(** Static analyzer findings over {!Trips_workloads.Preset.edge_program};
+    a compilation failure is one ["compile-fail"] finding. *)
 
 val run : request -> Trips_util.Table.t
 (** Execute the request, returning its result as a (cacheable) table. *)

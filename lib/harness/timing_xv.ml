@@ -9,6 +9,7 @@
    tracks the simulator from below. *)
 
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Image = Trips_tir.Image
 module Ast = Trips_tir.Ast
 module Core = Trips_sim.Core
@@ -18,8 +19,7 @@ module Table = Trips_util.Table
 
 (* At [Core.prototype], the configuration [Platforms.trips] simulates. *)
 let predict (q : Platforms.quality) (b : Registry.bench) : Timing.prediction =
-  let tag = match q with Platforms.C -> "C" | Platforms.H -> "H" in
-  Platforms.memo (Printf.sprintf "timingxv/%s/%s" tag b.Registry.name)
+  Platforms.memo (Printf.sprintf "timingxv/%s/%s" (Preset.name q) b.Registry.name)
     (fun () ->
       let prog = Platforms.edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in

@@ -9,34 +9,17 @@
    only the executed paths. *)
 
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 module Driver = Trips_compiler.Driver
 module T = Trips_analysis.Transval
 module Cg = Trips_risc.Codegen
 module Risa = Trips_risc.Isa
 module Table = Trips_util.Table
 
-type preset_tag = O0 | C | H | BB
-
-let all_presets = [ O0; C; H; BB ]
-let tag_name = function O0 -> "O0" | C -> "C" | H -> "H" | BB -> "BB"
-
-let tag_of_string = function
-  | "O0" | "o0" -> Some O0
-  | "C" | "c" -> Some C
-  | "H" | "h" -> Some H
-  | "BB" | "bb" -> Some BB
-  | _ -> None
-
-let preset_of = function
-  | O0 -> Driver.o0
-  | C -> Driver.compiled
-  | H -> Driver.hand
-  | BB -> Driver.basic_blocks
-
 let validate_edge ?max_paths tag (b : Registry.bench) : T.report list =
   Platforms.memo
-    (Printf.sprintf "transval/%s/%s" (tag_name tag) b.Registry.name)
-    (fun () -> fst (Driver.validate ?max_paths (preset_of tag) b.Registry.program))
+    (Printf.sprintf "transval/%s/%s" (Preset.name tag) b.Registry.name)
+    (fun () -> fst (Driver.validate ?max_paths (Preset.driver tag) b.Registry.program))
 
 let validate_risc ?max_paths (b : Registry.bench) : T.report list =
   Platforms.memo
@@ -80,7 +63,7 @@ let cell_edge tag b =
   let rs = validate_edge tag b in
   {
     c_bench = b.Registry.name;
-    c_config = tag_name tag;
+    c_config = Preset.name tag;
     c_summary = T.summarize rs;
     c_reports = rs;
   }
@@ -94,7 +77,7 @@ let cell_risc b =
     c_reports = rs;
   }
 
-let sweep ?(presets = all_presets) ?(risc = true) benches : cell list =
+let sweep ?(presets = Preset.all) ?(risc = true) benches : cell list =
   List.concat_map
     (fun b ->
       List.map (fun tag -> cell_edge tag b) presets
@@ -111,7 +94,7 @@ let crossval () : Table.t =
   let benches = Registry.all in
   let cols =
     ("benchmark", Table.Left)
-    :: List.map (fun tag -> (tag_name tag, Table.Right)) all_presets
+    :: List.map (fun tag -> (Preset.name tag, Table.Right)) Preset.all
     @ [ ("RISC", Table.Right) ]
   in
   let t =
@@ -138,7 +121,7 @@ let crossval () : Table.t =
             let s = (cell_edge tag b).c_summary in
             add s;
             cell_text s)
-          all_presets
+          Preset.all
         @ [
             (let s = (cell_risc b).c_summary in
              add s;
@@ -151,6 +134,6 @@ let crossval () : Table.t =
   let s = !total in
   Table.add_row t
     (("total (" ^ cell_text s ^ ")")
-    :: List.map (fun _ -> "") all_presets
+    :: List.map (fun _ -> "") Preset.all
     @ [ (if s.T.n_refuted = 0 then "ok" else "FAIL") ]);
   t

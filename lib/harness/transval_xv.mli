@@ -7,16 +7,9 @@
     A clean sweep is the all-paths complement of the golden-output
     differential tests, which only witness executed paths. *)
 
-type preset_tag = O0 | C | H | BB
-
-val all_presets : preset_tag list
-val tag_name : preset_tag -> string
-val tag_of_string : string -> preset_tag option
-val preset_of : preset_tag -> Trips_compiler.Driver.preset
-
 val validate_edge :
   ?max_paths:int ->
-  preset_tag ->
+  Trips_workloads.Preset.t ->
   Trips_workloads.Registry.bench ->
   Trips_analysis.Transval.report list
 (** Memoized full-pipeline validation (opt, split, formation, regalloc,
@@ -36,11 +29,11 @@ type cell = {
   c_reports : Trips_analysis.Transval.report list;
 }
 
-val cell_edge : preset_tag -> Trips_workloads.Registry.bench -> cell
+val cell_edge : Trips_workloads.Preset.t -> Trips_workloads.Registry.bench -> cell
 val cell_risc : Trips_workloads.Registry.bench -> cell
 
 val sweep :
-  ?presets:preset_tag list ->
+  ?presets:Trips_workloads.Preset.t list ->
   ?risc:bool ->
   Trips_workloads.Registry.bench list ->
   cell list

@@ -109,7 +109,7 @@ let catalog_body () =
                       ( "presets",
                         Json.List
                           (List.map
-                             (fun p -> Json.Str p)
+                             (fun p -> Json.Str (Trips_workloads.Preset.name p))
                              (Service.presets_of_verb v)) );
                       ( "modes",
                         Json.List

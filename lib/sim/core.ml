@@ -1143,6 +1143,14 @@ let resolve_exit s (plan : plan) (inst : Exec.instance) =
       };
     target
 
+(* Predict the instance's successor from its own block, then follow its
+   exit ([resolve_exit]); true when the prediction names the successor.
+   The static timing analyzer replays the predictor with this too. *)
+let predict_exit s (plan : plan) (inst : Exec.instance) =
+  let predicted = Blockpred.predict s.pred ~block:(intern_plan s plan) in
+  let actual = resolve_exit s plan inst in
+  match predicted with Some p -> actual >= 0 && p = actual | None -> false
+
 (* One committed block instance: everything [run] does around the
    dataflow timing itself — fetch scheduling, I-cache, commit, register
    availability, next-block prediction, occupancy accounting.  [time]
@@ -1192,11 +1200,7 @@ let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
       s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
     done;
     (* 5. next-block prediction *)
-    let predicted = Blockpred.predict s.pred ~block:(intern_plan s plan) in
-    let actual = resolve_exit s plan inst in
-    let correct =
-      match predicted with Some p -> actual >= 0 && p = actual | None -> false
-    in
+    let correct = predict_exit s plan inst in
     s.prev <-
       Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
              p_kind = exit_kind inst };

@@ -201,6 +201,10 @@ val resolve_exit : sim -> plan -> Trips_edge.Exec.instance -> int
     @raise Invalid_argument if the instance's exit is not a branch of
     the plan's block. *)
 
+val predict_exit : sim -> plan -> Trips_edge.Exec.instance -> bool
+(** Predict the next block from the instance's block, then
+    {!resolve_exit}: whether the prediction named the successor. *)
+
 val step_instance : sim -> time:time_fn -> plan -> Trips_edge.Exec.instance -> unit
 (** Fetch scheduling, I-cache, [time], commit, register availability,
     prediction and occupancy accounting for one committed instance.

@@ -20,7 +20,6 @@
 module Isa = Trips_edge.Isa
 module Block = Trips_edge.Block
 module Exec = Trips_edge.Exec
-module Blockpred = Trips_predictor.Blockpred
 module Cache = Trips_mem.Cache
 module Opn = Trips_noc.Opn
 module Diag = Trips_analysis.Diag
@@ -730,24 +729,8 @@ let predict_program (prog : Block.program) image ~entry ~args : prediction =
   let config = Core.prototype in
   let summaries, diags = summarize_program prog in
   let st = create config in
-  (* predictor replay: same interning (first-seen, ids from 1), same
-     shadow stack and update sequence as Core.run *)
-  let pred = Blockpred.create config.Core.predictor in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 128 in
-  let intern label =
-    match Hashtbl.find_opt ids label with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids + 1 in
-      Hashtbl.replace ids label i;
-      i
-  in
-  let func_entry = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Block.func) ->
-      Hashtbl.replace func_entry f.Block.fname f.Block.entry)
-    prog.Block.funcs;
-  let shadow_stack = ref [] in
+  (* the predictor replayed by Core's own code over Core's plans *)
+  let sim = Core.make_sim ~config prog in
   let prev_correct = ref true in
   let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let on_instance (inst : Exec.instance) =
@@ -755,7 +738,6 @@ let predict_program (prog : Block.program) image ~entry ~args : prediction =
     let label = b.Block.label in
     Hashtbl.replace counts label
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts label));
-    let label_id = intern label in
     let exit_idx =
       match
         List.find_index (fun (i, _) -> i = inst.Exec.exit_inst) (Block.exits b)
@@ -766,39 +748,7 @@ let predict_program (prog : Block.program) image ~entry ~args : prediction =
     (match Hashtbl.find_opt summaries label with
     | Some s -> step st s ~exit_idx ~prev_correct:!prev_correct
     | None -> ());
-    let actual_label, kind =
-      match inst.Exec.exit_dest with
-      | Isa.Xjump l -> (Some l, Blockpred.Kjump)
-      | Isa.Xcall (fname, retl) ->
-        shadow_stack := retl :: !shadow_stack;
-        (Hashtbl.find_opt func_entry fname, Blockpred.Kcall)
-      | Isa.Xret -> (
-        match !shadow_stack with
-        | [] -> (None, Blockpred.Kret)
-        | retl :: rest ->
-          shadow_stack := rest;
-          (Some retl, Blockpred.Kret))
-    in
-    let actual_id = Option.map intern actual_label in
-    let predicted = Blockpred.predict pred ~block:label_id in
-    let correct = actual_id <> None && predicted = actual_id in
-    (match actual_id with
-    | Some target ->
-      let fall =
-        match inst.Exec.exit_dest with
-        | Isa.Xcall (_, retl) -> intern retl
-        | _ -> 0
-      in
-      Blockpred.update pred
-        {
-          Blockpred.o_block = label_id;
-          o_exit = exit_idx;
-          o_kind = kind;
-          o_target = target;
-          o_fallthrough = fall;
-        }
-    | None -> ());
-    prev_correct := correct
+    prev_correct := Core.predict_exit sim sim.Core.plans.(inst.Exec.iindex) inst
   in
   let r = Exec.run ~on_instance prog image ~entry ~args in
   ignore r.Exec.ret;

@@ -121,6 +121,6 @@ val predict_program :
   prediction
 (** Predict whole-program cycles without the cycle-level simulator: one
     functional execution plus O(blocks) summary composition.  The
-    next-block predictor is replayed over the trace with [Core.run]'s
-    label interning, shadow stack and update sequence, so redirects land
-    on exactly the instances the simulator mispredicts. *)
+    next-block predictor is replayed over the trace by
+    {!Core.predict_exit} on a {!Core.make_sim}, so redirects land on
+    exactly the instances the simulator mispredicts. *)

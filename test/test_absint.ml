@@ -19,6 +19,7 @@ module Driver = Trips_compiler.Driver
 module Absint = Trips_analysis.Absint
 module Diag = Trips_analysis.Diag
 module Registry = Trips_workloads.Registry
+module Preset = Trips_workloads.Preset
 open Ast.Infix
 
 let prog ?(globals = [ Ast.global "gA" 64; Ast.global "gB" 64 ]) body =
@@ -396,8 +397,7 @@ let test_driver_hits () =
    function; per instruction, its def value; then the stats and diagnostics.
    Any change to a single fact changes the digest. *)
 
-let golden_presets =
-  [ ("O0", Driver.o0); ("C", Driver.compiled); ("H", Driver.hand); ("BB", Driver.basic_blocks) ]
+let driver_of ptag = Preset.driver (Option.get (Preset.of_string ptag))
 
 let absint_text t (cfg : Cfg.program) =
   let buf = Buffer.create 4096 in
@@ -442,7 +442,7 @@ let absint_fingerprint (cfg : Cfg.program) =
 
 let golden_digest name ptag =
   let b = Registry.find name in
-  absint_fingerprint (Driver.front_end (List.assoc ptag golden_presets) b.Registry.program)
+  absint_fingerprint (Driver.front_end (driver_of ptag) b.Registry.program)
 
 (* TRIPS_ABSINT_GOLDEN_RECORD=FILE rewrites the fixture from the current
    analysis instead of testing — only for an intended change of facts. *)
@@ -458,10 +458,11 @@ let record_golden path =
   List.iter
     (fun (b : Registry.bench) ->
       List.iter
-        (fun (ptag, _) ->
+        (fun p ->
+          let ptag = Preset.name p in
           Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name ptag
             (golden_digest b.Registry.name ptag))
-        golden_presets)
+        Preset.all)
     Registry.all;
   output_string oc "]\n";
   close_out oc
@@ -492,7 +493,7 @@ let fuzz_fast = 50
 
 let fuzz_digest seed ptag =
   let p = Trips_fuzz.Gen.gen_program ~seed () in
-  let cfg = Driver.front_end (List.assoc ptag golden_presets) p in
+  let cfg = Driver.front_end (driver_of ptag) p in
   let t = Absint.analyze cfg in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (absint_text t cfg);
@@ -520,9 +521,10 @@ let record_fuzz_golden path =
   List.iter
     (fun seed ->
       List.iter
-        (fun (ptag, _) ->
+        (fun p ->
+          let ptag = Preset.name p in
           Printf.fprintf oc "  (%d, %S, %S);\n" seed ptag (fuzz_digest seed ptag))
-        golden_presets)
+        Preset.all)
     fuzz_seeds;
   output_string oc "]\n";
   close_out oc

@@ -120,7 +120,7 @@ let test_driver_verify () =
     (fun preset ->
       ignore (Driver.compile ~verify:true preset prog_classify);
       ignore (Driver.compile ~verify:true preset prog_mem))
-    [ Driver.o0; Driver.compiled; Driver.hand; Driver.basic_blocks ]
+    (List.map Trips_workloads.Preset.driver Trips_workloads.Preset.all)
 
 (* -- per-block structural mutations ------------------------------------ *)
 

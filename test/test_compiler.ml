@@ -153,7 +153,9 @@ let samples =
     ("guarded-div", prog_guarded_div, [ Ty.Vi 50L ]);
   ]
 
-let presets = [ Driver.o0; Driver.compiled; Driver.hand; Driver.basic_blocks ]
+module Preset = Trips_workloads.Preset
+
+let presets = List.map Preset.driver Preset.all
 
 let golden p args =
   let image = Image.build p.Ast.globals in
@@ -347,11 +349,9 @@ module Registry = Trips_workloads.Registry
 module Codegen = Trips_risc.Codegen
 module Risc_isa = Trips_risc.Isa
 
-let golden_presets =
-  [ ("O0", Driver.o0); ("C", Driver.compiled); ("H", Driver.hand); ("BB", Driver.basic_blocks) ]
-
 let edge_row name ptag =
-  let prog = Driver.compile (List.assoc ptag golden_presets) (Registry.find name).Registry.program in
+  let preset = Preset.driver (Option.get (Preset.of_string ptag)) in
+  let prog = Driver.compile preset (Registry.find name).Registry.program in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf (Format.asprintf "%a" Block.pp_program prog);
   let blocks = ref 0 and insts = ref 0 in
@@ -393,11 +393,12 @@ let record_golden path =
   List.iter
     (fun (b : Registry.bench) ->
       List.iter
-        (fun (ptag, _) ->
+        (fun p ->
+          let ptag = Preset.name p in
           let blocks, insts, digest = edge_row b.Registry.name ptag in
           Printf.fprintf oc "  (%S, %S, %d, %d, %S);\n" b.Registry.name ptag blocks
             insts digest)
-        golden_presets)
+        Preset.all)
     Registry.all;
   output_string oc "]\n\n(* name, RISC digest at unroll 1, at unroll 4 *)\nlet risc = [\n";
   List.iter

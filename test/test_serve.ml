@@ -10,6 +10,7 @@ module Protocol = Trips_serve.Protocol
 module Server = Trips_serve.Server
 module Client = Trips_serve.Client
 module Service = Trips_harness.Service
+module Preset = Trips_workloads.Preset
 module Pool = Trips_engine.Pool
 
 let ok_request = function
@@ -217,6 +218,67 @@ let test_service_cache_key_distinguishes () =
   Alcotest.(check bool) "mode matters" true (keym "detail" <> keym "sampled");
   Alcotest.(check string) "empty mode is detail" (keym "") (keym "detail")
 
+(* -- Preset vocabulary -------------------------------------------------- *)
+
+(* Every spelling the CLI's preset table or serve's canonicalization
+   accepted before the two shared one parser, with its canonical name and
+   the compiler preset's [pname]. *)
+let legacy_spellings =
+  [
+    ("O0", "O0", "O0"); ("o0", "O0", "O0");
+    ("C", "C", "compiled"); ("c", "C", "compiled");
+    ("compiled", "C", "compiled");
+    ("H", "H", "hand"); ("h", "H", "hand"); ("hand", "H", "hand");
+    ("BB", "BB", "basic-blocks"); ("bb", "BB", "basic-blocks");
+    ("Bb", "BB", "basic-blocks"); ("bB", "BB", "basic-blocks");
+    ("basic-blocks", "BB", "basic-blocks");
+    ("BASIC-BLOCKS", "BB", "basic-blocks");
+    ("Basic-Blocks", "BB", "basic-blocks");
+  ]
+
+let test_preset_spellings () =
+  List.iter
+    (fun (s, name, pname) ->
+      match Preset.of_string s with
+      | Some p ->
+        Alcotest.(check string) (s ^ " name") name (Preset.name p);
+        Alcotest.(check string) (s ^ " pname") pname
+          (Preset.driver p).Trips_compiler.Driver.pname
+      | None -> Alcotest.fail ("refused " ^ s))
+    legacy_spellings;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " refused") true (Preset.of_string s = None))
+    [ ""; "O9"; "Z"; "fast"; "hand-optimized"; "basic_blocks" ];
+  Alcotest.(check (list string)) "all" [ "O0"; "C"; "H"; "BB" ]
+    (List.map Preset.name Preset.all)
+
+let test_service_preset_spellings () =
+  let preset verb p =
+    match Service.make ~mode:"" ~verb ~bench:"fft" ~preset:p with
+    | Result.Ok r -> Result.Ok r.Service.preset
+    | Result.Error e -> Result.Error e
+  in
+  let check verb p expect =
+    Alcotest.(check (result string string)) (verb ^ " " ^ p) expect (preset verb p)
+  in
+  (* the CLI's long names now reach serve too *)
+  check "lint" "hand" (Ok "H");
+  check "compile" "compiled" (Ok "C");
+  check "timing" "hand" (Ok "H");
+  check "simulate" "Compiled" (Ok "C");
+  check "lint" "Basic-Blocks" (Ok "BB");
+  check "lint" "" (Ok "C");
+  (* C/H-only verbs refuse the ablation presets, with the same text *)
+  check "timing" "O0"
+    (Error {|unknown preset "O0" for verb timing (one of: C, H)|});
+  check "simulate" "BB"
+    (Error {|unknown preset "BB" for verb simulate (one of: C, H)|});
+  check "simulate" "basic-blocks"
+    (Error {|unknown preset "basic-blocks" for verb simulate (one of: C, H)|});
+  check "lint" "O9"
+    (Error {|unknown preset "O9" for verb lint (one of: O0, C, H, BB)|})
+
 (* -- Histogram --------------------------------------------------------- *)
 
 let test_histogram_quantiles () =
@@ -421,6 +483,9 @@ let () =
             test_protocol_parse_run_request;
           Alcotest.test_case "cache keys distinguish requests" `Quick
             test_service_cache_key_distinguishes;
+          Alcotest.test_case "one preset parser" `Quick test_preset_spellings;
+          Alcotest.test_case "serve accepts every preset spelling" `Quick
+            test_service_preset_spellings;
         ] );
       ( "histogram",
         [
