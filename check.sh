@@ -48,9 +48,12 @@ echo "== sampled golden: every workload at preset C =="
 # estimate to test/sampled_golden.ml.
 TRIPS_SAMPLED_GOLDEN_FULL=1 dune exec test/test_sim_parity.exe -- test sampled_golden >/dev/null
 
-echo "== exec golden: every workload at preset C =="
+echo "== exec golden: every workload at preset C, instance streams at C and H =="
 # dune runtest checks a subset; the full sweep pins the functional
-# emulator's result and all of its statistics to test/exec_golden.ml.
+# emulator's result and all of its statistics to test/exec_golden.ml,
+# and every committed instance (block, exit, fired, useful, memory
+# events) per workload at C and H and per fuzz seed 1-200 to
+# test/exec_stream_golden.ml.
 TRIPS_EXEC_GOLDEN_FULL=1 dune exec test/test_exec.exe >/dev/null
 
 echo "== compile golden: every workload x O0/C/H/BB, plus the RISC baseline =="

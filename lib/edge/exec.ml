@@ -3,8 +3,6 @@ module Ast = Trips_tir.Ast
 module Image = Trips_tir.Image
 module Semantics = Trips_tir.Semantics
 
-type token = Val of Ty.value | Nul
-
 type mem_event = {
   ev_inst : int;
   ev_lsid : int;
@@ -76,6 +74,93 @@ let is_flop (op : Isa.opcode) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Value lanes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A value is kept unboxed in two parts: its 64 bits in a [Bytes] lane
+   (eight bytes per slot: an integer as is, a float as its IEEE bits)
+   and a tag in an [int array].  An instance has one lane per
+   instruction, written once when the instruction fires (a store's lane
+   holds its data), then one per read slot; the register file has one
+   per register.  Tags are ints, so writing one pays no write barrier. *)
+let t_int = 0
+let t_float = 1
+let t_null = 2
+
+type lanes = { mutable bits : Bytes.t; mutable tags : int array }
+
+let make_lanes n = { bits = Bytes.make (n * 8) '\000'; tags = Array.make n t_int }
+let copy_lanes l = { bits = Bytes.copy l.bits; tags = Array.copy l.tags }
+let get_bits l k = Bytes.get_int64_le l.bits (k lsl 3)
+
+let set_lane l k tag x =
+  Bytes.set_int64_le l.bits (k lsl 3) x;
+  l.tags.(k) <- tag
+
+let copy_lane src j dst k = set_lane dst k src.tags.(j) (get_bits src j)
+
+(* Box a lane for a [Semantics] call; a null operand is an error. *)
+let value label l k =
+  let tag = l.tags.(k) in
+  if tag = t_int then Ty.Vi (get_bits l k)
+  else if tag = t_float then Ty.Vf (Int64.float_of_bits (get_bits l k))
+  else raise (Stuck (label, "null operand in ALU op"))
+
+let set_value l k = function
+  | Ty.Vi x -> set_lane l k t_int x
+  | Ty.Vf f -> set_lane l k t_float (Int64.bits_of_float f)
+
+(* [Ty.truthy] of a lane *)
+let truthy label l k =
+  let tag = l.tags.(k) in
+  if tag = t_int then not (Int64.equal (get_bits l k) 0L)
+  else if tag = t_float then Int64.float_of_bits (get_bits l k) <> 0.
+  else raise (Stuck (label, "null predicate"))
+
+(* ------------------------------------------------------------------ *)
+(* Recorded schedules                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* An instance's shape is the sequence of outcomes of the predicate
+   tests it makes.  The general engine's pop order is a function of the
+   outcomes seen so far: every other choice it makes depends on which
+   instructions have fired, never on a value, and a token is null only
+   if a [Null] produced it.  So which instructions fire, in what order
+   and from which producers is a function of the shape, and so is all
+   of this.  Instances of one shape share [sh_fired] and [sh_useful]. *)
+type shape = {
+  sh_fired : bool array;
+  sh_useful : bool array;
+  sh_stats : int array;          (* the 22 [stats] increments, in order *)
+  sh_exit : int;
+  sh_dest : Isa.exit_dest;
+  sh_wsrc : int array;           (* lane feeding each write slot *)
+  sh_commit : int array;         (* non-null stores in commit order *)
+  sh_events : mem_event array;   (* in final order, [ev_addr] unset *)
+}
+
+(* A block's recorded schedules form a trie.  A node holds the fires
+   that follow unconditionally from the pops so far ([steps]: three ints
+   each, the instruction and the lanes feeding its op0 and op1), then
+   either the shape they complete or the next predicate test, whose
+   outcome picks the child. *)
+type node = { steps : int array; next : next }
+
+and next =
+  | Leaf of shape
+  | Test of {
+      inst : int;                (* the predicated instruction *)
+      lane : int;                (* the lane holding its predicate *)
+      mutable go : node option;      (* the predicate matched *)
+      mutable squash : node option;
+    }
+
+(* Recorded shapes per block, which bounds what a block with many
+   independent predicates can hold; further shapes run the general
+   engine unrecorded.  No registry workload comes near it. *)
+let max_traces = 128
+
+(* ------------------------------------------------------------------ *)
 (* Static per-block facts                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -100,15 +185,15 @@ let g_pred = 4
 type xstatic = {
   xs_block : Block.t;
   xs_index : int;                  (* the block's index in [blocks] *)
+  xs_n : int;                      (* instructions; read slot r is lane n + r *)
   xs_need : int array;             (* presence bits an inst waits for *)
   xs_pred : int array;             (* 0 unpredicated, 1 on true, 2 on false *)
   xs_zero_ready : int array;       (* insts that wait for nothing *)
   xs_is_load : bool array;
+  xs_lsid : int array;             (* per memory inst *)
+  xs_width : Ty.width array;       (* per memory inst *)
   xs_class : Isa.klass array;      (* Isa.classify per inst *)
   xs_flop : bool array;
-  xs_const : token array;
-      (* the value a Geni/Genf produces or a Bin's immediate second
-         operand, built once; [Nul] elsewhere *)
   xs_inst_targets : int array;     (* To_inst targets delivered on firing *)
   xs_write_targets : int array;    (* To_write targets delivered on firing *)
   xs_root : bool array;            (* a block output: store, branch, write *)
@@ -125,6 +210,8 @@ type xstatic = {
       (* per branch: block index of its jump target or callee entry;
          [-1] for an unknown block, [-2] for an unknown callee *)
   xs_ret : int array;              (* per call: block index of its return *)
+  mutable xs_trie : node option;   (* the recorded schedules *)
+  mutable xs_traces : int;         (* shapes in [xs_trie] *)
 }
 
 let encode_target = function
@@ -216,9 +303,18 @@ let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
   let rtargets = Array.map (fun (r : Block.read) -> r.rtargets) b.reads in
   let roff, renc = flatten rtargets in
   let read_write = Array.fold_left (fun acc ts -> acc + count_writes ts) 0 rtargets in
+  let mem f d =
+    Array.map
+      (fun (ins : Isa.inst) ->
+        match ins.op with
+        | Isa.Load (_, w, l) | Isa.Store (w, l) -> f w l
+        | _ -> d)
+      b.insts
+  in
   {
     xs_block = b;
     xs_index = k;
+    xs_n = n;
     xs_need;
     xs_pred =
       Array.map
@@ -230,16 +326,10 @@ let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
       Array.map
         (fun (ins : Isa.inst) -> match ins.op with Isa.Load _ -> true | _ -> false)
         b.insts;
+    xs_lsid = mem (fun _ l -> l) 0;
+    xs_width = mem (fun w _ -> w) Ty.W8;
     xs_class = Array.map (fun (ins : Isa.inst) -> Isa.classify ins.op) b.insts;
     xs_flop = Array.map (fun (ins : Isa.inst) -> is_flop ins.op) b.insts;
-    xs_const =
-      Array.map
-        (fun (ins : Isa.inst) ->
-          match (ins.op, ins.imm) with
-          | Isa.Geni v, _ | Isa.Bin _, Some v -> Val (Ty.Vi v)
-          | Isa.Genf v, _ -> Val (Ty.Vf v)
-          | _ -> Nul)
-        b.insts;
     xs_inst_targets;
     xs_write_targets;
     xs_root =
@@ -258,31 +348,27 @@ let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
     xs_renc = renc;
     xs_next;
     xs_ret;
+    xs_trie = None;
+    xs_traces = 0;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Single block execution                                              *)
+(* Per-instance scratch                                                *)
 (* ------------------------------------------------------------------ *)
-
-type pending_store = {
-  ps_inst : int;
-  ps_lsid : int;
-  ps_width : Ty.width;
-  ps_addr : int;           (* meaningless when nullified *)
-  ps_data : token;
-}
 
 (* Reusable per-instance state, grown to the largest block executed so
    far so the hot loop allocates almost nothing per instance.  Operand
    slots are struct-of-arrays with a presence bitmask ([g_*] bits), and
-   only [got] is reset per instance: a token or producer slot is read
-   only when its presence bit is set. *)
+   only [got] is reset per instance: a producer slot is read only when
+   its presence bit is set.  The general engine uses every field; replay
+   only the lanes, [addr] and the store buffer. *)
 type xscratch = {
+  lane : lanes;                        (* per inst, then per read slot *)
+  mutable addr : int array;            (* effective address per memory inst *)
+  mutable sbuf : int array;            (* fired stores, oldest first *)
+  mutable nsb : int;
   mutable got : int array;             (* presence bitmask per inst *)
-  mutable tok0 : token array;
-  mutable tok1 : token array;
-  mutable tokp : token array;
-  mutable src0 : int array;            (* producer index, -1 = read slot *)
+  mutable src0 : int array;            (* producer: inst, or -r - 1 for read r *)
   mutable src1 : int array;
   mutable srcp : int array;
   mutable ready : int array;           (* insts whose operands are all in *)
@@ -291,54 +377,170 @@ type xscratch = {
   mutable nfired : int;
   mutable fired : bool array;          (* of the current instance *)
   mutable pending_loads : int list;    (* loads waiting on lower stores *)
-  mutable stores : pending_store list; (* fired stores, newest first *)
-  mutable nstores : int;
   store_cnt : int array;               (* fired stores per LSID *)
   mutable unstored : int;              (* LSIDs with a store still to fire *)
   mutable exit_i : int;                (* branch that fired, -1 = none *)
-  wval : Ty.value array;               (* value per write slot *)
+  wsrc : int array;                    (* lane feeding each write slot *)
   mutable wmask : int;                 (* write slots that received one *)
   mutable wdup : bool;                 (* a write slot received two *)
+  mutable log : int array;
+      (* the effectful pops, four ints each: [0; inst; op0 lane; op1
+         lane] for a fire, [1; inst; predicate lane; 1 if it passed]
+         for a predicate test *)
+  mutable nlog : int;
 }
 
 let make_xscratch () =
   let n = Isa.max_insts in
   {
+    lane = make_lanes (n + Isa.max_reads);
+    addr = Array.make n 0;
+    sbuf = Array.make n 0;
+    nsb = 0;
     got = Array.make n 0;
-    tok0 = Array.make n Nul;
-    tok1 = Array.make n Nul;
-    tokp = Array.make n Nul;
-    src0 = Array.make n (-1);
-    src1 = Array.make n (-1);
-    srcp = Array.make n (-1);
+    src0 = Array.make n 0;
+    src1 = Array.make n 0;
+    srcp = Array.make n 0;
     ready = Array.make n 0;
     nready = 0;
     order = Array.make n 0;
     nfired = 0;
     fired = [||];
     pending_loads = [];
-    stores = [];
-    nstores = 0;
     store_cnt = Array.make Isa.max_lsids 0;
     unstored = 0;
     exit_i = -1;
-    wval = Array.make Isa.max_writes (Ty.Vi 0L);
+    wsrc = Array.make Isa.max_writes 0;
     wmask = 0;
     wdup = false;
+    log = Array.make (4 * n) 0;
+    nlog = 0;
   }
 
-let xscratch_grow xc n =
+let xscratch_grow xc xs =
+  let n = xs.xs_n in
+  let nl = n + Array.length xs.xs_block.reads in
+  if nl > Array.length xc.lane.tags then begin
+    xc.lane.bits <- Bytes.make (nl * 8) '\000';
+    xc.lane.tags <- Array.make nl t_int
+  end;
   if n > Array.length xc.got then begin
+    xc.addr <- Array.make n 0;
+    xc.sbuf <- Array.make n 0;
     xc.got <- Array.make n 0;
-    xc.tok0 <- Array.make n Nul;
-    xc.tok1 <- Array.make n Nul;
-    xc.tokp <- Array.make n Nul;
-    xc.src0 <- Array.make n (-1);
-    xc.src1 <- Array.make n (-1);
-    xc.srcp <- Array.make n (-1);
+    xc.src0 <- Array.make n 0;
+    xc.src1 <- Array.make n 0;
+    xc.srcp <- Array.make n 0;
     xc.ready <- Array.make n 0;
     xc.order <- Array.make n 0
   end
+
+(* the lane of producer [p]: an instruction, or [-r - 1] for read [r] *)
+let lane_of xs p = if p >= 0 then p else xs.xs_n - 1 - p
+
+(* ------------------------------------------------------------------ *)
+(* The semantics of one fired instruction                              *)
+(* ------------------------------------------------------------------ *)
+
+(* effective address: base operand plus the immediate displacement; a
+   float base fails as [Ty.as_int] fails *)
+let address label l k (ins : Isa.inst) =
+  let tag = l.tags.(k) in
+  let base =
+    if tag = t_int then get_bits l k
+    else if tag = t_float then Ty.as_int (Ty.Vf (Int64.float_of_bits (get_bits l k)))
+    else raise (Stuck (label, "null token in arithmetic"))
+  in
+  Int64.to_int base + (match ins.imm with Some d -> Int64.to_int d | None -> 0)
+
+(* forward from in-flight stores: build each byte from the youngest
+   lower-LSID store covering it, falling back to memory.  The common
+   case — no in-flight lower-LSID store overlaps the loaded range — is
+   detected with one scan and served by a single full-width read.  The
+   buffer is scanned newest first, so of two stores with one LSID the
+   newer wins. *)
+let forward xc xs image width lsid addr =
+  let bytes = Ty.bytes_of_width width in
+  let live j = xc.lane.tags.(j) <> t_null && xs.xs_lsid.(j) < lsid in
+  let covers j lo hi =
+    xc.addr.(j) < hi && lo < xc.addr.(j) + Ty.bytes_of_width xs.xs_width.(j)
+  in
+  let overlap = ref false in
+  for k = 0 to xc.nsb - 1 do
+    let j = xc.sbuf.(k) in
+    if live j && covers j addr (addr + bytes) then overlap := true
+  done;
+  if not !overlap then Image.load_u image width addr
+  else begin
+    let byte a =
+      let best = ref (-1) in
+      for k = xc.nsb - 1 downto 0 do
+        let j = xc.sbuf.(k) in
+        if live j && covers j a (a + 1)
+           && (!best < 0 || xs.xs_lsid.(!best) < xs.xs_lsid.(j))
+        then best := j
+      done;
+      if !best < 0 then Int64.to_int (Image.load_u image Ty.W1 a)
+      else
+        Int64.to_int
+          (Int64.logand
+             (Int64.shift_right_logical (get_bits xc.lane !best)
+                (8 * (a - xc.addr.(!best))))
+             0xFFL)
+    in
+    let raw = ref 0L in
+    for k = bytes - 1 downto 0 do
+      raw := Int64.logor (Int64.shift_left !raw 8) (Int64.of_int (byte (addr + k)))
+    done;
+    !raw
+  end
+
+(* Fire instruction [i] from the lanes [l0] and [l1] of the producers on
+   its op0 and op1 ports (ignored where it has no such operand): write
+   its result lane, or buffer it as a store.  Both engines call this, so
+   it is the one definition of what an instruction does; delivery,
+   ordering and completion are the engines' own. *)
+let compute xc xs image i l0 l1 =
+  let b = xs.xs_block in
+  let ins = Array.unsafe_get b.insts i in
+  let lane = xc.lane in
+  match ins.op with
+  | Isa.Bin bop ->
+    let a = value b.label lane l0 in
+    let c = match ins.imm with Some imm -> Ty.Vi imm | None -> value b.label lane l1 in
+    set_value lane i (Semantics.binop bop a c)
+  | Isa.Un uop -> set_value lane i (Semantics.unop uop (value b.label lane l0))
+  | Isa.Geni v -> set_lane lane i t_int v
+  | Isa.Genf f -> set_lane lane i t_float (Int64.bits_of_float f)
+  | Isa.Mov -> copy_lane lane l0 lane i
+  | Isa.Null -> lane.tags.(i) <- t_null
+  | Isa.Load (ty, w, lsid) ->
+    let a = address b.label lane l0 ins in
+    xc.addr.(i) <- a;
+    let raw =
+      if xc.nsb = 0 then Image.load_u image w a else forward xc xs image w lsid a
+    in
+    (match (ty : Ty.t) with
+    | Ty.I64 -> set_lane lane i t_int (Semantics.zext w raw)
+    | Ty.F64 -> set_lane lane i t_float raw)
+  | Isa.Store _ ->
+    (* the immediate on a store is an address displacement, not an
+       operand substitute: data always arrives on op1 *)
+    if lane.tags.(l0) = t_null || lane.tags.(l1) = t_null then begin
+      lane.tags.(i) <- t_null;
+      xc.addr.(i) <- 0
+    end
+    else begin
+      xc.addr.(i) <- address b.label lane l0 ins;
+      copy_lane lane l1 lane i
+    end;
+    xc.sbuf.(xc.nsb) <- i;
+    xc.nsb <- xc.nsb + 1
+  | Isa.Branch _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The general dataflow engine                                         *)
+(* ------------------------------------------------------------------ *)
 
 (* Every instruction is pushed once, when its last needed operand
    arrives, and a deferred load is either here or in [pending_loads]:
@@ -347,27 +549,33 @@ let push_ready xc i =
   xc.ready.(xc.nready) <- i;
   xc.nready <- xc.nready + 1
 
-(* effective address: base operand plus the immediate displacement *)
-let addr_of label tok (ins : Isa.inst) =
-  match tok with
-  | Val v ->
-    Int64.to_int (Ty.as_int v) + (match ins.imm with Some d -> Int64.to_int d | None -> 0)
-  | Nul -> raise (Stuck (label, "null token in arithmetic"))
+let log_pop xc kind i a b =
+  let k = 4 * xc.nlog in
+  if k + 4 > Array.length xc.log then begin
+    let grown = Array.make (2 * Array.length xc.log) 0 in
+    Array.blit xc.log 0 grown 0 k;
+    xc.log <- grown
+  end;
+  xc.log.(k) <- kind;
+  xc.log.(k + 1) <- i;
+  xc.log.(k + 2) <- a;
+  xc.log.(k + 3) <- b;
+  xc.nlog <- xc.nlog + 1
 
-(* [enc] is a pre-encoded target (see {!xstatic}); [src] the producing
-   instruction, -1 for a read slot. *)
-let deliver xc xs src tok enc =
+(* [enc] is a pre-encoded target (see {!xstatic}); [src] the producer,
+   [-r - 1] for read slot [r]. *)
+let deliver xc xs src enc =
   if enc < 0 then begin
     let w = -enc - 1 in
-    match tok with
-    | Nul -> raise (Stuck (xs.xs_block.label, "null token delivered to a write slot"))
-    | Val v ->
-      let bit = 1 lsl w in
-      if xc.wmask land bit <> 0 then xc.wdup <- true
-      else begin
-        xc.wmask <- xc.wmask lor bit;
-        xc.wval.(w) <- v
-      end
+    let l = lane_of xs src in
+    if xc.lane.tags.(l) = t_null then
+      raise (Stuck (xs.xs_block.label, "null token delivered to a write slot"));
+    let bit = 1 lsl w in
+    if xc.wmask land bit <> 0 then xc.wdup <- true
+    else begin
+      xc.wmask <- xc.wmask lor bit;
+      xc.wsrc.(w) <- l
+    end
   end
   else begin
     let i = enc lsr 2 and s = enc land 3 in
@@ -381,19 +589,11 @@ let deliver xc xs src tok enc =
                (if s = 0 then "op0" else if s = 1 then "op1" else "pred") ));
     let g' = g lor bit in
     xc.got.(i) <- g';
-    if s = 0 then begin
-      xc.tok0.(i) <- tok;
-      xc.src0.(i) <- src
-    end
-    else if s = 1 then begin
-      xc.tok1.(i) <- tok;
-      xc.src1.(i) <- src
-    end
+    if s = 0 then xc.src0.(i) <- src
+    else if s = 1 then xc.src1.(i) <- src
     else begin
-      (match tok with
-      | Nul when xs.xs_pred.(i) <> 0 -> raise (Stuck (xs.xs_block.label, "null predicate"))
-      | _ -> ());
-      xc.tokp.(i) <- tok;
+      if xs.xs_pred.(i) <> 0 && xc.lane.tags.(lane_of xs src) = t_null then
+        raise (Stuck (xs.xs_block.label, "null predicate"));
       xc.srcp.(i) <- src
     end;
     let need = xs.xs_need.(i) in
@@ -401,122 +601,44 @@ let deliver xc xs src tok enc =
   end
 
 (* deliver to every target of inst [i], in program target order *)
-let deliver_all xc xs i tok =
+let deliver_all xc xs i =
   for k = xs.xs_toff.(i) to xs.xs_toff.(i + 1) - 1 do
-    deliver xc xs i tok (Array.unsafe_get xs.xs_tenc k)
+    deliver xc xs i (Array.unsafe_get xs.xs_tenc k)
   done
 
-(* forward from in-flight stores: build each byte from the youngest
-   lower-LSID store covering it, falling back to memory.  The common
-   case — no in-flight lower-LSID store overlaps the loaded range — is
-   detected with one scan and served by a single full-width read. *)
-let forward_raw stores image width lsid addr =
-  let bytes = Ty.bytes_of_width width in
-  let live ps =
-    (match ps.ps_data with Nul -> false | Val _ -> true) && ps.ps_lsid < lsid
-  in
-  if
-    not
-      (List.exists
-         (fun ps ->
-           live ps && ps.ps_addr < addr + bytes
-           && addr < ps.ps_addr + Ty.bytes_of_width ps.ps_width)
-         stores)
-  then Image.load_u image width addr
-  else begin
-    let byte k =
-      let a = addr + k in
-      let best = ref None in
-      List.iter
-        (fun ps ->
-          if live ps && a >= ps.ps_addr
-             && a < ps.ps_addr + Ty.bytes_of_width ps.ps_width
-          then
-            match !best with
-            | Some prev when prev.ps_lsid >= ps.ps_lsid -> ()
-            | _ -> best := Some ps)
-        stores;
-      match !best with
-      | Some { ps_data = Val data; ps_addr; _ } ->
-        let raw = match data with Ty.Vi i -> i | Ty.Vf f -> Int64.bits_of_float f in
-        Int64.to_int (Int64.logand (Int64.shift_right_logical raw (8 * (a - ps_addr))) 0xFFL)
-      | _ -> Int64.to_int (Image.load_u image Ty.W1 a)
-    in
-    let raw = ref 0L in
-    for k = bytes - 1 downto 0 do
-      raw := Int64.logor (Int64.shift_left !raw 8) (Int64.of_int (byte k))
-    done;
-    !raw
-  end
-
-let load_value stores image ty width lsid addr =
-  let raw =
-    if List.is_empty stores then Image.load_u image width addr
-    else forward_raw stores image width lsid addr
-  in
-  match (ty : Ty.t) with
-  | Ty.I64 -> Ty.Vi (Semantics.zext width raw)
-  | Ty.F64 -> Ty.Vf (Int64.float_of_bits raw)
-
-let null_operand label = raise (Stuck (label, "null operand in ALU op"))
-
-(* Fire instruction [i], whose needed operands have all arrived.  A
+(* Pop instruction [i], whose needed operands have all arrived.  A
    squashed instruction (predicate mismatch) does nothing; a load whose
-   lower-LSID stores have not all fired waits in [pending_loads]. *)
+   lower-LSID stores have not all fired waits in [pending_loads].  Every
+   predicate test and every fire is logged. *)
 let fire ~fuel xc xs image i =
   let b = xs.xs_block in
   let ins = Array.unsafe_get b.insts i in
   let p = xs.xs_pred.(i) in
   let go =
-    p = 0
-    ||
-    match xc.tokp.(i) with
-    | Val v -> Ty.truthy v = (p = 1)
-    | Nul -> raise (Stuck (b.label, "null predicate"))
+    p = 0 || truthy b.label xc.lane (lane_of xs xc.srcp.(i)) = (p = 1)
   in
-  if go then
+  let test pass = if p <> 0 then log_pop xc 1 i (lane_of xs xc.srcp.(i)) pass in
+  if not go then test 0
+  else
     match ins.op with
     | Isa.Load _ when xc.fired.(i) -> ()
     | Isa.Load (_, _, lsid) when xc.unstored land ((1 lsl lsid) - 1) <> 0 ->
+      test 1;
       xc.pending_loads <- i :: xc.pending_loads
     | op ->
+      test 1;
       xc.fired.(i) <- true;
       xc.order.(xc.nfired) <- i;
       xc.nfired <- xc.nfired + 1;
       decr fuel;
       if !fuel <= 0 then raise (Stuck (b.label, "out of fuel"));
-      (match op with
-      | Isa.Bin bop ->
-        let a = match xc.tok0.(i) with Val v -> v | Nul -> null_operand b.label in
-        let c =
-          match xs.xs_const.(i) with
-          | Val imm -> imm
-          | Nul -> (match xc.tok1.(i) with Val v -> v | Nul -> null_operand b.label)
-        in
-        deliver_all xc xs i (Val (Semantics.binop bop a c))
-      | Isa.Un uop ->
-        (match xc.tok0.(i) with
-        | Val v -> deliver_all xc xs i (Val (Semantics.unop uop v))
-        | Nul -> null_operand b.label)
-      | Isa.Geni _ | Isa.Genf _ -> deliver_all xc xs i xs.xs_const.(i)
-      | Isa.Mov -> deliver_all xc xs i xc.tok0.(i)
-      | Isa.Null -> deliver_all xc xs i Nul
-      | Isa.Load (ty, w, lsid) ->
-        let addr = addr_of b.label xc.tok0.(i) ins in
-        deliver_all xc xs i (Val (load_value xc.stores image ty w lsid addr))
-      | Isa.Store (w, lsid) ->
-        (* the immediate on a store is an address displacement, not an
-           operand substitute: data always arrives on op1 *)
-        let a = xc.tok0.(i) and d = xc.tok1.(i) in
-        let nullified =
-          match (a, d) with Val _, Val _ -> false | _ -> true
-        in
-        let addr = if nullified then 0 else addr_of b.label a ins in
-        xc.stores <-
-          { ps_inst = i; ps_lsid = lsid; ps_width = w; ps_addr = addr;
-            ps_data = (if nullified then Nul else d) }
-          :: xc.stores;
-        xc.nstores <- xc.nstores + 1;
+      let g = xc.got.(i) in
+      let l0 = if g land g_op0 <> 0 then lane_of xs xc.src0.(i) else 0 in
+      let l1 = if g land g_op1 <> 0 then lane_of xs xc.src1.(i) else 0 in
+      log_pop xc 0 i l0 l1;
+      compute xc xs image i l0 l1;
+      match op with
+      | Isa.Store (_, lsid) ->
         let c = xc.store_cnt.(lsid) + 1 in
         xc.store_cnt.(lsid) <- c;
         if c = xs.xs_sites.(lsid) then
@@ -526,18 +648,18 @@ let fire ~fuel xc xs image i =
         xc.pending_loads <- []
       | Isa.Branch _ ->
         if xc.exit_i >= 0 then raise (Stuck (b.label, "two branches fired"));
-        xc.exit_i <- i)
+        xc.exit_i <- i
+      | _ -> deliver_all xc xs i
 
-(* [j], a producer of a useful instruction, is useful; -1 is a read slot *)
+(* [j], a producer of a useful instruction, is useful; negative is a
+   read slot *)
 let mark useful j = if j >= 0 then Array.unsafe_set useful j true
 
-(* Execute one block instance against register file and memory, commit
-   its stores and register writes, and fold its statistics. *)
-let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
-    (regs : Ty.value array) (image : Image.t) : instance =
+(* Run one instance in the general engine, logging its effectful pops,
+   and return its shape.  Nothing is committed. *)
+let general ~fuel xc xs image : shape =
   let b = xs.xs_block in
-  let n = Array.length b.insts in
-  xscratch_grow xc n;
+  let n = xs.xs_n in
   let got = xc.got in
   Array.fill got 0 n 0;
   if xs.xs_store_sites > 0 then Array.fill xc.store_cnt 0 Isa.max_lsids 0;
@@ -546,17 +668,16 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
   xc.nready <- 0;
   xc.nfired <- 0;
   xc.pending_loads <- [];
-  xc.stores <- [];
-  xc.nstores <- 0;
+  xc.nsb <- 0;
   xc.unstored <- xs.xs_store_lsids;
   xc.exit_i <- -1;
   xc.wmask <- 0;
   xc.wdup <- false;
-  (* inject register reads *)
+  xc.nlog <- 0;
+  (* inject register reads (their lanes are already loaded) *)
   for r = 0 to Array.length b.reads - 1 do
-    let tok = Val regs.(b.reads.(r).Block.rreg) in
     for k = xs.xs_roff.(r) to xs.xs_roff.(r + 1) - 1 do
-      deliver xc xs (-1) tok (Array.unsafe_get xs.xs_renc k)
+      deliver xc xs (-r - 1) (Array.unsafe_get xs.xs_renc k)
     done
   done;
   (* zero-operand instructions are ready immediately *)
@@ -575,8 +696,8 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
   let exit_dest =
     match b.insts.(exit_i).op with Isa.Branch d -> d | _ -> assert false
   in
-  if xc.nstores <> xs.xs_store_sites then
-    raise (Stuck (b.label, Printf.sprintf "only %d/%d stores completed" xc.nstores xs.xs_store_sites));
+  if xc.nsb <> xs.xs_store_sites then
+    raise (Stuck (b.label, Printf.sprintf "only %d/%d stores completed" xc.nsb xs.xs_store_sites));
   let declared = Array.length b.writes in
   if xc.wmask <> (1 lsl declared) - 1 then begin
     let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1)) in
@@ -586,17 +707,6 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
            Printf.sprintf "only %d/%d writes completed" (popcount xc.wmask) declared ))
   end;
   if xc.wdup then raise (Stuck (b.label, "a write slot received two values"));
-  (* commit stores in LSID order, then register writes *)
-  let stores = xc.stores in
-  List.iter
-    (fun ps ->
-      match ps.ps_data with
-      | Nul -> ()
-      | Val v -> Image.store image ps.ps_width ps.ps_addr v)
-    (List.stable_sort (fun a b2 -> Int.compare a.ps_lsid b2.ps_lsid) stores);
-  for w = 0 to declared - 1 do
-    regs.(b.writes.(w).wreg) <- xc.wval.(w)
-  done;
   (* usefulness: reverse reachability from the outputs (the branch,
      stores, write producers) over the dynamic operand edges.  A producer
      fires before all of its consumers, so one pass in reverse firing
@@ -606,9 +716,8 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
   let executed = xc.nfired in
   let not_used = ref 0 and useful_n = ref 0 in
   let arith = ref 0 and memory = ref 0 and control = ref 0 and test = ref 0 in
-  let move = ref 0 and flops = ref 0 and loads = ref 0 in
+  let move = ref 0 and flops = ref 0 and loads = ref [] in
   let et_et = ref 0 and dt_et = ref 0 and et_rt = ref 0 in
-  let mem_events = ref [] in
   for k = executed - 1 downto 0 do
     let i = Array.unsafe_get xc.order k in
     let cls = Array.unsafe_get xs.xs_class i in
@@ -631,56 +740,191 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic)
     et_rt := !et_rt + Array.unsafe_get xs.xs_write_targets i;
     if Array.unsafe_get xs.xs_is_load i then begin
       dt_et := !dt_et + Array.unsafe_get xs.xs_inst_targets i;
-      incr loads;
-      let ins = b.insts.(i) in
-      match ins.op with
-      | Isa.Load (_, w, lsid) ->
-        mem_events :=
-          { ev_inst = i; ev_lsid = lsid; ev_is_load = true;
-            ev_addr = addr_of b.label xc.tok0.(i) ins; ev_width = w;
-            ev_null = false }
-          :: !mem_events
-      | _ -> ()
+      loads := i :: !loads
     end
     else et_et := !et_et + Array.unsafe_get xs.xs_inst_targets i
   done;
-  let committed = ref 0 in
-  List.iter
-    (fun ps ->
-      let nul = match ps.ps_data with Nul -> true | Val _ -> false in
-      if not nul then incr committed;
-      mem_events :=
-        { ev_inst = ps.ps_inst; ev_lsid = ps.ps_lsid; ev_is_load = false;
-          ev_addr = ps.ps_addr; ev_width = ps.ps_width; ev_null = nul }
-        :: !mem_events)
-    stores;
-  stats.blocks <- stats.blocks + 1;
-  stats.fetched <- stats.fetched + n;
-  stats.executed <- stats.executed + executed;
-  stats.not_executed <- stats.not_executed + (n - executed);
-  stats.executed_not_used <- stats.executed_not_used + !not_used;
-  stats.useful <- stats.useful + !useful_n;
-  stats.k_arith <- stats.k_arith + !arith;
-  stats.k_memory <- stats.k_memory + !memory;
-  stats.k_control <- stats.k_control + !control;
-  stats.k_test <- stats.k_test + !test;
-  stats.k_move <- stats.k_move + !move;
-  stats.reads_fetched <- stats.reads_fetched + Array.length b.reads;
-  stats.writes_committed <- stats.writes_committed + declared;
-  stats.stores_committed <- stats.stores_committed + !committed;
-  stats.loads_executed <- stats.loads_executed + !loads;
-  stats.opn_et_et <- stats.opn_et_et + !et_et;
-  stats.opn_rt_et <- stats.opn_rt_et + xs.xs_read_inst;
-  stats.opn_et_rt <- stats.opn_et_rt + !et_rt + xs.xs_read_write;
-  stats.opn_et_dt <- stats.opn_et_dt + !loads + xc.nstores;
-  stats.opn_dt_et <- stats.opn_dt_et + !dt_et;
-  stats.opn_et_gt <- stats.opn_et_gt + 1;
-  stats.flops <- stats.flops + !flops;
-  let mem_events =
-    List.stable_sort (fun a b2 -> Int.compare a.ev_lsid b2.ev_lsid) !mem_events
+  (* stores commit in LSID order, the newer of two with one LSID first;
+     memory events list the stores and then the loads, each in firing
+     order, stably sorted by LSID *)
+  let stores = List.init xc.nsb (fun k -> xc.sbuf.(k)) in
+  let by_lsid j j' = Int.compare xs.xs_lsid.(j) xs.xs_lsid.(j') in
+  let nonnull j = xc.lane.tags.(j) <> t_null in
+  let commit = List.filter nonnull (List.stable_sort by_lsid (List.rev stores)) in
+  let event j =
+    { ev_inst = j; ev_lsid = xs.xs_lsid.(j); ev_is_load = xs.xs_is_load.(j);
+      ev_addr = 0; ev_width = xs.xs_width.(j);
+      ev_null = not (xs.xs_is_load.(j) || nonnull j) }
   in
-  { iblock = b; iindex = xs.xs_index; fired; useful; exit_inst = exit_i;
-    exit_dest; mem_events }
+  let nloads = List.length !loads in
+  {
+    sh_fired = fired;
+    sh_useful = useful;
+    sh_stats =
+      [| 1; n; executed; n - executed; !not_used; !useful_n; !arith; !memory;
+         !control; !test; !move; Array.length b.reads; declared;
+         List.length commit; nloads; !et_et; xs.xs_read_inst;
+         !et_rt + xs.xs_read_write; nloads + xc.nsb; !dt_et; 1; !flops |];
+    sh_exit = exit_i;
+    sh_dest = exit_dest;
+    sh_wsrc = Array.sub xc.wsrc 0 declared;
+    sh_commit = Array.of_list commit;
+    sh_events =
+      Array.of_list (List.map event (List.stable_sort by_lsid (stores @ !loads)));
+  }
+
+(* Add the shape just run from [xc.log] to the block's trie.  The log
+   agrees with the trie up to the first test whose outcome has no child
+   yet: up to there, the general engine did what the recorded shapes
+   did. *)
+let record xc xs shape =
+  let log = xc.log in
+  let rec build pos =
+    let stop = ref pos in
+    while !stop < xc.nlog && log.(4 * !stop) = 0 do incr stop done;
+    let steps =
+      Array.init (3 * (!stop - pos)) (fun k -> log.((4 * (pos + (k / 3))) + 1 + (k mod 3)))
+    in
+    if !stop = xc.nlog then { steps; next = Leaf shape }
+    else begin
+      let t = 4 * !stop in
+      let child = Some (build (!stop + 1)) in
+      let passed = log.(t + 3) = 1 in
+      { steps;
+        next =
+          Test
+            { inst = log.(t + 1); lane = log.(t + 2);
+              go = (if passed then child else None);
+              squash = (if passed then None else child) } }
+    end
+  in
+  let rec walk node pos =
+    let pos = pos + (Array.length node.steps / 3) in
+    match node.next with
+    | Leaf _ -> ()
+    | Test t ->
+      assert (log.(4 * pos) = 1 && log.((4 * pos) + 1) = t.inst);
+      let passed = log.((4 * pos) + 3) = 1 in
+      (match if passed then t.go else t.squash with
+      | Some child -> walk child (pos + 1)
+      | None ->
+        let child = Some (build (pos + 1)) in
+        if passed then t.go <- child else t.squash <- child;
+        xs.xs_traces <- xs.xs_traces + 1)
+  in
+  match xs.xs_trie with
+  | None ->
+    xs.xs_trie <- Some (build 0);
+    xs.xs_traces <- 1
+  | Some root -> walk root 0
+
+(* ------------------------------------------------------------------ *)
+(* Replay                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Re-run a recorded schedule from [node]: its fires straight through,
+   then its test, which picks the child to continue in.  [None] when the
+   outcome has no recorded child; nothing has been committed by then. *)
+let rec replay ~fuel xc xs image node =
+  let steps = node.steps in
+  let k = ref 0 in
+  let m = Array.length steps in
+  (* fuel is taken per fire, as the general engine takes it, only when
+     the node's fires could exhaust it *)
+  let ample = !fuel > m / 3 in
+  if ample then fuel := !fuel - (m / 3);
+  while !k < m do
+    if not ample then begin
+      decr fuel;
+      if !fuel <= 0 then raise (Stuck (xs.xs_block.label, "out of fuel"))
+    end;
+    compute xc xs image (Array.unsafe_get steps !k)
+      (Array.unsafe_get steps (!k + 1)) (Array.unsafe_get steps (!k + 2));
+    k := !k + 3
+  done;
+  match node.next with
+  | Leaf shape -> Some shape
+  | Test t -> (
+    let passed = truthy xs.xs_block.label xc.lane t.lane = (xs.xs_pred.(t.inst) = 1) in
+    match if passed then t.go else t.squash with
+    | Some child -> replay ~fuel xc xs image child
+    | None -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Single block execution                                              *)
+(* ------------------------------------------------------------------ *)
+
+let add_stats stats (d : int array) =
+  stats.blocks <- stats.blocks + d.(0);
+  stats.fetched <- stats.fetched + d.(1);
+  stats.executed <- stats.executed + d.(2);
+  stats.not_executed <- stats.not_executed + d.(3);
+  stats.executed_not_used <- stats.executed_not_used + d.(4);
+  stats.useful <- stats.useful + d.(5);
+  stats.k_arith <- stats.k_arith + d.(6);
+  stats.k_memory <- stats.k_memory + d.(7);
+  stats.k_control <- stats.k_control + d.(8);
+  stats.k_test <- stats.k_test + d.(9);
+  stats.k_move <- stats.k_move + d.(10);
+  stats.reads_fetched <- stats.reads_fetched + d.(11);
+  stats.writes_committed <- stats.writes_committed + d.(12);
+  stats.stores_committed <- stats.stores_committed + d.(13);
+  stats.loads_executed <- stats.loads_executed + d.(14);
+  stats.opn_et_et <- stats.opn_et_et + d.(15);
+  stats.opn_rt_et <- stats.opn_rt_et + d.(16);
+  stats.opn_et_rt <- stats.opn_et_rt + d.(17);
+  stats.opn_et_dt <- stats.opn_et_dt + d.(18);
+  stats.opn_dt_et <- stats.opn_dt_et + d.(19);
+  stats.opn_et_gt <- stats.opn_et_gt + d.(20);
+  stats.flops <- stats.flops + d.(21)
+
+(* Execute one block instance against register file and memory: replay
+   a recorded schedule, or run the general engine (recording the new
+   shape while the block has room), then commit its stores and register
+   writes and fold its statistics. *)
+let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic) (regs : lanes)
+    (image : Image.t) : instance =
+  let b = xs.xs_block in
+  let n = xs.xs_n in
+  xscratch_grow xc xs;
+  for r = 0 to Array.length b.reads - 1 do
+    copy_lane regs b.reads.(r).Block.rreg xc.lane (n + r)
+  done;
+  xc.nsb <- 0;
+  let fuel0 = !fuel in
+  let replayed =
+    match xs.xs_trie with Some root -> replay ~fuel xc xs image root | None -> None
+  in
+  let shape =
+    match replayed with
+    | Some shape -> shape
+    | None ->
+      fuel := fuel0;
+      let shape = general ~fuel xc xs image in
+      if xs.xs_traces < max_traces then record xc xs shape;
+      shape
+  in
+  (* commit stores in LSID order, then register writes *)
+  let commit = shape.sh_commit in
+  for k = 0 to Array.length commit - 1 do
+    let j = commit.(k) in
+    Image.store_bits image xs.xs_width.(j) xc.addr.(j) (get_bits xc.lane j)
+  done;
+  let wsrc = shape.sh_wsrc in
+  for w = 0 to Array.length wsrc - 1 do
+    copy_lane xc.lane wsrc.(w) regs b.writes.(w).wreg
+  done;
+  add_stats stats shape.sh_stats;
+  let events = shape.sh_events in
+  let mem_events = ref [] in
+  for k = Array.length events - 1 downto 0 do
+    let e = events.(k) in
+    mem_events := { e with ev_addr = xc.addr.(e.ev_inst) } :: !mem_events
+  done;
+  let mem_events = !mem_events in
+  { iblock = b; iindex = xs.xs_index; fired = shape.sh_fired;
+    useful = shape.sh_useful; exit_inst = shape.sh_exit;
+    exit_dest = shape.sh_dest; mem_events }
 
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
@@ -693,11 +937,11 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     (image : Image.t) ~entry ~args =
   let stats = empty_stats () in
   let fuel = ref fuel in
-  let regs = Array.make Isa.num_regs (Ty.Vi 0L) in
+  let regs = make_lanes Isa.num_regs in
   List.iteri
     (fun i v ->
       match List.nth_opt abi_arg_regs i with
-      | Some r -> regs.(r) <- v
+      | Some r -> set_value regs r v
       | None -> invalid_arg "Exec.run: too many arguments")
     args;
   (* blocks are dispatched by index: labels and callees are resolved
@@ -708,6 +952,7 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
   let index l = Option.value ~default:(-1) (Hashtbl.find_opt labels l) in
   let find_func f = List.find_opt (fun (g : Block.func) -> g.fname = f) p.funcs in
   let entry_of f = match find_func f with Some g -> index g.entry | None -> -2 in
+  (* per-block static facts and recorded schedules, private to this run *)
   let statics = Array.make (Array.length blocks) None in
   let xc = make_xscratch () in
   (* [k] is the next block's index, [label] its name for errors *)
@@ -726,7 +971,7 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     | None -> raise (Stuck (entry, "unknown function " ^ entry))
   in
   (* call stack: saved register file + return block *)
-  let stack : (Ty.value array * int * string) list ref = ref [] in
+  let stack : (lanes * int * string) list ref = ref [] in
   let current = ref (static (index entry_f.entry) entry_f.entry) in
   let finished = ref None in
   while Option.is_none !finished do
@@ -741,15 +986,16 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
         raise (Stuck (xs.xs_block.label, "unknown function " ^ callee));
       if next = -1 then
         raise (Stuck ((Block.find_func p callee).entry, "unknown block"));
-      stack := (Array.copy regs, xs.xs_ret.(instance.exit_inst), retl) :: !stack;
+      stack := (copy_lanes regs, xs.xs_ret.(instance.exit_inst), retl) :: !stack;
       current := static next callee
     | Isa.Xret -> (
       match !stack with
-      | [] -> finished := Some regs.(abi_ret_reg)
+      | [] -> finished := Some (value entry regs abi_ret_reg)
       | (saved, ret, retl) :: rest ->
-        let ret_v = regs.(abi_ret_reg) in
-        Array.blit saved 0 regs 0 (Array.length regs);
-        regs.(abi_ret_reg) <- ret_v;
+        let ret_tag = regs.tags.(abi_ret_reg) and ret_bits = get_bits regs abi_ret_reg in
+        Bytes.blit saved.bits 0 regs.bits 0 (Bytes.length regs.bits);
+        Array.blit saved.tags 0 regs.tags 0 (Array.length regs.tags);
+        set_lane regs abi_ret_reg ret_tag ret_bits;
         stack := rest;
         current := static ret retl)
   done;

@@ -12,7 +12,13 @@
     fired counts, fetched-but-not-executed and executed-but-not-used
     instructions, read/write/store/load counts, and operand-delivery
     traffic split by tile class.  It can also stream a per-block-instance
-    trace into the cycle-level simulator. *)
+    trace into the cycle-level simulator.
+
+    Which instructions of a block instance fire, and in what order,
+    depends only on how its predicates resolve.  The first instance of
+    each such shape runs the general dataflow engine, which records the
+    shape's schedule; later instances of the shape replay it, computing
+    only the values.  The results are the same either way. *)
 
 type mem_event = {
   ev_inst : int;                 (* instruction index in the block *)
@@ -29,6 +35,8 @@ type instance = {
       (* [iblock]'s index in {!blocks} *)
   fired : bool array;            (* instruction fired *)
   useful : bool array;           (* fired and on a path to a block output *)
+      (* [fired] and [useful] are shared by every instance of the same
+         shape within one {!run}: read them, never write them *)
   exit_inst : int;               (* index of the branch that fired *)
   exit_dest : Isa.exit_dest;
   mem_events : mem_event list;   (* in LSID order *)

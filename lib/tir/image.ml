@@ -82,17 +82,17 @@ let load t ty w addr =
     if w <> Ty.W8 then invalid_arg "Image.load: float loads must be 8 bytes";
     Ty.Vf (Int64.float_of_bits (raw_load t Ty.W8 addr))
 
-let store t w addr value =
+let store_bits t w addr raw =
   check t addr (Ty.bytes_of_width w);
-  let raw = match (value : Ty.value) with
-    | Ty.Vi i -> i
-    | Ty.Vf f -> Int64.bits_of_float f
-  in
   match w with
   | Ty.W1 -> Bytes.set_uint8 t.mem addr (Int64.to_int raw land 0xFF)
   | Ty.W2 -> Bytes.set_uint16_le t.mem addr (Int64.to_int raw land 0xFFFF)
   | Ty.W4 -> Bytes.set_int32_le t.mem addr (Int64.to_int32 raw)
   | Ty.W8 -> Bytes.set_int64_le t.mem addr raw
+
+let store t w addr (value : Ty.value) =
+  store_bits t w addr
+    (match value with Ty.Vi i -> i | Ty.Vf f -> Int64.bits_of_float f)
 
 let equal a b = Bytes.equal a.mem b.mem
 

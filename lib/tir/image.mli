@@ -39,6 +39,9 @@ val load : t -> Ty.t -> Ty.width -> int -> Ty.value
 val store : t -> Ty.width -> int -> Ty.value -> unit
 (** Truncating little-endian store. @raise Semantics.Trap on range error. *)
 
+val store_bits : t -> Ty.width -> int -> int64 -> unit
+(** {!store} of a value given as its 64 bits (a float's IEEE bits). *)
+
 val load_u : t -> Ty.width -> int -> int64
 (** Zero-extending raw load (no float view). *)
 
