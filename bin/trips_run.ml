@@ -951,7 +951,10 @@ module Core_ref = Trips_sim.Core_ref
    its run's operand-network profile (packets per class and hop bucket,
    hops, contention cycles), which [--compare-ref] compares too; the
    sweep also counts the [Core] runs whose OPN reservation ring spilled
-   into its overflow table (a slower path with the same answers). *)
+   into its overflow table (a slower path with the same answers), and
+   the words the sweep allocates on the minor heap: a count that, unlike
+   a clock, is the same on every run, so a gate on it catches a hot path
+   that starts boxing again without any noise band. *)
 let simbench_sweep engine q benches =
   let jobs =
     List.map
@@ -962,6 +965,7 @@ let simbench_sweep engine q benches =
   in
   let t0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
+  let w0 = Gc.minor_words () in
   let spills = ref 0 in
   let results =
     List.map
@@ -997,25 +1001,27 @@ let simbench_sweep engine q benches =
           row r (int_of_float est.Sampled.es_cycles) r.Core.exec.Exec.blocks)
       jobs
   in
+  let words = Gc.minor_words () -. w0 in
   let wall = Unix.gettimeofday () -. t0 in
   let cpu = Sys.time () -. c0 in
-  (results, !spills, wall, cpu)
+  (results, !spills, wall, cpu, words)
 
 let simbench_main q fixture out compare_ref =
   guard @@ fun () ->
   let preset = Preset.name q in
   let benches = Registry.all in
-  let results, spills, wall, cpu = simbench_sweep `Core q benches in
+  let results, spills, wall, cpu, words = simbench_sweep `Core q benches in
   let rows = List.map fst results in
   let blocks = List.fold_left (fun a (_, _, b, _, _, _, _) -> a + b) 0 rows in
   let bps w = if w > 0. then float_of_int blocks /. w else 0. in
+  let per_block w = w /. float_of_int (max 1 blocks) in
   Printf.printf
     "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
-     cpu), %.0f blocks/s, %d OPN ring spill(s)\n%!"
-    (List.length rows) preset blocks wall cpu (bps cpu) spills;
+     cpu), %.0f blocks/s, %.1f minor words/block, %d OPN ring spill(s)\n%!"
+    (List.length rows) preset blocks wall cpu (bps cpu) (per_block words) spills;
   let ref_times =
     if compare_ref then begin
-      let ref_results, _, ref_wall, ref_cpu = simbench_sweep `Ref q benches in
+      let ref_results, _, ref_wall, ref_cpu, _ = simbench_sweep `Ref q benches in
       List.iter2
         (fun (((name, _, _, _, _, _, _) as row), opn) (ref_row, ref_opn) ->
           let disagree what =
@@ -1036,7 +1042,9 @@ let simbench_main q fixture out compare_ref =
     else None
   in
   (* sampled estimator: throughput plus estimate quality *)
-  let samp_results, _, samp_wall, samp_cpu = simbench_sweep `Sampled q benches in
+  let samp_results, _, samp_wall, samp_cpu, samp_words =
+    simbench_sweep `Sampled q benches
+  in
   let samp_err =
     (* mean absolute estimate error vs the exact sweep, in percent *)
     let tot, n =
@@ -1050,9 +1058,10 @@ let simbench_main q fixture out compare_ref =
     if n = 0 then 0. else 100. *. tot /. float_of_int n
   in
   Printf.printf
-    "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-     speedup x%.2f vs Core, mean |error| %.2f%%\n%!"
-    samp_wall samp_cpu (bps samp_cpu) (cpu /. samp_cpu) samp_err;
+    "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s, %.1f \
+     minor words/block — speedup x%.2f vs Core, mean |error| %.2f%%\n%!"
+    samp_wall samp_cpu (bps samp_cpu) (per_block samp_words) (cpu /. samp_cpu)
+    samp_err;
   (match fixture with
   | Some file ->
     let oc = open_out file in
@@ -1086,6 +1095,7 @@ let simbench_main q fixture out compare_ref =
               ("wall_s", Json.Float wall);
               ("cpu_s", Json.Float cpu);
               ("blocks_per_s", Json.Float (bps cpu));
+              ("minor_words_per_block", Json.Float (per_block words));
               ("opn_spills", Json.Int spills);
             ]
            @ (match ref_times with
@@ -1101,6 +1111,7 @@ let simbench_main q fixture out compare_ref =
                ("sampled_wall_s", Json.Float samp_wall);
                ("sampled_cpu_s", Json.Float samp_cpu);
                ("sampled_blocks_per_s", Json.Float (bps samp_cpu));
+               ("sampled_minor_words_per_block", Json.Float (per_block samp_words));
                ("speedup_vs_plan_sampled", Json.Float (cpu /. samp_cpu));
                ("sampled_mean_abs_error_pct", Json.Float samp_err);
                ( "per_workload",

@@ -77,29 +77,35 @@ let is_flop (op : Isa.opcode) =
 (* Value lanes                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A value is kept unboxed in two parts: its 64 bits in a [Bytes] lane
-   (eight bytes per slot: an integer as is, a float as its IEEE bits)
-   and a tag in an [int array].  An instance has one lane per
-   instruction, written once when the instruction fires (a store's lane
-   holds its data), then one per read slot; the register file has one
-   per register.  Tags are ints, so writing one pays no write barrier. *)
-let t_int = 0
-let t_float = 1
-let t_null = 2
+(* A value is kept unboxed in two parts, in {!Semantics}' lane layout:
+   its 64 bits in a [Bytes] lane (eight bytes per slot: an integer as
+   is, a float as its IEEE bits) and a tag in an [int array].  An
+   instance has one lane per instruction, written once when the
+   instruction fires (a store's lane holds its data), then one per read
+   slot; the register file has one per register.  Tags are ints, so
+   writing one pays no write barrier.  The helpers below are inlined so
+   no [int64] leaves a function boxed. *)
+let t_int = Semantics.tag_int
+let t_float = Semantics.tag_float
+let t_null = Semantics.tag_null
 
 type lanes = { mutable bits : Bytes.t; mutable tags : int array }
 
 let make_lanes n = { bits = Bytes.make (n * 8) '\000'; tags = Array.make n t_int }
-let copy_lanes l = { bits = Bytes.copy l.bits; tags = Array.copy l.tags }
-let get_bits l k = Bytes.get_int64_le l.bits (k lsl 3)
 
-let set_lane l k tag x =
+let blit_lanes src dst =
+  Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
+  Array.blit src.tags 0 dst.tags 0 (Array.length src.tags)
+
+let[@inline] get_bits l k = Bytes.get_int64_le l.bits (k lsl 3)
+
+let[@inline] set_lane l k tag x =
   Bytes.set_int64_le l.bits (k lsl 3) x;
   l.tags.(k) <- tag
 
-let copy_lane src j dst k = set_lane dst k src.tags.(j) (get_bits src j)
+let[@inline] copy_lane src j dst k = set_lane dst k src.tags.(j) (get_bits src j)
 
-(* Box a lane for a [Semantics] call; a null operand is an error. *)
+(* A lane as a boxed value, for [run]'s result; a null is an error. *)
 let value label l k =
   let tag = l.tags.(k) in
   if tag = t_int then Ty.Vi (get_bits l k)
@@ -164,6 +170,22 @@ let max_traces = 128
 (* Static per-block facts                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* What [compute] does for an instruction, decoded once from its opcode
+   and immediate.  Constant constructors, so a block's codes are a plain
+   int array and [compute] dispatches through one jump table. *)
+type op =
+  | Op_bin                      (* binop of op0 and op1 *)
+  | Op_bin_imm                  (* binop of op0 and the immediate *)
+  | Op_un
+  | Op_gen_int                  (* the immediate, as an integer *)
+  | Op_gen_float                (* the immediate, as IEEE bits *)
+  | Op_mov
+  | Op_null
+  | Op_load_int
+  | Op_load_float
+  | Op_store
+  | Op_branch
+
 (* Operand-presence bits, one per port; a target's slot number [s] is the
    bit [1 lsl s]. *)
 let g_op0 = 1
@@ -192,6 +214,12 @@ type xstatic = {
   xs_is_load : bool array;
   xs_lsid : int array;             (* per memory inst *)
   xs_width : Ty.width array;       (* per memory inst *)
+  xs_op : op array;                (* decoded per inst *)
+  xs_binop : Ast.binop array;      (* per [Op_bin]/[Op_bin_imm] inst *)
+  xs_unop : Ast.unop array;        (* per [Op_un] inst *)
+  xs_imm : Bytes.t;
+      (* eight bytes per inst: a [Bin]'s immediate operand, the constant
+         a [Geni]/[Genf] generates, or a memory inst's displacement *)
   xs_class : Isa.klass array;      (* Isa.classify per inst *)
   xs_flop : bool array;
   xs_inst_targets : int array;     (* To_inst targets delivered on firing *)
@@ -286,6 +314,23 @@ let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
         if delivers ins then List.length ins.targets - xs_write_targets.(i) else 0)
       b.insts
   in
+  let xs_imm = Bytes.make (8 * max 1 n) '\000' in
+  let decode i (ins : Isa.inst) =
+    let imm x = Bytes.set_int64_le xs_imm (8 * i) x in
+    match (ins.op, ins.imm) with
+    | Isa.Bin _, Some x -> imm x; Op_bin_imm
+    | Isa.Bin _, None -> Op_bin
+    | Isa.Un _, _ -> Op_un
+    | Isa.Geni x, _ -> imm x; Op_gen_int
+    | Isa.Genf f, _ -> imm (Int64.bits_of_float f); Op_gen_float
+    | Isa.Mov, _ -> Op_mov
+    | Isa.Null, _ -> Op_null
+    | Isa.Load (ty, _, _), d ->
+      imm (Option.value ~default:0L d);
+      if ty = Ty.I64 then Op_load_int else Op_load_float
+    | Isa.Store _, d -> imm (Option.value ~default:0L d); Op_store
+    | Isa.Branch _, _ -> Op_branch
+  in
   let xs_need =
     Array.map
       (fun (ins : Isa.inst) ->
@@ -328,6 +373,16 @@ let build_xstatic ~index ~entry k (b : Block.t) : xstatic =
         b.insts;
     xs_lsid = mem (fun _ l -> l) 0;
     xs_width = mem (fun w _ -> w) Ty.W8;
+    xs_op = Array.mapi decode b.insts;
+    xs_binop =
+      Array.map
+        (fun (ins : Isa.inst) -> match ins.op with Isa.Bin o -> o | _ -> Ast.Add)
+        b.insts;
+    xs_unop =
+      Array.map
+        (fun (ins : Isa.inst) -> match ins.op with Isa.Un o -> o | _ -> Ast.Neg)
+        b.insts;
+    xs_imm;
     xs_class = Array.map (fun (ins : Isa.inst) -> Isa.classify ins.op) b.insts;
     xs_flop = Array.map (fun (ins : Isa.inst) -> is_flop ins.op) b.insts;
     xs_inst_targets;
@@ -442,24 +497,23 @@ let lane_of xs p = if p >= 0 then p else xs.xs_n - 1 - p
 (* The semantics of one fired instruction                              *)
 (* ------------------------------------------------------------------ *)
 
-(* effective address: base operand plus the immediate displacement; a
-   float base fails as [Ty.as_int] fails *)
-let address label l k (ins : Isa.inst) =
+(* effective address of memory inst [i]: its base operand in lane [k]
+   plus its displacement; a float base fails as [Ty.as_int] fails *)
+let[@inline] address xs l k i =
   let tag = l.tags.(k) in
-  let base =
-    if tag = t_int then get_bits l k
-    else if tag = t_float then Ty.as_int (Ty.Vf (Int64.float_of_bits (get_bits l k)))
-    else raise (Stuck (label, "null token in arithmetic"))
-  in
-  Int64.to_int base + (match ins.imm with Some d -> Int64.to_int d | None -> 0)
+  let disp = Int64.to_int (Bytes.get_int64_le xs.xs_imm (i lsl 3)) in
+  if tag = t_int then Int64.to_int (get_bits l k) + disp
+  else if tag = t_float then
+    Int64.to_int (Ty.as_int (Ty.Vf (Int64.float_of_bits (get_bits l k)))) + disp
+  else raise (Stuck (xs.xs_block.label, "null token in arithmetic"))
 
-(* forward from in-flight stores: build each byte from the youngest
-   lower-LSID store covering it, falling back to memory.  The common
-   case — no in-flight lower-LSID store overlaps the loaded range — is
-   detected with one scan and served by a single full-width read.  The
-   buffer is scanned newest first, so of two stores with one LSID the
-   newer wins. *)
-let forward xc xs image width lsid addr =
+(* Load into lane [i] from in-flight stores: build each byte from the
+   youngest lower-LSID store covering it, falling back to memory.  The
+   common case — no in-flight lower-LSID store overlaps the loaded range
+   — is detected with one scan and served by a single full-width read.
+   The buffer is scanned newest first, so of two stores with one LSID
+   the newer wins. *)
+let forward xc xs image width lsid addr i =
   let bytes = Ty.bytes_of_width width in
   let live j = xc.lane.tags.(j) <> t_null && xs.xs_lsid.(j) < lsid in
   let covers j lo hi =
@@ -470,7 +524,7 @@ let forward xc xs image width lsid addr =
     let j = xc.sbuf.(k) in
     if live j && covers j addr (addr + bytes) then overlap := true
   done;
-  if not !overlap then Image.load_u image width addr
+  if not !overlap then Image.load_lane image width addr xc.lane.bits i
   else begin
     let byte a =
       let best = ref (-1) in
@@ -492,38 +546,51 @@ let forward xc xs image width lsid addr =
     for k = bytes - 1 downto 0 do
       raw := Int64.logor (Int64.shift_left !raw 8) (Int64.of_int (byte (addr + k)))
     done;
-    !raw
+    Bytes.set_int64_le xc.lane.bits (i lsl 3) !raw
   end
+
+let[@inline] operand xs l k =
+  if l.tags.(k) = t_null then raise (Stuck (xs.xs_block.label, "null operand in ALU op"))
+
+let[@inline] load xc xs image i l0 =
+  let a = address xs xc.lane l0 i in
+  xc.addr.(i) <- a;
+  let w = Array.unsafe_get xs.xs_width i in
+  if xc.nsb = 0 then Image.load_lane image w a xc.lane.bits i
+  else forward xc xs image w (Array.unsafe_get xs.xs_lsid i) a i
 
 (* Fire instruction [i] from the lanes [l0] and [l1] of the producers on
    its op0 and op1 ports (ignored where it has no such operand): write
    its result lane, or buffer it as a store.  Both engines call this, so
    it is the one definition of what an instruction does; delivery,
-   ordering and completion are the engines' own. *)
+   ordering and completion are the engines' own.  What each operator
+   computes is {!Semantics}' alone. *)
 let compute xc xs image i l0 l1 =
-  let b = xs.xs_block in
-  let ins = Array.unsafe_get b.insts i in
   let lane = xc.lane in
-  match ins.op with
-  | Isa.Bin bop ->
-    let a = value b.label lane l0 in
-    let c = match ins.imm with Some imm -> Ty.Vi imm | None -> value b.label lane l1 in
-    set_value lane i (Semantics.binop bop a c)
-  | Isa.Un uop -> set_value lane i (Semantics.unop uop (value b.label lane l0))
-  | Isa.Geni v -> set_lane lane i t_int v
-  | Isa.Genf f -> set_lane lane i t_float (Int64.bits_of_float f)
-  | Isa.Mov -> copy_lane lane l0 lane i
-  | Isa.Null -> lane.tags.(i) <- t_null
-  | Isa.Load (ty, w, lsid) ->
-    let a = address b.label lane l0 ins in
-    xc.addr.(i) <- a;
-    let raw =
-      if xc.nsb = 0 then Image.load_u image w a else forward xc xs image w lsid a
-    in
-    (match (ty : Ty.t) with
-    | Ty.I64 -> set_lane lane i t_int (Semantics.zext w raw)
-    | Ty.F64 -> set_lane lane i t_float raw)
-  | Isa.Store _ ->
+  match Array.unsafe_get xs.xs_op i with
+  | Op_bin ->
+    operand xs lane l0;
+    operand xs lane l1;
+    Semantics.binop_lanes (Array.unsafe_get xs.xs_binop i) lane.bits lane.tags i l0 l1
+  | Op_bin_imm ->
+    operand xs lane l0;
+    (* the immediate goes through the result's own slot *)
+    set_lane lane i t_int (Bytes.get_int64_le xs.xs_imm (i lsl 3));
+    Semantics.binop_lanes (Array.unsafe_get xs.xs_binop i) lane.bits lane.tags i l0 i
+  | Op_un ->
+    operand xs lane l0;
+    Semantics.unop_lanes (Array.unsafe_get xs.xs_unop i) lane.bits lane.tags i l0
+  | Op_gen_int -> set_lane lane i t_int (Bytes.get_int64_le xs.xs_imm (i lsl 3))
+  | Op_gen_float -> set_lane lane i t_float (Bytes.get_int64_le xs.xs_imm (i lsl 3))
+  | Op_mov -> copy_lane lane l0 lane i
+  | Op_null -> lane.tags.(i) <- t_null
+  | Op_load_int ->
+    load xc xs image i l0;
+    lane.tags.(i) <- t_int
+  | Op_load_float ->
+    load xc xs image i l0;
+    lane.tags.(i) <- t_float
+  | Op_store ->
     (* the immediate on a store is an address displacement, not an
        operand substitute: data always arrives on op1 *)
     if lane.tags.(l0) = t_null || lane.tags.(l1) = t_null then begin
@@ -531,12 +598,12 @@ let compute xc xs image i l0 l1 =
       xc.addr.(i) <- 0
     end
     else begin
-      xc.addr.(i) <- address b.label lane l0 ins;
+      xc.addr.(i) <- address xs lane l0 i;
       copy_lane lane l1 lane i
     end;
     xc.sbuf.(xc.nsb) <- i;
     xc.nsb <- xc.nsb + 1
-  | Isa.Branch _ -> ()
+  | Op_branch -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The general dataflow engine                                         *)
@@ -822,9 +889,17 @@ let record xc xs shape =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* What [replay] returns, compared physically, when an outcome has no
+   recorded child: an [option] would allocate on every replayed
+   instance. *)
+let unrecorded =
+  { sh_fired = [||]; sh_useful = [||]; sh_stats = [||]; sh_exit = -1;
+    sh_dest = Isa.Xret; sh_wsrc = [||]; sh_commit = [||]; sh_events = [||] }
+
 (* Re-run a recorded schedule from [node]: its fires straight through,
-   then its test, which picks the child to continue in.  [None] when the
-   outcome has no recorded child; nothing has been committed by then. *)
+   then its test, which picks the child to continue in.  [unrecorded]
+   when the outcome has no recorded child; nothing has been committed by
+   then. *)
 let rec replay ~fuel xc xs image node =
   let steps = node.steps in
   let k = ref 0 in
@@ -843,12 +918,12 @@ let rec replay ~fuel xc xs image node =
     k := !k + 3
   done;
   match node.next with
-  | Leaf shape -> Some shape
+  | Leaf shape -> shape
   | Test t -> (
     let passed = truthy xs.xs_block.label xc.lane t.lane = (xs.xs_pred.(t.inst) = 1) in
     match if passed then t.go else t.squash with
     | Some child -> replay ~fuel xc xs image child
-    | None -> None)
+    | None -> unrecorded)
 
 (* ------------------------------------------------------------------ *)
 (* Single block execution                                              *)
@@ -893,22 +968,22 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic) (regs : lanes)
   xc.nsb <- 0;
   let fuel0 = !fuel in
   let replayed =
-    match xs.xs_trie with Some root -> replay ~fuel xc xs image root | None -> None
+    match xs.xs_trie with Some root -> replay ~fuel xc xs image root | None -> unrecorded
   in
   let shape =
-    match replayed with
-    | Some shape -> shape
-    | None ->
+    if replayed != unrecorded then replayed
+    else begin
       fuel := fuel0;
       let shape = general ~fuel xc xs image in
       if xs.xs_traces < max_traces then record xc xs shape;
       shape
+    end
   in
   (* commit stores in LSID order, then register writes *)
   let commit = shape.sh_commit in
   for k = 0 to Array.length commit - 1 do
     let j = commit.(k) in
-    Image.store_bits image xs.xs_width.(j) xc.addr.(j) (get_bits xc.lane j)
+    Image.store_lane image xs.xs_width.(j) xc.addr.(j) xc.lane.bits j
   done;
   let wsrc = shape.sh_wsrc in
   for w = 0 to Array.length wsrc - 1 do
@@ -929,6 +1004,10 @@ let exec_block ~stats ~fuel ~(xc : xscratch) (xs : xstatic) (regs : lanes)
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* A call's frame: the caller's register file, its return block's index
+   and label. *)
+type frame = { saved : lanes; mutable ret : int; mutable ret_label : string }
 
 let blocks (p : Block.program) =
   Array.of_list (List.concat_map (fun (f : Block.func) -> f.blocks) p.funcs)
@@ -970,8 +1049,10 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
     | Some f -> f
     | None -> raise (Stuck (entry, "unknown function " ^ entry))
   in
-  (* call stack: saved register file + return block *)
-  let stack : (lanes * int * string) list ref = ref [] in
+  (* call stack: per depth, the caller's saved register file, return
+     block and its label; a frame is allocated the first time its depth
+     is reached and reused after *)
+  let frames = ref [||] and depth = ref 0 in
   let current = ref (static (index entry_f.entry) entry_f.entry) in
   let finished = ref None in
   while Option.is_none !finished do
@@ -986,17 +1067,26 @@ let run ?(fuel = 400_000_000) ?on_instance (p : Block.program)
         raise (Stuck (xs.xs_block.label, "unknown function " ^ callee));
       if next = -1 then
         raise (Stuck ((Block.find_func p callee).entry, "unknown block"));
-      stack := (copy_lanes regs, xs.xs_ret.(instance.exit_inst), retl) :: !stack;
+      if !depth = Array.length !frames then
+        frames :=
+          Array.append !frames
+            (Array.init (max 8 !depth) (fun _ ->
+                 { saved = make_lanes Isa.num_regs; ret = 0; ret_label = "" }));
+      let f = !frames.(!depth) in
+      blit_lanes regs f.saved;
+      f.ret <- xs.xs_ret.(instance.exit_inst);
+      f.ret_label <- retl;
+      incr depth;
       current := static next callee
-    | Isa.Xret -> (
-      match !stack with
-      | [] -> finished := Some (value entry regs abi_ret_reg)
-      | (saved, ret, retl) :: rest ->
+    | Isa.Xret ->
+      if !depth = 0 then finished := Some (value entry regs abi_ret_reg)
+      else begin
+        decr depth;
+        let f = !frames.(!depth) in
         let ret_tag = regs.tags.(abi_ret_reg) and ret_bits = get_bits regs abi_ret_reg in
-        Bytes.blit saved.bits 0 regs.bits 0 (Bytes.length regs.bits);
-        Array.blit saved.tags 0 regs.tags 0 (Array.length regs.tags);
+        blit_lanes f.saved regs;
         set_lane regs abi_ret_reg ret_tag ret_bits;
-        stack := rest;
-        current := static ret retl)
+        current := static f.ret f.ret_label
+      end
   done;
   { ret = !finished; stats }

@@ -18,7 +18,24 @@
     depends only on how its predicates resolve.  The first instance of
     each such shape runs the general dataflow engine, which records the
     shape's schedule; later instances of the shape replay it, computing
-    only the values.  The results are the same either way. *)
+    only the values.  The results are the same either way.
+
+    Values live unboxed in lanes ({!Trips_tir.Semantics}' layout: 64 bits
+    per slot in a [Bytes.t], a tag per slot in an [int array]).  Each
+    instruction is decoded once per run into an operation code with its
+    immediate, and firing it moves bits from lanes to lanes without
+    allocating: operators go through {!Trips_tir.Semantics.binop_lanes}
+    and [unop_lanes], loads and stores through
+    {!Trips_tir.Image.load_lane} and [store_lane].  A fire fails the same
+    way, in the same order, on either engine and as it did over boxed
+    values: a null operand raises {!Stuck} ["null operand in ALU op"]
+    (op0 checked before op1) and a load's null address base ["null token
+    in arithmetic"] (a store with a null operand is nullified instead);
+    then the operator's own exceptions, in
+    {!Trips_tir.Semantics.binop}'s order ([Invalid_argument] from
+    {!Trips_tir.Ty.as_int}/[as_float] for an operand of the wrong type,
+    {!Trips_tir.Semantics.Trap} for a zero divisor); then
+    {!Trips_tir.Semantics.Trap} for an access out of range. *)
 
 type mem_event = {
   ev_inst : int;                 (* instruction index in the block *)

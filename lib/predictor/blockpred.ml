@@ -27,11 +27,11 @@ type t = {
 type kind = Kjump | Kcall | Kret
 
 type outcome = {
-  o_block : int;
-  o_exit : int;
-  o_kind : kind;
-  o_target : int;
-  o_fallthrough : int;
+  mutable o_block : int;
+  mutable o_exit : int;
+  mutable o_kind : kind;
+  mutable o_target : int;
+  mutable o_fallthrough : int;
 }
 
 let create cfg =
@@ -48,19 +48,23 @@ let create cfg =
 let mask t = t.cfg.exit_entries - 1
 let hmask t = (1 lsl t.cfg.exit_hist_bits) - 1
 
-let indices t ~block =
-  let hi = block land mask t in
-  let lh = t.local_hist.(hi) land hmask t in
-  let li = (block lxor (lh * 0x85EB)) land mask t in
-  let gi = (block lxor (t.ehist * 0x9E37)) land mask t in
-  (hi, li, gi)
+(* Table indices of a block: its local history, its local and its
+   global exit entries.  Three functions rather than a tuple, so a
+   prediction allocates nothing. *)
+let hist_index t ~block = block land mask t
+
+let local_index t ~block =
+  let lh = t.local_hist.(hist_index t ~block) land hmask t in
+  (block lxor (lh * 0x85EB)) land mask t
+
+let global_index t ~block = (block lxor (t.ehist * 0x9E37)) land mask t
 
 (* BTB keys distinguish exits of the same block. *)
 let btb_key block exit_id = (block * 8) + exit_id
 
 let predicted_exit t ~block =
-  let hi, li, gi = indices t ~block in
-  if t.choice.(hi) >= 2 then t.global.(gi).exit_id else t.local.(li).exit_id
+  if t.choice.(hist_index t ~block) >= 2 then t.global.(global_index t ~block).exit_id
+  else t.local.(local_index t ~block).exit_id
 
 (* Without decoding the block we do not know the exit's kind; the hardware
    stores it in the BTB.  We try return-address stack first (returns hit
@@ -69,21 +73,23 @@ let predict t ~block =
   let e = predicted_exit t ~block in
   let key = btb_key block e in
   match Target.predict t.targets ~pc:key Target.Jump with
-  | Some tgt -> Some tgt
+  | Some _ as hit -> hit
   | None -> (
     match Target.predict t.targets ~pc:key Target.Call with
-    | Some tgt -> Some tgt
+    | Some _ as hit -> hit
     | None -> Target.predict t.targets ~pc:key Target.Ret)
 
+let train (e : exit_entry) exit =
+  if e.exit_id = exit then begin
+    if e.conf < 3 then e.conf <- e.conf + 1
+  end
+  else if e.conf > 0 then e.conf <- e.conf - 1
+  else e.exit_id <- exit
+
 let update t (o : outcome) =
-  let hi, li, gi = indices t ~block:o.o_block in
-  let train (e : exit_entry) =
-    if e.exit_id = o.o_exit then begin
-      if e.conf < 3 then e.conf <- e.conf + 1
-    end
-    else if e.conf > 0 then e.conf <- e.conf - 1
-    else e.exit_id <- o.o_exit
-  in
+  let hi = hist_index t ~block:o.o_block in
+  let li = local_index t ~block:o.o_block in
+  let gi = global_index t ~block:o.o_block in
   let lok = t.local.(li).exit_id = o.o_exit in
   let gok = t.global.(gi).exit_id = o.o_exit in
   if lok <> gok then begin
@@ -91,8 +97,8 @@ let update t (o : outcome) =
     if up then (if t.choice.(hi) < 3 then t.choice.(hi) <- t.choice.(hi) + 1)
     else if t.choice.(hi) > 0 then t.choice.(hi) <- t.choice.(hi) - 1
   end;
-  train t.local.(li);
-  train t.global.(gi);
+  train t.local.(li) o.o_exit;
+  train t.global.(gi) o.o_exit;
   t.local_hist.(hi) <- ((t.local_hist.(hi) lsl 3) lor (o.o_exit land 7)) land hmask t;
   t.ehist <- ((t.ehist lsl 3) lor (o.o_exit land 7)) land hmask t;
   let key = btb_key o.o_block o.o_exit in

@@ -28,12 +28,14 @@ val create : config -> t
 type kind = Kjump | Kcall | Kret
 
 type outcome = {
-  o_block : int;               (* fetched block id *)
-  o_exit : int;                (* exit index that fired, 0..7 *)
-  o_kind : kind;
-  o_target : int;              (* executed successor block id *)
-  o_fallthrough : int;         (* resume block for a call's return *)
+  mutable o_block : int;       (* fetched block id *)
+  mutable o_exit : int;        (* exit index that fired, 0..7 *)
+  mutable o_kind : kind;
+  mutable o_target : int;      (* executed successor block id *)
+  mutable o_fallthrough : int; (* resume block for a call's return *)
 }
+(** Mutable so a simulator can fill one record per instance instead of
+    allocating it; {!update} keeps no reference to it. *)
 
 val predict : t -> block:int -> int option
 (** Predicted next-block id, [None] if no target information exists yet. *)

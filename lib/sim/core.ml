@@ -102,9 +102,32 @@ let k_load = 1
 let k_store = 2
 let k_branch = 3
 
+(* A block as the next-block predictor sees it: its interned id, its
+   exits and their successors, resolved once by label.  A label with no
+   block (defensive; not in a valid program) gets a node of its own, so
+   it still draws one predictor id on first use. *)
+type node = {
+  n_label : string;
+  mutable n_id : int;                (* interned label id; -1 until first use *)
+  n_exits : int array;               (* branch inst indices, ascending *)
+  (* per exit: the jump target or the callee's entry ([None]: a return
+     or an unknown function), and a call's return block *)
+  mutable n_next : node option array;
+  mutable n_ret : node option array;
+}
+
+(* The predictor replay: the predictor itself, the successor graph (one
+   node per block in {!Exec.blocks} order) and the shadow call stack. *)
+type control = {
+  pred : Blockpred.t;
+  nodes : node array;
+  mutable next_id : int;             (* label id counter *)
+  mutable shadow_stack : node list;  (* return blocks *)
+  outcome : Blockpred.outcome;       (* refilled for every update *)
+}
+
 type plan = {
-  p_label : string;
-  mutable p_id : int;                (* interned label id; -1 until first use *)
+  p_node : node;
   p_addr : int;                      (* code address *)
   p_bytes : int;                     (* compressed footprint *)
   p_n : int;
@@ -127,12 +150,6 @@ type plan = {
   p_rd_pos : (int * int) array;      (* and its RT mesh position *)
   p_roff : int array;                (* reads+1 offsets into p_rtgt *)
   p_rtgt : int array;
-  p_exits : int array;               (* branch inst indices, ascending *)
-  (* per exit, the successors resolved when the plans are built: the
-     jump target or the callee's entry ([None]: unknown function), and a
-     call's return block *)
-  mutable p_next : plan option array;
-  mutable p_ret : plan option array;
   (* precomputed operand-network paths.  Almost every message's endpoints
      are static per block, so the link ids it claims are too: variant [v]
      is [p_paths.(p_voff.(v)) .. p_voff.(v) + p_vlen.(v) - 1].  Loads
@@ -149,9 +166,21 @@ type plan = {
   p_obs : block_obs;                 (* measured profile, updated in place *)
 }
 
+(* Result of timing one block instance: the record is the scratch's own,
+   overwritten by the next instance.  Register writes land in the scratch
+   [w_reg]/[w_time] arrays (consumed by [run] right after). *)
+type btime = {
+  mutable bt_resolve : int;           (* branch resolution at the GT *)
+  mutable bt_done : int;              (* all outputs produced *)
+  mutable bt_flushed : bool;
+}
+
 (* Reusable per-instance scratch state, sized once for the largest block
    of the program so [time_block] allocates nothing per instance. *)
 type scratch = {
+  mutable t_fired : bool array;      (* the instance's fired instructions *)
+  mutable t_start : int;             (* its dispatch start *)
+  t_result : btime;
   sc_cnt : int array;                (* arrived operand count per inst *)
   sc_arr : int array;                (* max arrival time per inst *)
   sc_done : int array;               (* completion time, -1 = pending *)
@@ -198,6 +227,9 @@ let make_scratch ~max_insts ~max_writes ~max_lsid =
   let n = max max_insts 1 in
   let w = max max_writes 1 in
   {
+    t_fired = [||];
+    t_start = 0;
+    t_result = { bt_resolve = 0; bt_done = 0; bt_flushed = false };
     sc_cnt = Array.make n 0;
     sc_arr = Array.make n min_int;
     sc_done = Array.make n (-1);
@@ -319,7 +351,7 @@ let queue_pop sc =
 
 type sim = {
   cfg : config;
-  pred : Blockpred.t;
+  ctl : control;
   dep : Depend.t;
   opn : Opn.t;
   l1d : Cache.t;
@@ -328,13 +360,11 @@ type sim = {
   mutable dram_free_at : int;
   st : stats;
   (* static timing plans, one per block in {!Exec.blocks} order
-     (address, interned id and measured profile live inside the plan) *)
+     (address, predictor node and measured profile live inside the plan) *)
   plans : plan array;
-  mutable next_id : int;                      (* label id counter *)
   dt_pos : (int * int) array;                 (* DT bank mesh positions *)
   scratch : scratch;
   mutable reg_ready : int array;              (* RT value availability *)
-  mutable shadow_stack : plan list;           (* return blocks *)
   (* previous block bookkeeping *)
   mutable prev : prev option;
   mutable last_commit : int;
@@ -351,24 +381,24 @@ type sim = {
 }
 
 and prev = {
-  p_fetch : int;
-  p_resolve : int;
-  p_correct : bool;
-  p_kind : Blockpred.kind;
+  mutable p_fetch : int;
+  mutable p_resolve : int;
+  mutable p_correct : bool;
+  mutable p_kind : Blockpred.kind;
 }
 
 (* Label interning preserves the seed's first-dynamic-use id assignment
    (the predictor's table indexing depends on the id values): ids are
    handed out in the order labels are first interned at run time, not in
    program order. *)
-let intern_plan s (p : plan) =
-  if p.p_id < 0 then begin
-    p.p_id <- s.next_id;
-    s.next_id <- s.next_id + 1
+let intern c (n : node) =
+  if n.n_id < 0 then begin
+    n.n_id <- c.next_id;
+    c.next_id <- c.next_id + 1
   end;
-  p.p_id
+  n.n_id
 
-let build_plan (cfg : config) (b : Block.t) ~addr : plan =
+let build_plan (cfg : config) (b : Block.t) ~node ~addr : plan =
   let n = Array.length b.Block.insts in
   let label = b.Block.label in
   let fail i msg =
@@ -511,8 +541,7 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     done
   done;
   {
-    p_label = label;
-    p_id = -1;
+    p_node = node;
     p_addr = addr;
     p_bytes = block_bytes n;
     p_n = n;
@@ -535,9 +564,6 @@ let build_plan (cfg : config) (b : Block.t) ~addr : plan =
     p_rd_pos = rd_pos;
     p_roff = roff;
     p_rtgt = rtgt;
-    p_exits = Array.of_list (List.map fst (Block.exits b));
-    p_next = [||];
-    p_ret = [||];
     p_tvar = tvar;
     p_tci = tci;
     p_dtvar = dtvar;
@@ -587,13 +613,18 @@ let icache_fetch s ~addr ~bytes ~now =
 (* Per-instance dataflow timing                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Result of timing one block instance.  Register writes land in the
-   scratch [w_reg]/[w_time] arrays (consumed by [run] right after). *)
-type btime = {
-  bt_resolve : int;           (* branch resolution at the GT *)
-  bt_done : int;              (* all outputs produced *)
-  bt_flushed : bool;
-}
+(* insertion sort of memory-event indices [arr.(0 .. len - 1)] by LSID *)
+let sort_by_lsid m_lsid arr len =
+  for a = 1 to len - 1 do
+    let x = Array.unsafe_get arr a in
+    let lx = Array.unsafe_get m_lsid x in
+    let b = ref (a - 1) in
+    while !b >= 0 && Array.unsafe_get m_lsid (Array.unsafe_get arr !b) > lx do
+      Array.unsafe_set arr (!b + 1) (Array.unsafe_get arr !b);
+      decr b
+    done;
+    Array.unsafe_set arr (!b + 1) x
+  done
 
 (* The end of [time_block]: the store-load violation sweep over the
    instance's memory events, the load-wait learning, and the
@@ -619,20 +650,8 @@ let finish_instance s (cfg : config) ~resolve : btime =
     end
   done;
   let m_lsid = sc.m_lsid and m_time = sc.m_time in
-  let sort_by_lsid arr len =
-    for a = 1 to len - 1 do
-      let x = Array.unsafe_get arr a in
-      let lx = Array.unsafe_get m_lsid x in
-      let b = ref (a - 1) in
-      while !b >= 0 && Array.unsafe_get m_lsid (Array.unsafe_get arr !b) > lx do
-        Array.unsafe_set arr (!b + 1) (Array.unsafe_get arr !b);
-        decr b
-      done;
-      Array.unsafe_set arr (!b + 1) x
-    done
-  in
-  sort_by_lsid sc.v_load !nl;
-  sort_by_lsid sc.v_store !ns;
+  sort_by_lsid m_lsid sc.v_load !nl;
+  sort_by_lsid m_lsid sc.v_store !ns;
   let sp = ref 0 and smax = ref min_int in
   for a = 0 to !nl - 1 do
     let li = Array.unsafe_get sc.v_load a in
@@ -677,11 +696,110 @@ let finish_instance s (cfg : config) ~resolve : btime =
     if sc.w_time.(k) > !all_done then all_done := sc.w_time.(k)
   done;
   let all_done = if !flushed then !all_done + cfg.flush_penalty else !all_done in
-  {
-    bt_resolve = imax resolve (if !flushed then all_done else resolve);
-    bt_done = all_done;
-    bt_flushed = !flushed;
-  }
+  let bt = sc.t_result in
+  bt.bt_resolve <- imax resolve (if !flushed then all_done else resolve);
+  bt.bt_done <- all_done;
+  bt.bt_flushed <- !flushed;
+  bt
+
+(* The per-instance steps of [time_block], over the scratch record
+   ([t_fired], [t_start]) rather than closures, so a call allocates
+   nothing. *)
+
+let push_write sc reg t =
+  sc.w_reg.(sc.w_cnt) <- reg;
+  sc.w_time.(sc.w_cnt) <- t;
+  sc.w_cnt <- sc.w_cnt + 1
+
+let push_mem sc (plan : plan) i lsid is_load t =
+  let k = sc.m_cnt in
+  Array.unsafe_set sc.m_lsid k lsid;
+  Array.unsafe_set sc.m_load k is_load;
+  Array.unsafe_set sc.m_addr k (Array.unsafe_get sc.sc_ev_addr i);
+  Array.unsafe_set sc.m_width k (Array.unsafe_get sc.sc_ev_width i);
+  Array.unsafe_set sc.m_null k (Array.unsafe_get sc.sc_ev_null i);
+  Array.unsafe_set sc.m_time k t;
+  Array.unsafe_set sc.m_viol k (Array.unsafe_get plan.p_viol i);
+  sc.m_cnt <- k + 1
+
+(* an operand of fired instruction [j] arrives at [t]; the last one
+   queues it *)
+let arrive sc (plan : plan) j t =
+  if Array.unsafe_get sc.t_fired j then begin
+    let sc_arr = sc.sc_arr in
+    if t > Array.unsafe_get sc_arr j then Array.unsafe_set sc_arr j t;
+    let c = Array.unsafe_get sc.sc_cnt j + 1 in
+    Array.unsafe_set sc.sc_cnt j c;
+    if c = Array.unsafe_get plan.p_need j then
+      queue_push sc
+        (imax (sc.t_start + Array.unsafe_get plan.p_disp j) (Array.unsafe_get sc_arr j))
+        j
+  end
+
+(* the memory events of the instance, by instruction *)
+let rec note_events s sc = function
+  | [] -> ()
+  | (ev : Exec.mem_event) :: rest ->
+    let i = ev.Exec.ev_inst in
+    sc.sc_ev_addr.(i) <- ev.Exec.ev_addr;
+    sc.sc_ev_width.(i) <- Ty.bytes_of_width ev.Exec.ev_width;
+    sc.sc_ev_bank.(i) <- Cache.bank_of s.l1d ~addr:ev.Exec.ev_addr;
+    sc.sc_ev_null.(i) <- ev.Exec.ev_null;
+    sc.sc_has_ev.(i) <- true;
+    note_events s sc rest
+
+(* instruction [i] completed at [completion]: send its result to every
+   target *)
+let deliver_targets s (plan : plan) i completion =
+  let sc = s.scratch in
+  let p_tgt = plan.p_tgt and p_toff = plan.p_toff in
+  let is_load = Array.unsafe_get plan.p_kind i = k_load in
+  if is_load && not (Array.unsafe_get sc.sc_has_ev i) then begin
+    (* squashed load with no event (defensive): deliver from the ET *)
+    let src_pos = Array.unsafe_get plan.p_pos i in
+    for k = Array.unsafe_get p_toff i to Array.unsafe_get p_toff (i + 1) - 1 do
+      let v = Array.unsafe_get p_tgt k in
+      if v >= 0 then
+        arrive sc plan v
+          (Opn.send s.opn ~src:src_pos ~dst:(Array.unsafe_get plan.p_pos v)
+             Opn.Dt_et ~now:completion)
+      else begin
+        let w = -v - 1 in
+        push_write sc plan.p_wreg.(w)
+          (Opn.send s.opn ~src:src_pos ~dst:plan.p_wpos.(w) Opn.Et_rt
+             ~now:completion)
+      end
+    done
+  end
+  else begin
+    (* loads deliver from the data tile of the accessed bank: their
+       To_inst edges carry one path variant per bank *)
+    let p_tvar = plan.p_tvar and p_tci = plan.p_tci in
+    let p_voff = plan.p_voff and p_vlen = plan.p_vlen and p_paths = plan.p_paths in
+    let bank_add = if is_load then Array.unsafe_get sc.sc_ev_bank i else 0 in
+    for k = Array.unsafe_get p_toff i to Array.unsafe_get p_toff (i + 1) - 1 do
+      let v = Array.unsafe_get p_tgt k in
+      if v >= 0 then begin
+        let var = Array.unsafe_get p_tvar k + bank_add in
+        let t =
+          Opn.claim_path s.opn ~ci:(Array.unsafe_get p_tci k)
+            ~paths:p_paths ~off:(Array.unsafe_get p_voff var)
+            ~len:(Array.unsafe_get p_vlen var) ~now:completion
+        in
+        arrive sc plan v t
+      end
+      else begin
+        let w = -v - 1 in
+        let var = Array.unsafe_get p_tvar k in
+        let t =
+          Opn.claim_path s.opn ~ci:(Array.unsafe_get p_tci k)
+            ~paths:p_paths ~off:(Array.unsafe_get p_voff var)
+            ~len:(Array.unsafe_get p_vlen var) ~now:completion
+        in
+        push_write sc plan.p_wreg.(w) t
+      end
+    done
+  end
 
 let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
     ~dispatch_start : btime =
@@ -690,8 +808,8 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
   let sc = s.scratch in
   let sc_cnt = sc.sc_cnt and sc_arr = sc.sc_arr and sc_done = sc.sc_done in
   let sc_has_ev = sc.sc_has_ev in
-  let p_need = plan.p_need and p_disp = plan.p_disp and p_pos = plan.p_pos in
-  let p_tgt = plan.p_tgt and p_toff = plan.p_toff in
+  let p_disp = plan.p_disp in
+  let p_voff = plan.p_voff and p_vlen = plan.p_vlen and p_paths = plan.p_paths in
   (* reset instance-varying scratch *)
   for i = 0 to n - 1 do
     Array.unsafe_set sc_cnt i 0;
@@ -707,97 +825,14 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
   sc.q_base <- dispatch_start;
   sc.m_cnt <- 0;
   sc.w_cnt <- 0;
+  sc.t_fired <- fired;
+  sc.t_start <- dispatch_start;
   (* memory-event lookup for fired loads/stores *)
-  List.iter
-    (fun (ev : Exec.mem_event) ->
-      let i = ev.Exec.ev_inst in
-      sc.sc_ev_addr.(i) <- ev.Exec.ev_addr;
-      sc.sc_ev_width.(i) <- Ty.bytes_of_width ev.Exec.ev_width;
-      sc.sc_ev_bank.(i) <- Cache.bank_of s.l1d ~addr:ev.Exec.ev_addr;
-      sc.sc_ev_null.(i) <- ev.Exec.ev_null;
-      sc_has_ev.(i) <- true)
-    inst.Exec.mem_events;
+  note_events s sc inst.Exec.mem_events;
   (* instructions dispatch progressively, [dispatch_rate] per cycle in slot
      order; the header's read/write slots dispatch first *)
   let dispatch_done = dispatch_start + plan.p_disp_done in
   let resolve = ref (dispatch_start + 1) in
-  let push_write reg t =
-    sc.w_reg.(sc.w_cnt) <- reg;
-    sc.w_time.(sc.w_cnt) <- t;
-    sc.w_cnt <- sc.w_cnt + 1
-  in
-  let push_mem i lsid is_load t =
-    let k = sc.m_cnt in
-    Array.unsafe_set sc.m_lsid k lsid;
-    Array.unsafe_set sc.m_load k is_load;
-    Array.unsafe_set sc.m_addr k (Array.unsafe_get sc.sc_ev_addr i);
-    Array.unsafe_set sc.m_width k (Array.unsafe_get sc.sc_ev_width i);
-    Array.unsafe_set sc.m_null k (Array.unsafe_get sc.sc_ev_null i);
-    Array.unsafe_set sc.m_time k t;
-    Array.unsafe_set sc.m_viol k (Array.unsafe_get plan.p_viol i);
-    sc.m_cnt <- k + 1
-  in
-  let arrive j t =
-    if Array.unsafe_get fired j then begin
-      if t > Array.unsafe_get sc_arr j then Array.unsafe_set sc_arr j t;
-      let c = Array.unsafe_get sc_cnt j + 1 in
-      Array.unsafe_set sc_cnt j c;
-      if c = Array.unsafe_get p_need j then
-        queue_push sc
-          (imax (dispatch_start + Array.unsafe_get p_disp j)
-             (Array.unsafe_get sc_arr j))
-          j
-    end
-  in
-  let p_tvar = plan.p_tvar and p_tci = plan.p_tci in
-  let p_voff = plan.p_voff and p_vlen = plan.p_vlen and p_paths = plan.p_paths in
-  let deliver_targets i completion =
-    let is_load = Array.unsafe_get plan.p_kind i = k_load in
-    if is_load && not (Array.unsafe_get sc_has_ev i) then begin
-      (* squashed load with no event (defensive): deliver from the ET *)
-      let src_pos = Array.unsafe_get p_pos i in
-      for k = Array.unsafe_get p_toff i to Array.unsafe_get p_toff (i + 1) - 1 do
-        let v = Array.unsafe_get p_tgt k in
-        if v >= 0 then
-          arrive v
-            (Opn.send s.opn ~src:src_pos ~dst:(Array.unsafe_get p_pos v)
-               Opn.Dt_et ~now:completion)
-        else begin
-          let w = -v - 1 in
-          push_write plan.p_wreg.(w)
-            (Opn.send s.opn ~src:src_pos ~dst:plan.p_wpos.(w) Opn.Et_rt
-               ~now:completion)
-        end
-      done
-    end
-    else begin
-      (* loads deliver from the data tile of the accessed bank: their
-         To_inst edges carry one path variant per bank *)
-      let bank_add = if is_load then Array.unsafe_get sc.sc_ev_bank i else 0 in
-      for k = Array.unsafe_get p_toff i to Array.unsafe_get p_toff (i + 1) - 1 do
-        let v = Array.unsafe_get p_tgt k in
-        if v >= 0 then begin
-          let var = Array.unsafe_get p_tvar k + bank_add in
-          let t =
-            Opn.claim_path s.opn ~ci:(Array.unsafe_get p_tci k)
-              ~paths:p_paths ~off:(Array.unsafe_get p_voff var)
-              ~len:(Array.unsafe_get p_vlen var) ~now:completion
-          in
-          arrive v t
-        end
-        else begin
-          let w = -v - 1 in
-          let var = Array.unsafe_get p_tvar k in
-          let t =
-            Opn.claim_path s.opn ~ci:(Array.unsafe_get p_tci k)
-              ~paths:p_paths ~off:(Array.unsafe_get p_voff var)
-              ~len:(Array.unsafe_get p_vlen var) ~now:completion
-          in
-          push_write plan.p_wreg.(w) t
-        end
-      done
-    end
-  in
   (* inject reads *)
   let nr = Array.length plan.p_rd_reg in
   let ci_rt_et = 6 in
@@ -812,17 +847,18 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
             ~off:(Array.unsafe_get p_voff var)
             ~len:(Array.unsafe_get p_vlen var) ~now:avail
         in
-        arrive v t
+        arrive sc plan v t
       end
-      else push_write plan.p_wreg.(-v - 1) avail
+      else push_write sc plan.p_wreg.(-v - 1) avail
     done
   done;
   (* zero-operand fired instructions are ready once dispatched *)
-  Array.iter
-    (fun i ->
-      if Array.unsafe_get fired i then
-        queue_push sc (dispatch_start + Array.unsafe_get p_disp i) i)
-    plan.p_zero;
+  let p_zero = plan.p_zero in
+  for k = 0 to Array.length p_zero - 1 do
+    let i = Array.unsafe_get p_zero k in
+    if Array.unsafe_get fired i then
+      queue_push sc (dispatch_start + Array.unsafe_get p_disp i) i
+  done;
   (* process in readiness-time order so operand-network link reservations
      stay chronological: contention then reflects genuine overlap *)
   let continue_ = ref true in
@@ -840,7 +876,7 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
       if kind = k_alu then begin
         let done_t = issue + Array.unsafe_get plan.p_lat i in
         Array.unsafe_set sc_done i done_t;
-        deliver_targets i done_t
+        deliver_targets s plan i done_t
       end
       else if kind = k_load then begin
         if not (Array.unsafe_get sc_has_ev i) then
@@ -883,8 +919,8 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
           in
           let data_ready = start + lat in
           Array.unsafe_set sc_done i data_ready;
-          push_mem i lsid true start;
-          deliver_targets i data_ready
+          push_mem sc plan i lsid true start;
+          deliver_targets s plan i data_ready
         end
       end
       else if kind = k_store then begin
@@ -919,7 +955,7 @@ let time_block s (cfg : config) (plan : plan) (inst : Exec.instance)
         end;
         Array.unsafe_set sc_done i start;
         Array.unsafe_set sc.sc_store lsid start;
-        push_mem i lsid false start
+        push_mem sc plan i lsid false start
       end
       else begin
         (* branch *)
@@ -949,14 +985,69 @@ let empty_stats () =
     l1d_bytes = 0; l2_bytes = 0; dram_bytes = 0;
   }
 
+(* The predictor replay of a program: one node per block, its exits'
+   successors resolved by label.  A label defined twice names its later
+   block and a function defined twice its later entry, as a table filled
+   in program order would. *)
+let make_control (config : config) (program : Block.program) =
+  let blocks = Exec.blocks program in
+  let node label exits =
+    { n_label = label; n_id = -1; n_exits = exits; n_next = [||]; n_ret = [||] }
+  in
+  let nodes =
+    Array.map
+      (fun (b : Block.t) ->
+        node b.Block.label (Array.of_list (List.map fst (Block.exits b))))
+      blocks
+  in
+  let by_label = Hashtbl.create 128 in
+  Array.iter (fun n -> Hashtbl.replace by_label n.n_label n) nodes;
+  let func_entry = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Block.func) -> Hashtbl.replace func_entry f.Block.fname f.Block.entry)
+    program.Block.funcs;
+  let node_of label =
+    match Hashtbl.find_opt by_label label with
+    | Some n -> n
+    | None ->
+      let n = node label [||] in
+      Hashtbl.replace by_label label n;
+      n
+  in
+  Array.iteri
+    (fun k (b : Block.t) ->
+      let exits = Array.of_list (List.map snd (Block.exits b)) in
+      nodes.(k).n_next <-
+        Array.map
+          (function
+            | Isa.Xjump l -> Some (node_of l)
+            | Isa.Xcall (f, _) -> Option.map node_of (Hashtbl.find_opt func_entry f)
+            | Isa.Xret -> None)
+          exits;
+      nodes.(k).n_ret <-
+        Array.map
+          (function Isa.Xcall (_, r) -> Some (node_of r) | _ -> None)
+          exits)
+    blocks;
+  {
+    pred = Blockpred.create config.predictor;
+    nodes;
+    next_id = 1;
+    shadow_stack = [];
+    outcome =
+      { Blockpred.o_block = 0; o_exit = 0; o_kind = Blockpred.Kjump; o_target = 0;
+        o_fallthrough = 0 };
+  }
+
 let make_sim ?(config = prototype) (program : Block.program) =
+  let ctl = make_control config program in
   (* static planning: code layout plus one timing plan per block *)
   let blocks = Exec.blocks program in
   let cursor = ref 0x4000000 in
   let max_insts = ref 1 and max_writes = ref 1 and max_lsid = ref 0 in
   let plans =
-    Array.map
-      (fun (b : Block.t) ->
+    Array.mapi
+      (fun k (b : Block.t) ->
         let addr = !cursor in
         cursor := !cursor + block_bytes (Array.length b.Block.insts);
         if Array.length b.Block.insts > !max_insts then
@@ -982,50 +1073,12 @@ let make_sim ?(config = prototype) (program : Block.program) =
           (fun (r : Block.read) -> count_targets r.Block.rtargets)
           b.Block.reads;
         if !writes > !max_writes then max_writes := !writes;
-        build_plan config b ~addr)
+        build_plan config b ~node:ctl.nodes.(k) ~addr)
       blocks
   in
-  (* successors by label: a label defined twice names its later block and
-     a function defined twice its later entry, as a table filled in
-     program order would; a label with no block (defensive; not in a
-     valid program) gets an empty plan of its own, so it still draws one
-     predictor id on first use *)
-  let by_label = Hashtbl.create 128 in
-  Array.iter (fun (p : plan) -> Hashtbl.replace by_label p.p_label p) plans;
-  let func_entry = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Block.func) -> Hashtbl.replace func_entry f.Block.fname f.Block.entry)
-    program.Block.funcs;
-  let plan_of label =
-    match Hashtbl.find_opt by_label label with
-    | Some p -> p
-    | None ->
-      let p =
-        build_plan config
-          { Block.label; reads = [||]; writes = [||]; insts = [||]; placement = [||] }
-          ~addr:0
-      in
-      Hashtbl.replace by_label label p;
-      p
-  in
-  Array.iteri
-    (fun k (b : Block.t) ->
-      let exits = Array.of_list (List.map snd (Block.exits b)) in
-      plans.(k).p_next <-
-        Array.map
-          (function
-            | Isa.Xjump l -> Some (plan_of l)
-            | Isa.Xcall (f, _) -> Option.map plan_of (Hashtbl.find_opt func_entry f)
-            | Isa.Xret -> None)
-          exits;
-      plans.(k).p_ret <-
-        Array.map
-          (function Isa.Xcall (_, r) -> Some (plan_of r) | _ -> None)
-          exits)
-    blocks;
     {
       cfg = config;
-      pred = Blockpred.create config.predictor;
+      ctl;
       dep = Depend.create ();
       opn = Opn.create ();
       l1d = Cache.create config.l1d;
@@ -1034,13 +1087,11 @@ let make_sim ?(config = prototype) (program : Block.program) =
       dram_free_at = 0;
       st = empty_stats ();
       plans;
-      next_id = 1;
       dt_pos = Array.init Isa.num_dt_banks Isa.dt_position;
       scratch =
         make_scratch ~max_insts:!max_insts ~max_writes:!max_writes
           ~max_lsid:!max_lsid;
       reg_ready = Array.make Isa.num_regs 0;
-      shadow_stack = [];
       prev = None;
       last_commit = 0;
       commits = Array.make config.window_blocks 0;
@@ -1090,65 +1141,63 @@ let exit_kind (inst : Exec.instance) =
   | Isa.Xcall _ -> Blockpred.Kcall
   | Isa.Xret -> Blockpred.Kret
 
+(* the index of the instance's exit among its block's *)
+let rec exit_index (n : node) (inst : Exec.instance) k =
+  let exits = n.n_exits in
+  if k >= Array.length exits then
+    invalid_arg
+      (Printf.sprintf "Core: block %s exits at I%d, not a branch"
+         n.n_label inst.Exec.exit_inst)
+  else if Array.unsafe_get exits k = inst.Exec.exit_inst then k
+  else exit_index n inst (k + 1)
+
 (* Resolve the instance's exit against the shadow call stack and train
    the next-block predictor with it; returns the successor's id, or -1
    for a return with an empty shadow stack or a call to an unknown
-   function.  Successors are plans resolved by [make_sim], so no label
-   is hashed here.  Sampled simulation's functional warming calls this
-   too, so the predictor sees the same training with or without the
-   clock. *)
-let resolve_exit s (plan : plan) (inst : Exec.instance) =
-  let label_id = intern_plan s plan in
-  let exits = plan.p_exits in
-  let exit_idx =
-    let rec find k =
-      if k >= Array.length exits then
-        invalid_arg
-          (Printf.sprintf "Core: block %s exits at I%d, not a branch"
-             plan.p_label inst.Exec.exit_inst)
-      else if Array.unsafe_get exits k = inst.Exec.exit_inst then k
-      else find (k + 1)
-    in
-    find 0
-  in
+   function.  Successors are nodes resolved by [make_control], so no
+   label is hashed here. *)
+let follow_exit c (inst : Exec.instance) =
+  let n = c.nodes.(inst.Exec.iindex) in
+  let label_id = intern c n in
+  let exit_idx = exit_index n inst 0 in
   let next =
     match inst.Exec.exit_dest with
-    | Isa.Xjump _ -> plan.p_next.(exit_idx)
+    | Isa.Xjump _ -> n.n_next.(exit_idx)
     | Isa.Xcall _ ->
-      (match plan.p_ret.(exit_idx) with
-      | Some r -> s.shadow_stack <- r :: s.shadow_stack
+      (match n.n_ret.(exit_idx) with
+      | Some r -> c.shadow_stack <- r :: c.shadow_stack
       | None -> ());
-      plan.p_next.(exit_idx)
+      n.n_next.(exit_idx)
     | Isa.Xret -> (
-      match s.shadow_stack with
+      match c.shadow_stack with
       | [] -> None
       | r :: rest ->
-        s.shadow_stack <- rest;
+        c.shadow_stack <- rest;
         Some r)
   in
   match next with
   | None -> -1
   | Some target ->
-    let target = intern_plan s target in
+    let target = intern c target in
     let fall =
-      match plan.p_ret.(exit_idx) with Some r -> intern_plan s r | None -> 0
+      match n.n_ret.(exit_idx) with Some r -> intern c r | None -> 0
     in
-    Blockpred.update s.pred
-      {
-        Blockpred.o_block = label_id;
-        o_exit = exit_idx;
-        o_kind = exit_kind inst;
-        o_target = target;
-        o_fallthrough = fall;
-      };
+    let o = c.outcome in
+    o.o_block <- label_id;
+    o.o_exit <- exit_idx;
+    o.o_kind <- exit_kind inst;
+    o.o_target <- target;
+    o.o_fallthrough <- fall;
+    Blockpred.update c.pred o;
     target
 
 (* Predict the instance's successor from its own block, then follow its
-   exit ([resolve_exit]); true when the prediction names the successor.
-   The static timing analyzer replays the predictor with this too. *)
-let predict_exit s (plan : plan) (inst : Exec.instance) =
-  let predicted = Blockpred.predict s.pred ~block:(intern_plan s plan) in
-  let actual = resolve_exit s plan inst in
+   exit; true when the prediction names the successor. *)
+let predict_next c (inst : Exec.instance) =
+  let predicted =
+    Blockpred.predict c.pred ~block:(intern c c.nodes.(inst.Exec.iindex))
+  in
+  let actual = follow_exit c inst in
   match predicted with Some p -> actual >= 0 && p = actual | None -> false
 
 (* One committed block instance: everything [run] does around the
@@ -1200,10 +1249,17 @@ let step_instance s ~(time : time_fn) (plan : plan) (inst : Exec.instance) =
       s.reg_ready.(sc.w_reg.(k)) <- sc.w_time.(k)
     done;
     (* 5. next-block prediction *)
-    let correct = predict_exit s plan inst in
-    s.prev <-
-      Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
-             p_kind = exit_kind inst };
+    let correct = predict_next s.ctl inst in
+    (match s.prev with
+    | Some p ->
+      p.p_fetch <- fetch;
+      p.p_resolve <- bt.bt_resolve;
+      p.p_correct <- correct;
+      p.p_kind <- exit_kind inst
+    | None ->
+      s.prev <-
+        Some { p_fetch = fetch; p_resolve = bt.bt_resolve; p_correct = correct;
+               p_kind = exit_kind inst });
     (* 6. occupancy accounting *)
     s.st.blocks <- s.st.blocks + 1;
     let obs = plan.p_obs in
@@ -1238,7 +1294,8 @@ let collect_result s (exec_result : Exec.result) =
         (fun (a, _) (b, _) -> compare a b)
         (Array.fold_left
            (fun acc (p : plan) ->
-             if p.p_obs.bo_instances > 0 then (p.p_label, p.p_obs) :: acc else acc)
+             if p.p_obs.bo_instances > 0 then (p.p_node.n_label, p.p_obs) :: acc
+             else acc)
            [] s.plans);
   }
 

@@ -97,9 +97,36 @@ val avg_window_useful : result -> float
     on its own.  The records are Core's internal representation: treat
     them as read-mostly. *)
 
+type node
+(** A block as the next-block predictor sees it: its interned id, its
+    exits and their successor nodes; a label with no block has a node of
+    its own. *)
+
+type control
+(** The predictor replay: the next-block predictor, one {!node} per block
+    of {!Trips_edge.Exec.blocks}, and the shadow call stack. *)
+
+val make_control : config -> Trips_edge.Block.program -> control
+(** A fresh predictor over the program's successor graph: everything
+    {!predict_next} reads and nothing a timing run needs beyond it.
+    Every exit's successors are resolved here, by label; a label defined
+    twice names its later block, as in {!Trips_edge.Exec.run}. *)
+
+val follow_exit : control -> Trips_edge.Exec.instance -> int
+(** Follow the instance's exit (maintaining the shadow call stack) and
+    train the next-block predictor with it.  Returns the successor's
+    predictor id, or -1 for a return with an empty shadow stack or a call
+    to an unknown function.
+    @raise Invalid_argument if the instance's exit is not a branch of
+    its block. *)
+
+val predict_next : control -> Trips_edge.Exec.instance -> bool
+(** Predict the next block from the instance's block, then
+    {!follow_exit}: whether the prediction named the successor.  The
+    static timing analyzer replays the predictor with this. *)
+
 type plan = {
-  p_label : string;
-  mutable p_id : int;                (* interned label id; -1 until first use *)
+  p_node : node;                     (* the block's predictor node *)
   p_addr : int;                      (* code address *)
   p_bytes : int;                     (* compressed footprint *)
   p_n : int;
@@ -122,11 +149,6 @@ type plan = {
   p_rd_pos : (int * int) array;      (* and its RT mesh position *)
   p_roff : int array;                (* reads+1 offsets into p_rtgt *)
   p_rtgt : int array;
-  p_exits : int array;               (* branch inst indices, ascending *)
-  mutable p_next : plan option array;
-      (* per exit: jump target or callee entry, [None] for a return or an
-         unknown callee; a label with no block has an empty plan *)
-  mutable p_ret : plan option array; (* per exit: a call's return block *)
   p_tvar : int array;                (* per p_tgt entry: variant base *)
   p_tci : int array;                 (* per p_tgt entry: message class *)
   p_dtvar : int array;               (* per inst: ET->DT variant base, -1 *)
@@ -143,7 +165,7 @@ type scratch
 
 type sim = {
   cfg : config;
-  pred : Trips_predictor.Blockpred.t;
+  ctl : control;                     (* the next-block predictor's state *)
   dep : Trips_predictor.Depend.t;
   opn : Trips_noc.Opn.t;
   l1d : Trips_mem.Cache.t;
@@ -152,11 +174,9 @@ type sim = {
   mutable dram_free_at : int;
   st : stats;
   plans : plan array;                (* indexed by [Exec.instance.iindex] *)
-  mutable next_id : int;
   dt_pos : (int * int) array;
   scratch : scratch;
   mutable reg_ready : int array;
-  mutable shadow_stack : plan list;
   mutable prev : prev option;
   mutable last_commit : int;
   mutable commits : int array;
@@ -170,17 +190,22 @@ type sim = {
 }
 
 and prev = {
-  p_fetch : int;
-  p_resolve : int;
-  p_correct : bool;
-  p_kind : Trips_predictor.Blockpred.kind;
+  mutable p_fetch : int;
+  mutable p_resolve : int;
+  mutable p_correct : bool;
+  mutable p_kind : Trips_predictor.Blockpred.kind;
 }
+(** The previous instance, updated in place by {!step_instance}. *)
 
-type btime = {
-  bt_resolve : int;                  (* branch resolution at the GT *)
-  bt_done : int;                     (* all outputs produced *)
-  bt_flushed : bool;
+type btime = private {
+  mutable bt_resolve : int;          (* branch resolution at the GT *)
+  mutable bt_done : int;             (* all outputs produced *)
+  mutable bt_flushed : bool;
 }
+(** The dataflow timer's result for one instance.  {!interp_time}
+    returns one record, owned by the sim's scratch and overwritten by its
+    next call, so timing an instance allocates nothing: read it before
+    timing the next. *)
 
 type time_fn = sim -> plan -> Trips_edge.Exec.instance -> dispatch_start:int -> btime
 (** The dataflow portion of one block instance. *)
@@ -189,21 +214,8 @@ val interp_time : time_fn
 (** The dataflow timer [run] uses. *)
 
 val make_sim : ?config:config -> Trips_edge.Block.program -> sim
-(** Static planning plus fresh model state; [run] is [drive] over this.
-    Every exit's successor plans are resolved here, by label; a label
-    defined twice names its later block, as in {!Trips_edge.Exec.run}. *)
-
-val resolve_exit : sim -> plan -> Trips_edge.Exec.instance -> int
-(** Follow the instance's exit (maintaining the shadow call stack) and
-    train the next-block predictor with it.  Returns the successor's
-    predictor id, or -1 for a return with an empty shadow stack or a call
-    to an unknown function.
-    @raise Invalid_argument if the instance's exit is not a branch of
-    the plan's block. *)
-
-val predict_exit : sim -> plan -> Trips_edge.Exec.instance -> bool
-(** Predict the next block from the instance's block, then
-    {!resolve_exit}: whether the prediction named the successor. *)
+(** Static planning ({!make_control}, then one timing plan per block)
+    plus fresh model state; [run] is [drive] over this. *)
 
 val step_instance : sim -> time:time_fn -> plan -> Trips_edge.Exec.instance -> unit
 (** Fetch scheduling, I-cache, [time], commit, register availability,

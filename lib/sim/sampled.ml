@@ -60,10 +60,21 @@ let t95 df =
   else if df <= 120 then 1.98
   else 1.96
 
+(* the data accesses of a warmed instance *)
+let rec warm_events (s : Core.sim) = function
+  | [] -> ()
+  | (ev : Exec.mem_event) :: rest ->
+    if not ev.Exec.ev_null then begin
+      let write = not ev.Exec.ev_is_load in
+      if not (Cache.access s.Core.l1d ~addr:ev.Exec.ev_addr ~write) then
+        ignore (Cache.access s.Core.l2 ~addr:ev.Exec.ev_addr ~write)
+    end;
+    warm_events s rest
+
 (* Functional warming of one block instance: exactly the cache touches
    and predictor training [Core.step_instance] performs, with every
    clock-coupled side effect omitted.  The shadow call stack is
-   maintained too ([Core.resolve_exit]), or return prediction
+   maintained too ([Core.follow_exit]), or return prediction
    desynchronizes across fast-forward stretches. *)
 let warm_instance (s : Core.sim) (plan : Core.plan) (inst : Exec.instance) =
   (* instruction lines *)
@@ -75,16 +86,8 @@ let warm_instance (s : Core.sim) (plan : Core.plan) (inst : Exec.instance) =
     if not (Cache.access s.Core.l1i ~addr:a ~write:false) then
       ignore (Cache.access s.Core.l2 ~addr:a ~write:false)
   done;
-  (* data accesses *)
-  List.iter
-    (fun (ev : Exec.mem_event) ->
-      if not ev.Exec.ev_null then begin
-        let write = not ev.Exec.ev_is_load in
-        if not (Cache.access s.Core.l1d ~addr:ev.Exec.ev_addr ~write) then
-          ignore (Cache.access s.Core.l2 ~addr:ev.Exec.ev_addr ~write)
-      end)
-    inst.Exec.mem_events;
-  ignore (Core.resolve_exit s plan inst);
+  warm_events s inst.Exec.mem_events;
+  ignore (Core.follow_exit s.Core.ctl inst);
   (* execution counts keep accumulating so the result's block profile
      carries exact instance counts (its latency and residency sums cover
      the detailed stretches only) *)

@@ -729,29 +729,40 @@ let predict_program (prog : Block.program) image ~entry ~args : prediction =
   let config = Core.prototype in
   let summaries, diags = summarize_program prog in
   let st = create config in
-  (* the predictor replayed by Core's own code over Core's plans *)
-  let sim = Core.make_sim ~config prog in
+  (* the predictor replayed by Core's own code over Core's successor
+     graph; per block, by [Exec.instance.iindex]: its summary, the exit
+     index of each instruction and its instance count *)
+  let ctl = Core.make_control config prog in
+  let blocks = Exec.blocks prog in
+  let summary =
+    Array.map (fun (b : Block.t) -> Hashtbl.find_opt summaries b.Block.label) blocks
+  in
+  let exit_of =
+    Array.map
+      (fun (b : Block.t) ->
+        let a = Array.make (Array.length b.Block.insts) 0 in
+        List.iteri (fun k (i, _) -> a.(i) <- k) (Block.exits b);
+        a)
+      blocks
+  in
+  let instances = Array.make (Array.length blocks) 0 in
   let prev_correct = ref true in
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let on_instance (inst : Exec.instance) =
-    let b = inst.Exec.iblock in
-    let label = b.Block.label in
-    Hashtbl.replace counts label
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts label));
-    let exit_idx =
-      match
-        List.find_index (fun (i, _) -> i = inst.Exec.exit_inst) (Block.exits b)
-      with
-      | Some k -> k
-      | None -> 0
-    in
-    (match Hashtbl.find_opt summaries label with
-    | Some s -> step st s ~exit_idx ~prev_correct:!prev_correct
+    let k = inst.Exec.iindex in
+    instances.(k) <- instances.(k) + 1;
+    (match summary.(k) with
+    | Some s ->
+      step st s ~exit_idx:exit_of.(k).(inst.Exec.exit_inst) ~prev_correct:!prev_correct
     | None -> ());
-    prev_correct := Core.predict_exit sim sim.Core.plans.(inst.Exec.iindex) inst
+    prev_correct := Core.predict_next ctl inst
   in
   let r = Exec.run ~on_instance prog image ~entry ~args in
   ignore r.Exec.ret;
+  (* a label defined twice runs only its later block *)
+  let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun k c -> if c > 0 then Hashtbl.replace counts blocks.(k).Block.label c)
+    instances;
   {
     pr_cycles = cycles st;
     pr_blocks = blocks_stepped st;

@@ -122,5 +122,5 @@ val predict_program :
 (** Predict whole-program cycles without the cycle-level simulator: one
     functional execution plus O(blocks) summary composition.  The
     next-block predictor is replayed over the trace by
-    {!Core.predict_exit} on a {!Core.make_sim}, so redirects land on
-    exactly the instances the simulator mispredicts. *)
+    {!Core.predict_next} on a {!Core.make_control}, so redirects land
+    on exactly the instances the simulator mispredicts. *)

@@ -65,7 +65,7 @@ let check t addr bytes =
   if addr < 0 || addr > Bytes.length t.mem - bytes then
     raise (Semantics.Trap (Printf.sprintf "memory access out of range: 0x%x (%d bytes)" addr bytes))
 
-let raw_load t w addr =
+let[@inline] raw_load t w addr =
   check t addr (Ty.bytes_of_width w);
   match (w : Ty.width) with
   | Ty.W1 -> Int64.of_int (Bytes.get_uint8 t.mem addr)
@@ -82,13 +82,19 @@ let load t ty w addr =
     if w <> Ty.W8 then invalid_arg "Image.load: float loads must be 8 bytes";
     Ty.Vf (Int64.float_of_bits (raw_load t Ty.W8 addr))
 
-let store_bits t w addr raw =
+let[@inline] store_bits t w addr raw =
   check t addr (Ty.bytes_of_width w);
   match w with
   | Ty.W1 -> Bytes.set_uint8 t.mem addr (Int64.to_int raw land 0xFF)
   | Ty.W2 -> Bytes.set_uint16_le t.mem addr (Int64.to_int raw land 0xFFFF)
   | Ty.W4 -> Bytes.set_int32_le t.mem addr (Int64.to_int32 raw)
   | Ty.W8 -> Bytes.set_int64_le t.mem addr raw
+
+(* Lane transfers: the 64 bits move between memory and slot [k] of a
+   lane's bytes without crossing a module boundary as an [int64], which
+   would box them ([raw_load] and [store_bits] are inlined here). *)
+let load_lane t w addr lane k = Bytes.set_int64_le lane (k lsl 3) (raw_load t w addr)
+let store_lane t w addr lane k = store_bits t w addr (Bytes.get_int64_le lane (k lsl 3))
 
 let store t w addr (value : Ty.value) =
   store_bits t w addr

@@ -45,6 +45,16 @@ val store_bits : t -> Ty.width -> int -> int64 -> unit
 val load_u : t -> Ty.width -> int -> int64
 (** Zero-extending raw load (no float view). *)
 
+val load_lane : t -> Ty.width -> int -> Bytes.t -> int -> unit
+(** [load_lane t w addr lane k]: {!load_u} into slot [k] of a value lane
+    (bytes [8k .. 8k + 7] of [lane], little-endian; see
+    {!Semantics.binop_lanes}), without boxing.
+    @raise Semantics.Trap on out-of-range access. *)
+
+val store_lane : t -> Ty.width -> int -> Bytes.t -> int -> unit
+(** [store_lane t w addr lane k]: {!store_bits} of slot [k]'s bits.
+    @raise Semantics.Trap on out-of-range access. *)
+
 val equal : t -> t -> bool
 (** Byte equality of the whole image — the integration tests' final check. *)
 

@@ -504,6 +504,119 @@ let test_late_trap () =
            ~entry:"trap" ~args:[]));
   Alcotest.(check int) "instances committed before the trap" 50 !committed
 
+(* One loop block that fires every kind of operation the emulator
+   decodes: integer binops on two operands (register reads among them)
+   and on an immediate, float binops, integer and float unops, moves,
+   integer and float constants, integer loads of every width, a float
+   load, and stores of every width, integer and float.  Its 250
+   instances replay one recorded schedule after the first, so replay
+   fires them all; the result and the memory image must be the TIR
+   interpreter's on the same computation. *)
+let ops_program () =
+  let entry =
+    block "ops.entry" [] [ 10; 11; 12 ]
+      [ ins (Isa.Geni 0L) [ wr 0 ];
+        ins (Isa.Geni 5L) [ wr 1 ];
+        ins (Isa.Genf 1000.5) [ wr 2 ];
+        ins (Isa.Branch (Isa.Xjump "ops.loop")) [] ]
+  in
+  let base = Isa.Geni 0x1000L in
+  let load ty w lsid disp t = ins ~imm:disp (Isa.Load (ty, w, lsid)) [ t ] in
+  let store w lsid disp = ins ~imm:disp (Isa.Store (w, lsid)) [] in
+  let loop =
+    block "ops.loop"
+      [ (10, [ op0 32 ]); (11, [ op0 12 ]); (12, [ op0 18 ]); (2, [ op1 33 ]) ]
+      [ 10; 11; 12 ]
+      [ ins base [ op0 2; op0 3 ];                               (* I0 *)
+        ins base [ op0 4; op0 5 ];
+        load Ty.I64 Ty.W1 0 0L (op0 8);                          (* I2 *)
+        load Ty.I64 Ty.W2 1 2L (op1 8);
+        load Ty.I64 Ty.W4 2 4L (op0 9);
+        load Ty.I64 Ty.W8 3 8L (op1 9);
+        ins base [ op0 7; op0 22 ];                              (* I6 *)
+        load Ty.F64 Ty.W8 4 24L (op1 16);
+        ins (Isa.Bin Ast.Add) [ op0 10 ];                        (* I8 l1 + l2 *)
+        ins (Isa.Bin Ast.Xor) [ op1 10 ];                        (* I9 l4 ^ l8 *)
+        ins (Isa.Bin Ast.Sub) [ op0 11 ];
+        ins (Isa.Un (Ast.Sext Ty.W2)) [ op1 12 ];                (* I11 *)
+        ins (Isa.Bin Ast.Add) [ wr 1; op0 13 ];                  (* I12 acc' *)
+        ins ~imm:3L (Isa.Bin Ast.Mul) [ op0 14; op0 15 ];        (* I13 x *)
+        ins Isa.Mov [ op1 22; op1 23 ];
+        ins Isa.Mov [ op1 24; op1 25 ];                          (* I15 *)
+        ins (Isa.Bin Ast.Fadd) [ wr 2; op0 17 ];                 (* I16 f' *)
+        ins Isa.Mov [ op1 26; op0 19 ];
+        ins (Isa.Bin Ast.Fmul) [ op0 16 ];                       (* I18 f * 0.5 *)
+        ins (Isa.Un Ast.Ftoi) [ op0 20 ];
+        ins (Isa.Un Ast.Itof) [ op0 28 ];                        (* I20 *)
+        ins (Isa.Genf 0.5) [ op1 18 ];
+        store Ty.W1 5 0L;                                        (* I22 *)
+        store Ty.W2 6 2L;
+        store Ty.W4 7 4L;
+        store Ty.W8 8 8L;
+        store Ty.W8 9 16L;                                       (* I26 f' *)
+        store Ty.W8 10 24L;
+        ins (Isa.Un Ast.Fneg) [ op1 27 ];                        (* I28 *)
+        ins base [ op0 23; op0 24 ];
+        ins base [ op0 25; op0 26 ];                             (* I30 *)
+        ins base [ op0 27 ];
+        ins ~imm:1L (Isa.Bin Ast.Add) [ wr 0; op0 33 ];          (* I32 i + 1 *)
+        ins (Isa.Bin Ast.Lt) [ opp 34; opp 35 ];                 (* I33 i+1 < n *)
+        ins ~pred:(Isa.On_true 33) (Isa.Branch (Isa.Xjump "ops.loop")) [];
+        ins ~pred:(Isa.On_false 33) (Isa.Branch (Isa.Xjump "ops.exit")) [] ]
+  in
+  let exit_b =
+    block "ops.exit" [ (11, [ op0 0 ]) ] [ 1 ]
+      [ ins Isa.Mov [ wr 0 ]; ins (Isa.Branch Isa.Xret) [] ]
+  in
+  program ~globals:[ Ast.global "buf" 32 ] "ops" [ entry; loop; exit_b ]
+
+(* the same computation in TIR *)
+let ops_tir () =
+  let v x = Ast.Var x and at d = Ast.Bin (Ast.Add, Ast.Glo "buf", Ast.Int d) in
+  let bin op a b = Ast.Bin (op, a, b) in
+  Ast.program ~globals:[ Ast.global "buf" 32 ]
+    [ Ast.func "ops" ~params:[ ("n", Ty.I64) ] ~ret:Ty.I64
+        [ Ast.Let ("i", Ast.Int 0L);
+          Ast.Let ("acc", Ast.Int 5L);
+          Ast.Let ("f", Ast.Flt 1000.5);
+          Ast.While
+            ( bin Ast.Lt (v "i") (v "n"),
+              [ Ast.Let
+                  ( "t",
+                    bin Ast.Sub
+                      (bin Ast.Add (Ast.Load (Ty.I64, Ty.W1, at 0L))
+                         (Ast.Load (Ty.I64, Ty.W2, at 2L)))
+                      (bin Ast.Xor (Ast.Load (Ty.I64, Ty.W4, at 4L))
+                         (Ast.Load (Ty.I64, Ty.W8, at 8L))) );
+                Ast.Let ("lf", Ast.Load (Ty.F64, Ty.W8, at 24L));
+                Ast.Let ("acc", bin Ast.Add (v "acc") (Ast.Un (Ast.Sext Ty.W2, v "t")));
+                Ast.Let ("x", bin Ast.Mul (v "acc") (Ast.Int 3L));
+                Ast.Let ("f", bin Ast.Fadd (bin Ast.Fmul (v "f") (Ast.Flt 0.5)) (v "lf"));
+                Ast.Store (Ty.W1, at 0L, v "x");
+                Ast.Store (Ty.W2, at 2L, v "x");
+                Ast.Store (Ty.W4, at 4L, v "x");
+                Ast.Store (Ty.W8, at 8L, v "x");
+                Ast.Store (Ty.W8, at 16L, v "f");
+                Ast.Store
+                  (Ty.W8, at 24L, Ast.Un (Ast.Fneg, Ast.Un (Ast.Itof, Ast.Un (Ast.Ftoi, v "f"))));
+                Ast.Let ("i", bin Ast.Add (v "i") (Ast.Int 1L)) ] );
+          Ast.Return (Some (v "acc")) ] ]
+
+let test_every_op_replayed () =
+  let n = 250 in
+  let p = ops_program () in
+  let image = Image.build p.Block.globals in
+  let r, log = run_seen p image ~args:[ Ty.Vi (Int64.of_int n) ] in
+  let t = ops_tir () in
+  let t_image = Image.build t.Ast.globals in
+  let expected = Trips_tir.Interp.run_ast t t_image "ops" [ Ty.Vi (Int64.of_int n) ] in
+  Alcotest.(check (option value)) "ret" expected.Trips_tir.Interp.result r.Exec.ret;
+  Alcotest.(check bool) "memory" true (Image.equal t_image image);
+  Alcotest.(check int) "instances" (n + 2) (List.length log);
+  (* every loop instance fires all but one of its 36 instructions *)
+  Alcotest.(check int) "fired" (4 + (35 * n) + 2) r.Exec.stats.Exec.executed;
+  Alcotest.(check int) "flops" (2 * n) r.Exec.stats.Exec.flops
+
 (* Fuel counts fired instructions: a run that fires exactly [fuel] runs
    out on its last one.  On the alternating loop every fuel value is
    tried, so the last fire falls in every instance in turn, replayed
@@ -564,6 +677,8 @@ let () =
           Alcotest.test_case "predicated load waiting for a store" `Quick
             test_waiting_load;
           Alcotest.test_case "trap on the 50th instance" `Quick test_late_trap;
+          Alcotest.test_case "every decoded operation replayed" `Quick
+            test_every_op_replayed;
           Alcotest.test_case "fuel boundary" `Quick test_fuel_boundary ] );
       ( "exec_golden",
         List.map

@@ -463,6 +463,109 @@ let test_semantics_quirks () =
   Alcotest.check_raises "Add on floats" (Invalid_argument "Ty.as_int: float value")
     (fun () -> ignore (bin Ast.Add one one))
 
+(* The lane entry point against the value entry point: every operator on
+   every pair of edge values, integer and float, including the pairs of
+   the wrong type, gives the same bits and tag or raises the same
+   exception.  The result slot is a fresh slot, the first operand's or
+   the second's: the EDGE emulator passes an immediate operand in the
+   result's own slot. *)
+let edge_values =
+  List.map (fun x -> Ty.Vi x)
+    [ 0L; 1L; -1L; 2L; 7L; 63L; 64L; 65L; 127L; 0xFFL; 0x80L; 0x7FFF_FFFFL;
+      0x8000_0000L; 0xFFFF_FFFFL; Int64.min_int; Int64.max_int ]
+  @ List.map (fun f -> Ty.Vf f)
+      [ 0.; -0.; 1.; -1.5; 0.5; Float.nan; Float.infinity; Float.neg_infinity;
+        Float.max_float; Float.min_float; 4.9e-324; 9.3e18; -9.3e18 ]
+
+let all_binops =
+  Ast.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Lsr; Asr; Eq; Ne; Lt; Le; Gt;
+        Ge; Ult; Ule; Fadd; Fsub; Fmul; Fdiv; Feq; Fne; Flt; Fle; Fgt; Fge ]
+
+let all_unops =
+  Ast.[ Neg; Not; Fneg; Itof; Ftoi ]
+  @ List.concat_map (fun w -> Ast.[ Sext w; Zext w ]) Ty.[ W1; W2; W4; W8 ]
+
+(* an outcome as plain data: result bits and tag, or the exception *)
+let outcome_of_value f =
+  match f () with
+  | Ty.Vi x -> Ok (x, Semantics.tag_int)
+  | Ty.Vf x -> Ok (Int64.bits_of_float x, Semantics.tag_float)
+  | exception e -> Error (Printexc.to_string e)
+
+let outcome_of_lanes ~dst bits tags f =
+  match f () with
+  | () -> Ok (Bytes.get_int64_le bits (8 * dst), tags.(dst))
+  | exception e -> Error (Printexc.to_string e)
+
+let pp_outcome ppf = function
+  | Ok (bits, tag) -> Format.fprintf ppf "0x%Lx/tag %d" bits tag
+  | Error e -> Format.fprintf ppf "raised %s" e
+
+let outcome = Alcotest.testable pp_outcome ( = )
+
+let store bits tags k = function
+  | Ty.Vi x ->
+    Bytes.set_int64_le bits (8 * k) x;
+    tags.(k) <- Semantics.tag_int
+  | Ty.Vf f ->
+    Bytes.set_int64_le bits (8 * k) (Int64.bits_of_float f);
+    tags.(k) <- Semantics.tag_float
+
+let test_semantics_lanes () =
+  let bits = Bytes.make 32 '\255' and tags = Array.make 4 Semantics.tag_null in
+  let cases = ref 0 in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let expect = outcome_of_value (fun () -> Semantics.binop op a b) in
+              (* slots 0 and 1 hold a and b; the result goes to slot 2, 0 or 1 *)
+              List.iter
+                (fun dst ->
+                  store bits tags 0 a;
+                  store bits tags 1 b;
+                  let got =
+                    outcome_of_lanes ~dst bits tags (fun () ->
+                        Semantics.binop_lanes op bits tags dst 0 1)
+                  in
+                  incr cases;
+                  Alcotest.check outcome
+                    (Format.asprintf "%s %a %a -> slot %d" (Ast.binop_name op)
+                       Ty.pp_value a Ty.pp_value b dst)
+                    expect got)
+                [ 2; 0; 1 ])
+            edge_values)
+        edge_values)
+    all_binops;
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          let expect = outcome_of_value (fun () -> Semantics.unop op a) in
+          List.iter
+            (fun dst ->
+              store bits tags 0 a;
+              let got =
+                outcome_of_lanes ~dst bits tags (fun () ->
+                    Semantics.unop_lanes op bits tags dst 0)
+              in
+              incr cases;
+              Alcotest.check outcome
+                (Format.asprintf "%s %a -> slot %d" (Ast.unop_name op) Ty.pp_value a dst)
+                expect got)
+            [ 2; 0 ])
+        edge_values)
+    all_unops;
+  Alcotest.(check int) "cases" ((29 * 29 * 29 * 3) + (13 * 29 * 2)) !cases;
+  (* the divisor is read and tested before the dividend *)
+  Alcotest.check_raises "zero divisor before a float dividend"
+    (Semantics.Trap "integer division by zero") (fun () ->
+      store bits tags 0 (Ty.Vf 1.);
+      store bits tags 1 (Ty.Vi 0L);
+      Semantics.binop_lanes Ast.Div bits tags 2 0 1)
+
 let test_trap_div0 () =
   let p =
     Ast.program
@@ -580,5 +683,7 @@ let () =
           Alcotest.test_case "widths and byte order" `Quick test_image_widths;
           Alcotest.test_case "bounds at every width" `Quick test_image_width_bounds;
           Alcotest.test_case "operator corner cases" `Quick test_semantics_quirks;
+          Alcotest.test_case "lane and value entry points agree" `Quick
+            test_semantics_lanes;
         ] );
     ]
