@@ -36,9 +36,17 @@ type aval = {
   hi : int64;
   kz : int64;  (** bit mask of bits known to be zero *)
   ko : int64;  (** bit mask of bits known to be one *)
+  fx : bool;
+      (** [norm] returns this record itself.  Set only where that is known
+          ([norm] clears it on a record one more step would change), and
+          ignored by [equal], [leq] and every query. *)
 }
 
-let top_i = { ik = true; base = Bnone; lo = Int64.min_int; hi = Int64.max_int; kz = 0L; ko = 0L }
+(* [top_i] and [top_any] are fixed points; so is any [of_base] record,
+   which [norm] passes through. *)
+let top_i =
+  { ik = true; base = Bnone; lo = Int64.min_int; hi = Int64.max_int; kz = 0L; ko = 0L; fx = true }
+
 let top_any = { top_i with ik = false }
 let of_base g = { top_i with base = Bone g; lo = 0L; hi = 0L }
 
@@ -57,34 +65,46 @@ let msb (n : int64) =
 let min (a : int64) b = if a <= b then a else b
 let max (a : int64) b = if a >= b then a else b
 
+(* One step of [norm] on an integer, base-free record: [v] itself when
+   the step changes nothing, else a fresh record carrying [fx]. *)
+let norm_step ~fx (v : aval) : aval =
+  let single = v.lo = v.hi in
+  let kz = if single then Int64.lognot v.lo else v.kz in
+  let ko = if single then v.lo else v.ko in
+  (* bits above the magnitude of a non-negative range are zero *)
+  let kz =
+    if v.lo >= 0L && v.hi >= 0L then
+      let m = msb v.hi in
+      if m >= 62 then kz else Int64.logor kz (Int64.shift_left (-1L) (m + 1))
+    else kz
+  in
+  (* a known-zero sign bit bounds the range; known-one bits floor it *)
+  let nonneg = Int64.logand kz Int64.min_int <> 0L in
+  let lo = if nonneg then max v.lo 0L else v.lo in
+  let hi = if nonneg then min v.hi (Int64.lognot kz) else v.hi in
+  let lo = if ko >= 0L && ko <> 0L && lo >= 0L then max lo ko else lo in
+  if lo = v.lo && hi = v.hi && kz = v.kz && ko = v.ko then v
+  else { v with lo; hi; kz; ko; fx }
+
 (* Re-establish internal consistency: singleton ranges pin the bits, a
    known-zero sign bit pins the range, known-one bits raise the floor.
    Each step sees the fields the previous ones produced; [v] itself comes
-   back when nothing changes, so the common case allocates nothing. *)
+   back when nothing changes, so the common case allocates nothing.  One
+   step is not idempotent in general (raising the floor can make the
+   range a singleton whose bits the next step pins), so a rebuilt record
+   keeps its [fx] bit only if a further step would leave it as it is.
+   A record [norm] returns unchanged is a fixed point, so literals passed
+   to [norm] may carry the bit already. *)
 let norm (v : aval) : aval =
   if not v.ik then top_any
   else if v.base <> Bnone then v
-  else begin
-    let single = v.lo = v.hi in
-    let kz = if single then Int64.lognot v.lo else v.kz in
-    let ko = if single then v.lo else v.ko in
-    (* bits above the magnitude of a non-negative range are zero *)
-    let kz =
-      if v.lo >= 0L && v.hi >= 0L then
-        let m = msb v.hi in
-        if m >= 62 then kz else Int64.logor kz (Int64.shift_left (-1L) (m + 1))
-      else kz
-    in
-    (* a known-zero sign bit bounds the range; known-one bits floor it *)
-    let nonneg = Int64.logand kz Int64.min_int <> 0L in
-    let lo = if nonneg then max v.lo 0L else v.lo in
-    let hi = if nonneg then min v.hi (Int64.lognot kz) else v.hi in
-    let lo = if ko >= 0L && ko <> 0L && lo >= 0L then max lo ko else lo in
-    if lo = v.lo && hi = v.hi && kz = v.kz && ko = v.ko then v
-    else { v with lo; hi; kz; ko }
-  end
+  else
+    let r = norm_step ~fx:true v in
+    if r == v || norm_step ~fx:false r == r then r else { r with fx = false }
 
-let singleton n = norm { top_i with lo = n; hi = n }
+(* [norm { top_i with lo = n; hi = n }], built directly: pinning the bits
+   of a singleton leaves nothing for a further step to change. *)
+let singleton n = { top_i with lo = n; hi = n; kz = Int64.lognot n; ko = n }
 let is_singleton v = v.ik && v.base = Bnone && v.lo = v.hi
 let bounded lo hi = norm { top_i with lo; hi }
 
@@ -96,7 +116,7 @@ let join_base a b =
 
 let join a b =
   (* the field-wise join of [a] with itself is [a] again *)
-  if a == b then norm a
+  if a == b then (if a.fx then a else norm a)
   else
     norm
       {
@@ -106,6 +126,7 @@ let join a b =
         hi = max a.hi b.hi;
         kz = Int64.logand a.kz b.kz;
         ko = Int64.logand a.ko b.ko;
+        fx = true;
       }
 
 (* Widening: any still-moving bound jumps to infinity so chains are finite;
@@ -464,7 +485,7 @@ type env = aval array array
 
 let chunk_bits = 6
 let chunk = 1 lsl chunk_bits
-let absent = { top_any with lo = 0L }
+let absent = { top_any with lo = 0L; fx = false }
 
 (* An environment over vregs [0 .. n-1] binding none of them.  All its
    chunks are one array, which is safe because chunks are never written
@@ -507,25 +528,32 @@ let set w v x =
    vreg bound on one side only adopts that side's value, and where [f]
    leaves a value as it was, [old]'s own record is kept, so that later
    comparisons against it stop at physical equality.  An equal pair skips
-   [f] only when [norm] fixes the value, because [f] normalizes and
-   [norm] is not idempotent in general.  Chunks, and the table, are
-   [old]'s own wherever nothing moves. *)
+   [f] only when [norm] fixes the value (its [fx] bit), because [f]
+   normalizes and [norm] is not idempotent in general; where the bit is
+   clear, [f] runs and gives [x] back whenever [norm] does.  Chunks, and
+   the table, are [old]'s own wherever nothing moves. *)
 let merge_slot f x y =
   if y == absent then x
   else if x == absent then y
-  else if (x == y || equal x y) && norm x == x then x
+  else if x.fx && (x == y || equal x y) then x
   else
     let z = f x y in
     if equal z x then x else z
 
+(* Most slots are unbound on the [next] side or the same fixed record on
+   both (a chunk the two share is all such slots); [merge_slot] keeps
+   [x] for them, so the loop tests them in place and calls it for the
+   rest. *)
 let merge_chunk f (oc : aval array) (nc : aval array) =
   let out = ref oc in
   for i = 0 to chunk - 1 do
-    let x = oc.(i) in
-    let z = merge_slot f x nc.(i) in
-    if z != x then begin
-      if !out == oc then out := Array.copy oc;
-      !out.(i) <- z
+    let x = oc.(i) and y = nc.(i) in
+    if not (y == absent || (x == y && x.fx)) then begin
+      let z = merge_slot f x y in
+      if z != x then begin
+        if !out == oc then out := Array.copy oc;
+        !out.(i) <- z
+      end
     end
   done;
   !out
@@ -819,6 +847,22 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
   let nvregs = env_size f in
   let index = Hashtbl.create 16 in
   Array.iteri (fun i (b : Cfg.block) -> Hashtbl.replace index b.Cfg.label i) blocks;
+  (* each block's successors by index, -1 for a label of no block *)
+  let succ_index l = Option.value ~default:(-1) (Hashtbl.find_opt index l) in
+  let taken =
+    Array.map
+      (fun (b : Cfg.block) ->
+        match b.Cfg.term with
+        | Cfg.Jmp l | Cfg.Br (_, l, _) -> succ_index l
+        | Cfg.Ret _ -> -1)
+      blocks
+  in
+  let not_taken =
+    Array.map
+      (fun (b : Cfg.block) ->
+        match b.Cfg.term with Cfg.Br (_, _, l) -> succ_index l | _ -> -1)
+      blocks
+  in
   let entry_env : env option array = Array.make (Array.length blocks) None in
   let join_count = Array.make (Array.length blocks) 0 in
   let widens = ref 0 in
@@ -848,10 +892,8 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
               (IM.empty, IM.empty) b.Cfg.ins
           in
           let env = wr.tbl in
-          let push label env' =
-            match Hashtbl.find_opt index label with
-            | None -> ()
-            | Some si -> (
+          let push si env' =
+            if si >= 0 then (
               match entry_env.(si) with
               | None ->
                 entry_env.(si) <- Some env';
@@ -875,13 +917,13 @@ let analyze_func ctx (summ : summaries) (f : Cfg.func) : fres * aval =
                 end)
           in
           (match b.Cfg.term with
-          | Cfg.Jmp l -> push l env
-          | Cfg.Br (c, l1, l2) ->
+          | Cfg.Jmp _ -> push taken.(bi) env
+          | Cfg.Br (c, _, _) ->
             (match refine ctx cm eq env c true with
-            | Some e -> push l1 e
+            | Some e -> push taken.(bi) e
             | None -> ());
             (match refine ctx cm eq env c false with
-            | Some e -> push l2 e
+            | Some e -> push not_taken.(bi) e
             | None -> ())
           | Cfg.Ret ro ->
             let rv =
@@ -1223,3 +1265,26 @@ let stats t : stats =
           })
     t.prog.Cfg.funcs;
   !s
+
+(* ------------------------------------------------------------------ *)
+(* The cached fixed-point bit                                          *)
+(* ------------------------------------------------------------------ *)
+
+let fixed_bit_sound v = (not v.fx) || norm v == v
+
+let fixed_bit_violations t =
+  let count v n = if fixed_bit_sound v then n else n + 1 in
+  Hashtbl.fold
+    (fun _ r n ->
+      let n =
+        Hashtbl.fold
+          (fun _ env n -> Array.fold_left (Array.fold_left (fun n x -> count x n)) n env)
+          r.f_entry n
+      in
+      let n = Hashtbl.fold (fun _ v n -> count v n) r.f_defs n in
+      IM.fold (fun _ v n -> count v n) r.f_joined n)
+    t.fres 0
+
+let norm_fixed_bit ~lo ~hi ~kz ~ko =
+  let v = norm { top_i with lo; hi; kz; ko } in
+  (v.fx, norm v == v)

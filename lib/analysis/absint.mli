@@ -89,3 +89,18 @@ type stats = {
 }
 
 val stats : t -> stats
+
+(** {2 The cached fixed-point bit}
+
+    Every value carries a bit meaning "[norm] returns this record
+    itself", which lets a merge skip re-normalizing an unchanged value.
+    These expose it to the invariant tests. *)
+
+val fixed_bit_violations : t -> int
+(** Stored values (entry environments, per-instruction definitions,
+    per-vreg joins) whose bit is set although [norm] would rebuild them;
+    0 for a sound analysis. *)
+
+val norm_fixed_bit : lo:int64 -> hi:int64 -> kz:int64 -> ko:int64 -> bool * bool
+(** [norm] of the integer value with these fields: its bit, and whether
+    [norm] returns that result itself. *)

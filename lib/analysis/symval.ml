@@ -83,25 +83,33 @@ module HM = Hashtbl.Make (struct
   let hash (m : mem) = Hashtbl.hash_param 32 128 m
 end)
 
-let intern_t : t HT.t = HT.create 4096
-let intern_m : mem HM.t = HM.create 512
+(* The tables are domain-local: [trips_serve] validates on several
+   domains at once, and a table shared between them could be reset or
+   resized under a concurrent lookup.  They start small because the
+   validator resets them before every block check (about 2000 per sweep
+   of the compile set at C, the largest interning about 100 terms),
+   and a reset clears every bucket of the initial size. *)
+let intern_t : t HT.t Domain.DLS.key = Domain.DLS.new_key (fun () -> HT.create 128)
+let intern_m : mem HM.t Domain.DLS.key = Domain.DLS.new_key (fun () -> HM.create 32)
 
 let reset_intern () =
-  HT.reset intern_t;
-  HM.reset intern_m
+  HT.reset (Domain.DLS.get intern_t);
+  HM.reset (Domain.DLS.get intern_m)
 
 let hc (t : t) : t =
-  match HT.find_opt intern_t t with
+  let tbl = Domain.DLS.get intern_t in
+  match HT.find_opt tbl t with
   | Some t' -> t'
   | None ->
-    HT.add intern_t t t;
+    HT.add tbl t t;
     t
 
 let hc_mem (m : mem) : mem =
-  match HM.find_opt intern_m m with
+  let tbl = Domain.DLS.get intern_m in
+  match HM.find_opt tbl m with
   | Some m' -> m'
   | None ->
-    HM.add intern_m m m;
+    HM.add tbl m m;
     m
 
 (* ------------------------------------------------------------------ *)

@@ -41,12 +41,13 @@ val equal : t -> t -> bool
 val equal_mem : mem -> mem -> bool
 
 val reset_intern : unit -> unit
-(** Clear the hash-consing tables.  Composite terms are interned so
-    that structurally equal terms are physically equal and comparisons
-    short-circuit on shared structure; call this between independent
-    block checks to bound table growth.  Never affects correctness —
-    terms from different intern generations still compare
-    structurally. *)
+(** Clear the calling domain's hash-consing tables (each domain interns
+    into its own, so concurrent validations never share one).  Composite
+    terms are interned so that structurally equal terms are physically
+    equal and comparisons short-circuit on shared structure; call this
+    between independent block checks to bound table growth.  Never
+    affects correctness — terms from different intern generations still
+    compare structurally. *)
 
 val is_float : t -> bool option
 (** Value class of a term; [None] when undeterminable. *)

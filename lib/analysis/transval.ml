@@ -140,11 +140,19 @@ let ritems_of_block (b : Cfg.block) =
 (* CFG block-level liveness (vreg granularity)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Blocks are indexed by position, each with its successors' indices, and
+   swept backward until no live-in set changes: the least fixpoint, which
+   does not depend on the sweep order.  A label names the last block that
+   carries it, and one that names no block has nothing live. *)
 let cfg_live_out (f : Cfg.func) =
   let op_regs = List.filter_map (function Cfg.Reg v -> Some v | _ -> None) in
-  let gen = Hashtbl.create 16 and kill = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Cfg.block) ->
+  let blocks = Array.of_list f.Cfg.blocks in
+  let n = Array.length blocks in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i (b : Cfg.block) -> Hashtbl.replace index b.Cfg.label i) blocks;
+  let gen = Array.make n IS.empty and kill = Array.make n IS.empty in
+  Array.iteri
+    (fun bi (b : Cfg.block) ->
       let g = ref IS.empty and k = ref IS.empty in
       let use v = if not (IS.mem v !k) then g := IS.add v !g in
       let def v = k := IS.add v !k in
@@ -154,36 +162,30 @@ let cfg_live_out (f : Cfg.func) =
           List.iter def (Cfg.defs i))
         b.Cfg.ins;
       List.iter use (op_regs (Cfg.term_uses b.Cfg.term));
-      Hashtbl.replace gen b.Cfg.label !g;
-      Hashtbl.replace kill b.Cfg.label !k)
-    f.Cfg.blocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  let get tbl l = match Hashtbl.find_opt tbl l with Some s -> s | None -> IS.empty in
+      gen.(bi) <- !g;
+      kill.(bi) <- !k)
+    blocks;
+  let succs =
+    Array.map
+      (fun (b : Cfg.block) ->
+        List.filter_map (Hashtbl.find_opt index) (Cfg.successors b.Cfg.term))
+      blocks
+  in
+  let live_in = Array.make n IS.empty and live_out = Array.make n IS.empty in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Cfg.block) ->
-        let out =
-          List.fold_left
-            (fun acc s -> IS.union acc (get live_in s))
-            IS.empty
-            (Cfg.successors b.Cfg.term)
-        in
-        let inn =
-          IS.union (get gen b.Cfg.label) (IS.diff out (get kill b.Cfg.label))
-        in
-        if not (IS.equal out (get live_out b.Cfg.label)) then begin
-          Hashtbl.replace live_out b.Cfg.label out;
-          changed := true
-        end;
-        if not (IS.equal inn (get live_in b.Cfg.label)) then begin
-          Hashtbl.replace live_in b.Cfg.label inn;
-          changed := true
-        end)
-      f.Cfg.blocks
+    for i = n - 1 downto 0 do
+      let out = List.fold_left (fun acc s -> IS.union acc live_in.(s)) IS.empty succs.(i) in
+      live_out.(i) <- out;
+      let inn = IS.union gen.(i) (IS.diff out kill.(i)) in
+      if not (IS.equal inn live_in.(i)) then begin
+        live_in.(i) <- inn;
+        changed := true
+      end
+    done
   done;
-  fun l -> get live_out l
+  fun l -> match Hashtbl.find_opt index l with Some i -> live_out.(i) | None -> IS.empty
 
 (* ------------------------------------------------------------------ *)
 (* EDGE dataflow blocks                                               *)

@@ -323,12 +323,13 @@ let run_validation_full ?max_paths ?absint_bug ?(global_opt = true) preset
   let sym s =
     match List.assoc_opt s layout with Some a -> Int64.of_int a | None -> 0L
   in
-  let reports = ref [] in
+  (* each check's reports, newest first, concatenated in run order *)
+  let chunks = ref [] in
+  let add reports = chunks := reports :: !chunks in
   let check_opt_stage pres posts =
     List.iter2
       (fun pre (post : Cfg.func) ->
-        reports :=
-          !reports @ Transval.check_opt ?max_paths ~sym ~fname:post.Cfg.name pre post)
+        add (Transval.check_opt ?max_paths ~sym ~fname:post.Cfg.name pre post))
       pres posts
   in
   (match (pre_opt, mid) with
@@ -338,21 +339,21 @@ let run_validation_full ?max_paths ?absint_bug ?(global_opt = true) preset
   | Some mids, Some g1s ->
     let midp = { Cfg.globals = cfg.Cfg.globals; funcs = mids } in
     let g1p = { Cfg.globals = cfg.Cfg.globals; funcs = g1s } in
-    reports := !reports @ Transval.check_gapply midp applied g1p;
+    add (Transval.check_gapply midp applied g1p);
     check_opt_stage g1s cfg.Cfg.funcs
   | _ -> ());
   let wits = List.map (compile_func_wit ~relax:global_opt preset ~layout) cfg.Cfg.funcs in
-  List.iter (fun (_, w) -> reports := !reports @ validate_func ?max_paths ~sym w) wits;
+  List.iter (fun (_, w) -> add (validate_func ?max_paths ~sym w)) wits;
   let prog = { Block.globals = cfg.Cfg.globals; funcs = List.map fst wits } in
   Block.validate_program prog;
-  reports := !reports @ Transval.check_link prog;
+  add (Transval.check_link prog);
   let gs = List.fold_left (fun gs (_, gfs) -> count_gfacts gs gfs) zero_gstats applied in
   let gs =
     List.fold_left
       (fun gs (_, w) -> { gs with gs_relaxed = gs.gs_relaxed + w.w_relaxed })
       gs wits
   in
-  (!reports, prog, gs)
+  (List.concat (List.rev !chunks), prog, gs)
 
 let run_validation ?max_paths ?absint_bug preset p =
   let reports, prog, _ = run_validation_full ?max_paths ?absint_bug preset p in

@@ -5,6 +5,16 @@ module Block = Trips_edge.Block
    (1..4,1..4) = the ET grid.  The geometry lives in Isa (shared with the
    block validator, the cycle simulator and the static timing analyzer). *)
 
+(* Each ET's mesh row and column, so the placement loop reads two ints per
+   candidate instead of building its position. *)
+let et_row = Array.init Isa.num_ets (fun et -> fst (Isa.tile_position et))
+let et_col = Array.init Isa.num_ets (fun et -> snd (Isa.tile_position et))
+
+(* [acc] plus the {!Isa.mesh_dist} from ET [et] to each anchor. *)
+let rec anchor_cost et acc = function
+  | [] -> acc
+  | (r, c) :: rest -> anchor_cost et (acc + abs (r - et_row.(et)) + abs (c - et_col.(et))) rest
+
 let place (b : Block.t) =
   let n = Array.length b.insts in
   b.placement <- Array.make n 0;
@@ -69,7 +79,7 @@ let place (b : Block.t) =
       (fun i ->
         let ins = b.insts.(i) in
         let producer_pos =
-          List.map (fun p -> Isa.tile_position b.placement.(p)) preds.(i)
+          List.map (fun p -> (et_row.(b.placement.(p)), et_col.(b.placement.(p)))) preds.(i)
           @ read_feeds.(i)
         in
         let anchors =
@@ -86,11 +96,7 @@ let place (b : Block.t) =
         let best_cost = ref max_int in
         for et = 0 to Isa.num_ets - 1 do
           if occupancy.(et) < Isa.et_slots then begin
-            let pos = Isa.tile_position et in
-            let c =
-              List.fold_left (fun acc a -> acc + Isa.mesh_dist a pos) 0 anchors
-              + occupancy.(et)
-            in
+            let c = anchor_cost et occupancy.(et) anchors in
             if c < !best_cost then begin
               best_cost := c;
               best := et

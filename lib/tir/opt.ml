@@ -44,35 +44,56 @@ let constfold (f : Cfg.func) =
   in
   List.iter (fun (b : Cfg.block) -> b.ins <- List.map fold_ins b.ins) f.blocks
 
+let mentions_reg (o : Cfg.operand) r = match o with Cfg.Reg x -> x = r | _ -> false
+
+module IH = Hashtbl.Make (Int)
+
+(* Add [x] to the list [tbl] keeps for [r]. *)
+let index_add tbl r x =
+  IH.replace tbl r (x :: Option.value ~default:[] (IH.find_opt tbl r))
+
 (* Block-local propagation: map vreg -> known operand.  An entry is killed
-   when any register it mentions is redefined. *)
+   when any register it mentions is redefined; [copies_of] indexes the
+   entries that are copies of a register, so a kill touches only those.
+   Its lists may hold entries rebound since, which the kill re-checks. *)
 let copyprop (f : Cfg.func) =
-  let run_block (b : Cfg.block) =
-    let known : (Cfg.vreg, Cfg.operand) Hashtbl.t = Hashtbl.create 16 in
-    let resolve op =
-      match op with
-      | Cfg.Reg r -> ( match Hashtbl.find_opt known r with Some o -> o | None -> op)
-      | _ -> op
-    in
-    let kill d =
-      Hashtbl.remove known d;
-      let stale =
-        Hashtbl.fold
-          (fun k v acc -> match v with Cfg.Reg r when r = d -> k :: acc | _ -> acc)
-          known []
-      in
-      List.iter (Hashtbl.remove known) stale
-    in
-    let step ins =
-      let ins = Cfg.map_ins_operands resolve ins in
-      List.iter kill (Cfg.defs ins);
-      (match ins with Cfg.Mov (d, src) when src <> Cfg.Reg d -> Hashtbl.replace known d src | _ -> ());
-      ins
-    in
-    b.ins <- List.map step b.ins;
-    b.term <- Cfg.map_term_operands resolve b.term
+  let known : Cfg.operand IH.t = IH.create 16 in
+  let copies_of : Cfg.vreg list IH.t = IH.create 16 in
+  let resolve op =
+    match op with
+    | Cfg.Reg r -> ( match IH.find_opt known r with Some o -> o | None -> op)
+    | _ -> op
   in
-  List.iter run_block f.blocks
+  let kill d =
+    IH.remove known d;
+    match IH.find_opt copies_of d with
+    | None -> ()
+    | Some ks ->
+      IH.remove copies_of d;
+      List.iter
+        (fun k ->
+          match IH.find_opt known k with
+          | Some src when mentions_reg src d -> IH.remove known k
+          | _ -> ())
+        ks
+  in
+  let step ins =
+    let ins = Cfg.map_ins_operands resolve ins in
+    List.iter kill (Cfg.defs ins);
+    (match ins with
+    | Cfg.Mov (d, src) when not (mentions_reg src d) ->
+      IH.replace known d src;
+      (match src with Cfg.Reg s -> index_add copies_of s d | _ -> ())
+    | _ -> ());
+    ins
+  in
+  List.iter
+    (fun (b : Cfg.block) ->
+      IH.clear known;
+      IH.clear copies_of;
+      b.ins <- List.map step b.ins;
+      b.term <- Cfg.map_term_operands resolve b.term)
+    f.blocks
 
 (* Block-local CSE over pure ops and loads. *)
 type expr_key =
@@ -80,70 +101,84 @@ type expr_key =
   | Kun of Ast.unop * Cfg.operand
   | Kload of Ty.t * Ty.width * Cfg.operand * int
 
+let key_mentions key d =
+  match key with
+  | Kbin (_, a, b) -> mentions_reg a d || mentions_reg b d
+  | Kun (_, a) | Kload (_, _, a, _) -> mentions_reg a d
+
+(* [keys_of] indexes every available expression under its result register
+   and each register its key mentions, and [loads] lists the load keys
+   recorded since memory was last killed, so a kill visits only the
+   entries it may remove.  Index lists may hold entries removed or rebound
+   since, which the kill re-checks against the table. *)
 let cse (f : Cfg.func) =
-  let run_block (b : Cfg.block) =
-    let avail : (expr_key, Cfg.vreg) Hashtbl.t = Hashtbl.create 16 in
-    let kill_reg d =
-      let stale =
-        Hashtbl.fold
-          (fun k v acc ->
-            let mentions =
-              v = d
-              ||
-              match k with
-              | Kbin (_, a, bb) -> a = Cfg.Reg d || bb = Cfg.Reg d
-              | Kun (_, a) -> a = Cfg.Reg d
-              | Kload (_, _, a, _) -> a = Cfg.Reg d
-            in
-            if mentions then k :: acc else acc)
-          avail []
-      in
-      List.iter (Hashtbl.remove avail) stale
-    in
-    let kill_memory () =
-      let stale =
-        Hashtbl.fold
-          (fun k _ acc -> match k with Kload _ -> k :: acc | _ -> acc)
-          avail []
-      in
-      List.iter (Hashtbl.remove avail) stale
-    in
-    (* An expression keyed on its own destination (v3 = v3 + 1) must not be
-       recorded: after the write, the key no longer denotes the result. *)
-    let key_mentions key d =
-      match key with
-      | Kbin (_, a, b) -> a = Cfg.Reg d || b = Cfg.Reg d
-      | Kun (_, a) | Kload (_, _, a, _) -> a = Cfg.Reg d
-    in
-    let lookup_or_record key d ins =
-      match Hashtbl.find_opt avail key with
-      | Some r ->
-        kill_reg d;
-        Cfg.Mov (d, Cfg.Reg r)
-      | None ->
-        kill_reg d;
-        if not (key_mentions key d) then Hashtbl.replace avail key d;
-        ins
-    in
-    let step ins =
-      match ins with
-      | Cfg.Bin (op, d, a, bb) -> lookup_or_record (Kbin (op, a, bb)) d ins
-      | Cfg.Un (op, d, a) -> lookup_or_record (Kun (op, a)) d ins
-      | Cfg.Load (t, w, d, a, off) -> lookup_or_record (Kload (t, w, a, off)) d ins
-      | Cfg.Mov (d, _) ->
-        kill_reg d;
-        ins
-      | Cfg.Store _ ->
-        kill_memory ();
-        ins
-      | Cfg.Call (d, _, _) ->
-        kill_memory ();
-        Option.iter kill_reg d;
-        ins
-    in
-    b.ins <- List.map step b.ins
+  let avail : (expr_key, Cfg.vreg) Hashtbl.t = Hashtbl.create 16 in
+  let keys_of : expr_key list IH.t = IH.create 16 in
+  let loads = ref [] in
+  let kill_reg d =
+    match IH.find_opt keys_of d with
+    | None -> ()
+    | Some ks ->
+      IH.remove keys_of d;
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt avail k with
+          | Some v when v = d || key_mentions k d -> Hashtbl.remove avail k
+          | _ -> ())
+        ks
   in
-  List.iter run_block f.blocks
+  let kill_memory () =
+    List.iter (Hashtbl.remove avail) !loads;
+    loads := []
+  in
+  let record key d =
+    Hashtbl.replace avail key d;
+    index_add keys_of d key;
+    let operand = function Cfg.Reg r -> index_add keys_of r key | _ -> () in
+    match key with
+    | Kbin (_, a, b) ->
+      operand a;
+      operand b
+    | Kun (_, a) -> operand a
+    | Kload (_, _, a, _) ->
+      loads := key :: !loads;
+      operand a
+  in
+  (* An expression keyed on its own destination (v3 = v3 + 1) must not be
+     recorded: after the write, the key no longer denotes the result. *)
+  let lookup_or_record key d ins =
+    match Hashtbl.find_opt avail key with
+    | Some r ->
+      kill_reg d;
+      Cfg.Mov (d, Cfg.Reg r)
+    | None ->
+      kill_reg d;
+      if not (key_mentions key d) then record key d;
+      ins
+  in
+  let step ins =
+    match ins with
+    | Cfg.Bin (op, d, a, bb) -> lookup_or_record (Kbin (op, a, bb)) d ins
+    | Cfg.Un (op, d, a) -> lookup_or_record (Kun (op, a)) d ins
+    | Cfg.Load (t, w, d, a, off) -> lookup_or_record (Kload (t, w, a, off)) d ins
+    | Cfg.Mov (d, _) ->
+      kill_reg d;
+      ins
+    | Cfg.Store _ ->
+      kill_memory ();
+      ins
+    | Cfg.Call (d, _, _) ->
+      kill_memory ();
+      Option.iter kill_reg d;
+      ins
+  in
+  List.iter
+    (fun (b : Cfg.block) ->
+      Hashtbl.clear avail;
+      IH.clear keys_of;
+      loads := [];
+      b.ins <- List.map step b.ins)
+    f.blocks
 
 let dce (f : Cfg.func) =
   let changed = ref true in
@@ -251,8 +286,6 @@ let pp_gfact ppf = function
 (* Memory access keys: root operand + static offset + width.  Root equality
    is syntactic; the vreg-redefinition kills below keep [Reg] roots honest. *)
 type mkey = { mroot : Cfg.operand; moff : int; mw : Ty.width; mty : Ty.t }
-
-let mentions_reg (o : Cfg.operand) r = match o with Cfg.Reg x -> x = r | _ -> false
 
 (* [(=)] on operands, without the polymorphic walk: a [Cf nan] root is
    unequal to itself, as it is under [(=)]. *)

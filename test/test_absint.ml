@@ -3,7 +3,8 @@
    copy-on-write rules), the seeded-bug mutation suite (every broken
    analysis mode must be refuted by the validator's clean re-derivation),
    the fixpoint/idempotence property of the extended optimization
-   pipeline (local passes + fact-driven global passes), and two fact
+   pipeline (local passes + fact-driven global passes), the soundness of
+   the cached fixed-point bit on every stored value, and two fact
    goldens: a digest of every fact the analysis exposes, per workload and
    preset, pinned to test/absint_golden.ml, and the same facts plus every
    gathered global rewrite per fuzz program, pinned to
@@ -390,6 +391,41 @@ let test_driver_hits () =
   Alcotest.(check bool) "ablation reports zero hits" true
     (gs0 = Driver.zero_gstats)
 
+(* -- the cached fixed-point bit -------------------------------------- *)
+
+(* Every value an analysis stores whose bit is set must be one [norm]
+   returns unchanged, over the registry at every preset and 50 fuzz
+   seeds. *)
+let check_fixed_bits tag (p : Ast.program) =
+  List.iter
+    (fun preset ->
+      let cfg = Driver.front_end (Preset.driver preset) p in
+      Alcotest.(check int) (tag ^ " " ^ Preset.name preset) 0
+        (Absint.fixed_bit_violations (Absint.analyze cfg)))
+    Preset.all
+
+let test_fixed_bit_registry () =
+  List.iter (fun (b : Registry.bench) -> check_fixed_bits b.Registry.name b.Registry.program)
+    Registry.all
+
+let test_fixed_bit_fuzz () =
+  for seed = 1 to 50 do
+    check_fixed_bits (Printf.sprintf "fuzz seed %d" seed) (Trips_fuzz.Gen.gen_program ~seed ())
+  done
+
+(* [4..5] with known-one bits 101: one [norm] step raises the floor to 5,
+   a singleton whose bit 1 only the next step marks known-zero, so the
+   result must not carry the bit.  The singleton 5 and top are fixed
+   points and must. *)
+let test_fixed_bit_known () =
+  let pair = Alcotest.(pair bool bool) in
+  Alcotest.check pair "one step makes a singleton" (false, false)
+    (Absint.norm_fixed_bit ~lo:4L ~hi:5L ~kz:0L ~ko:5L);
+  Alcotest.check pair "singleton" (true, true)
+    (Absint.norm_fixed_bit ~lo:5L ~hi:5L ~kz:0L ~ko:0L);
+  Alcotest.check pair "top" (true, true)
+    (Absint.norm_fixed_bit ~lo:Int64.min_int ~hi:Int64.max_int ~kz:0L ~ko:0L)
+
 (* -- fact golden ---------------------------------------------------------- *)
 
 (* A fingerprint of everything the analysis exposes: per block, its
@@ -581,6 +617,12 @@ let () =
           [ "ct"; "vadd"; "fft"; "8b10b" ] );
       ( "driver",
         [ Alcotest.test_case "global hits and ablation" `Quick test_driver_hits ] );
+      ( "fixed-bit",
+        [
+          Alcotest.test_case "known answers" `Quick test_fixed_bit_known;
+          Alcotest.test_case "sound on the registry" `Quick test_fixed_bit_registry;
+          Alcotest.test_case "sound on fuzz seeds" `Quick test_fixed_bit_fuzz;
+        ] );
       ( "golden",
         List.map
           (fun ((n, p, _) as row) ->

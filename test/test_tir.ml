@@ -232,6 +232,298 @@ let test_fixpoint_fuzz () =
       (shapes ~unrolls:[ 2 ] (Trips_fuzz.Gen.gen_program ~seed ()))
   done
 
+(* -- register-indexed kills against the fold-based originals ---------- *)
+
+(* The block-local [copyprop] and [cse] as they were before their kills
+   were indexed by register: every kill folds over the whole table.
+   Kept verbatim as the reference the indexed passes must match. *)
+let fold_copyprop (f : Cfg.func) =
+  let run_block (b : Cfg.block) =
+    let known : (Cfg.vreg, Cfg.operand) Hashtbl.t = Hashtbl.create 16 in
+    let resolve op =
+      match op with
+      | Cfg.Reg r -> ( match Hashtbl.find_opt known r with Some o -> o | None -> op)
+      | _ -> op
+    in
+    let kill d =
+      Hashtbl.remove known d;
+      let stale =
+        Hashtbl.fold
+          (fun k v acc -> match v with Cfg.Reg r when r = d -> k :: acc | _ -> acc)
+          known []
+      in
+      List.iter (Hashtbl.remove known) stale
+    in
+    let step ins =
+      let ins = Cfg.map_ins_operands resolve ins in
+      List.iter kill (Cfg.defs ins);
+      (match ins with Cfg.Mov (d, src) when src <> Cfg.Reg d -> Hashtbl.replace known d src | _ -> ());
+      ins
+    in
+    b.ins <- List.map step b.ins;
+    b.term <- Cfg.map_term_operands resolve b.term
+  in
+  List.iter run_block f.blocks
+
+type expr_key =
+  | Kbin of Ast.binop * Cfg.operand * Cfg.operand
+  | Kun of Ast.unop * Cfg.operand
+  | Kload of Ty.t * Ty.width * Cfg.operand * int
+
+let fold_cse (f : Cfg.func) =
+  let run_block (b : Cfg.block) =
+    let avail : (expr_key, Cfg.vreg) Hashtbl.t = Hashtbl.create 16 in
+    let kill_reg d =
+      let stale =
+        Hashtbl.fold
+          (fun k v acc ->
+            let mentions =
+              v = d
+              ||
+              match k with
+              | Kbin (_, a, bb) -> a = Cfg.Reg d || bb = Cfg.Reg d
+              | Kun (_, a) -> a = Cfg.Reg d
+              | Kload (_, _, a, _) -> a = Cfg.Reg d
+            in
+            if mentions then k :: acc else acc)
+          avail []
+      in
+      List.iter (Hashtbl.remove avail) stale
+    in
+    let kill_memory () =
+      let stale =
+        Hashtbl.fold
+          (fun k _ acc -> match k with Kload _ -> k :: acc | _ -> acc)
+          avail []
+      in
+      List.iter (Hashtbl.remove avail) stale
+    in
+    (* An expression keyed on its own destination (v3 = v3 + 1) must not be
+       recorded: after the write, the key no longer denotes the result. *)
+    let key_mentions key d =
+      match key with
+      | Kbin (_, a, b) -> a = Cfg.Reg d || b = Cfg.Reg d
+      | Kun (_, a) | Kload (_, _, a, _) -> a = Cfg.Reg d
+    in
+    let lookup_or_record key d ins =
+      match Hashtbl.find_opt avail key with
+      | Some r ->
+        kill_reg d;
+        Cfg.Mov (d, Cfg.Reg r)
+      | None ->
+        kill_reg d;
+        if not (key_mentions key d) then Hashtbl.replace avail key d;
+        ins
+    in
+    let step ins =
+      match ins with
+      | Cfg.Bin (op, d, a, bb) -> lookup_or_record (Kbin (op, a, bb)) d ins
+      | Cfg.Un (op, d, a) -> lookup_or_record (Kun (op, a)) d ins
+      | Cfg.Load (t, w, d, a, off) -> lookup_or_record (Kload (t, w, a, off)) d ins
+      | Cfg.Mov (d, _) ->
+        kill_reg d;
+        ins
+      | Cfg.Store _ ->
+        kill_memory ();
+        ins
+      | Cfg.Call (d, _, _) ->
+        kill_memory ();
+        Option.iter kill_reg d;
+        ins
+    in
+    b.ins <- List.map step b.ins
+  in
+  List.iter run_block f.blocks
+
+(* [Opt.cse] with a seeded fault: an expression is not indexed under its
+   result register ([~results:false]) or under the registers its key
+   mentions ([~operands:false]), so redefining that register leaves it
+   available. *)
+let cse_missing_index ~results ~operands (f : Cfg.func) =
+  let mentions o d = match o with Cfg.Reg x -> x = d | _ -> false in
+  let key_mentions key d =
+    match key with
+    | Kbin (_, a, b) -> mentions a d || mentions b d
+    | Kun (_, a) | Kload (_, _, a, _) -> mentions a d
+  in
+  let avail : (expr_key, Cfg.vreg) Hashtbl.t = Hashtbl.create 16 in
+  let keys_of : (Cfg.vreg, expr_key list) Hashtbl.t = Hashtbl.create 16 in
+  let loads = ref [] in
+  let index r k =
+    Hashtbl.replace keys_of r (k :: Option.value ~default:[] (Hashtbl.find_opt keys_of r))
+  in
+  let kill_reg d =
+    match Hashtbl.find_opt keys_of d with
+    | None -> ()
+    | Some ks ->
+      Hashtbl.remove keys_of d;
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt avail k with
+          | Some v when v = d || key_mentions k d -> Hashtbl.remove avail k
+          | _ -> ())
+        ks
+  in
+  let record key d =
+    Hashtbl.replace avail key d;
+    if results then index d key;
+    let operand = function Cfg.Reg r when operands -> index r key | _ -> () in
+    match key with
+    | Kbin (_, a, b) -> operand a; operand b
+    | Kun (_, a) -> operand a
+    | Kload (_, _, a, _) -> loads := key :: !loads; operand a
+  in
+  let lookup_or_record key d ins =
+    match Hashtbl.find_opt avail key with
+    | Some r -> kill_reg d; Cfg.Mov (d, Cfg.Reg r)
+    | None -> kill_reg d; if not (key_mentions key d) then record key d; ins
+  in
+  let step ins =
+    match ins with
+    | Cfg.Bin (op, d, a, bb) -> lookup_or_record (Kbin (op, a, bb)) d ins
+    | Cfg.Un (op, d, a) -> lookup_or_record (Kun (op, a)) d ins
+    | Cfg.Load (t, w, d, a, off) -> lookup_or_record (Kload (t, w, a, off)) d ins
+    | Cfg.Mov (d, _) -> kill_reg d; ins
+    | Cfg.Store _ -> List.iter (Hashtbl.remove avail) !loads; loads := []; ins
+    | Cfg.Call (d, _, _) ->
+      List.iter (Hashtbl.remove avail) !loads;
+      loads := [];
+      Option.iter kill_reg d;
+      ins
+  in
+  List.iter
+    (fun (b : Cfg.block) ->
+      Hashtbl.reset avail;
+      Hashtbl.reset keys_of;
+      loads := [];
+      b.ins <- List.map step b.ins)
+    f.blocks
+
+let copy_func (f : Cfg.func) =
+  { f with Cfg.blocks = List.map (fun (b : Cfg.block) -> { b with Cfg.ins = b.Cfg.ins }) f.Cfg.blocks }
+
+(* Run [Opt.run]'s rounds on [f]; before each [copyprop] and [cse], copy
+   the function and run the reference pass on the copy.  The name of the
+   first pass whose output fingerprint differs, if any. *)
+let first_divergence ~copyprop ~cse (f : Cfg.func) =
+  let check name pass reference =
+    let g = copy_func f in
+    pass f;
+    reference g;
+    if String.equal (Opt.fingerprint f) (Opt.fingerprint g) then None else Some name
+  in
+  let rec go n prev =
+    if n = 0 then None
+    else begin
+      Opt.constfold f;
+      match check "copyprop" copyprop fold_copyprop with
+      | Some _ as d -> d
+      | None -> (
+        match check "cse" cse fold_cse with
+        | Some _ as d -> d
+        | None ->
+          Opt.dce f;
+          Opt.simplify_branches f;
+          let now = Opt.fingerprint f in
+          if now <> prev then go (n - 1) now else None)
+    end
+  in
+  go 64 (Opt.fingerprint f)
+
+let divergences ~copyprop ~cse (p : Ast.program) =
+  List.filter_map
+    (fun (f : Cfg.func) ->
+      Option.map (fun pass -> f.Cfg.name ^ ": " ^ pass) (first_divergence ~copyprop ~cse f))
+    (Lower.program p).Cfg.funcs
+
+(* [shapes ~unrolls:[2; 8]] are the optimizer's inputs at every preset:
+   O0 as lowered, C and BB inlined and unrolled twice, H eight times. *)
+let test_indexed_kills_registry () =
+  List.iter
+    (fun (b : Trips_workloads.Registry.bench) ->
+      List.iter
+        (fun (shape, p) ->
+          Alcotest.(check (list string)) (b.Trips_workloads.Registry.name ^ shape) []
+            (divergences ~copyprop:Opt.copyprop ~cse:Opt.cse p))
+        (shapes ~unrolls:[ 2; 8 ] b.Trips_workloads.Registry.program))
+    Trips_workloads.Registry.all
+
+let test_indexed_kills_fuzz () =
+  for seed = 1 to 200 do
+    List.iter
+      (fun (shape, p) ->
+        Alcotest.(check (list string)) (Printf.sprintf "fuzz seed %d%s" seed shape) []
+          (divergences ~copyprop:Opt.copyprop ~cse:Opt.cse p))
+      (shapes ~unrolls:[ 2; 8 ] (Trips_fuzz.Gen.gen_program ~seed ()))
+  done
+
+(* Hand-built blocks, one per kill path.  No block of the registry or of
+   fuzz seeds 1-200 redefines the result register of an expression that
+   is still available, so only [result_redefined] reaches that kill. *)
+let one_block_func name ins term =
+  { Cfg.name; params = [ (0, Ty.I64) ]; ret = Some Ty.I64;
+    blocks = [ { Cfg.label = name ^ ".entry"; ins; term } ]; next_vreg = 8 }
+
+let result_redefined () =
+  one_block_func "result_redefined"
+    [ Cfg.Bin (Ast.Add, 1, Cfg.Reg 0, Cfg.Ci 1L);
+      Cfg.Bin (Ast.Mul, 1, Cfg.Reg 0, Cfg.Ci 2L);
+      Cfg.Bin (Ast.Add, 2, Cfg.Reg 0, Cfg.Ci 1L);
+      Cfg.Bin (Ast.Add, 3, Cfg.Reg 1, Cfg.Reg 2) ]
+    (Cfg.Ret (Some (Cfg.Reg 3)))
+
+let copy_source_redefined () =
+  one_block_func "copy_source_redefined"
+    [ Cfg.Mov (1, Cfg.Reg 0);
+      Cfg.Bin (Ast.Add, 0, Cfg.Reg 0, Cfg.Ci 1L);
+      Cfg.Bin (Ast.Add, 2, Cfg.Reg 1, Cfg.Reg 0) ]
+    (Cfg.Ret (Some (Cfg.Reg 2)))
+
+let load_after_store () =
+  one_block_func "load_after_store"
+    [ Cfg.Load (Ty.I64, Ty.W8, 1, Cfg.Reg 0, 0);
+      Cfg.Store (Ty.W8, Cfg.Reg 0, 8, Cfg.Ci 5L);
+      Cfg.Load (Ty.I64, Ty.W8, 2, Cfg.Reg 0, 0);
+      Cfg.Bin (Ast.Add, 3, Cfg.Reg 1, Cfg.Reg 2) ]
+    (Cfg.Ret (Some (Cfg.Reg 3)))
+
+let kill_cases = [ result_redefined; copy_source_redefined; load_after_store ]
+
+let test_indexed_kills_known () =
+  List.iter
+    (fun case ->
+      let f = case () in
+      Alcotest.(check (option string)) f.Cfg.name None
+        (first_divergence ~copyprop:Opt.copyprop ~cse:Opt.cse f))
+    kill_cases;
+  let f = result_redefined () in
+  let before = Opt.fingerprint f in
+  Opt.cse f;
+  Alcotest.(check string) "v2 = v0 + 1 is recomputed after v1 is redefined" before
+    (Opt.fingerprint f)
+
+(* The differential checks are not vacuous: a [cse] whose index misses
+   the registers keys mention diverges from the reference on the
+   registry, and one whose index misses result registers on the
+   hand-built block that redefines one. *)
+let test_indexed_kills_mutant () =
+  let caught_on_registry =
+    List.exists
+      (fun (b : Trips_workloads.Registry.bench) ->
+        divergences ~copyprop:Opt.copyprop
+          ~cse:(cse_missing_index ~results:true ~operands:false)
+          b.Trips_workloads.Registry.program
+        <> [])
+      Trips_workloads.Registry.all
+  in
+  Alcotest.(check bool) "a cse that does not index its operands is caught" true
+    caught_on_registry;
+  Alcotest.(check (option string)) "a cse that does not index its results is caught"
+    (Some "cse")
+    (first_divergence ~copyprop:Opt.copyprop
+       ~cse:(cse_missing_index ~results:false ~operands:true)
+       (result_redefined ()))
+
 let test_unroll_preserves () =
   List.iter
     (fun (tag, p, args) ->
@@ -665,6 +957,14 @@ let () =
             test_fixpoint_registry;
           Alcotest.test_case "fingerprint stops like printing: fuzz" `Quick
             test_fixpoint_fuzz;
+          Alcotest.test_case "indexed kills match the folds: registry" `Quick
+            test_indexed_kills_registry;
+          Alcotest.test_case "indexed kills match the folds: fuzz" `Quick
+            test_indexed_kills_fuzz;
+          Alcotest.test_case "indexed kills match the folds: hand-built" `Quick
+            test_indexed_kills_known;
+          Alcotest.test_case "indexed kills: a seeded fault is caught" `Quick
+            test_indexed_kills_mutant;
         ] );
       ( "transform",
         [

@@ -5,7 +5,9 @@
    re-runs the corresponding checker (or the whole per-function validation
    when attribution across checkers is the point).  The clean-sweep test
    is the no-false-positive half: every Simple-suite benchmark at the
-   compiled preset, on both backends, with zero refutations. *)
+   compiled preset, on both backends, with zero refutations.  Block
+   liveness is pinned to a verbatim copy of its label-keyed predecessor,
+   and two domains validating at once must match a sequential run. *)
 
 module Ast = Trips_tir.Ast
 module Cfg = Trips_tir.Cfg
@@ -398,6 +400,126 @@ let test_clean_risc () =
           s.T.n_refuted)
     Registry.simple_suite
 
+(* -- block liveness against the label-keyed original ------------------ *)
+
+module IS = Set.Make (Int)
+
+(* [Transval.cfg_live_out] as it was before blocks were indexed by
+   position: label-keyed tables and a forward round-robin sweep.  Kept
+   verbatim as the reference the array version must match. *)
+let table_live_out (f : Cfg.func) =
+  let op_regs = List.filter_map (function Cfg.Reg v -> Some v | _ -> None) in
+  let gen = Hashtbl.create 16 and kill = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Cfg.block) ->
+      let g = ref IS.empty and k = ref IS.empty in
+      let use v = if not (IS.mem v !k) then g := IS.add v !g in
+      let def v = k := IS.add v !k in
+      List.iter
+        (fun i ->
+          List.iter use (op_regs (Cfg.uses i));
+          List.iter def (Cfg.defs i))
+        b.Cfg.ins;
+      List.iter use (op_regs (Cfg.term_uses b.Cfg.term));
+      Hashtbl.replace gen b.Cfg.label !g;
+      Hashtbl.replace kill b.Cfg.label !k)
+    f.Cfg.blocks;
+  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
+  let get tbl l = match Hashtbl.find_opt tbl l with Some s -> s | None -> IS.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : Cfg.block) ->
+        let out =
+          List.fold_left
+            (fun acc s -> IS.union acc (get live_in s))
+            IS.empty
+            (Cfg.successors b.Cfg.term)
+        in
+        let inn =
+          IS.union (get gen b.Cfg.label) (IS.diff out (get kill b.Cfg.label))
+        in
+        if not (IS.equal out (get live_out b.Cfg.label)) then begin
+          Hashtbl.replace live_out b.Cfg.label out;
+          changed := true
+        end;
+        if not (IS.equal inn (get live_in b.Cfg.label)) then begin
+          Hashtbl.replace live_in b.Cfg.label inn;
+          changed := true
+        end)
+      f.Cfg.blocks
+  done;
+  fun l -> get live_out l
+
+(* The functions the validator takes liveness of at a preset: the
+   lowered program before local optimization, and the front end's
+   output. *)
+let liveness_funcs preset (p : Ast.program) =
+  let q = if preset.Driver.inline_pass then Transform.inline p else p in
+  let q =
+    if preset.Driver.unroll > 1 then Transform.unroll_program ~factor:preset.Driver.unroll q
+    else q
+  in
+  (Lower.program q).Cfg.funcs @ (Driver.front_end preset p).Cfg.funcs
+
+let liveness_mismatches (p : Ast.program) =
+  List.concat_map
+    (fun preset ->
+      List.concat_map
+        (fun (f : Cfg.func) ->
+          let live = T.cfg_live_out f and reference = table_live_out f in
+          List.filter_map
+            (fun (b : Cfg.block) ->
+              let l = b.Cfg.label in
+              if IS.equal (live l) (reference l) then None
+              else Some (Printf.sprintf "%s %s/%s" preset.Driver.pname f.Cfg.name l))
+            f.Cfg.blocks)
+        (liveness_funcs preset p))
+    (List.map Trips_workloads.Preset.driver Trips_workloads.Preset.all)
+
+let test_liveness_registry () =
+  List.iter
+    (fun (b : Registry.bench) ->
+      Alcotest.(check (list string)) b.Registry.name [] (liveness_mismatches b.Registry.program))
+    Registry.all
+
+let test_liveness_fuzz () =
+  for seed = 1 to 50 do
+    Alcotest.(check (list string)) (Printf.sprintf "fuzz seed %d" seed) []
+      (liveness_mismatches (Trips_fuzz.Gen.gen_program ~seed ()))
+  done
+
+(* -- concurrent validation ------------------------------------------- *)
+
+(* The programs of the benchmark's compile workload. *)
+let compile_set =
+  [ "802.11a"; "rspeed"; "bitmnp"; "matrix01"; "canrdr"; "matrix"; "pktflow";
+    "text"; "dither"; "tblook"; "perlbmk"; "mcf"; "crafty"; "parser"; "fft";
+    "ct"; "a2time"; "gzip"; "equake"; "applu" ]
+
+let report_line (r : T.report) =
+  Printf.sprintf "%s %s %s %s %d %s" r.T.r_stage r.T.r_fname r.T.r_block
+    (T.verdict_name r.T.r_verdict) r.T.r_paths
+    (String.concat "; " (List.map Diag.to_line r.T.r_diags))
+
+let validate_compile_set () =
+  List.concat_map
+    (fun name ->
+      List.map report_line (fst (Driver.validate Driver.compiled (Registry.find name).Registry.program)))
+    compile_set
+
+(* Each domain interns symbolic terms into its own tables, so two domains
+   validating at once get the reports of a sequential run. *)
+let test_two_domains () =
+  let sequential = validate_compile_set () in
+  let d1 = Domain.spawn validate_compile_set in
+  let d2 = Domain.spawn validate_compile_set in
+  let r1 = Domain.join d1 in
+  let r2 = Domain.join d2 in
+  Alcotest.(check (list string)) "first domain" sequential r1;
+  Alcotest.(check (list string)) "second domain" sequential r2
+
 (* -- diagnostics ------------------------------------------------------- *)
 
 let test_diag_dedup () =
@@ -434,5 +556,15 @@ let () =
           Alcotest.test_case "simple suite proves (EDGE)" `Quick test_clean_edge;
           Alcotest.test_case "simple suite proves (RISC)" `Quick test_clean_risc;
         ] );
+      ( "liveness",
+        [
+          Alcotest.test_case "array sweep matches the tables: registry" `Quick
+            test_liveness_registry;
+          Alcotest.test_case "array sweep matches the tables: fuzz" `Quick
+            test_liveness_fuzz;
+        ] );
+      ( "domains",
+        [ Alcotest.test_case "two domains validate the compile set" `Quick test_two_domains ]
+      );
       ("diag", [ Alcotest.test_case "stable dedup" `Quick test_diag_dedup ]);
     ]
