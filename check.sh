@@ -66,11 +66,13 @@ echo "== timing golden: every workload at preset C =="
 # analyzer's whole-program prediction to test/timing_golden.ml.
 TRIPS_TIMING_GOLDEN_FULL=1 dune exec test/test_static_timing.exe -- test pred-golden >/dev/null
 
-echo "== differential fuzzing: trips_run fuzz --seed 1 =="
-# 100-program smoke by default; TRIPS_FUZZ_FULL=1 deepens the sweep to
-# 5000 programs (the nightly configuration).  Any divergence exits
-# nonzero with the auto-shrunk repro in the report.
-dune exec bin/trips_run.exe -- fuzz --seed 1 --out fuzz-report.json >/dev/null
+echo "== differential fuzzing: trips_run fuzz --seed 1 --count 200 =="
+# Programs from seeds 1-200; the nightly CI job sweeps 5000 instead
+# (TRIPS_FUZZ_FULL=1 without --count).  Any divergence exits nonzero
+# with the auto-shrunk repro in the report, and the gate below reads
+# summary.divergent.
+dune exec bin/trips_run.exe -- fuzz --seed 1 --count 200 \
+  --out fuzz-report.json >/dev/null
 
 echo "== compiler gates: bench/BENCH_absint.json =="
 dune exec bin/trips_run.exe -- gate bench/BENCH_absint.json \

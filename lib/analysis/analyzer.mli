@@ -13,8 +13,6 @@
 
 type options = { max_paths : int }
 
-val default_options : options
-
 val analyze_block :
   ?options:options -> fname:string -> Trips_edge.Block.t -> Diag.t list
 

@@ -10,9 +10,5 @@
     ["dead-code"] (warning: result reaches no write, store or branch),
     ["path-explosion"] (info: enumeration truncated). *)
 
-val live_set : Trips_edge.Block.t -> bool array
-(** Instructions whose result transitively reaches a write, store or
-    branch. *)
-
 val check :
   ?max_paths:int -> fname:string -> Trips_edge.Block.t -> Diag.t list

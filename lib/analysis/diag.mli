@@ -35,7 +35,6 @@ val make :
     [pass] names the originating analysis pass (stable, machine-consumed:
     lint and timing JSON reports can be merged and filtered on it). *)
 
-val severity_name : severity -> string
 val sort : t list -> t list
 (** Most severe first, then by location. *)
 
@@ -52,7 +51,6 @@ val failed : strict:bool -> t list -> bool
 (** A report fails when it contains errors; under [~strict:true] warnings
     fail it too.  [Info] findings never fail a report. *)
 
-val location : t -> string
 val to_line : t -> string
 val render_text : t list -> string
 val to_json : t -> Trips_util.Json.t

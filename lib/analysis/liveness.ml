@@ -184,30 +184,3 @@ let check_func ~fname ?known_funcs (f : Block.func) : Diag.t list =
         defs.(i))
     cfg.blocks;
   List.rev !out
-
-let check_program (p : Block.program) : Diag.t list =
-  let out = ref [] in
-  let emit d = out := d :: !out in
-  (* globally unique labels *)
-  let owner = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Block.func) ->
-      List.iter
-        (fun (b : Block.t) ->
-          match Hashtbl.find_opt owner b.Block.label with
-          | Some other ->
-            emit
-              (diag ~fname:f.Block.fname ~block:b.Block.label "branch-target"
-                 (Printf.sprintf "duplicate block label (also in %s)" other))
-          | None -> Hashtbl.replace owner b.Block.label f.Block.fname)
-        f.Block.blocks)
-    p.Block.funcs;
-  let known = List.map (fun (f : Block.func) -> f.Block.fname) p.Block.funcs in
-  List.iter
-    (fun (f : Block.func) ->
-      out :=
-        List.rev_append
-          (check_func ~fname:f.Block.fname ~known_funcs:known f)
-          !out)
-    p.Block.funcs;
-  List.rev !out

@@ -16,7 +16,3 @@ val check_func :
 (** Analyze one function.  [known_funcs] enables callee resolution; omit it
     when the rest of the program is not available yet (per-pass compiler
     verification). *)
-
-val check_program : Trips_edge.Block.program -> Diag.t list
-(** Label uniqueness plus {!check_func} on every function with full callee
-    resolution. *)

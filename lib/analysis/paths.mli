@@ -23,9 +23,6 @@ val port_map :
   Trips_edge.Block.t -> (int * Trips_edge.Isa.slot, producer list) Hashtbl.t
 (** Producers per (instruction, port), including read slots. *)
 
-val pred_producers : Trips_edge.Block.t -> int list
-(** Distinct instructions referenced as predicate producers. *)
-
 val enumerate :
   ?max_paths:int -> Trips_edge.Block.t -> path list * bool
 (** All feasible paths of the block; the flag is true when enumeration hit

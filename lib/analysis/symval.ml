@@ -48,7 +48,6 @@ let mem_stack = 1
 
 let compare_t (a : t) (b : t) = Stdlib.compare a b
 let equal (a : t) (b : t) = a == b || compare_t a b = 0
-let equal_mem (a : mem) (b : mem) = a == b || Stdlib.compare a b = 0
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -144,14 +143,6 @@ let const_of = function Ty.Vi n -> Ci n | Ty.Vf f -> Cf f
 (* Smart constructors                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Matches Dataflow.commutative so canonicalization absorbs the
-   converter's const-to-immediate operand swaps. *)
-let commutative = function
-  | Ast.Add | Ast.Mul | Ast.And | Ast.Or | Ast.Xor | Ast.Fadd | Ast.Fmul
-  | Ast.Eq | Ast.Ne | Ast.Feq | Ast.Fne ->
-    true
-  | _ -> false
-
 let rec bin op a b =
   (* Constant folding through the reference semantics.  Division by a
      zero constant traps at runtime, so it must stay symbolic. *)
@@ -171,7 +162,7 @@ let rec bin op a b =
     | Ast.Sub, _, Ci n -> bin Ast.Add a (Ci (Int64.neg n))
     | _ ->
       let a, b =
-        if commutative op && compare_t a b < 0 then (b, a) else (a, b)
+        if Ast.commutative op && compare_t a b < 0 then (b, a) else (a, b)
       in
       (match (op, a, b) with
       | Ast.Add, x, Ci 0L -> x
@@ -295,7 +286,7 @@ let decide (pc : pc) t =
 
 (* Memoized per call so shared sub-DAGs are rewritten once; interning
    makes the structural memo keys behave like identity keys. *)
-let substitution f =
+let subst f t0 =
   let memo = HT.create 256 and memo_m = HM.create 32 in
   let rec go t =
     match HT.find_opt memo t with
@@ -326,14 +317,11 @@ let substitution f =
       HM.add memo_m m r;
       r
   in
-  (go, go_mem)
-
-let subst f t = fst (substitution f) t
-let subst_mem f m = snd (substitution f) m
+  go t0
 
 (* Free-variable collection with a visited set, again so the walk is
    linear in the DAG rather than its unfolding. *)
-let vars_collect acc0 roots =
+let vars acc0 t0 =
   let seen = Hashtbl.create 32 in
   List.iter (fun v -> Hashtbl.replace seen v ()) acc0;
   let acc = ref acc0 in
@@ -368,11 +356,8 @@ let vars_collect acc0 roots =
       | Mcall (_, older) -> go_mem older
     end
   in
-  List.iter (function `T t -> go t | `M m -> go_mem m) roots;
+  go t0;
   !acc
-
-let vars acc t = vars_collect acc [ `T t ]
-let vars_mem acc m = vars_collect acc [ `M m ]
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -36,9 +36,7 @@ and mem =
 val mem_program : int
 val mem_stack : int
 
-val compare_t : t -> t -> int
 val equal : t -> t -> bool
-val equal_mem : mem -> mem -> bool
 
 val reset_intern : unit -> unit
 (** Clear the calling domain's hash-consing tables (each domain interns
@@ -49,9 +47,6 @@ val reset_intern : unit -> unit
     affects correctness — terms from different intern generations still
     compare structurally. *)
 
-val is_float : t -> bool option
-(** Value class of a term; [None] when undeterminable. *)
-
 val value_of : t -> Ty.value option
 (** The concrete value of a constant term. *)
 
@@ -59,8 +54,6 @@ val value_of : t -> Ty.value option
 
 val bin : Ast.binop -> t -> t -> t
 val un : Ast.unop -> t -> t
-val fbits : t -> t
-val fofbits : t -> t
 
 val to_bits : t -> t
 (** Raw bit pattern of a term, as [Image.store] would truncate it. *)
@@ -85,9 +78,6 @@ type pc = (t * bool) list
 exception Fork of t
 (** Raised by {!decide} on an undetermined condition key. *)
 
-val cond_key : t -> t * bool
-(** Canonical decision key and polarity of a condition term. *)
-
 val decide : pc -> t -> bool
 (** Truthiness of a condition under [pc]; raises {!Fork} when open. *)
 
@@ -97,13 +87,9 @@ val subst : (var -> t option) -> t -> t
 (** Substitute variables and renormalize (folds fully when the
     substitution is total and constant). *)
 
-val subst_mem : (var -> t option) -> mem -> mem
 val vars : var list -> t -> var list
-val vars_mem : var list -> mem -> var list
 
 (** {1 Printing} *)
 
-val var_name : var -> string
 val pp : Format.formatter -> t -> unit
-val pp_mem : Format.formatter -> mem -> unit
 val to_string : t -> string

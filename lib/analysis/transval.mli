@@ -28,8 +28,6 @@ type exitk =
   | Xcall of string * string
   | Xret
 
-val exitk_name : exitk -> string
-
 (** {1 Source regions} *)
 
 type ritem =
@@ -52,12 +50,6 @@ type rres = {
   rr_stores : (Ty.width * S.t * S.t) list;
   rr_calls : (string * (bool * S.t) list) list;
 }
-
-val run_region : pc:S.pc -> rconfig -> ritem list -> rres
-(** Symbolic TIR execution; raises {!Symval.Fork} on an undetermined
-    branch and {!Refute} when the region is malformed. *)
-
-val ritems_of_block : Cfg.block -> ritem list
 
 val cfg_live_out : Cfg.func -> string -> Set.Make(Int).t
 (** Block-level vreg liveness over a CFG function. *)

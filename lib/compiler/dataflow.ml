@@ -76,13 +76,6 @@ let resolve_rhs st bindings (o : Cfg.operand) : [ `Imm of int64 | `H of Builder.
   | Cfg.Ci n when fits_imm n -> `Imm n
   | _ -> `H (resolve st bindings o)
 
-let commutative (op : Ast.binop) =
-  match op with
-  | Ast.Add | Ast.Mul | Ast.And | Ast.Or | Ast.Xor | Ast.Fadd | Ast.Fmul
-  | Ast.Eq | Ast.Ne | Ast.Feq | Ast.Fne ->
-    true
-  | _ -> false
-
 (* Guard chain for block outputs: deliver [h]'s value when the whole [ctx]
    path is taken, a null token otherwise; exactly one delivery either way.
    Must recurse outermost-test-first: only the outermost test is guaranteed
@@ -131,7 +124,7 @@ let conv_ins st (ctx : ctx) bindings (ins : Cfg.ins) : Builder.h IM.t =
        operands when only the left one is constant *)
     let a, b =
       match (a, b) with
-      | Cfg.Ci n, other when fits_imm n && commutative op -> (other, Cfg.Ci n)
+      | Cfg.Ci n, other when fits_imm n && Ast.commutative op -> (other, Cfg.Ci n)
       | _ -> (a, b)
     in
     let ha = resolve st bindings a in

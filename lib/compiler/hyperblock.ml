@@ -241,11 +241,6 @@ let form budget (fn : Cfg.func) : hfunc =
 (* Analyses over hyperblock trees                                      *)
 (* ------------------------------------------------------------------ *)
 
-let item_uses = function
-  | Ins i -> Cfg.uses i
-  | If (c, _, _) -> [ c ]
-  | Exit _ | Lbl _ -> []
-
 let rec body_defs (items : item list) : Cfg.vreg list =
   List.concat_map
     (function

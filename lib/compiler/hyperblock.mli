@@ -61,8 +61,6 @@ val abi_args : int list
 val form : budget -> Trips_tir.Cfg.func -> hfunc
 (** @raise Failure on malformed input (e.g. more than 8 call arguments). *)
 
-val item_uses : item -> Trips_tir.Cfg.operand list
-
 val body_defs : item list -> Trips_tir.Cfg.vreg list
 (** May-defs: assigned on at least one path (the write-set candidates). *)
 

@@ -27,16 +27,6 @@ type program = {
 let find_func p name = List.find (fun f -> f.fname = name) p.funcs
 let find_block f label = List.find (fun b -> b.label = label) f.blocks
 
-let block_of_label p label =
-  let rec search = function
-    | [] -> raise Not_found
-    | f :: rest -> (
-      match List.find_opt (fun b -> b.label = label) f.blocks with
-      | Some b -> b
-      | None -> search rest)
-  in
-  search p.funcs
-
 let exits b =
   let out = ref [] in
   Array.iteri

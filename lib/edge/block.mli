@@ -33,8 +33,6 @@ type program = {
 
 val find_func : program -> string -> func
 val find_block : func -> string -> t
-val block_of_label : program -> string -> t
-(** Look a block up across all functions (labels are globally unique). *)
 
 val exits : t -> (int * Isa.exit_dest) list
 (** Branch instructions of the block: (instruction index, destination). *)

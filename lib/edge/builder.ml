@@ -21,8 +21,6 @@ let create label =
   { label; insts = []; n_insts = 0; reads = []; n_reads = 0; writes = [];
     arcs = []; lsid = 0 }
 
-let next_lsid t = t.lsid
-
 let assign_lsid t (op : Isa.opcode) =
   match op with
   | Isa.Load (ty, w, l) when l < 0 ->

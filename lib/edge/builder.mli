@@ -38,9 +38,6 @@ val id : h -> int
 (** Stable identifier, unique among this block's handles; usable as a hash
     or memoization key. *)
 
-val next_lsid : t -> int
-(** LSID that the next memory instruction will receive. *)
-
 val finish : t -> Block.t
 (** Materialize the block: build fanout trees, lay out read/write slots,
     fill targets, and run {!Block.validate}.

@@ -107,8 +107,8 @@ val run :
   args:Trips_tir.Ty.value list ->
   result
 (** [run program image ~entry ~args] executes function [entry].  Arguments
-    are placed in the argument registers of the EDGE ABI ({!abi_arg_regs});
-    the result is taken from {!abi_ret_reg}.  [fuel] bounds total fired
+    are placed in the argument registers of the EDGE ABI; the result is
+    taken from its return register.  [fuel] bounds total fired
     instructions (default 400 million).  [on_instance] sees every
     committed block instance after its stores and register writes.
     @raise Stuck as described above. *)
@@ -118,6 +118,3 @@ val blocks : Block.program -> Block.t array
     order [run] dispatches by and {!instance.iindex} indexes.  A label
     defined twice names its later block, which is the only one [run]
     executes. *)
-
-val abi_ret_reg : int
-val abi_arg_regs : int list

@@ -20,12 +20,10 @@ val max_writes : int
 val max_lsids : int
 val max_exits : int
 val num_regs : int
-val reg_banks : int
 
 (* Execution-tile mesh geometry (single source of truth for the scheduler,
    the default placement and the block validator): a 4x4 ET grid with 8
    reservation-station slots per tile per block. *)
-val et_grid : int
 val num_ets : int
 val et_slots : int
 
@@ -98,6 +96,5 @@ val latency : opcode -> int
     get their latency from the memory model instead). *)
 
 val slot_name : slot -> string
-val opcode_name : opcode -> string
 val pp_inst : Format.formatter -> inst -> unit
 val pp_target : Format.formatter -> target -> unit

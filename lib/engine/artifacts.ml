@@ -5,8 +5,6 @@ type meta = { id : string; title : string; note : string }
 
 type format = Ascii | Json_fmt | Csv
 
-let format_name = function Ascii -> "ascii" | Json_fmt -> "json" | Csv -> "csv"
-
 let render fmt table =
   match fmt with
   | Ascii -> Table.render table

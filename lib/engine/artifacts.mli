@@ -11,8 +11,6 @@ type meta = { id : string; title : string; note : string }
 
 type format = Ascii | Json_fmt | Csv
 
-val format_name : format -> string
-
 val render : format -> Trips_util.Table.t -> string
 
 val write_run :

@@ -234,18 +234,6 @@ let await ticket =
   | Ok table -> Done (table, ticket.t_origin)
   | Error msg -> Error msg
 
-let poll ticket =
-  let t = ticket.t_pool in
-  Mutex.lock t.lock;
-  let r =
-    match ticket.t_entry.e_state with
-    | Settled (Ok table) -> Some (Done (table, ticket.t_origin))
-    | Settled (Error msg) -> Some (Error msg)
-    | Queued | Running -> None
-  in
-  Mutex.unlock t.lock;
-  r
-
 let cancel ticket =
   let t = ticket.t_pool in
   Mutex.lock t.lock;

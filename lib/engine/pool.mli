@@ -60,9 +60,6 @@ val submit :
 val await : ticket -> outcome
 (** Block until the ticket's job settles (immediately for cache hits). *)
 
-val poll : ticket -> outcome option
-(** Non-blocking: [None] while the job is queued or running. *)
-
 val cancel : ticket -> bool
 (** Detach this requester.  [true] = detached before the result was
     delivered: a queued job whose last requester cancels is dropped

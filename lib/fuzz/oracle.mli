@@ -72,8 +72,6 @@ val make :
 (** Every check on by default, at every {!Trips_workloads.Preset}; the
     timing corridor runs with [check_sim]. *)
 
-val apply_inject : inject -> Trips_edge.Block.program -> Trips_edge.Block.program
-
 val run : t -> Trips_tir.Ast.program -> verdict
 
 val focus : t -> failure -> t

@@ -12,15 +12,11 @@ val check : Trips_tir.Ast.program -> (unit, string) result
     globals referenced by [Glo] exist, and [For] steps are nonzero. *)
 
 val size_expr : Trips_tir.Ast.expr -> int
-val size_stmt : Trips_tir.Ast.stmt -> int
-val size_global : Trips_tir.Ast.global -> int
 
 val size_program : Trips_tir.Ast.program -> int
 (** Total AST node count (statements + expression nodes + globals and
     their initializer cells); the measure the shrinker strictly
     decreases. *)
-
-val definitely_returns : Trips_tir.Ast.stmt list -> bool
 
 val stmt_count : Trips_tir.Ast.program -> int
 (** Number of statements (including nested ones) across all functions. *)

@@ -29,27 +29,32 @@ type row = {
 (* the optimizing presets *)
 let swept = List.filter (fun p -> p <> Preset.O0) Preset.all
 
-let key what p (b : Registry.bench) =
-  Printf.sprintf "absint/%s/%s/%s" what (Preset.name p) b.Registry.name
+let facts = Platforms.Memo.create ()
 
 let facts_of p (b : Registry.bench) : Absint.stats =
-  Platforms.memo (key "facts" p b)
+  Platforms.Memo.find_or_compute facts (p, b.Registry.name)
     (fun () ->
       let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
       Absint.stats (Absint.analyze cfg))
 
+let diags = Platforms.Memo.create ()
+
 let diags_of p (b : Registry.bench) =
-  Platforms.memo (key "diags" p b)
+  Platforms.Memo.find_or_compute diags (p, b.Registry.name)
     (fun () ->
       let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
       Trips_analysis.Diag.dedup (Absint.diags (Absint.analyze cfg)))
 
+let hits = Platforms.Memo.create ()
+
 let hits_of p (b : Registry.bench) : Driver.gstats =
-  Platforms.memo (key "hits" p b)
+  Platforms.Memo.find_or_compute hits (p, b.Registry.name)
     (fun () -> snd (Driver.compile_stats (Preset.driver p) b.Registry.program))
 
+let cycles = Platforms.Memo.create ()
+
 let cycles_of ~global_opt p (b : Registry.bench) : int =
-  Platforms.memo (Printf.sprintf "%s/%b" (key "cycles" p b) global_opt)
+  Platforms.Memo.find_or_compute cycles (p, b.Registry.name, global_opt)
     (fun () ->
       let prog = Driver.compile ~global_opt (Preset.driver p) b.Registry.program in
       let image = Image.build b.Registry.program.Ast.globals in

@@ -4,8 +4,8 @@
     abstract interpretation derives, the global-optimization hits they
     buy ({!Trips_compiler.Driver.gstats}), and — for the simple suite
     under the C preset — the end-to-end simulated-cycle delta between
-    the global passes on and off.  All sub-results are memoized through
-    {!Platforms.memo}, so the CLI and the experiment share work. *)
+    the global passes on and off.  All sub-results are memoized in
+    {!Platforms.Memo} tables, so the CLI and the experiment share work. *)
 
 module Registry = Trips_workloads.Registry
 module Preset = Trips_workloads.Preset

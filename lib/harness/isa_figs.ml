@@ -1,5 +1,4 @@
 module Registry = Trips_workloads.Registry
-module Preset = Trips_workloads.Preset
 module Exec = Trips_edge.Exec
 module Block = Trips_edge.Block
 module Stats = Trips_util.Stats
@@ -193,10 +192,10 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 
 (* Unique blocks fetched during execution. *)
+let touched = Platforms.Memo.create ()
+
 let touched_blocks q (b : Registry.bench) =
-  Platforms.memo
-    (Printf.sprintf "codesize/%s/%s" (Preset.name q) b.Registry.name)
-  @@ fun () ->
+  Platforms.Memo.find_or_compute touched (q, b.Registry.name) @@ fun () ->
   let prog = Platforms.edge_program q b in
   let image = Image.build b.Registry.program.Ast.globals in
   let seen : (string, int) Hashtbl.t = Hashtbl.create 64 in

@@ -21,56 +21,77 @@ let check name expected got =
             (match expected with Some v -> Ty.value_to_string v | None -> "-")
             (match got with Some v -> Ty.value_to_string v | None -> "-")))
 
-(* The memo table is shared by every engine worker domain: guard it with a
-   mutex, and track in-flight keys so concurrent requests for the same
-   (benchmark, platform) pair simulate once — the losers block until the
-   winner publishes instead of duplicating a multi-second run. *)
-let table : (string, Obj.t) Hashtbl.t = Hashtbl.create 256
-let table_lock = Mutex.create ()
-let inflight : (string, unit) Hashtbl.t = Hashtbl.create 16
-let inflight_done = Condition.create ()
+module Memo = struct
+  (* Every engine worker domain shares a table: a mutex guards it, and
+     in-flight keys are tracked so concurrent requests for one key compute
+     once — the losers block until the winner publishes instead of
+     duplicating a multi-second run. *)
+  type ('k, 'v) t = {
+    entries : ('k, 'v) Hashtbl.t;
+    inflight : ('k, unit) Hashtbl.t;
+    lock : Mutex.t;
+    settled : Condition.t;
+  }
 
-let cached key f =
-  Mutex.lock table_lock;
-  let rec obtain () =
-    match Hashtbl.find_opt table key with
-    | Some v ->
-      Mutex.unlock table_lock;
-      Obj.obj v
-    | None ->
-      if Hashtbl.mem inflight key then begin
-        Condition.wait inflight_done table_lock;
-        obtain ()
-      end
-      else begin
-        Hashtbl.replace inflight key ();
-        Mutex.unlock table_lock;
-        let v = try Ok (f ()) with e -> Error e in
-        Mutex.lock table_lock;
-        Hashtbl.remove inflight key;
-        (match v with
-        | Ok v -> Hashtbl.replace table key (Obj.repr v)
-        | Error _ -> ());
-        Condition.broadcast inflight_done;
-        Mutex.unlock table_lock;
-        match v with Ok v -> v | Error e -> raise e
-      end
-  in
-  obtain ()
+  (* one reset per table ever created, for [clear_caches] *)
+  let resets : (unit -> unit) list Atomic.t = Atomic.make []
 
-let memo key f = cached key f
+  let create () =
+    let t =
+      { entries = Hashtbl.create 64; inflight = Hashtbl.create 4;
+        lock = Mutex.create (); settled = Condition.create () }
+    in
+    let reset () =
+      Mutex.lock t.lock;
+      Hashtbl.reset t.entries;
+      Mutex.unlock t.lock
+    in
+    let rec register () =
+      let rs = Atomic.get resets in
+      if not (Atomic.compare_and_set resets rs (reset :: rs)) then register ()
+    in
+    register ();
+    t
 
-let clear_caches () =
-  Mutex.lock table_lock;
-  Hashtbl.reset table;
-  Mutex.unlock table_lock
+  let find_or_compute t key f =
+    Mutex.lock t.lock;
+    let rec obtain () =
+      match Hashtbl.find_opt t.entries key with
+      | Some v ->
+        Mutex.unlock t.lock;
+        v
+      | None ->
+        if Hashtbl.mem t.inflight key then begin
+          Condition.wait t.settled t.lock;
+          obtain ()
+        end
+        else begin
+          Hashtbl.replace t.inflight key ();
+          Mutex.unlock t.lock;
+          let v = try Ok (f ()) with e -> Error e in
+          Mutex.lock t.lock;
+          Hashtbl.remove t.inflight key;
+          (match v with Ok v -> Hashtbl.replace t.entries key v | Error _ -> ());
+          Condition.broadcast t.settled;
+          Mutex.unlock t.lock;
+          match v with Ok v -> v | Error e -> raise e
+        end
+    in
+    obtain ()
+end
+
+let clear_caches () = List.iter (fun reset -> reset ()) (Atomic.get Memo.resets)
+
+let programs = Memo.create ()
 
 let edge_program q (b : Registry.bench) : Trips_edge.Block.program =
-  cached (Printf.sprintf "prog/%s/%s" (Preset.name q) b.Registry.name) (fun () ->
+  Memo.find_or_compute programs (q, b.Registry.name) (fun () ->
       Preset.edge_program q b)
 
+let exec_stats = Memo.create ()
+
 let edge_stats q (b : Registry.bench) : Exec.stats =
-  cached (Printf.sprintf "exec/%s/%s" (Preset.name q) b.Registry.name) (fun () ->
+  Memo.find_or_compute exec_stats (q, b.Registry.name) (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Exec.run prog image ~entry:"main" ~args:[] in
@@ -78,20 +99,21 @@ let edge_stats q (b : Registry.bench) : Exec.stats =
       check (b.Registry.name ^ "/edge-" ^ Preset.name q) exp_v r.Exec.ret;
       r.Exec.stats)
 
-let trips_with config ~tag q (b : Registry.bench) : Core.result =
-  cached (Printf.sprintf "trips/%s/%s/%s" tag (Preset.name q) b.Registry.name)
-    (fun () ->
+let trips_runs = Memo.create ()
+
+let trips q (b : Registry.bench) : Core.result =
+  Memo.find_or_compute trips_runs (q, b.Registry.name) (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
-      let r = Core.run ~config prog image ~entry:"main" ~args:[] in
+      let r = Core.run prog image ~entry:"main" ~args:[] in
       let exp_v, _ = Registry.golden b in
-      check (b.Registry.name ^ "/trips-" ^ tag ^ Preset.name q) exp_v r.Core.ret;
+      check (b.Registry.name ^ "/trips-proto" ^ Preset.name q) exp_v r.Core.ret;
       r)
 
-let trips q b = trips_with Core.prototype ~tag:"proto" q b
+let risc_runs = Memo.create ()
 
 let risc ?(unroll = 1) (b : Registry.bench) : Risc.Exec.stats =
-  cached (Printf.sprintf "risc/u%d/%s" unroll b.Registry.name) (fun () ->
+  Memo.find_or_compute risc_runs (unroll, b.Registry.name) (fun () ->
       let prog = Risc.Codegen.compile ~unroll b.Registry.program in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Risc.Exec.run prog image ~entry:"main" ~args:[] in
@@ -99,10 +121,10 @@ let risc ?(unroll = 1) (b : Registry.bench) : Risc.Exec.stats =
       check (b.Registry.name ^ "/risc") exp_v (Risc.Exec.ret_value r b.Registry.ret);
       r.Risc.Exec.stats)
 
+let super_runs = Memo.create ()
+
 let super (cfg : Ooo.config) ~icc (b : Registry.bench) : Ooo.result =
-  cached
-    (Printf.sprintf "super/%s/%s/%s" cfg.Ooo.name (if icc then "icc" else "gcc")
-       b.Registry.name)
+  Memo.find_or_compute super_runs (cfg.Ooo.name, icc, b.Registry.name)
     (fun () ->
       let unroll = if icc then 4 else 1 in
       let prog = Risc.Codegen.compile ~unroll b.Registry.program in
@@ -118,9 +140,10 @@ let super (cfg : Ooo.config) ~icc (b : Registry.bench) : Ooo.result =
       check (b.Registry.name ^ "/" ^ cfg.Ooo.name) exp_v got;
       r)
 
+let ideal_runs = Memo.create ()
+
 let ideal (cfg : Ideal.config) ~tag q (b : Registry.bench) : Ideal.result =
-  cached (Printf.sprintf "ideal/%s/%s/%s" tag (Preset.name q) b.Registry.name)
-    (fun () ->
+  Memo.find_or_compute ideal_runs (tag, q, b.Registry.name) (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Ideal.run ~config:cfg prog image ~entry:"main" ~args:[] in

@@ -19,11 +19,6 @@ val edge_stats : quality -> Trips_workloads.Registry.bench -> Trips_edge.Exec.st
 val trips : quality -> Trips_workloads.Registry.bench -> Trips_sim.Core.result
 (** Cycle-level TRIPS prototype run (Figs 6, 8, 9, 11, 12, Table 3). *)
 
-val trips_with :
-  Trips_sim.Core.config -> tag:string -> quality -> Trips_workloads.Registry.bench ->
-  Trips_sim.Core.result
-(** TRIPS run under a non-default configuration (ablations). *)
-
 val risc : ?unroll:int -> Trips_workloads.Registry.bench -> Trips_risc.Exec.stats
 (** PowerPC-baseline counts (the gcc-shaped build; [unroll] for icc). *)
 
@@ -40,10 +35,23 @@ val ideal :
 exception Mismatch of string
 (** A pipeline produced a result different from the interpreter's. *)
 
-val memo : string -> (unit -> 'a) -> 'a
-(** Memoize an arbitrary computation in the shared per-process table the
-    platform runners use.  Keys must be globally unique; the table is
-    domain-safe and deduplicates concurrent computations of one key, so
-    engine warm sub-jobs can force entries in parallel. *)
+(** Per-process memo tables, one per kind of result, keyed by a typed
+    tuple (keys are compared and hashed structurally, so they hold no
+    closures).  A table is domain-safe and deduplicates concurrent
+    computations of one key, so engine warm sub-jobs can force entries in
+    parallel; a computation that raises caches nothing. *)
+module Memo : sig
+  type ('k, 'v) t
+
+  val create : unit -> ('k, 'v) t
+
+  val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+  (** The cached value of [key], else [f ()] stored under it.  A caller
+      that finds [key] in flight in another domain waits for its
+      result; if that computation raises, the waiter computes again.
+      An exception from [f] reaches only its own caller. *)
+end
 
 val clear_caches : unit -> unit
+(** Empty every memo table created so far, the platform runners' and
+    every other {!Memo.create}'s. *)

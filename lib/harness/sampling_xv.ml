@@ -33,19 +33,17 @@ type row = {
   sx_within : bool;         (* |est - actual| <= ci95 *)
 }
 
-let estimate ?(config = Core.prototype) (q : Platforms.quality)
-    (b : Registry.bench) : Sampled.estimate =
-  Platforms.memo
-    (Printf.sprintf "samplingxv/%s/%s" (Trips_workloads.Preset.name q)
-       b.Registry.name)
-    (fun () ->
+let estimates = Platforms.Memo.create ()
+
+let estimate (q : Platforms.quality) (b : Registry.bench) : Sampled.estimate =
+  Platforms.Memo.find_or_compute estimates (q, b.Registry.name) (fun () ->
       let prog = Platforms.edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
-      let _, est = Sampled.run ~config prog image ~entry:"main" ~args:[] in
+      let _, est = Sampled.run prog image ~entry:"main" ~args:[] in
       est)
 
-let compare_bench ?(config = Core.prototype) q (b : Registry.bench) : row =
-  let est = estimate ~config q b in
+let compare_bench q (b : Registry.bench) : row =
+  let est = estimate q b in
   let actual = (Platforms.trips q b).Core.timing.Core.cycles in
   let err = est.Sampled.es_cycles -. float_of_int actual in
   {
@@ -60,10 +58,7 @@ let compare_bench ?(config = Core.prototype) q (b : Registry.bench) : row =
     sx_within = Float.abs err <= est.Sampled.es_ci95;
   }
 
-let benches () = Registry.all
-
-let rows ?(config = Core.prototype) ?(quality = Platforms.C) bs =
-  List.map (compare_bench ~config quality) bs
+let rows ?(quality = Platforms.C) bs = List.map (compare_bench quality) bs
 
 let within_of rows = List.length (List.filter (fun r -> r.sx_within) rows)
 
@@ -116,4 +111,4 @@ let table_of rs : Table.t =
     [ "mean |error|"; ""; ""; ""; Table.fpct (mean_abs_error_of rs); ""; "" ];
   t
 
-let crossval () : Table.t = table_of (rows (benches ()))
+let crossval () : Table.t = table_of (rows Registry.all)

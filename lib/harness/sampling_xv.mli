@@ -22,26 +22,12 @@ type row = {
 }
 
 val estimate :
-  ?config:Trips_sim.Core.config ->
-  Platforms.quality ->
-  Trips_workloads.Registry.bench ->
-  Trips_sim.Sampled.estimate
-(** Memoized sampled run over a registered benchmark. *)
-
-val compare_bench :
-  ?config:Trips_sim.Core.config ->
-  Platforms.quality ->
-  Trips_workloads.Registry.bench ->
-  row
-
-val benches : unit -> Trips_workloads.Registry.bench list
-(** Every registered workload (the cross-validation population). *)
+  Platforms.quality -> Trips_workloads.Registry.bench -> Trips_sim.Sampled.estimate
+(** Memoized sampled run over a registered benchmark at
+    {!Trips_sim.Core.prototype}. *)
 
 val rows :
-  ?config:Trips_sim.Core.config ->
-  ?quality:Platforms.quality ->
-  Trips_workloads.Registry.bench list ->
-  row list
+  ?quality:Platforms.quality -> Trips_workloads.Registry.bench list -> row list
 
 val within_of : row list -> int
 (** Workloads whose true cycle count falls inside the reported CI. *)

@@ -8,7 +8,7 @@
     daemon, the batch CLI and any future client all address identical
     {!Trips_engine.Result_cache} entries.
 
-    Handlers are memo-backed ({!Platforms.memo}), domain-safe, and raise
+    Handlers are memo-backed ({!Platforms.Memo}), domain-safe, and raise
     only on genuinely broken pipelines; request validation happens in
     {!make} so a malformed request is rejected before any work runs. *)
 
@@ -21,7 +21,6 @@ type verb =
 
 val verbs : verb list
 val verb_name : verb -> string
-val verb_of_string : string -> verb option
 
 type request = private {
   verb : verb;

@@ -9,7 +9,6 @@
    tracks the simulator from below. *)
 
 module Registry = Trips_workloads.Registry
-module Preset = Trips_workloads.Preset
 module Image = Trips_tir.Image
 module Ast = Trips_tir.Ast
 module Core = Trips_sim.Core
@@ -18,8 +17,10 @@ module Stats = Trips_util.Stats
 module Table = Trips_util.Table
 
 (* At [Core.prototype], the configuration [Platforms.trips] simulates. *)
+let predictions = Platforms.Memo.create ()
+
 let predict (q : Platforms.quality) (b : Registry.bench) : Timing.prediction =
-  Platforms.memo (Printf.sprintf "timingxv/%s/%s" (Preset.name q) b.Registry.name)
+  Platforms.Memo.find_or_compute predictions (q, b.Registry.name)
     (fun () ->
       let prog = Platforms.edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in

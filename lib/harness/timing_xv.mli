@@ -31,9 +31,6 @@ val rows :
   Trips_workloads.Registry.bench list ->
   row list
 
-val pearson_of : row list -> float
-val mape_of : row list -> float
-
 val crossval : unit -> Trips_util.Table.t
 (** The predicted-vs-measured table over every registered workload, with
     Pearson correlation and MAPE footer rows. *)

@@ -16,14 +16,16 @@ module Cg = Trips_risc.Codegen
 module Risa = Trips_risc.Isa
 module Table = Trips_util.Table
 
-let validate_edge ?max_paths tag (b : Registry.bench) : T.report list =
-  Platforms.memo
-    (Printf.sprintf "transval/%s/%s" (Preset.name tag) b.Registry.name)
-    (fun () -> fst (Driver.validate ?max_paths (Preset.driver tag) b.Registry.program))
+let edge_reports = Platforms.Memo.create ()
 
-let validate_risc ?max_paths (b : Registry.bench) : T.report list =
-  Platforms.memo
-    (Printf.sprintf "transval/RISC/%s" b.Registry.name)
+let validate_edge tag (b : Registry.bench) : T.report list =
+  Platforms.Memo.find_or_compute edge_reports (tag, b.Registry.name)
+    (fun () -> fst (Driver.validate (Preset.driver tag) b.Registry.program))
+
+let risc_reports = Platforms.Memo.create ()
+
+let validate_risc (b : Registry.bench) : T.report list =
+  Platforms.Memo.find_or_compute risc_reports b.Registry.name
     (fun () ->
       let prog, wits, layout = Cg.compile_witnessed b.Registry.program in
       let sym s =
@@ -44,7 +46,7 @@ let validate_risc ?max_paths (b : Registry.bench) : T.report list =
             | Cg.Reg r -> T.Lreg r
             | Cg.Spill s -> T.Lspill s
           in
-          T.check_risc_func ?max_paths ~sym ~fname ~cls ~loc ~frame:w.Cg.wf_frame
+          T.check_risc_func ~sym ~fname ~cls ~loc ~frame:w.Cg.wf_frame
             ~has_frame:w.Cg.wf_has_frame w.Cg.wf_cfg rf)
         wits)
 

@@ -8,7 +8,6 @@
     differential tests, which only witness executed paths. *)
 
 val validate_edge :
-  ?max_paths:int ->
   Trips_workloads.Preset.t ->
   Trips_workloads.Registry.bench ->
   Trips_analysis.Transval.report list
@@ -16,7 +15,6 @@ val validate_edge :
     dataflow conversion, scheduling, linking) of one benchmark. *)
 
 val validate_risc :
-  ?max_paths:int ->
   Trips_workloads.Registry.bench ->
   Trips_analysis.Transval.report list
 (** Memoized validation of the RISC backend's emitted code (per-block
@@ -30,7 +28,6 @@ type cell = {
 }
 
 val cell_edge : Trips_workloads.Preset.t -> Trips_workloads.Registry.bench -> cell
-val cell_risc : Trips_workloads.Registry.bench -> cell
 
 val sweep :
   ?presets:Trips_workloads.Preset.t list ->

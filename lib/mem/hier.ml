@@ -12,7 +12,6 @@ type t = {
   l1c : Cache.t;
   l2c : Cache.t option;
   dram : dram_config;
-  mutable dram_count : int;
   mutable dram_free_at : int;
 }
 
@@ -21,7 +20,6 @@ let create ~l1 ~l2 ~dram =
     l1c = Cache.create l1;
     l2c = Option.map Cache.create l2;
     dram;
-    dram_count = 0;
     dram_free_at = 0;
   }
 
@@ -29,7 +27,6 @@ let l1 t = t.l1c
 let l2 t = t.l2c
 
 let dram_access t ~now =
-  t.dram_count <- t.dram_count + 1;
   let line = (Cache.config t.l1c).Cache.line in
   let occupancy =
     int_of_float (ceil (float_of_int line /. t.dram.bytes_per_cycle))
@@ -53,11 +50,7 @@ let access t ~addr ~write ~now =
          + dram_access t ~now:(now + l1_lat),
          false)
 
-let dram_accesses t = t.dram_count
-let dram_busy_until t = t.dram_free_at
-
 let reset t =
   Cache.reset t.l1c;
   Option.iter Cache.reset t.l2c;
-  t.dram_count <- 0;
   t.dram_free_at <- 0

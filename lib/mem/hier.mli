@@ -25,7 +25,4 @@ val access : t -> addr:int -> write:bool -> now:int -> int * bool
 (** [(latency, l1_hit)] for an access issued at cycle [now].  The latency
     includes NUCA distance, DRAM latency and DRAM channel queueing. *)
 
-val dram_accesses : t -> int
-val dram_busy_until : t -> int
-
 val reset : t -> unit

@@ -46,8 +46,6 @@ let bases (p : Isa.program) =
     p.funcs;
   tbl
 
-let func_base p name = Hashtbl.find (bases p) name
-
 let is_flop (ins : Isa.ins) =
   match ins with
   | Isa.Op ((Ast.Fadd | Ast.Fsub | Ast.Fmul | Ast.Fdiv), _, _, _) -> true

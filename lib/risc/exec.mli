@@ -55,6 +55,3 @@ val run :
   entry:string ->
   args:Trips_tir.Ty.value list ->
   result
-
-val func_base : Isa.program -> string -> int
-(** Word address at which a function's code starts in the linked layout. *)

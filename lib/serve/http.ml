@@ -21,7 +21,6 @@ let reason = function
   | 408 -> "Request Timeout"
   | 413 -> "Payload Too Large"
   | 429 -> "Too Many Requests"
-  | 431 -> "Request Header Fields Too Large"
   | 500 -> "Internal Server Error"
   | 501 -> "Not Implemented"
   | 503 -> "Service Unavailable"
@@ -87,35 +86,51 @@ let parse_header_line line =
     in
     Result.Ok (name, value)
 
-(* [head] is everything before the blank line, CRLF-separated (bare LF
-   tolerated). *)
-let parse_head head =
-  let lines =
-    String.split_on_char '\n' head
-    |> List.map (fun l ->
-           let n = String.length l in
-           if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
-    |> List.filter (fun l -> l <> "")
+let rec parse_headers acc = function
+  | [] -> Result.Ok (List.rev acc)
+  | l :: rest -> (
+    match parse_header_line l with
+    | Result.Ok kv -> parse_headers (kv :: acc) rest
+    | Result.Error _ as e -> e)
+
+(* Offset and length of the blank line that ends a head: CRLF CRLF, or
+   bare LF LF as hand-typed netcat sends it, wherever either comes first
+   in [s] (the last two bytes included). *)
+let find_blank s =
+  let n = String.length s in
+  let rec go i =
+    if i + 1 >= n then None
+    else if s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2)
+    else if
+      i + 3 < n && s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+      && s.[i + 3] = '\n'
+    then Some (i, 4)
+    else go (i + 1)
   in
-  match lines with
+  go 0
+
+(* The non-empty lines of a head (everything before the blank line),
+   CRLF-separated with bare LF tolerated. *)
+let head_lines head =
+  String.split_on_char '\n' head
+  |> List.map (fun l ->
+         let n = String.length l in
+         if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
+  |> List.filter (fun l -> l <> "")
+
+let parse_head head =
+  match head_lines head with
   | [] -> Result.Error "empty request head"
   | request_line :: header_lines -> (
     match String.split_on_char ' ' request_line with
     | [ meth; target; version ]
       when meth <> "" && target <> ""
            && (version = "HTTP/1.1" || version = "HTTP/1.0") ->
-      let rec headers acc = function
-        | [] -> Result.Ok (List.rev acc)
-        | l :: rest -> (
-          match parse_header_line l with
-          | Result.Ok kv -> headers (kv :: acc) rest
-          | Result.Error _ as e -> e)
-      in
       Result.map
         (fun hs ->
           let path, query = split_target target in
           { meth; path; query; version; headers = hs; body = "" })
-        (headers [] header_lines)
+        (parse_headers [] header_lines)
     | _ -> Result.Error ("malformed request line: " ^ request_line))
 
 let content_length req =
@@ -129,14 +144,7 @@ let content_length req =
 (* Pure whole-request parser for tests: [s] holds the complete request
    bytes; the body must match content-length exactly. *)
 let parse_request s =
-  let n = String.length s in
-  let rec find_blank i =
-    if i + 3 < n && String.sub s i 4 = "\r\n\r\n" then Some (i, 4)
-    else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2)
-    else if i + 1 < n then find_blank (i + 1)
-    else None
-  in
-  match find_blank 0 with
+  match find_blank s with
   | None -> Result.Error "no end of head (blank line) found"
   | Some (head_end, sep) -> (
     match parse_head (String.sub s 0 head_end) with
@@ -157,7 +165,7 @@ let parse_request s =
 type read_result =
   | Request of request
   | Malformed of string  (* respond 400 and close *)
-  | Oversized of string  (* respond 413/431 and close *)
+  | Oversized of string  (* respond 413 and close *)
   | Eof                  (* peer closed (or timed out) between requests *)
 
 (* Read one request from [fd].  Returns [Eof] on a clean close before any
@@ -165,40 +173,36 @@ type read_result =
 let read_request fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
-  let head_end () =
-    let s = Buffer.contents buf in
-    let n = String.length s in
-    let rec go i =
-      if i + 3 < n && String.sub s i 4 = "\r\n\r\n" then Some (i, 4)
-      else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2)
-      else if i + 3 < n then go (i + 1)
-      else None
-    in
-    go 0
-  in
   let recv () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> 0
     | n ->
       Buffer.add_subbytes buf chunk 0 n;
       n
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
+    | exception
+        Unix.Unix_error
+          ((Unix.ECONNRESET | Unix.EPIPE | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      ->
+      (* a receive timeout ([SO_RCVTIMEO]) ends the request like a close *)
+      0
   in
   let rec read_head () =
-    match head_end () with
+    match find_blank (Buffer.contents buf) with
     | Some cut -> Some cut
     | None ->
       if Buffer.length buf > max_head_bytes then None
       else if recv () = 0 then None
       else read_head ()
   in
+  let oversized_head () =
+    Oversized (Printf.sprintf "request head exceeds %d bytes" max_head_bytes)
+  in
   match read_head () with
   | None ->
     if Buffer.length buf = 0 then Eof
-    else if Buffer.length buf > max_head_bytes then
-      Oversized
-        (Printf.sprintf "request head exceeds %d bytes" max_head_bytes)
+    else if Buffer.length buf > max_head_bytes then oversized_head ()
     else Malformed "connection closed mid-request"
+  | Some (head_at, sep) when head_at + sep > max_head_bytes -> oversized_head ()
   | Some (head_at, sep) -> (
     let all = Buffer.contents buf in
     match parse_head (String.sub all 0 head_at) with
@@ -273,25 +277,10 @@ let response_header resp name =
    [Connection: close], so EOF delimits); content-length, when present,
    trims trailing bytes. *)
 let parse_response s =
-  let n = String.length s in
-  let rec find_blank i =
-    if i + 3 < n && String.sub s i 4 = "\r\n\r\n" then Some (i, 4)
-    else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2)
-    else if i + 1 < n then find_blank (i + 1)
-    else None
-  in
-  match find_blank 0 with
+  match find_blank s with
   | None -> Result.Error "no end of response head found"
   | Some (head_at, sep) -> (
-    let head = String.sub s 0 head_at in
-    let lines =
-      String.split_on_char '\n' head
-      |> List.map (fun l ->
-             let n = String.length l in
-             if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
-      |> List.filter (fun l -> l <> "")
-    in
-    match lines with
+    match head_lines (String.sub s 0 head_at) with
     | [] -> Result.Error "empty response head"
     | status_line :: header_lines -> (
       match String.split_on_char ' ' status_line with
@@ -300,13 +289,6 @@ let parse_response s =
         match int_of_string_opt code with
         | None -> Result.Error ("bad status code: " ^ code)
         | Some status ->
-          let rec headers acc = function
-            | [] -> Result.Ok (List.rev acc)
-            | l :: rest -> (
-              match parse_header_line l with
-              | Result.Ok kv -> headers (kv :: acc) rest
-              | Result.Error _ as e -> e)
-          in
           Result.map
             (fun hs ->
               let body = String.sub s (head_at + sep) (String.length s - head_at - sep) in
@@ -320,5 +302,5 @@ let parse_response s =
                 | _ -> body
               in
               { status; r_headers = hs; r_body = body })
-            (headers [] header_lines))
+            (parse_headers [] header_lines))
       | _ -> Result.Error ("malformed status line: " ^ status_line)))

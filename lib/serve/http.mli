@@ -9,12 +9,14 @@
     the same grammar incrementally over a socket. *)
 
 val max_head_bytes : int
-(** Request-line + headers cap (16 KiB); beyond it the read reports
-    [Oversized] and the server answers 431. *)
+(** Cap on the head: request line, headers and the blank line that ends
+    them (16 KiB).  A longer head reads as [Oversized], which the server
+    answers with 413 and error code [too-large]. *)
 
 val max_body_bytes : int
-(** Body cap (1 MiB); beyond it the server answers 413 without reading
-    the body. *)
+(** Body cap (1 MiB).  A larger [Content-Length] reads as [Oversized]
+    without the body being read; the server answers 413 and
+    [too-large]. *)
 
 type request = {
   meth : string;                      (* "GET", "POST", ... *)
@@ -38,7 +40,7 @@ val parse_request : string -> (request, string) result
 type read_result =
   | Request of request
   | Malformed of string  (* answer 400 and close *)
-  | Oversized of string  (* answer 413/431 and close *)
+  | Oversized of string  (* answer 413 and close *)
   | Eof                  (* peer closed between requests *)
 
 val read_request : Unix.file_descr -> read_result

@@ -328,13 +328,6 @@ let request_stop t =
     try ignore (Unix.write t.stop_w (Bytes.of_string "x") 0 1)
     with Unix.Unix_error _ -> ()
 
-let wait_stop_requested t =
-  Mutex.lock t.lock;
-  while not t.stopping do
-    Condition.wait t.cond t.lock
-  done;
-  Mutex.unlock t.lock
-
 let stop t =
   request_stop t;
   (match t.accept_thread with

@@ -34,10 +34,6 @@ val request_stop : t -> unit
 (** Ask the server to stop; returns immediately.  Safe to call from a
     signal handler context via the self-pipe. *)
 
-val wait_stop_requested : t -> unit
-(** Block until {!request_stop} has been called (the daemon's main
-    thread parks here). *)
-
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain every admitted job, wait
     for open connections to finish their current response, release the

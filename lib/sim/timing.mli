@@ -19,8 +19,7 @@
     The parameters read from {!Core.config} are [dispatch_rate],
     [fetch_interval], [redirect_penalty], [commit_overhead],
     [window_blocks], the predictor, and the L1I/L1D [hit_latency].
-    {!analyze_block}, {!summarize_program} and {!predict_program} use
-    {!Core.prototype}'s. *)
+    {!analyze_block} and {!predict_program} use {!Core.prototype}'s. *)
 
 val neg : int
 (** Sentinel for "no path" in the summary lag tables. *)
@@ -69,13 +68,6 @@ val analyze_block :
     plus a ["timing-skipped"] diagnostic.  Machine parameters are
     {!Core.prototype}'s. *)
 
-val summarize_program :
-  Trips_edge.Block.program ->
-  (string, summary) Hashtbl.t * Trips_analysis.Diag.t list
-(** Summaries for every block (keyed by label), all per-block diagnostics,
-    plus cross-block ["reg-roundtrip"] findings: a register write carrying
-    the critical path from a block into its unique jump successor. *)
-
 val predicted_block_cost : Core.config -> summary -> int
 (** Standalone per-block latency estimate: fetch + critical path + commit
     overhead, ignoring inter-block overlap. *)
@@ -99,7 +91,6 @@ val step : state -> summary -> exit_idx:int -> prev_correct:bool -> unit
 val cycles : state -> int
 (** Predicted total cycles: commit time of the last stepped block. *)
 
-val blocks_stepped : state -> int
 val mispredicts : state -> int
 
 (** {1 Whole-program prediction} *)

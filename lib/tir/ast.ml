@@ -64,6 +64,10 @@ let binop_name = function
   | Fadd -> "+." | Fsub -> "-." | Fmul -> "*." | Fdiv -> "/."
   | Feq -> "==." | Fne -> "!=." | Flt -> "<." | Fle -> "<=." | Fgt -> ">." | Fge -> ">=."
 
+let commutative = function
+  | Add | Mul | And | Or | Xor | Fadd | Fmul | Eq | Ne | Feq | Fne -> true
+  | _ -> false
+
 let unop_name = function
   | Neg -> "neg" | Not -> "not" | Fneg -> "fneg"
   | Itof -> "itof" | Ftoi -> "ftoi"
@@ -176,12 +180,10 @@ module Infix = struct
   let ( =.: ) a b = Bin (Feq, a, b)
 
   let ld8 a = Load (Ty.I64, Ty.W8, a)
-  let ld4 a = Load (Ty.I64, Ty.W4, a)
   let ld2 a = Load (Ty.I64, Ty.W2, a)
   let ld1 a = Load (Ty.I64, Ty.W1, a)
   let ldf a = Load (Ty.F64, Ty.W8, a)
   let st8 a x = Store (Ty.W8, a, x)
-  let st4 a x = Store (Ty.W4, a, x)
   let st2 a x = Store (Ty.W2, a, x)
   let st1 a x = Store (Ty.W1, a, x)
   let stf a x = Store (Ty.W8, a, x)
@@ -192,7 +194,5 @@ module Infix = struct
   let for_ x lo hi b = For (x, lo, hi, 1L, b)
   let for_step x lo hi s b = For (x, lo, hi, s, b)
   let ret e = Return (Some e)
-  let ret0 = Return None
   let call fname args = Call (fname, args)
-  let callv fname args = Expr (Call (fname, args))
 end

@@ -66,10 +66,16 @@ val find_func : program -> string -> func
 (** @raise Not_found if absent. *)
 
 val binop_name : binop -> string
+
+val commutative : binop -> bool
+(** Operators whose operands may be swapped ([Fadd] and [Fmul] up to the
+    payload bits of a NaN result).  The EDGE converter swaps a
+    small constant into the immediate field on exactly this set, and the
+    validator's terms canonicalize operand order on it, so the two agree
+    by construction. *)
+
 val unop_name : unop -> string
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit
 
 val pp_global : Format.formatter -> global -> unit
@@ -119,12 +125,10 @@ module Infix : sig
   val ( =.: ) : expr -> expr -> expr
 
   val ld8 : expr -> expr                  (* i64 load, 8 bytes *)
-  val ld4 : expr -> expr                  (* i64 load, zero-extended word *)
   val ld2 : expr -> expr
   val ld1 : expr -> expr
   val ldf : expr -> expr                  (* f64 load *)
   val st8 : expr -> expr -> stmt
-  val st4 : expr -> expr -> stmt
   val st2 : expr -> expr -> stmt
   val st1 : expr -> expr -> stmt
   val stf : expr -> expr -> stmt          (* f64 store (width 8) *)
@@ -136,7 +140,5 @@ module Infix : sig
       (* step 1 loop *)
   val for_step : string -> expr -> expr -> int64 -> stmt list -> stmt
   val ret : expr -> stmt
-  val ret0 : stmt
   val call : string -> expr list -> expr
-  val callv : string -> expr list -> stmt (* call ignoring the result *)
 end

@@ -158,5 +158,3 @@ let pp ppf p =
   Format.fprintf ppf "@]"
 
 let to_string p = Format.asprintf "%a@." pp p
-
-let ins_count f = List.fold_left (fun acc b -> acc + List.length b.ins) 0 f.blocks

@@ -57,11 +57,11 @@ val map_term_operands : (operand -> operand) -> term -> term
 val find_func : program -> string -> func
 val add_ins : Buffer.t -> ins -> unit
 val add_term : Buffer.t -> term -> unit
-(** Append the text {!pp_ins} / {!pp_term} prints, without [Format]. *)
+(** Append the text {!pp_ins} / {!pp_func} print for an instruction or
+    terminator, without [Format]. *)
 
 val pp_operand : Format.formatter -> operand -> unit
 val pp_ins : Format.formatter -> ins -> unit
-val pp_term : Format.formatter -> term -> unit
 val pp_func : Format.formatter -> func -> unit
 val pp_program : Format.formatter -> program -> unit
 
@@ -70,6 +70,3 @@ val pp : Format.formatter -> program -> unit
     {!Ast.pp} for the lowered program. *)
 
 val to_string : program -> string
-
-val ins_count : func -> int
-(** Static instruction count (excluding terminators). *)

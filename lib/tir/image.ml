@@ -55,7 +55,6 @@ let build ?mem_kb (globals : Ast.global list) =
 let addr_of t name = List.assoc name t.symbols
 let size t = Bytes.length t.mem
 let stack_base t = Bytes.length t.mem - 16
-let scratch_base t = t.scratch
 let copy t = { t with mem = Bytes.copy t.mem }
 
 (* [addr > length - bytes] rather than [addr + bytes > length]: a huge
@@ -103,7 +102,7 @@ let store t w addr (value : Ty.value) =
 let equal a b = Bytes.equal a.mem b.mem
 
 let checksum t =
-  (* cover the program-data region only: the area above [scratch_base] is
+  (* cover the program-data region only: the area above the globals is
      runtime stack/scratch, which ABIs are free to use differently *)
   let h = ref 0xcbf29ce484222325L in
   for i = 0 to t.scratch - 1 do

@@ -23,9 +23,6 @@ val size : t -> int
 val stack_base : t -> int
 (** Top-of-memory stack pointer for the RISC ABI (grows down). *)
 
-val scratch_base : t -> int
-(** First address past the globals; free for runtime scratch data. *)
-
 val copy : t -> t
 (** Deep copy, so multiple simulations can start from the same initial
     image. *)
@@ -39,9 +36,6 @@ val load : t -> Ty.t -> Ty.width -> int -> Ty.value
 val store : t -> Ty.width -> int -> Ty.value -> unit
 (** Truncating little-endian store. @raise Semantics.Trap on range error. *)
 
-val store_bits : t -> Ty.width -> int -> int64 -> unit
-(** {!store} of a value given as its 64 bits (a float's IEEE bits). *)
-
 val load_u : t -> Ty.width -> int -> int64
 (** Zero-extending raw load (no float view). *)
 
@@ -52,13 +46,13 @@ val load_lane : t -> Ty.width -> int -> Bytes.t -> int -> unit
     @raise Semantics.Trap on out-of-range access. *)
 
 val store_lane : t -> Ty.width -> int -> Bytes.t -> int -> unit
-(** [store_lane t w addr lane k]: {!store_bits} of slot [k]'s bits.
+(** [store_lane t w addr lane k]: {!store} of slot [k]'s 64 bits.
     @raise Semantics.Trap on out-of-range access. *)
 
 val equal : t -> t -> bool
 (** Byte equality of the whole image — the integration tests' final check. *)
 
 val checksum : t -> int64
-(** FNV-style checksum over the program-data region (up to
-    {!scratch_base}); the stack/scratch area above it is excluded since
+(** FNV-style checksum over the program-data region (up to the end of
+    the globals); the stack/scratch area above it is excluded since
     different ABIs legitimately use it differently. *)

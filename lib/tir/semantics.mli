@@ -49,8 +49,5 @@ val unop_lanes : Ast.unop -> Bytes.t -> int array -> int -> int -> unit
 (** [unop_lanes op bits tags d a]: {!unop} from slot [a] to slot [d],
     under {!binop_lanes}' contract. *)
 
-val sext : Ty.width -> int64 -> int64
-(** Sign-extend the low bytes. *)
-
 val zext : Ty.width -> int64 -> int64
 (** Zero-extend the low bytes. *)

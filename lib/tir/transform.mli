@@ -5,9 +5,6 @@
     loop fusion (§7).  We implement the mechanical ones here; compiler presets
     ({!Trips_compiler.Driver}) choose how aggressively to apply them. *)
 
-val subst_expr : string -> Ast.expr -> Ast.expr -> Ast.expr
-(** [subst_expr x e body] replaces free reads of variable [x] by [e]. *)
-
 val unroll : factor:int -> Ast.func -> Ast.func
 (** Unroll counted [For] loops by [factor] where legal: the bound must be
     invariant in the body and the body must not reassign the index.  A

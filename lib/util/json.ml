@@ -273,7 +273,7 @@ let as_float = function
   | _ -> None
 
 let as_list = function List l -> Some l | _ -> None
-let as_obj = function Obj f -> Some f | _ -> None
+
 
 let mem_str k v = Option.bind (member k v) as_str
 let mem_int k v = Option.bind (member k v) as_int

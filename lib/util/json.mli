@@ -48,7 +48,6 @@ val as_float : t -> float option
 (** Accepts [Int] too (JSON does not distinguish). *)
 
 val as_list : t -> t list option
-val as_obj : t -> (string * t) list option
 
 val mem_str : string -> t -> string option
 (** [mem_str k v] = [member k v |> as_str]; likewise the two below. *)

@@ -32,5 +32,4 @@ let zeros name n = Ast.global name (n * 8)
 open Ast.Infix
 
 let elt8 gname k = g gname +: (k <<: i 3)
-let elt4 gname k = g gname +: (k <<: i 2)
 let elt1 gname k = g gname +: k

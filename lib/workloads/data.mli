@@ -26,5 +26,4 @@ val zeros : string -> int -> Trips_tir.Ast.global
 val elt8 : string -> Trips_tir.Ast.expr -> Trips_tir.Ast.expr
 (** [elt8 g k] = address of the k-th 8-byte element of global [g]. *)
 
-val elt4 : string -> Trips_tir.Ast.expr -> Trips_tir.Ast.expr
 val elt1 : string -> Trips_tir.Ast.expr -> Trips_tir.Ast.expr

@@ -9,12 +9,7 @@ val conv : Trips_tir.Ast.program
 val vadd : Trips_tir.Ast.program
 val matrix : Trips_tir.Ast.program
 
-val matrix_n : int
-(** Matrix dimension, for FLOP accounting in the §6 FPC comparison. *)
-
 val vadd_hand_edge : Trips_edge.Block.program
 (** Hand-scheduled vadd: eight elements per 128-instruction block, addresses
     streamed through immediate displacements, saturating the four D-cache
     banks as in Fig 8's bandwidth table. *)
-
-val vadd_elems : int

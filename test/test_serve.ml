@@ -12,6 +12,7 @@ module Client = Trips_serve.Client
 module Service = Trips_harness.Service
 module Preset = Trips_workloads.Preset
 module Pool = Trips_engine.Pool
+module Memo = Trips_harness.Platforms.Memo
 
 let ok_request = function
   | Result.Ok (r : Http.request) -> r
@@ -85,6 +86,99 @@ let test_http_response_roundtrip () =
       (Some "application/json")
       (Http.response_header resp "content-type");
     Alcotest.(check string) "body" {|{"ok":false}|} resp.Http.r_body
+
+(* -- HTTP over a socket ------------------------------------------------ *)
+
+(* [Http.read_request] on one end of a socketpair after [bytes] went into
+   the other.  The 2 s receive timeout turns a read that waits for bytes
+   that never come into a failure instead of a hang. *)
+let read_over_socketpair bytes =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  Unix.setsockopt_float r Unix.SO_RCVTIMEO 2.0;
+  Http.write_all w bytes;
+  Http.read_request r
+
+let describe = function
+  | Http.Request r -> "Request " ^ r.Http.path
+  | Http.Malformed m -> "Malformed " ^ m
+  | Http.Oversized m -> "Oversized " ^ m
+  | Http.Eof -> "Eof"
+
+let test_http_read_bare_lf () =
+  (* the blank line is the last two bytes received *)
+  match read_over_socketpair "GET /health HTTP/1.0\n\n" with
+  | Http.Request r -> Alcotest.(check string) "path" "/health" r.Http.path
+  | other -> Alcotest.fail (describe other)
+
+(* A head of exactly [n] bytes, blank line included. *)
+let head_of_length n =
+  let start = "GET /health HTTP/1.1\r\nX-Pad: " in
+  start ^ String.make (n - String.length start - 4) 'a' ^ "\r\n\r\n"
+
+let test_http_read_oversized () =
+  (match read_over_socketpair (head_of_length Http.max_head_bytes) with
+  | Http.Request _ -> ()
+  | other -> Alcotest.fail ("head at the cap: " ^ describe other));
+  (match read_over_socketpair (head_of_length (Http.max_head_bytes + 1)) with
+  | Http.Oversized _ -> ()
+  | other -> Alcotest.fail ("head past the cap: " ^ describe other));
+  (* no body follows: reading one would time out as [Malformed] *)
+  match
+    read_over_socketpair
+      (Printf.sprintf "POST /api/v1/timing HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         (Http.max_body_bytes + 1))
+  with
+  | Http.Oversized _ -> ()
+  | other -> Alcotest.fail ("body past the cap: " ^ describe other)
+
+(* -- Harness memo tables ----------------------------------------------- *)
+
+let test_memo_concurrent_once () =
+  let t = Memo.create () in
+  let runs = Atomic.make 0 and arrived = Atomic.make 0 in
+  let compute () =
+    Atomic.incr runs;
+    (* stay in flight until every domain has asked, and a little longer *)
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Atomic.get arrived < 4 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.05;
+    42
+  in
+  let ask () =
+    Atomic.incr arrived;
+    Memo.find_or_compute t (Preset.C, "fft") compute
+  in
+  let answers = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn ask)) in
+  Alcotest.(check (list int)) "every domain gets the value" [ 42; 42; 42; 42 ]
+    answers;
+  Alcotest.(check int) "the thunk runs once" 1 (Atomic.get runs)
+
+let test_memo_exception_not_cached () =
+  let t = Memo.create () in
+  let runs = ref 0 in
+  (match Memo.find_or_compute t 7 (fun () -> incr runs; failwith "boom") with
+  | (_ : int) -> Alcotest.fail "expected the thunk's exception"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+  Alcotest.(check int) "recomputed after a raise" 3
+    (Memo.find_or_compute t 7 (fun () -> incr runs; 3));
+  Alcotest.(check int) "the thunk ran twice" 2 !runs
+
+let test_memo_clear_caches () =
+  let by_preset = Memo.create () and by_int = Memo.create () in
+  let runs = ref 0 in
+  let fill () =
+    ignore (Memo.find_or_compute by_preset (Preset.H, "ct") (fun () -> incr runs; "x"));
+    ignore (Memo.find_or_compute by_int 1 (fun () -> incr runs; 1.5))
+  in
+  fill ();
+  fill ();
+  Alcotest.(check int) "cached" 2 !runs;
+  Trips_harness.Platforms.clear_caches ();
+  fill ();
+  Alcotest.(check int) "both tables recompute" 4 !runs
 
 (* -- JSON parser ------------------------------------------------------- *)
 
@@ -469,6 +563,19 @@ let () =
             test_http_malformed;
           Alcotest.test_case "response roundtrip" `Quick
             test_http_response_roundtrip;
+          Alcotest.test_case "read: bare-LF head at the end" `Quick
+            test_http_read_bare_lf;
+          Alcotest.test_case "read: oversized head and body" `Quick
+            test_http_read_oversized;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "concurrent askers compute once" `Quick
+            test_memo_concurrent_once;
+          Alcotest.test_case "a raise caches nothing" `Quick
+            test_memo_exception_not_cached;
+          Alcotest.test_case "clear_caches resets every table" `Quick
+            test_memo_clear_caches;
         ] );
       ( "json",
         [
