@@ -260,7 +260,7 @@ let run_bench name q sim =
         est.Sampled.es_measured_blocks est.Sampled.es_total_blocks
         est.Sampled.es_cpb_mean est.Sampled.es_cpb_stddev
   | Ideal ->
-    let r = Platforms.ideal Trips_limit.Ideal.trips_window ~tag:"1k" q b in
+    let r = Platforms.ideal Trips_limit.Ideal.trips_window q b in
     show_ret r.Trips_limit.Ideal.ret;
     Printf.printf "cycles: %d  IPC: %.2f\n" r.Trips_limit.Ideal.cycles
       (Trips_limit.Ideal.ipc r)
@@ -1006,7 +1006,7 @@ let simbench_sweep engine q benches =
   let cpu = Sys.time () -. c0 in
   (results, !spills, wall, cpu, words)
 
-let simbench_main q fixture out compare_ref =
+let simbench_main q out compare_ref =
   guard @@ fun () ->
   let preset = Preset.name q in
   let benches = Registry.all in
@@ -1062,28 +1062,6 @@ let simbench_main q fixture out compare_ref =
      minor words/block — speedup x%.2f vs Core, mean |error| %.2f%%\n%!"
     samp_wall samp_cpu (bps samp_cpu) (per_block samp_words) (cpu /. samp_cpu)
     samp_err;
-  (match fixture with
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "(* Golden per-workload statistics of the seed (reference) cycle \
-       simulator,\n   recorded by `trips_run simbench --preset %s --fixture \
-       %s`.\n   Regenerate only if the *model* intentionally changes; the \
-       optimized\n   simulator must reproduce these numbers exactly \
-       (test_sim_parity.ml). *)\n\nlet preset = %S\n\n\
-       (* name, cycles, blocks, branch_mispredicts, callret_mispredicts,\n   \
-       dcache_misses, load_flushes *)\n\
-       let per_workload = [\n"
-      preset file preset;
-    List.iter
-      (fun (name, cy, bl, bm, cm, dm, lf) ->
-        Printf.fprintf oc "  (%S, %d, %d, %d, %d, %d, %d);\n" name cy bl bm cm
-          dm lf)
-      rows;
-    Printf.fprintf oc "]\n";
-    close_out oc;
-    Printf.eprintf "fixture: %s\n" file
-  | None -> ());
   Option.iter
     (fun file ->
       write_report ~what:"simbench" file
@@ -1150,13 +1128,6 @@ let simbench_cmd =
          command fails.";
     ]
   in
-  let fixture =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fixture" ] ~docv:"FILE"
-          ~doc:"Write the per-workload golden fixture as OCaml source to $(docv).")
-  in
   let compare_ref =
     Arg.(
       value & flag
@@ -1165,7 +1136,7 @@ let simbench_cmd =
   in
   Cmd.v
     (Cmd.info "simbench" ~doc ~man)
-    Term.(ret (const simbench_main $ quality_arg $ fixture $ out_arg $ compare_ref))
+    Term.(ret (const simbench_main $ quality_arg $ out_arg $ compare_ref))
 
 (* -- serve-bench: load report of the trips_serve daemon --------------- *)
 
@@ -1287,14 +1258,6 @@ module Fuzz_corpus = Trips_fuzz.Corpus
 let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
     corpus =
   guard @@ fun () ->
-  let count =
-    match count with
-    | Some n -> n
-    | None -> (
-      match Sys.getenv_opt "TRIPS_FUZZ_FULL" with
-      | Some ("1" | "true" | "yes") -> 5000
-      | _ -> 100)
-  in
   let inject =
     Option.map
       (fun s ->
@@ -1356,8 +1319,7 @@ let fuzz_cmd =
          Divergences auto-shrink to minimal repros.";
       `P
         "The run is deterministic for a fixed $(b,--seed) regardless of \
-         $(b,--jobs): reports are byte-identical. Set TRIPS_FUZZ_FULL=1 to \
-         raise the default program count to 5000.";
+         $(b,--jobs): reports are byte-identical.";
     ]
   in
   let seed =
@@ -1367,10 +1329,8 @@ let fuzz_cmd =
   in
   let count =
     Arg.(
-      value
-      & opt (some positive) None
-      & info [ "count" ] ~docv:"N"
-          ~doc:"Programs to generate (default 100; 5000 under TRIPS_FUZZ_FULL=1).")
+      value & opt positive 100
+      & info [ "count" ] ~docv:"N" ~doc:"Programs to generate.")
   in
   let presets =
     presets_arg ~docv:"O0|C|H|BB"

@@ -11,8 +11,13 @@ set -eu
 echo "== dune build =="
 dune build
 
-echo "== dune runtest =="
-dune runtest
+echo "== dune runtest, every golden row =="
+# A plain dune runtest checks a fast subset of each golden table;
+# TRIPS_GOLDEN_FULL checks every row (compiled code, emulator stats and
+# instance streams, Core against Core_ref's cycle stats, sampled
+# estimates, timing predictions, absint facts) and that each fixture
+# holds exactly the suite's keys (test/golden.ml).
+TRIPS_GOLDEN_FULL=1 dune runtest
 
 echo "== static analyzer: trips_run lint --all --strict, every preset =="
 dune exec bin/trips_run.exe -- lint --all --strict \
@@ -33,42 +38,9 @@ echo "== global abstract interpretation: trips_run absint --all --strict =="
 dune exec bin/trips_run.exe -- absint --all --preset C --preset H --preset BB \
   --strict --out absint-report.json >/dev/null
 
-echo "== absint fact golden: every workload x O0/C/H/BB =="
-# dune runtest checks a subset; the full sweep pins every fact the
-# analysis exposes to test/absint_golden.ml.
-TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test '^golden$' >/dev/null
-
-echo "== absint fuzz fact golden: 500 fuzz seeds x O0/C/H/BB =="
-# The same facts plus every gathered global rewrite, pinned per fuzz
-# program to test/absint_fuzz_golden.ml (dune runtest checks 50 seeds).
-TRIPS_ABSINT_GOLDEN_FULL=1 dune exec test/test_absint.exe -- test fuzz-golden >/dev/null
-
-echo "== sampled golden: every workload at preset C =="
-# dune runtest checks a subset; the full sweep pins every Sampled.run
-# estimate to test/sampled_golden.ml.
-TRIPS_SAMPLED_GOLDEN_FULL=1 dune exec test/test_sim_parity.exe -- test sampled_golden >/dev/null
-
-echo "== exec golden: every workload at preset C, instance streams at C and H =="
-# dune runtest checks a subset; the full sweep pins the functional
-# emulator's result and all of its statistics to test/exec_golden.ml,
-# and every committed instance (block, exit, fired, useful, memory
-# events) per workload at C and H and per fuzz seed 1-200 to
-# test/exec_stream_golden.ml.
-TRIPS_EXEC_GOLDEN_FULL=1 dune exec test/test_exec.exe >/dev/null
-
-echo "== compile golden: every workload x O0/C/H/BB, plus the RISC baseline =="
-# dune runtest checks a subset; the full sweep pins every compiled
-# program's code, register numbers and placement to test/compile_golden.ml.
-TRIPS_COMPILE_GOLDEN_FULL=1 dune exec test/test_compiler.exe -- test golden >/dev/null
-
-echo "== timing golden: every workload at preset C =="
-# dune runtest checks a subset; the full sweep pins the static timing
-# analyzer's whole-program prediction to test/timing_golden.ml.
-TRIPS_TIMING_GOLDEN_FULL=1 dune exec test/test_static_timing.exe -- test pred-golden >/dev/null
-
 echo "== differential fuzzing: trips_run fuzz --seed 1 --count 200 =="
 # Programs from seeds 1-200; the nightly CI job sweeps 5000 instead
-# (TRIPS_FUZZ_FULL=1 without --count).  Any divergence exits nonzero
+# (--count 5000).  Any divergence exits nonzero
 # with the auto-shrunk repro in the report, and the gate below reads
 # summary.divergent.
 dune exec bin/trips_run.exe -- fuzz --seed 1 --count 200 \

@@ -61,7 +61,7 @@ let w_edge q b () = ignore (Platforms.edge_stats q b)
 let w_risc b () = ignore (Platforms.risc b)
 let w_trips q b () = ignore (Platforms.trips q b)
 let w_super cfg icc b () = ignore (Platforms.super cfg ~icc b)
-let w_ideal cfg tag q b () = ignore (Platforms.ideal cfg ~tag q b)
+let w_ideal cfg q b () = ignore (Platforms.ideal cfg q b)
 
 let both f l = List.concat_map (fun b -> [ f Platforms.C b; f Platforms.H b ]) l
 let only_c f l = List.map (fun b -> f Platforms.C b) l
@@ -160,9 +160,9 @@ let all =
         (let per q b =
            [
              w_trips q b;
-             w_ideal Ideal.trips_window "1k" q b;
-             w_ideal Ideal.zero_dispatch "0d" q b;
-             w_ideal Ideal.huge_window "128k" q b;
+             w_ideal Ideal.trips_window q b;
+             w_ideal Ideal.zero_dispatch q b;
+             w_ideal Ideal.huge_window q b;
            ]
          in
          List.concat_map (fun b -> per Platforms.C b @ per Platforms.H b) simple

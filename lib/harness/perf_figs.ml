@@ -89,9 +89,9 @@ let fig10 () =
   in
   let row name q b =
     let hw = Core.ipc (Platforms.trips q b) in
-    let i1 = Ideal.ipc (Platforms.ideal Ideal.trips_window ~tag:"1k" q b) in
-    let i0 = Ideal.ipc (Platforms.ideal Ideal.zero_dispatch ~tag:"0d" q b) in
-    let ih = Ideal.ipc (Platforms.ideal Ideal.huge_window ~tag:"128k" q b) in
+    let i1 = Ideal.ipc (Platforms.ideal Ideal.trips_window q b) in
+    let i0 = Ideal.ipc (Platforms.ideal Ideal.zero_dispatch q b) in
+    let ih = Ideal.ipc (Platforms.ideal Ideal.huge_window q b) in
     Table.add_row t [ name; Preset.name q; fnum hw; fnum i1; fnum i0; fnum ih ]
   in
   List.iter

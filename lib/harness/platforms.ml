@@ -142,11 +142,14 @@ let super (cfg : Ooo.config) ~icc (b : Registry.bench) : Ooo.result =
 
 let ideal_runs = Memo.create ()
 
-let ideal (cfg : Ideal.config) ~tag q (b : Registry.bench) : Ideal.result =
-  Memo.find_or_compute ideal_runs (tag, q, b.Registry.name) (fun () ->
+let ideal (cfg : Ideal.config) q (b : Registry.bench) : Ideal.result =
+  Memo.find_or_compute ideal_runs (cfg, q, b.Registry.name) (fun () ->
       let prog = edge_program q b in
       let image = Image.build b.Registry.program.Ast.globals in
       let r = Ideal.run ~config:cfg prog image ~entry:"main" ~args:[] in
       let exp_v, _ = Registry.golden b in
-      check (b.Registry.name ^ "/ideal-" ^ tag) exp_v r.Ideal.ret;
+      check
+        (Printf.sprintf "%s/ideal-w%d-d%d-l%d" b.Registry.name
+           cfg.Ideal.window_insts cfg.Ideal.dispatch_cost cfg.Ideal.load_latency)
+        exp_v r.Ideal.ret;
       r)

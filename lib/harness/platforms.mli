@@ -29,8 +29,9 @@ val super :
     optimized build. *)
 
 val ideal :
-  Trips_limit.Ideal.config -> tag:string -> quality ->
-  Trips_workloads.Registry.bench -> Trips_limit.Ideal.result
+  Trips_limit.Ideal.config -> quality -> Trips_workloads.Registry.bench ->
+  Trips_limit.Ideal.result
+(** Ideal-EDGE limit run, memoized per configuration. *)
 
 exception Mismatch of string
 (** A pipeline produced a result different from the interpreter's. *)

@@ -9,7 +9,7 @@
    preset, pinned to test/absint_golden.ml, and the same facts plus every
    gathered global rewrite per fuzz program, pinned to
    test/absint_fuzz_golden.ml (subsets by default; everything with
-   TRIPS_ABSINT_GOLDEN_FULL=1). *)
+   TRIPS_GOLDEN_FULL, see golden.ml). *)
 
 module Ast = Trips_tir.Ast
 module Ty = Trips_tir.Ty
@@ -480,40 +480,20 @@ let golden_digest name ptag =
   let b = Registry.find name in
   absint_fingerprint (Driver.front_end (driver_of ptag) b.Registry.program)
 
-(* TRIPS_ABSINT_GOLDEN_RECORD=FILE rewrites the fixture from the current
-   analysis instead of testing — only for an intended change of facts. *)
-let record_golden path =
-  let oc = open_out path in
-  output_string oc
-    "(* Digests of the abstract interpretation's observable facts per\n\
-    \   workload and preset (see [absint_fingerprint] in test_absint.ml).\n\
-    \   Regenerate only if the analysis is meant to compute different\n\
-    \   facts: TRIPS_ABSINT_GOLDEN_RECORD=test/absint_golden.ml\n\
-    \   dune exec test/test_absint.exe *)\n\n\
-     let digests = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      List.iter
-        (fun p ->
-          let ptag = Preset.name p in
-          Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name ptag
-            (golden_digest b.Registry.name ptag))
-        Preset.all)
-    Registry.all;
-  output_string oc "]\n";
-  close_out oc
+let keyed_by_preset xs =
+  List.concat_map (fun x -> List.map (fun p -> (x, Preset.name p)) Preset.all) xs
 
-(* The default subset keeps the multi-function programs, whose return
+(* The fast subset keeps the multi-function programs, whose return
    summaries change between rounds, next to a few single-function ones. *)
 let golden_fast = [ "crafty"; "twolf"; "parser"; "ct"; "fft"; "802.11a" ]
 
-let golden_rows () =
-  if Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_FULL" <> None then Absint_golden.digests
-  else List.filter (fun (n, _, _) -> List.mem n golden_fast) Absint_golden.digests
-
-let test_golden (name, ptag, digest) () =
-  Alcotest.(check string) (name ^ "/" ^ ptag ^ " fact digest") digest
-    (golden_digest name ptag)
+let golden =
+  Golden.table ~name:"absint" ~fixture:Absint_golden.absint
+    ~key:(fun (name, ptag) -> name ^ " " ^ ptag)
+    ~fast:(fun (name, _) -> List.mem name golden_fast)
+    ~row:(fun (name, ptag) -> "digest=" ^ golden_digest name ptag)
+    (keyed_by_preset
+       (List.map (fun (b : Registry.bench) -> b.Registry.name) Registry.all))
 
 (* -- fuzz fact golden ---------------------------------------------------- *)
 
@@ -522,7 +502,7 @@ let test_golden (name, ptag, digest) () =
    plus every function's [Opt.gather_global] list, so a change to the
    analysis or to the global-opt dataflows that moves a single fact or
    rewrite on any of the seeds shows up.  [dune runtest] checks the first
-   [fuzz_fast] seeds; TRIPS_ABSINT_GOLDEN_FULL=1 checks all of them. *)
+   [fuzz_fast] seeds; TRIPS_GOLDEN_FULL checks all of them. *)
 
 let fuzz_seeds = List.init 500 (fun i -> i + 1)
 let fuzz_fast = 50
@@ -542,50 +522,29 @@ let fuzz_digest seed ptag =
     cfg.Cfg.funcs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* TRIPS_ABSINT_FUZZ_GOLDEN_RECORD=FILE rewrites the fuzz fixture instead
-   of testing — only for an intended change of facts or rewrites. *)
-let record_fuzz_golden path =
-  let oc = open_out path in
-  output_string oc
-    "(* Digests of the abstract interpretation's facts plus every gathered\n\
-    \   global rewrite per fuzz seed and preset (see [fuzz_digest] in\n\
-    \   test_absint.ml).  Regenerate only if the analysis or the global\n\
-    \   passes are meant to compute something different:\n\
-    \   TRIPS_ABSINT_FUZZ_GOLDEN_RECORD=test/absint_fuzz_golden.ml\n\
-    \   dune exec test/test_absint.exe *)\n\n\
-     let digests = [\n";
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun p ->
-          let ptag = Preset.name p in
-          Printf.fprintf oc "  (%d, %S, %S);\n" seed ptag (fuzz_digest seed ptag))
-        Preset.all)
-    fuzz_seeds;
-  output_string oc "]\n";
-  close_out oc
-
-let fuzz_golden_rows () =
-  if Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_FULL" <> None then Absint_fuzz_golden.digests
-  else List.filter (fun (s, _, _) -> s <= fuzz_fast) Absint_fuzz_golden.digests
-
-let test_fuzz_golden (seed, ptag, digest) () =
-  Alcotest.(check string)
-    (Printf.sprintf "seed %d/%s fact and rewrite digest" seed ptag)
-    digest (fuzz_digest seed ptag)
+let fuzz_golden =
+  Golden.table ~name:"absint_fuzz" ~fixture:Absint_fuzz_golden.absint_fuzz
+    ~key:(fun (seed, ptag) -> Printf.sprintf "seed %d %s" seed ptag)
+    ~fast:(fun (seed, _) -> seed <= fuzz_fast)
+    ~row:(fun (seed, ptag) -> "digest=" ^ fuzz_digest seed ptag)
+    (keyed_by_preset fuzz_seeds)
 
 let () =
-  (match Sys.getenv_opt "TRIPS_ABSINT_FUZZ_GOLDEN_RECORD" with
-  | Some path ->
-    record_fuzz_golden path;
-    exit 0
-  | None -> ());
-  (match Sys.getenv_opt "TRIPS_ABSINT_GOLDEN_RECORD" with
-  | Some path ->
-    record_golden path;
-    exit 0
-  | None -> ());
-  Alcotest.run "absint"
+  Golden.run "absint"
+    ~fixtures:
+      [
+        Golden.file "absint_golden.ml"
+          ~about:
+            [ "Digests of the abstract interpretation's observable facts per";
+              "workload and preset (see [absint_fingerprint] in test_absint.ml)." ]
+          [ golden ];
+        Golden.file "absint_fuzz_golden.ml"
+          ~about:
+            [ "Digests of the abstract interpretation's facts plus every gathered";
+              "global rewrite per fuzz seed and preset (see [fuzz_digest] in";
+              "test_absint.ml)." ]
+          [ fuzz_golden ];
+      ]
     [
       ( "facts",
         [
@@ -623,15 +582,6 @@ let () =
           Alcotest.test_case "sound on the registry" `Quick test_fixed_bit_registry;
           Alcotest.test_case "sound on fuzz seeds" `Quick test_fixed_bit_fuzz;
         ] );
-      ( "golden",
-        List.map
-          (fun ((n, p, _) as row) ->
-            Alcotest.test_case (n ^ " " ^ p) `Quick (test_golden row))
-          (golden_rows ()) );
-      ( "fuzz-golden",
-        List.map
-          (fun ((s, p, _) as row) ->
-            Alcotest.test_case (Printf.sprintf "seed %d %s" s p) `Quick
-              (test_fuzz_golden row))
-          (fuzz_golden_rows ()) );
+      ("golden", Golden.cases golden);
+      ("fuzz-golden", Golden.cases fuzz_golden);
     ]

@@ -366,7 +366,8 @@ let edge_row name ptag =
           Buffer.add_char buf '\n')
         f.Block.blocks)
     prog.Block.funcs;
-  (!blocks, !insts, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  Printf.sprintf "blocks=%d instructions=%d digest=%s" !blocks !insts
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let risc_digest name unroll =
   let prog = Codegen.compile ~unroll (Registry.find name).Registry.program in
@@ -378,68 +379,41 @@ let risc_digest name unroll =
   List.iter (fun (a, x) -> Printf.bprintf buf "pool %d %h\n" a x) prog.Risc_isa.pool;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* TRIPS_COMPILE_GOLDEN_RECORD=FILE rewrites the fixture from the current
-   compiler instead of testing: only for an intended change of code. *)
-let record_golden path =
-  let oc = open_out path in
-  output_string oc
-    "(* Compiled code per workload (see the compile golden in\n\
-    \   test_compiler.ml).  Regenerate only if the compiler is meant to\n\
-    \   emit different code:\n\
-    \   TRIPS_COMPILE_GOLDEN_RECORD=test/compile_golden.ml\n\
-    \   dune exec test/test_compiler.exe *)\n\n\
-     (* name, preset, EDGE blocks, EDGE instructions, EDGE digest *)\n\
-     let edge = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      List.iter
-        (fun p ->
-          let ptag = Preset.name p in
-          let blocks, insts, digest = edge_row b.Registry.name ptag in
-          Printf.fprintf oc "  (%S, %S, %d, %d, %S);\n" b.Registry.name ptag blocks
-            insts digest)
-        Preset.all)
-    Registry.all;
-  output_string oc "]\n\n(* name, RISC digest at unroll 1, at unroll 4 *)\nlet risc = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name
-        (risc_digest b.Registry.name 1) (risc_digest b.Registry.name 4))
-    Registry.all;
-  output_string oc "]\n";
-  close_out oc
-
 (* Multi-function programs (calls, pinned argument registers) beside
    loop kernels with large hyperblocks. *)
 let golden_fast = [ "ct"; "fft"; "802.11a"; "crafty"; "vortex" ]
 
-let golden_full = Sys.getenv_opt "TRIPS_COMPILE_GOLDEN_FULL" <> None
+let names = List.map (fun (b : Registry.bench) -> b.Registry.name) Registry.all
 
-let edge_rows () =
-  if golden_full then Compile_golden.edge
-  else List.filter (fun (n, _, _, _, _) -> List.mem n golden_fast) Compile_golden.edge
+let edge_golden =
+  Golden.table ~name:"edge" ~fixture:Compile_golden.edge
+    ~key:(fun (name, ptag) -> "edge " ^ name ^ " " ^ ptag)
+    ~fast:(fun (name, _) -> List.mem name golden_fast)
+    ~row:(fun (name, ptag) -> edge_row name ptag)
+    (List.concat_map
+       (fun name -> List.map (fun p -> (name, Preset.name p)) Preset.all)
+       names)
 
-let risc_rows () =
-  if golden_full then Compile_golden.risc
-  else List.filter (fun (n, _, _) -> List.mem n golden_fast) Compile_golden.risc
-
-let test_edge_golden (name, ptag, blocks, insts, digest) () =
-  let b, n, d = edge_row name ptag in
-  Alcotest.(check int) "blocks" blocks b;
-  Alcotest.(check int) "instructions" insts n;
-  Alcotest.(check string) "code digest" digest d
-
-let test_risc_golden (name, u1, u4) () =
-  Alcotest.(check string) "unroll 1" u1 (risc_digest name 1);
-  Alcotest.(check string) "unroll 4" u4 (risc_digest name 4)
+let risc_golden =
+  Golden.table ~name:"risc" ~fixture:Compile_golden.risc
+    ~key:(fun name -> "risc " ^ name)
+    ~fast:(fun name -> List.mem name golden_fast)
+    ~row:(fun name ->
+      Printf.sprintf "unroll1=%s unroll4=%s" (risc_digest name 1)
+        (risc_digest name 4))
+    names
 
 let () =
-  (match Sys.getenv_opt "TRIPS_COMPILE_GOLDEN_RECORD" with
-  | Some path ->
-    record_golden path;
-    exit 0
-  | None -> ());
-  Alcotest.run "compiler"
+  Golden.run "compiler"
+    ~fixtures:
+      [
+        Golden.file "compile_golden.ml"
+          ~about:
+            [ "Compiled code per workload (the compile golden in";
+              "test_compiler.ml): EDGE blocks, instructions and code digest per";
+              "preset, and the RISC code digest at unroll 1 and 4." ]
+          [ edge_golden; risc_golden ];
+      ]
     [
       ( "differential",
         [
@@ -455,13 +429,5 @@ let () =
           Alcotest.test_case "placement capacity" `Quick test_placement_capacity;
           Alcotest.test_case "register capacity" `Quick test_register_capacity;
         ] );
-      ( "golden",
-        List.map
-          (fun ((n, p, _, _, _) as row) ->
-            Alcotest.test_case ("edge " ^ n ^ " " ^ p) `Quick (test_edge_golden row))
-          (edge_rows ())
-        @ List.map
-            (fun ((n, _, _) as row) ->
-              Alcotest.test_case ("risc " ^ n) `Quick (test_risc_golden row))
-            (risc_rows ()) );
+      ("golden", Golden.cases edge_golden @ Golden.cases risc_golden);
     ]

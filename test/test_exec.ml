@@ -6,8 +6,8 @@
    rewrite of it must leave all 22 [Exec.stats] fields and the return
    value bit-identical.  The default run checks a subset that covers
    calls and returns (8b10b, vortex, crafty) and store-to-load
-   forwarding inside a block (canrdr, fbital); TRIPS_EXEC_GOLDEN_FULL=1
-   checks every workload.
+   forwarding inside a block (canrdr, fbital); TRIPS_GOLDEN_FULL checks
+   every workload (see golden.ml).
 
    The instance-stream golden (test/exec_stream_golden.ml) pins what the
    stats fold away: an MD5 over every committed instance's block index,
@@ -26,8 +26,8 @@ module Driver = Trips_compiler.Driver
 module Block = Trips_edge.Block
 module Ast = Trips_tir.Ast
 
-(* [Exec.stats] in declaration order; the fixture stores the values in
-   this order. *)
+(* [Exec.stats] in declaration order: the fixture's field names, after
+   [ret]. *)
 let fields =
   [ "blocks"; "fetched"; "executed"; "not_executed"; "executed_not_used";
     "useful"; "k_arith"; "k_memory"; "k_control"; "k_test"; "k_move";
@@ -48,52 +48,30 @@ let exec_row name =
   let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
   Exec.run prog image ~entry:"main" ~args:[]
 
-let value_literal = function
-  | None -> "None"
-  | Some (Ty.Vi i) -> Printf.sprintf "Some (Ty.Vi (%LdL))" i
-  | Some (Ty.Vf f) -> Printf.sprintf "Some (Ty.Vf (%h))" f
-
-(* TRIPS_EXEC_GOLDEN_RECORD=FILE rewrites the fixture from the current
-   emulator instead of testing, and the instance-stream fixture beside
-   it: only for an intended semantic change. *)
-let record path =
-  let oc = open_out path in
-  output_string oc
-    "(* Exec.run result and statistics per workload at preset C (see\n\
-    \   test_exec.ml).  Regenerate only if the emulator's semantics or\n\
-    \   statistics are meant to change:\n\
-    \   TRIPS_EXEC_GOLDEN_RECORD=test/exec_golden.ml dune exec test/test_exec.exe *)\n\n\
-     module Ty = Trips_tir.Ty\n\n\
-     (* name, ret, Exec.stats fields in declaration order *)\n\
-     let per_workload = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      let r = exec_row b.Registry.name in
-      Printf.fprintf oc "  (%S, %s,\n   [| %s |]);\n" b.Registry.name
-        (value_literal r.Exec.ret)
-        (String.concat "; "
-           (Array.to_list (Array.map string_of_int (stats_array r.Exec.stats)))))
-    Registry.all;
-  output_string oc "]\n";
-  close_out oc
-
-let fast = [ "ct"; "fft"; "canrdr"; "fbital"; "8b10b"; "vortex"; "crafty" ]
-
-let rows () =
-  if Sys.getenv_opt "TRIPS_EXEC_GOLDEN_FULL" <> None then
-    Exec_golden.per_workload
-  else
-    List.filter (fun (name, _, _) -> List.mem name fast) Exec_golden.per_workload
+let names = List.map (fun (b : Registry.bench) -> b.Registry.name) Registry.all
 
 let value = Alcotest.testable Ty.pp_value ( = )
 
-let check (name, ret, expected) () =
-  let r = exec_row name in
-  Alcotest.(check (option value)) "ret" ret r.Exec.ret;
-  let got = stats_array r.Exec.stats in
-  List.iteri
-    (fun k field -> Alcotest.(check int) field expected.(k) got.(k))
-    fields
+let fast = [ "ct"; "fft"; "canrdr"; "fbital"; "8b10b"; "vortex"; "crafty" ]
+
+let exec_golden =
+  Golden.table ~name:"exec" ~fixture:Exec_golden.exec ~key:Fun.id
+    ~fast:(fun name -> List.mem name fast)
+    ~row:(fun name ->
+      let r = exec_row name in
+      let ret =
+        match r.Exec.ret with
+        | None -> "none"
+        | Some (Ty.Vi i) -> Int64.to_string i
+        | Some (Ty.Vf f) -> Printf.sprintf "%h" f
+      in
+      String.concat " "
+        (("ret=" ^ ret)
+        :: List.map2
+             (fun field v -> Printf.sprintf "%s=%d" field v)
+             fields
+             (Array.to_list (stats_array r.Exec.stats))))
+    names
 
 (* -- instance-stream golden ------------------------------------------ *)
 
@@ -169,44 +147,23 @@ let fuzz_stream seed =
   stream_digest (fun on_instance ->
       Exec.run ~fuel:50_000_000 ~on_instance prog image ~entry:"main" ~args:[])
 
-let stream_presets = [ "C"; "H" ]
-
-(* Written beside the stats fixture by TRIPS_EXEC_GOLDEN_RECORD. *)
-let record_stream path =
-  let oc = open_out path in
-  output_string oc
-    "(* MD5 of Exec.run's instance stream per workload and preset, and per\n\
-    \   fuzz seed at preset C (see [stream_digest] in test_exec.ml).\n\
-    \   Regenerate only if the emulator's instance stream is meant to\n\
-    \   change (this rewrites test/exec_golden.ml too):\n\
-    \   TRIPS_EXEC_GOLDEN_RECORD=test/exec_golden.ml dune exec test/test_exec.exe *)\n\n\
-     let workloads = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      List.iter
-        (fun ptag ->
-          Printf.fprintf oc "  (%S, %S, %S);\n" b.Registry.name ptag
-            (workload_stream b.Registry.name ptag))
-        stream_presets)
-    Registry.all;
-  output_string oc "]\n\nlet fuzz = [\n";
-  List.iter
-    (fun seed -> Printf.fprintf oc "  (%d, %S);\n" seed (fuzz_stream seed))
-    fuzz_seeds;
-  output_string oc "]\n";
-  close_out oc
-
 (* basefp reuses block schedules least of all the workloads at C. *)
 let stream_fast = [ "ct"; "fft"; "canrdr"; "fbital"; "vortex"; "crafty"; "basefp" ]
 let fuzz_stream_fast = 20
 
-let stream_rows () =
-  let full = Sys.getenv_opt "TRIPS_EXEC_GOLDEN_FULL" <> None in
-  ( List.filter
-      (fun (name, _, _) -> full || List.mem name stream_fast)
-      Exec_stream_golden.workloads,
-    List.filter (fun (seed, _) -> full || seed <= fuzz_stream_fast)
-      Exec_stream_golden.fuzz )
+let stream_golden =
+  Golden.table ~name:"workloads" ~fixture:Exec_stream_golden.workloads
+    ~key:(fun (name, ptag) -> name ^ "/" ^ ptag)
+    ~fast:(fun (name, _) -> List.mem name stream_fast)
+    ~row:(fun (name, ptag) -> "stream=" ^ workload_stream name ptag)
+    (List.concat_map (fun name -> [ (name, "C"); (name, "H") ]) names)
+
+let fuzz_stream_golden =
+  Golden.table ~name:"fuzz" ~fixture:Exec_stream_golden.fuzz
+    ~key:(Printf.sprintf "fuzz seed %d")
+    ~fast:(fun seed -> seed <= fuzz_stream_fast)
+    ~row:(fun seed -> "stream=" ^ fuzz_stream seed)
+    fuzz_seeds
 
 (* -- known-answer programs ------------------------------------------- *)
 
@@ -661,14 +618,20 @@ let test_fuel_boundary () =
   check_stats (stats_array full.Exec.stats) r.Exec.stats
 
 let () =
-  (match Sys.getenv_opt "TRIPS_EXEC_GOLDEN_RECORD" with
-  | Some path ->
-    record path;
-    record_stream (Filename.concat (Filename.dirname path) "exec_stream_golden.ml");
-    exit 0
-  | None -> ());
-  let stream_workloads, stream_fuzz = stream_rows () in
-  Alcotest.run "exec"
+  Golden.run "exec"
+    ~fixtures:
+      [
+        Golden.file "exec_golden.ml"
+          ~about:
+            [ "Exec.run result and statistics per workload at preset C";
+              "(test_exec.ml): the return value, then the Exec.stats fields." ]
+          [ exec_golden ];
+        Golden.file "exec_stream_golden.ml"
+          ~about:
+            [ "MD5 of Exec.run's instance stream per workload at presets C and H,";
+              "and per fuzz seed at preset C (see [stream_digest] in test_exec.ml)." ]
+          [ stream_golden; fuzz_stream_golden ];
+      ]
     [
       ( "known_answer",
         [ Alcotest.test_case "alternating predicate" `Quick test_alternating;
@@ -680,23 +643,7 @@ let () =
           Alcotest.test_case "every decoded operation replayed" `Quick
             test_every_op_replayed;
           Alcotest.test_case "fuel boundary" `Quick test_fuel_boundary ] );
-      ( "exec_golden",
-        List.map
-          (fun ((name, _, _) as row) ->
-            Alcotest.test_case name `Quick (check row))
-          (rows ()) );
+      ("exec_golden", Golden.cases exec_golden);
       ( "stream_golden",
-        List.map
-          (fun (name, ptag, digest) ->
-            Alcotest.test_case (name ^ "/" ^ ptag) `Quick (fun () ->
-                Alcotest.(check string) "instance stream" digest
-                  (workload_stream name ptag)))
-          stream_workloads
-        @ List.map
-            (fun (seed, digest) ->
-              Alcotest.test_case (Printf.sprintf "fuzz seed %d" seed) `Quick
-                (fun () ->
-                  Alcotest.(check string) "instance stream" digest
-                    (fuzz_stream seed)))
-            stream_fuzz );
+        Golden.cases stream_golden @ Golden.cases fuzz_stream_golden );
     ]

@@ -5,16 +5,16 @@
    Two layers of defense:
 
    - golden: every workload's (cycles, blocks, branch_mispredicts,
-     callret_mispredicts, dcache_misses, load_flushes) must equal the
-     committed fixture [Sim_golden.per_workload], recorded from the seed.
+     callret_mispredicts, dcache_misses, load_flushes) under [Core.run]
+     must equal the committed fixture test/sim_golden.ml, recorded from
+     the frozen [Core_ref].
    - differential: on a few workloads, run [Core] and the frozen
      [Core_ref] side by side and compare the *complete* timing record
      plus the operand-network profile, catching drift in fields the
      fixture does not pin.
 
-   The default run checks a fast subset (a few seconds); set
-   TRIPS_PARITY_FULL=1 to sweep all registered workloads (the CI battery
-   does). *)
+   The default run checks a fast subset of each golden; TRIPS_GOLDEN_FULL
+   checks every workload (see golden.ml). *)
 
 module Registry = Trips_workloads.Registry
 module Platforms = Trips_harness.Platforms
@@ -24,21 +24,7 @@ module Core = Trips_sim.Core
 module Core_ref = Trips_sim.Core_ref
 module Sampled = Trips_sim.Sampled
 
-let full = Sys.getenv_opt "TRIPS_PARITY_FULL" <> None
-
-(* Small, fast workloads that still cover the interesting stat columns:
-   dcache misses (ct, pktflow), branch mispredicts (a2time, tblook),
-   call/ret mispredicts (8b10b, vortex), float code (fft, wupwise). *)
-let fast_subset =
-  [ "ct"; "conv"; "vadd"; "basefp"; "fft"; "aifftr"; "tblook"; "a2time";
-    "pktflow"; "wupwise"; "8b10b"; "vortex" ]
-
-let golden_rows () =
-  if full then Sim_golden.per_workload
-  else
-    List.filter
-      (fun (name, _, _, _, _, _, _) -> List.mem name fast_subset)
-      Sim_golden.per_workload
+let names = List.map (fun (b : Registry.bench) -> b.Registry.name) Registry.all
 
 let compiled name =
   let b = Registry.find name in
@@ -46,16 +32,28 @@ let compiled name =
   let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
   (prog, image)
 
-let check_golden (name, cycles, blocks, bm, cm, dm, lf) () =
+let sim_row run name =
   let prog, image = compiled name in
-  let r = Core.run prog image ~entry:"main" ~args:[] in
-  let t = r.Core.timing in
-  Alcotest.(check int) "cycles" cycles t.Core.cycles;
-  Alcotest.(check int) "blocks" blocks t.Core.blocks;
-  Alcotest.(check int) "branch_mispredicts" bm t.Core.branch_mispredicts;
-  Alcotest.(check int) "callret_mispredicts" cm t.Core.callret_mispredicts;
-  Alcotest.(check int) "dcache_misses" dm t.Core.dcache_misses;
-  Alcotest.(check int) "load_flushes" lf t.Core.load_flushes
+  let t = (run prog image : Core.result).Core.timing in
+  Printf.sprintf
+    "cycles=%d blocks=%d branch_mispredicts=%d callret_mispredicts=%d \
+     dcache_misses=%d load_flushes=%d"
+    t.Core.cycles t.Core.blocks t.Core.branch_mispredicts
+    t.Core.callret_mispredicts t.Core.dcache_misses t.Core.load_flushes
+
+(* Small, fast workloads that still cover the interesting stat columns:
+   dcache misses (ct, pktflow), branch mispredicts (a2time, tblook),
+   call/ret mispredicts (8b10b, vortex), float code (fft, wupwise). *)
+let sim_fast =
+  [ "ct"; "conv"; "vadd"; "basefp"; "fft"; "aifftr"; "tblook"; "a2time";
+    "pktflow"; "wupwise"; "8b10b"; "vortex" ]
+
+let sim =
+  Golden.table ~name:"sim" ~fixture:Sim_golden.sim ~key:Fun.id
+    ~fast:(fun name -> List.mem name sim_fast)
+    ~row:(sim_row (fun p i -> Core.run p i ~entry:"main" ~args:[]))
+    ~record:(sim_row (fun p i -> Core_ref.run p i ~entry:"main" ~args:[]))
+    names
 
 (* Whole-record comparison against the frozen reference simulator: the
    timing statistics, the operand-network profile and the per-block
@@ -122,76 +120,42 @@ let check_sampled name () =
       (Float.abs (est.Sampled.es_cycles -. actual) <= est.Sampled.es_ci95)
 
 (* Sampled golden: the estimate of every workload at preset C, pinned to
-   test/sampled_golden.ml.  Floats are stored as hex literals, so a
-   change in any bit of the estimate or its interval fails.  The default
-   run checks a subset with both full-detail fallbacks (fft, ct, tblook)
-   and sampled runs (gzip, crafty); TRIPS_SAMPLED_GOLDEN_FULL=1 checks
-   every workload. *)
-let sampled_row name =
-  let b = Registry.find name in
-  let prog = Platforms.edge_program Platforms.C b in
-  let image = Image.build b.Registry.program.Trips_tir.Ast.globals in
-  let _, e = Sampled.run prog image ~entry:"main" ~args:[] in
-  e
-
-(* TRIPS_SAMPLED_GOLDEN_RECORD=FILE rewrites the fixture from the current
-   estimator instead of testing: only for an intended model change. *)
-let record_sampled_golden path =
-  let oc = open_out path in
-  output_string oc
-    "(* Sampled.run estimates per workload at preset C (see the\n\
-    \   sampled_golden suite in test_sim_parity.ml).  Regenerate only if\n\
-    \   the estimator or the model is meant to change:\n\
-    \   TRIPS_SAMPLED_GOLDEN_RECORD=test/sampled_golden.ml\n\
-    \   dune exec test/test_sim_parity.exe *)\n\n\
-     (* name, es_cycles, es_ci95, es_intervals, es_measured_blocks,\n\
-    \   es_total_blocks, es_full *)\n\
-     let per_workload = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      let e = sampled_row b.Registry.name in
-      Printf.fprintf oc "  (%S, %h, %h, %d, %d, %d, %b);\n" b.Registry.name
-        e.Sampled.es_cycles e.Sampled.es_ci95 e.Sampled.es_intervals
-        e.Sampled.es_measured_blocks e.Sampled.es_total_blocks
-        e.Sampled.es_full)
-    Registry.all;
-  output_string oc "]\n";
-  close_out oc
-
+   test/sampled_golden.ml.  Floats are printed in hex, so a change in any
+   bit of the estimate or its interval fails.  The fast subset has both
+   full-detail fallbacks (fft, ct, tblook) and sampled runs (gzip,
+   crafty). *)
 let sampled_fast = [ "fft"; "ct"; "tblook"; "gzip"; "crafty" ]
 
-let sampled_golden_rows () =
-  if Sys.getenv_opt "TRIPS_SAMPLED_GOLDEN_FULL" <> None then
-    Sampled_golden.per_workload
-  else
-    List.filter
-      (fun (name, _, _, _, _, _, _) -> List.mem name sampled_fast)
-      Sampled_golden.per_workload
-
-let check_sampled_golden (name, cycles, ci95, intervals, measured, total, full)
-    () =
-  let e = sampled_row name in
-  Alcotest.(check (float 0.)) "es_cycles" cycles e.Sampled.es_cycles;
-  Alcotest.(check (float 0.)) "es_ci95" ci95 e.Sampled.es_ci95;
-  Alcotest.(check int) "es_intervals" intervals e.Sampled.es_intervals;
-  Alcotest.(check int) "es_measured_blocks" measured
-    e.Sampled.es_measured_blocks;
-  Alcotest.(check int) "es_total_blocks" total e.Sampled.es_total_blocks;
-  Alcotest.(check bool) "es_full" full e.Sampled.es_full
+let sampled =
+  Golden.table ~name:"sampled" ~fixture:Sampled_golden.sampled ~key:Fun.id
+    ~fast:(fun name -> List.mem name sampled_fast)
+    ~row:(fun name ->
+      let prog, image = compiled name in
+      let _, e = Sampled.run prog image ~entry:"main" ~args:[] in
+      Printf.sprintf
+        "es_cycles=%h es_ci95=%h es_intervals=%d es_measured_blocks=%d \
+         es_total_blocks=%d es_full=%b"
+        e.Sampled.es_cycles e.Sampled.es_ci95 e.Sampled.es_intervals
+        e.Sampled.es_measured_blocks e.Sampled.es_total_blocks e.Sampled.es_full)
+    names
 
 let () =
-  (match Sys.getenv_opt "TRIPS_SAMPLED_GOLDEN_RECORD" with
-  | Some path ->
-    record_sampled_golden path;
-    exit 0
-  | None -> ());
-  Alcotest.run "sim_parity"
+  Golden.run "sim_parity"
+    ~fixtures:
+      [
+        Golden.file "sim_golden.ml"
+          ~about:
+            [ "Core_ref.run statistics per workload at preset C, which the";
+              "optimized Core.run must reproduce exactly (test_sim_parity.ml)." ]
+          [ sim ];
+        Golden.file "sampled_golden.ml"
+          ~about:
+            [ "Sampled.run estimates per workload at preset C";
+              "(test_sim_parity.ml)." ]
+          [ sampled ];
+      ]
     [
-      ( "golden",
-        List.map
-          (fun ((name, _, _, _, _, _, _) as row) ->
-            Alcotest.test_case name `Quick (check_golden row))
-          (golden_rows ()) );
+      ("golden", Golden.cases sim);
       ( "differential",
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_differential name))
@@ -201,9 +165,5 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (check_sampled name))
           [ "fft"; "ct"; "tblook" ] );
-      ( "sampled_golden",
-        List.map
-          (fun ((name, _, _, _, _, _, _) as row) ->
-            Alcotest.test_case name `Quick (check_sampled_golden row))
-          (sampled_golden_rows ()) );
+      ("sampled_golden", Golden.cases sampled);
     ]

@@ -368,60 +368,29 @@ let test_predictor_replay name () =
    pinned to test/timing_golden.ml: predicted cycles, composed block
    instances, replayed-predictor redirects and the finding count.  Any
    refactor of the analyzer or its composition driver must leave all four
-   unchanged.  The default run checks a subset; TRIPS_TIMING_GOLDEN_FULL=1
-   checks every workload. *)
-let golden_row name =
-  let p = Xv.predict Trips_harness.Platforms.C (Registry.find name) in
-  ( p.Timing.pr_cycles,
-    p.Timing.pr_blocks,
-    p.Timing.pr_mispredicts,
-    List.length p.Timing.pr_diags )
-
-(* TRIPS_TIMING_GOLDEN_RECORD=FILE rewrites the fixture from the current
-   analyzer instead of testing: only for an intended model change. *)
-let record_golden path =
-  let oc = open_out path in
-  output_string oc
-    "(* Static timing predictions per workload at preset C (see the\n\
-    \   pred-golden suite in test_static_timing.ml).  Regenerate only if\n\
-    \   the analyzer's model is meant to change:\n\
-    \   TRIPS_TIMING_GOLDEN_RECORD=test/timing_golden.ml\n\
-    \   dune exec test/test_static_timing.exe *)\n\n\
-     (* name, pr_cycles, pr_blocks, pr_mispredicts, findings *)\n\
-     let per_workload = [\n";
-  List.iter
-    (fun (b : Registry.bench) ->
-      let cycles, blocks, mispredicts, findings = golden_row b.Registry.name in
-      Printf.fprintf oc "  (%S, %d, %d, %d, %d);\n" b.Registry.name cycles
-        blocks mispredicts findings)
-    Registry.all;
-  output_string oc "]\n";
-  close_out oc
-
+   unchanged. *)
 let golden_fast = [ "fft"; "ct"; "a2time"; "canrdr"; "rspeed"; "vortex" ]
 
-let golden_rows () =
-  if Sys.getenv_opt "TRIPS_TIMING_GOLDEN_FULL" <> None then
-    Timing_golden.per_workload
-  else
-    List.filter
-      (fun (name, _, _, _, _) -> List.mem name golden_fast)
-      Timing_golden.per_workload
-
-let check_golden (name, cycles, blocks, mispredicts, findings) () =
-  let c, b, m, f = golden_row name in
-  Alcotest.(check int) "pr_cycles" cycles c;
-  Alcotest.(check int) "pr_blocks" blocks b;
-  Alcotest.(check int) "pr_mispredicts" mispredicts m;
-  Alcotest.(check int) "findings" findings f
+let timing =
+  Golden.table ~name:"timing" ~fixture:Timing_golden.timing ~key:Fun.id
+    ~fast:(fun name -> List.mem name golden_fast)
+    ~row:(fun name ->
+      let p = Xv.predict Trips_harness.Platforms.C (Registry.find name) in
+      Printf.sprintf "pr_cycles=%d pr_blocks=%d pr_mispredicts=%d findings=%d"
+        p.Timing.pr_cycles p.Timing.pr_blocks p.Timing.pr_mispredicts
+        (List.length p.Timing.pr_diags))
+    (List.map (fun (b : Registry.bench) -> b.Registry.name) Registry.all)
 
 let () =
-  (match Sys.getenv_opt "TRIPS_TIMING_GOLDEN_RECORD" with
-  | Some path ->
-    record_golden path;
-    exit 0
-  | None -> ());
-  Alcotest.run "static_timing"
+  Golden.run "static_timing"
+    ~fixtures:
+      [
+        Golden.file "timing_golden.ml"
+          ~about:
+            [ "Static timing predictions per workload at preset C";
+              "(test_static_timing.ml)." ]
+          [ timing ];
+      ]
     [
       ( "known-answer",
         [
@@ -450,9 +419,5 @@ let () =
           (fun name ->
             Alcotest.test_case name `Quick (test_predictor_replay name))
           [ "a2time"; "canrdr"; "rspeed" ] );
-      ( "pred-golden",
-        List.map
-          (fun ((name, _, _, _, _) as row) ->
-            Alcotest.test_case name `Quick (check_golden row))
-          (golden_rows ()) );
+      ("pred-golden", Golden.cases timing);
     ]

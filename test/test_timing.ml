@@ -43,7 +43,7 @@ let test_ideal_at_least_hardware () =
     (fun name ->
       let b = Registry.find name in
       let hw = Core.ipc (Platforms.trips Platforms.C b) in
-      let ideal = Ideal.ipc (Platforms.ideal Ideal.trips_window ~tag:"1k" Platforms.C b) in
+      let ideal = Ideal.ipc (Platforms.ideal Ideal.trips_window Platforms.C b) in
       Alcotest.(check bool)
         (Printf.sprintf "%s ideal (%.2f) >= hardware (%.2f)" name ideal hw)
         true (ideal >= hw))
@@ -52,12 +52,28 @@ let test_ideal_at_least_hardware () =
 let test_ideal_orderings () =
   (* removing dispatch cost can only help; growing the window can only help *)
   let b = Registry.find "conv" in
-  let i1 = Ideal.ipc (Platforms.ideal Ideal.trips_window ~tag:"1k" Platforms.C b) in
-  let i0 = Ideal.ipc (Platforms.ideal Ideal.zero_dispatch ~tag:"0d" Platforms.C b) in
-  let ih = Ideal.ipc (Platforms.ideal Ideal.huge_window ~tag:"128k" Platforms.C b) in
+  let i1 = Ideal.ipc (Platforms.ideal Ideal.trips_window Platforms.C b) in
+  let i0 = Ideal.ipc (Platforms.ideal Ideal.zero_dispatch Platforms.C b) in
+  let ih = Ideal.ipc (Platforms.ideal Ideal.huge_window Platforms.C b) in
   Alcotest.(check bool) (Printf.sprintf "0-dispatch (%.1f) >= 1K (%.1f)" i0 i1) true (i0 >= i1);
   Alcotest.(check bool) (Printf.sprintf "128K (%.1f) >= 0-dispatch (%.1f)" ih i0) true
     (ih >= i0)
+
+(* The memo is keyed by the whole configuration: two configurations
+   asked for one bench each get their own run, whichever comes first. *)
+let test_ideal_memo_per_config () =
+  let b = Registry.find "ct" in
+  let slow = { Ideal.trips_window with Ideal.load_latency = 6 } in
+  let direct cfg =
+    let prog = Platforms.edge_program Platforms.C b in
+    let image = Image.build b.Registry.program.Ast.globals in
+    (Ideal.run ~config:cfg prog image ~entry:"main" ~args:[]).Ideal.cycles
+  in
+  let memo cfg = (Platforms.ideal cfg Platforms.C b).Ideal.cycles in
+  let fast_cycles = memo Ideal.trips_window and slow_cycles = memo slow in
+  Alcotest.(check int) "trips_window" (direct Ideal.trips_window) fast_cycles;
+  Alcotest.(check int) "load latency 6" (direct slow) slow_cycles;
+  Alcotest.(check bool) "the two runs differ" true (fast_cycles <> slow_cycles)
 
 let test_window_ablation () =
   (* shrinking the block window must not make the prototype faster *)
@@ -262,6 +278,7 @@ let () =
         [
           Alcotest.test_case "ideal >= hardware" `Quick test_ideal_at_least_hardware;
           Alcotest.test_case "config orderings" `Quick test_ideal_orderings;
+          Alcotest.test_case "memo per config" `Quick test_ideal_memo_per_config;
         ] );
       ( "superscalar",
         [
