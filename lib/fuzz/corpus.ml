@@ -190,7 +190,7 @@ let jglobal (g : Ast.global) : Json.t =
         | None -> Json.Null
         | Some cells ->
           Json.List
-            (Array.to_list cells
+            (Array.to_list (Ast.Init.cells cells)
             |> List.map (fun (w, v) -> Json.List [ jwidth w; j64 v ])) );
     ]
 
@@ -200,13 +200,14 @@ let of_jglobal (j : Json.t) : Ast.global =
     | Json.Null -> None
     | Json.List cells ->
       Some
-        (Array.of_list
-           (List.map
-              (fun c ->
-                match Json.as_list c with
-                | Some [ w; v ] -> (of_jwidth w, of_j64 v)
-                | _ -> fail "bad init cell")
-              cells))
+        (Ast.Init.of_cells
+           (Array.of_list
+              (List.map
+                 (fun c ->
+                   match Json.as_list c with
+                   | Some [ w; v ] -> (of_jwidth w, of_j64 v)
+                   | _ -> fail "bad init cell")
+                 cells)))
     | _ -> fail "bad init"
   in
   {

@@ -274,7 +274,7 @@ and body_stmts ctx depth n =
   List.concat (List.rev !acc)
 
 let gen_globals rng : Ast.global list =
-  let cells n k = Array.init n (fun _ -> (Ty.W8, k ())) in
+  let cells n k = Ast.Init.init Ty.W8 n (fun _ -> k ()) in
   [
     Ast.global g_int1 ~init:(cells 8 (fun () -> Rng.next rng)) g_size;
     Ast.global g_int2 g_size;

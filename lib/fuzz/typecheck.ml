@@ -196,7 +196,7 @@ and size_body b = List.fold_left (fun n s -> n + size_stmt s) 0 b
 let size_func (f : Ast.func) = size_body f.body
 
 let size_global (g : Ast.global) =
-  1 + match g.init with None -> 0 | Some cells -> Array.length cells
+  1 + match g.init with None -> 0 | Some cells -> Ast.Init.length cells
 
 let size_program (p : Ast.program) =
   List.fold_left (fun n g -> n + size_global g) 0 p.globals

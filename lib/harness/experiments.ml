@@ -7,7 +7,7 @@ type experiment = {
   title : string;
   paper_claim : string;
   run : unit -> Trips_util.Table.t;
-  cache_key : string option;
+  cache : bool;
   warm : (unit -> unit) list;
 }
 
@@ -87,7 +87,7 @@ let experiment ?(cache = true) ~id ~title ~claim ~warm run =
     title;
     paper_claim = claim;
     run;
-    cache_key = (if cache then Some (cache_key_of id) else None);
+    cache;
     warm;
   }
 
@@ -265,7 +265,8 @@ let find id = List.find (fun e -> e.id = id) all
 let find_opt id = List.find_opt (fun e -> e.id = id) all
 
 let to_job ?(timeout_s = 900.) ?(retries = 1) e =
-  Trips_engine.Engine.job ~id:e.id ?cache_key:e.cache_key ~warm:e.warm
+  let cache_key = if e.cache then Some (cache_key_of e.id) else None in
+  Trips_engine.Engine.job ~id:e.id ?cache_key ~warm:e.warm
     ~timeout_s ~retries e.run
 
 let meta e =

@@ -39,11 +39,67 @@ type func = {
   body : stmt list;
 }
 
+module Init = struct
+  (* Cell [k]: width byte [widths.[k]] (1, 2, 4 or 8) and its value as the
+     8 little-endian bytes at [8 * k] of [values]. *)
+  type t = { widths : string; values : string }
+
+  let width_of_byte = function
+    | '\001' -> Ty.W1
+    | '\002' -> Ty.W2
+    | '\004' -> Ty.W4
+    | _ -> Ty.W8
+
+  let length t = String.length t.widths
+  let width t k = width_of_byte t.widths.[k]
+  let value t k = String.get_int64_le t.values (8 * k)
+
+  let of_cells cells =
+    let n = Array.length cells in
+    let widths = Bytes.create n and values = Bytes.create (8 * n) in
+    Array.iteri
+      (fun k (w, v) ->
+        Bytes.set widths k (Char.chr (Ty.bytes_of_width w));
+        Bytes.set_int64_le values (8 * k) v)
+      cells;
+    { widths = Bytes.unsafe_to_string widths; values = Bytes.unsafe_to_string values }
+
+  let init w n f =
+    let values = Bytes.create (8 * n) in
+    for k = 0 to n - 1 do
+      Bytes.set_int64_le values (8 * k) (f k)
+    done;
+    { widths = String.make n (Char.chr (Ty.bytes_of_width w));
+      values = Bytes.unsafe_to_string values }
+
+  let cells t = Array.init (length t) (fun k -> (width t k, value t k))
+
+  let iter f t =
+    for k = 0 to length t - 1 do
+      f (width t k) (value t k)
+    done
+
+  (* A cell's low bytes are the first bytes of its little-endian value, so
+     a run of W8 cells is one contiguous copy. *)
+  let blit t mem addr =
+    let n = length t and k = ref 0 and addr = ref addr in
+    while !k < n do
+      let first = !k in
+      let bytes = Char.code t.widths.[first] in
+      incr k;
+      if bytes = 8 then
+        while !k < n && t.widths.[!k] = '\008' do incr k done;
+      let len = if bytes = 8 then 8 * (!k - first) else bytes in
+      Bytes.blit_string t.values (8 * first) mem !addr len;
+      addr := !addr + len
+    done
+end
+
 type global = {
   gname : string;
   size : int;
   align : int;
-  init : (Ty.width * int64) array option;
+  init : Init.t option;
 }
 
 type program = { globals : global list; funcs : func list }
@@ -124,9 +180,11 @@ let pp_global ppf g =
     | None -> ()
     | Some cells ->
       Format.fprintf ppf " = {";
-      Array.iteri
-        (fun i (w, v) ->
-          if i > 0 then Format.fprintf ppf ", ";
+      let first = ref true in
+      Init.iter
+        (fun w v ->
+          if not !first then Format.fprintf ppf ", ";
+          first := false;
           Format.fprintf ppf "w%d:%Ld" (Ty.bytes_of_width w) v)
         cells;
       Format.fprintf ppf "}"

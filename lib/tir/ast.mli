@@ -49,17 +49,52 @@ type func = {
   body : stmt list;
 }
 
+(** A global's initializer: a sequence of cells, each a width and a
+    64-bit value, laid out one after another from the global's address,
+    each as the low [width] bytes of its value, little-endian.
+
+    The cells are packed into two strings, one width byte per cell and
+    8 value bytes per cell, so a workload's input arrays cost two heap
+    blocks rather than a boxed tuple and a boxed [int64] per element
+    (the registry holds about 340k cells).  A value is kept whole, so a
+    cell whose value does not fit its width, such as [(W1, 300L)], reads
+    back exactly; only {!blit} truncates.  Equal cell sequences give
+    equal [t]s under [=] and [Marshal]. *)
+module Init : sig
+  type t
+
+  val of_cells : (Ty.width * int64) array -> t
+
+  val init : Ty.width -> int -> (int -> int64) -> t
+  (** [init w n f]: [n] cells of width [w], cell [k] holding [f k].  [f]
+      is called for [k = 0, 1, ..., n - 1] in that order, so a generator
+      drawn from inside [f] yields the same cells as an [Array.init]. *)
+
+  val length : t -> int
+  val iter : (Ty.width -> int64 -> unit) -> t -> unit
+  (** In cell order. *)
+
+  val cells : t -> (Ty.width * int64) array
+  (** Inverse of {!of_cells}. *)
+
+  val blit : t -> Bytes.t -> int -> unit
+  (** [blit t mem addr] writes the cells' low bytes to [mem] from [addr]
+      on, in order, with one copy per run of [W8] cells and no
+      allocation.
+      @raise Invalid_argument if they run past the end of [mem]. *)
+end
+
 type global = {
   gname : string;
   size : int;                             (* bytes *)
   align : int;
-  init : (Ty.width * int64) array option; (* optional packed initializer *)
+  init : Init.t option;                   (* optional packed initializer *)
 }
 
 type program = { globals : global list; funcs : func list }
 
 val func : string -> ?params:(string * Ty.t) list -> ?ret:Ty.t -> stmt list -> func
-val global : string -> ?align:int -> ?init:(Ty.width * int64) array -> int -> global
+val global : string -> ?align:int -> ?init:Init.t -> int -> global
 val program : ?globals:global list -> func list -> program
 
 val find_func : program -> string -> func

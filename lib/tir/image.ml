@@ -32,25 +32,14 @@ let build ?mem_kb (globals : Ast.global list) =
   in
   if total < scratch then invalid_arg "Image.build: mem_kb too small for globals";
   let mem = Bytes.make total '\000' in
-  let t = { mem; symbols; scratch } in
   (* Apply initializers: packed values laid out sequentially from the base. *)
   List.iter
     (fun (global : Ast.global) ->
-      match global.init with
-      | None -> ()
-      | Some cells ->
-        let addr = ref (List.assoc global.gname symbols) in
-        Array.iter
-          (fun (w, v) ->
-            let bytes = Ty.bytes_of_width w in
-            for k = 0 to bytes - 1 do
-              Bytes.set t.mem (!addr + k)
-                (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xFFL)))
-            done;
-            addr := !addr + bytes)
-          cells)
+      Option.iter
+        (fun init -> Ast.Init.blit init mem (List.assoc global.gname symbols))
+        global.init)
     globals;
-  t
+  { mem; symbols; scratch }
 
 let addr_of t name = List.assoc name t.symbols
 let size t = Bytes.length t.mem

@@ -4,27 +4,25 @@ module Rng = Trips_util.Rng
 
 let ints name ?(seed = 0x5EEDL) ?(lo = 0) ?(hi = 255) n =
   let rng = Rng.create (Int64.add seed (Int64.of_int (Hashtbl.hash name))) in
-  let init = Array.init n (fun _ -> (Ty.W8, Int64.of_int (Rng.int_in rng lo hi))) in
+  let init = Ast.Init.init Ty.W8 n (fun _ -> Int64.of_int (Rng.int_in rng lo hi)) in
   Ast.global name ~init (n * 8)
 
 let ints_f name n f =
-  let init = Array.init n (fun k -> (Ty.W8, f k)) in
+  let init = Ast.Init.init Ty.W8 n f in
   Ast.global name ~init (n * 8)
 
 let floats name ?(seed = 0xF10A7L) ?(scale = 1.0) n =
   let rng = Rng.create (Int64.add seed (Int64.of_int (Hashtbl.hash name))) in
-  let init =
-    Array.init n (fun _ -> (Ty.W8, Int64.bits_of_float (Rng.float rng scale)))
-  in
+  let init = Ast.Init.init Ty.W8 n (fun _ -> Int64.bits_of_float (Rng.float rng scale)) in
   Ast.global name ~init (n * 8)
 
 let floats_f name n f =
-  let init = Array.init n (fun k -> (Ty.W8, Int64.bits_of_float (f k))) in
+  let init = Ast.Init.init Ty.W8 n (fun k -> Int64.bits_of_float (f k)) in
   Ast.global name ~init (n * 8)
 
 let bytes_ name ?(seed = 0xB17E5L) n =
   let rng = Rng.create (Int64.add seed (Int64.of_int (Hashtbl.hash name))) in
-  let init = Array.init n (fun _ -> (Ty.W1, Int64.of_int (Rng.int rng 256))) in
+  let init = Ast.Init.init Ty.W1 n (fun _ -> Int64.of_int (Rng.int rng 256)) in
   Ast.global name ~init n
 
 let zeros name n = Ast.global name (n * 8)

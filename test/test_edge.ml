@@ -135,7 +135,7 @@ let nullstore_program () =
   write b 1 [ m ];
   let _ = inst b (Isa.Branch Isa.Xret) in
   let blk = finish b in
-  { Block.globals = [ Ast.global "g" ~init:[| (Ty.W8, 99L) |] 8 ];
+  { Block.globals = [ Ast.global "g" ~init:(Ast.Init.of_cells [| (Ty.W8, 99L) |]) 8 ];
     funcs = [ { Block.fname = "ns"; entry = "ns.entry"; blocks = [ blk ] } ] }
 
 let test_null_store_taken () =

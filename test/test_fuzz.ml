@@ -32,7 +32,7 @@ let golden_prog : Ast.program =
     globals =
       [
         { Ast.gname = "gA"; size = 32; align = 8;
-          init = Some [| (Ty.W8, 7L); (Ty.W4, -1L) |] };
+          init = Some (Ast.Init.of_cells [| (Ty.W8, 7L); (Ty.W4, -1L) |]) };
       ];
     funcs =
       [
@@ -311,6 +311,39 @@ let corpus_dir () =
   let beside = Filename.concat (Filename.dirname Sys.executable_name) "corpus" in
   if Sys.file_exists beside then beside else "corpus"
 
+(* Each committed repro decodes and re-encodes to its own bytes.  The
+   shrinker strips initializers, so a mixed-width one with out-of-width
+   and extreme values is checked through the same text path. *)
+let test_corpus_reencode () =
+  let reencode text =
+    match Json.parse text with
+    | Error m -> Alcotest.fail m
+    | Ok j -> Json.to_string (Corpus.jprogram (Corpus.of_jprogram j))
+  in
+  let init =
+    Ast.Init.of_cells
+      [| (Ty.W1, 300L); (Ty.W2, -1L); (Ty.W4, 0x1_0000_0000L); (Ty.W8, Int64.min_int);
+         (Ty.W8, Int64.max_int) |]
+  in
+  let p = { golden_prog with Ast.globals = [ Ast.global "m" ~init 24 ] } in
+  let text = Json.to_string (Corpus.jprogram p) in
+  Alcotest.(check string) "mixed-width initializer re-encodes" text (reencode text);
+  let dir = corpus_dir () in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".json")
+  in
+  Alcotest.(check bool) "corpus is non-empty" true (files <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Json.parse text with
+      | Error m -> Alcotest.failf "%s: %s" path m
+      | Ok j ->
+        Alcotest.(check string) (path ^ " re-encodes byte for byte") text
+          (Json.to_string (Corpus.entry_to_json (Corpus.entry_of_json j))))
+    files
+
 let test_corpus_replay () =
   let entries = Corpus.load_dir (corpus_dir ()) in
   Alcotest.(check bool) "corpus is non-empty" true (entries <> []);
@@ -399,6 +432,8 @@ let () =
             test_corpus_entry_roundtrip;
           Alcotest.test_case "replay committed repros" `Quick
             test_corpus_replay;
+          Alcotest.test_case "committed repros re-encode exactly" `Quick
+            test_corpus_reencode;
         ] );
       ( "batch",
         [

@@ -624,11 +624,119 @@ let test_image_layout () =
   Alcotest.(check int) "aligned" 0 (b mod 64)
 
 let test_image_init () =
-  let init = [| (Ty.W4, 0x11223344L); (Ty.W1, 0x7FL) |] in
+  let init = Ast.Init.of_cells [| (Ty.W4, 0x11223344L); (Ty.W1, 0x7FL) |] in
   let img = Image.build [ Ast.global "g" ~init 8 ] in
   let base = Image.addr_of img "g" in
   Alcotest.(check int64) "word" 0x11223344L (Image.load_u img Ty.W4 base);
   Alcotest.(check int64) "byte" 0x7FL (Image.load_u img Ty.W1 (base + 4))
+
+(* -- packed initializers ------------------------------------------- *)
+
+let widths = [ Ty.W1; Ty.W2; Ty.W4; Ty.W8 ]
+
+(* Values that fit no narrow width, the int64 extremes, and values whose
+   low bytes alone would read back differently. *)
+let init_values =
+  [ 0L; 1L; -1L; 255L; 256L; 300L; 65535L; 65536L; 0xFFFFFFFFL; 0x1_0000_0000L;
+    0x8877665544332211L; Int64.min_int; Int64.max_int ]
+
+let cells_t =
+  Alcotest.(array (pair (testable (fun ppf w -> Format.fprintf ppf "W%d" (Ty.bytes_of_width w)) ( = )) int64))
+
+let test_init_roundtrip () =
+  let cells =
+    Array.of_list (List.concat_map (fun w -> List.map (fun v -> (w, v)) init_values) widths)
+  in
+  let t = Ast.Init.of_cells cells in
+  Alcotest.check cells_t "cells (of_cells c) = c" cells (Ast.Init.cells t);
+  Alcotest.(check int) "length" (Array.length cells) (Ast.Init.length t);
+  let seen = ref [] in
+  Ast.Init.iter (fun w v -> seen := (w, v) :: !seen) t;
+  Alcotest.check cells_t "iter visits the cells in order" cells (Array.of_list (List.rev !seen));
+  Alcotest.check cells_t "empty" [||] (Ast.Init.cells (Ast.Init.of_cells [||]));
+  List.iter
+    (fun w ->
+      let vs = Array.of_list init_values in
+      let order = ref [] in
+      let t = Ast.Init.init w (Array.length vs) (fun k -> order := k :: !order; vs.(k)) in
+      Alcotest.(check (list int)) "init calls f in index order"
+        (List.init (Array.length vs) Fun.id) (List.rev !order);
+      Alcotest.(check bool) "init = of_cells of the same cells" true
+        (t = Ast.Init.of_cells (Array.map (fun v -> (w, v)) vs)))
+    widths
+
+(* The per-cell loop [Image.build] ran before initializers were packed,
+   verbatim but for reading the cells through [Ast.Init.cells]. *)
+let reference_mem ~mem_kb (globals : Ast.global list) =
+  let symbols = Image.layout globals in
+  let mem = Bytes.make (mem_kb * 1024) '\000' in
+  List.iter
+    (fun (global : Ast.global) ->
+      match global.init with
+      | None -> ()
+      | Some cells ->
+        let addr = ref (List.assoc global.gname symbols) in
+        Array.iter
+          (fun (w, v) ->
+            let bytes = Ty.bytes_of_width w in
+            for k = 0 to bytes - 1 do
+              Bytes.set mem (!addr + k)
+                (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xFFL)))
+            done;
+            addr := !addr + bytes)
+          (Ast.Init.cells cells))
+    globals;
+  Bytes.to_string mem
+
+let image_bytes img =
+  String.init (Image.size img) (fun a -> Char.chr (Int64.to_int (Image.load_u img Ty.W1 a)))
+
+(* Random global lists: mixed widths (runs of W8 among narrow cells),
+   every alignment, no initializer, empty ones, and initializers that run
+   past their global's size into the next one. *)
+let random_globals rng =
+  let module Rng = Trips_util.Rng in
+  List.init (Rng.int rng 6) (fun k ->
+      let size = Rng.int rng 80 in
+      let align = List.nth [ 1; 2; 4; 8; 16; 64 ] (Rng.int rng 6) in
+      let value () =
+        if Rng.int rng 4 = 0 then List.nth init_values (Rng.int rng (List.length init_values))
+        else Rng.next rng
+      in
+      let init =
+        match Rng.int rng 5 with
+        | 0 -> None
+        | 1 -> Some (Ast.Init.of_cells [||])
+        | _ ->
+          let w8_run = Rng.bool rng in
+          Some
+            (Ast.Init.of_cells
+               (Array.init (Rng.int rng 16) (fun _ ->
+                    let w = if w8_run && Rng.bool rng then Ty.W8 else List.nth widths (Rng.int rng 4) in
+                    (w, value ()))))
+      in
+      Ast.global (Printf.sprintf "g%d" k) ~align ?init size)
+
+let test_image_init_exact () =
+  let rng = Trips_util.Rng.create 0x1417L in
+  for case = 1 to 200 do
+    let globals = random_globals rng in
+    let mem_kb = 5 + (List.fold_left (fun n (g : Ast.global) -> n + g.size + g.align) 0 globals / 1024) in
+    let img = Image.build ~mem_kb globals in
+    if image_bytes img <> reference_mem ~mem_kb globals then
+      Alcotest.failf "case %d: image differs from the per-cell loop" case
+  done
+
+let test_init_pp () =
+  let init =
+    Ast.Init.of_cells
+      [| (Ty.W1, 300L); (Ty.W2, -1L); (Ty.W4, 0x1_0000_0000L); (Ty.W8, Int64.min_int);
+         (Ty.W8, Int64.max_int) |]
+  in
+  Alcotest.(check string) "mixed widths print whole values"
+    "global m[24] align 4 = {w1:300, w2:-1, w4:4294967296, w8:-9223372036854775808, \
+     w8:9223372036854775807}"
+    (Format.asprintf "%a" Ast.pp_global (Ast.global "m" ~align:4 ~init 24))
 
 let test_image_subword_load () =
   let img = Image.build [ Ast.global "g" 8 ] in
@@ -985,5 +1093,9 @@ let () =
           Alcotest.test_case "operator corner cases" `Quick test_semantics_quirks;
           Alcotest.test_case "lane and value entry points agree" `Quick
             test_semantics_lanes;
+          Alcotest.test_case "packed init round-trips every width" `Quick test_init_roundtrip;
+          Alcotest.test_case "packed init matches the per-cell loop" `Quick
+            test_image_init_exact;
+          Alcotest.test_case "packed init prints whole values" `Quick test_init_pp;
         ] );
     ]

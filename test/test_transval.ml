@@ -10,6 +10,7 @@
    and two domains validating at once must match a sequential run. *)
 
 module Ast = Trips_tir.Ast
+module Ty = Trips_tir.Ty
 module Cfg = Trips_tir.Cfg
 module Lower = Trips_tir.Lower
 module Opt = Trips_tir.Opt
@@ -132,6 +133,88 @@ let test_opt_branch_swap () =
          pres posts)
   in
   expect_only "swapped branch arms" "opt" reports
+
+(* Random straight-line blocks in which a result register of an
+   available expression is redefined before the expression recurs, the
+   one case where [Opt.cse] must drop an entry because its result, not an
+   operand, changed.  Nothing the compiler lowers builds this shape, so
+   the blocks are made here: [a op b] into [d], filler, [d] redefined,
+   filler, [a op b] again into [d2], then every temporary stored.
+   Parameters v0..v3 are never written, so only the result kill can
+   retire [a op b]; a [cse] that misses it rewrites [d2] as a copy of the
+   stale [d], which the validator refutes. *)
+let result_redefinition_func rng k =
+  let module Rng = Trips_util.Rng in
+  let nparams = 4 and ntemps = 6 in
+  let ops = [| Ast.Add; Ast.Sub; Ast.Mul; Ast.Xor; Ast.And; Ast.Or |] in
+  let op () = ops.(Rng.int rng (Array.length ops)) in
+  let defined = ref [] in
+  let param () = Cfg.Reg (Rng.int rng nparams) in
+  let source () =
+    match Rng.int rng 3 with
+    | 0 -> Cfg.Ci (Int64.of_int (Rng.int rng 16))
+    | 1 when !defined <> [] -> Cfg.Reg (List.nth !defined (Rng.int rng (List.length !defined)))
+    | _ -> param ()
+  in
+  let temp () = nparams + Rng.int rng ntemps in
+  let def d ins =
+    if not (List.mem d !defined) then defined := d :: !defined;
+    ins
+  in
+  let filler () =
+    List.init (Rng.int rng 4) (fun _ ->
+        let d = temp () in
+        match Rng.int rng 4 with
+        | 0 -> def d (Cfg.Mov (d, source ()))
+        | 1 -> def d (Cfg.Un (Ast.Neg, d, source ()))
+        | _ -> def d (Cfg.Bin (op (), d, source (), source ())))
+  in
+  let eop = op () and a = param () in
+  let b = if Rng.bool rng then param () else Cfg.Ci (Int64.of_int (Rng.int rng 16)) in
+  let d = temp () in
+  let d2 = if Rng.bool rng then d else temp () in
+  let pre = filler () in
+  let first = def d (Cfg.Bin (eop, d, a, b)) in
+  let mid1 = filler () in
+  let redefine =
+    def d
+      (match Rng.int rng 3 with
+      | 0 -> Cfg.Mov (d, source ())
+      | 1 -> Cfg.Un (Ast.Not, d, source ())
+      | _ -> Cfg.Bin (op (), d, source (), source ()))
+  in
+  let mid2 = filler () in
+  let again = def d2 (Cfg.Bin (eop, d2, a, b)) in
+  let post = filler () in
+  let stores =
+    List.map (fun r -> Cfg.Store (Ty.W8, Cfg.Sym "out", 8 * r, Cfg.Reg r)) (List.sort compare !defined)
+  in
+  let name = Printf.sprintf "redef%d" k in
+  { Cfg.name; params = List.init nparams (fun r -> (r, Ty.I64)); ret = Some Ty.I64;
+    blocks =
+      [ { Cfg.label = name ^ ".entry";
+          ins = pre @ (first :: mid1) @ (redefine :: mid2) @ (again :: post) @ stores;
+          term = Cfg.Ret (Some (Cfg.Reg d2)) } ];
+    next_vreg = nparams + ntemps }
+
+let cse_reports cse =
+  let rng = Trips_util.Rng.create 0xC5EL in
+  List.init 100 (fun k ->
+      let pre = result_redefinition_func rng k in
+      let post = copy_func pre in
+      cse post;
+      T.check_opt ~sym:(fun _ -> 0x1000L) ~fname:pre.Cfg.name pre post)
+  |> List.concat
+
+let test_opt_cse_result_redefined () =
+  let reports = cse_reports Opt.cse in
+  Alcotest.(check int) "one report per block" 100 (List.length reports);
+  List.iter
+    (fun (r : T.report) ->
+      if r.T.r_verdict <> T.Vproved then
+        Alcotest.failf "%s: cse output %s, not proved" r.T.r_fname
+          (T.verdict_name r.T.r_verdict))
+    reports
 
 (* -- block splitting -------------------------------------------------- *)
 
@@ -555,6 +638,8 @@ let () =
         [
           Alcotest.test_case "simple suite proves (EDGE)" `Quick test_clean_edge;
           Alcotest.test_case "simple suite proves (RISC)" `Quick test_clean_risc;
+          Alcotest.test_case "cse proves blocks that redefine a result" `Quick
+            test_opt_cse_result_redefined;
         ] );
       ( "liveness",
         [
