@@ -129,12 +129,15 @@ for args in "run fft --sim spec" "run fft --preset O0" \
   }
 done
 
-echo "== engine smoke: trips_run --id table1 --jobs 2 --format json =="
-out=$(dune exec bin/trips_run.exe -- --id table1 --jobs 2 --format json 2>/dev/null)
-echo "$out" | grep -q '"title": "Table 1' || {
-  echo "engine smoke test failed: no JSON table on stdout" >&2
-  exit 1
-}
+echo "== engine smoke: trips_run --id table1 --id fig8 --jobs 1 --format json =="
+# fig8 has a warm sub-job, so one worker exercises the warm-then-run path
+out=$(dune exec bin/trips_run.exe -- --id table1 --id fig8 --jobs 1 --format json 2>/dev/null)
+for title in '"title": "Table 1' '"title": "Figure 8 (left)'; do
+  echo "$out" | grep -q "$title" || {
+    echo "engine smoke test failed: no $title JSON table on stdout" >&2
+    exit 1
+  }
+done
 echo "$out" | head -3
 
 echo "== all checks passed =="

@@ -39,139 +39,129 @@ let utilization r =
     Array.fold_left ( +. ) 0. r.busy_s
     /. (r.wall_s *. float_of_int (Array.length r.busy_s))
 
-type task = { jix : int; work : work }
-and work = Warm of (unit -> unit) | Finalize
-
 let now = Unix.gettimeofday
 
-let describe_exn = function
-  | Failure m -> m
-  | Invalid_argument m -> "Invalid_argument: " ^ m
-  | e -> Printexc.to_string e
-
-(* One attempt loop for a job's [run].  Exceptions retry up to [retries];
-   a blown soft deadline fails without retry (domains cannot be preempted,
-   and a deterministic job that ran long once will run long again). *)
-let attempt_run (j : job) =
+(* A job's [run] under its attempt policy.  Exceptions retry up to
+   [retries]; a blown soft deadline fails without retry (domains cannot be
+   preempted, and a deterministic job that ran long once will run long
+   again).  The last failure is re-raised, so the pool neither caches nor
+   returns a table and its exception text becomes the failure record;
+   [record] keeps the attempt count. *)
+let attempt_run (j : job) record () =
   let rec go attempts =
+    record attempts;
     let t0 = now () in
     match j.run () with
     | table ->
       let dt = now () -. t0 in
       if dt > j.timeout_s then
-        ( Failed
-            {
-              attempts;
-              error =
-                Printf.sprintf "timeout: attempt took %.1fs (budget %.1fs)" dt
-                  j.timeout_s;
-            },
-          attempts )
-      else (Finished table, attempts)
-    | exception e ->
-      if attempts <= j.retries then go (attempts + 1)
-      else (Failed { attempts; error = describe_exn e }, attempts)
+        failwith
+          (Printf.sprintf "timeout: attempt took %.1fs (budget %.1fs)" dt
+             j.timeout_s);
+      table
+    | exception e -> if attempts <= j.retries then go (attempts + 1) else raise e
   in
   go 1
 
-let run ?(workers = 4) ?(queue_capacity = 64) ?cache jobs =
-  let workers = max 1 workers in
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
+let count p = Array.fold_left (fun n x -> if p x then n + 1 else n) 0
+
+let run ?(workers = 4) ?cache jobs =
   let t_start = now () in
-  let lock = Mutex.create () in
-  let all_done = Condition.create () in
-  let remaining = ref n in
-  (* outcome, cache_hit, attempts; job_reports are assembled after the pool
-     drains so work_s includes the recording task's own duration *)
-  let slots : (outcome * bool * int) option array = Array.make n None in
-  let pending_warm = Array.map (fun j -> List.length j.warm) jobs in
-  let work_s = Array.make n 0. in
-  let busy_s = Array.make workers 0. in
-  let cache_hits = ref 0 and cache_misses = ref 0 in
-  let q : task Workq.t = Workq.create ~capacity:queue_capacity in
-  let record jix outcome ~cache_hit ~attempts =
-    Mutex.lock lock;
-    slots.(jix) <- Some (outcome, cache_hit, attempts);
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast all_done;
-    Mutex.unlock lock
-  in
-  let finalize jix =
-    let j = jobs.(jix) in
-    let outcome, attempts = attempt_run j in
-    (match (outcome, cache, j.cache_key) with
-    | Finished table, Some c, Some key -> Result_cache.store c ~key table
-    | _ -> ());
-    record jix outcome ~cache_hit:false ~attempts
-  in
-  let worker wix () =
-    let rec loop () =
-      match Workq.pop q with
-      | None -> ()
-      | Some { jix; work } ->
-        let t0 = now () in
-        (match work with
-        | Warm f ->
-          (* a warm failure is not fatal here: [run] recomputes the same
-             thing and surfaces the error as the job's failure record *)
-          (try f () with _ -> ());
-          Mutex.lock lock;
-          pending_warm.(jix) <- pending_warm.(jix) - 1;
-          let ready = pending_warm.(jix) = 0 in
-          Mutex.unlock lock;
-          if ready then Workq.push_unbounded q { jix; work = Finalize }
-        | Finalize -> finalize jix);
-        let dt = now () -. t0 in
-        busy_s.(wix) <- busy_s.(wix) +. dt;
-        Mutex.lock lock;
-        work_s.(jix) <- work_s.(jix) +. dt;
-        Mutex.unlock lock;
-        loop ()
-    in
-    loop ()
-  in
-  let domains = Array.init workers (fun wix -> Domain.spawn (worker wix)) in
-  Array.iteri
-    (fun jix (j : job) ->
-      let hit =
+  let jobs = Array.of_list jobs in
+  (* one lookup per keyed job before anything runs: a hit runs no warm *)
+  let hits =
+    Array.map
+      (fun (j : job) ->
         match (cache, j.cache_key) with
         | Some c, Some key -> Result_cache.find c ~key
-        | _ -> None
+        | _ -> None)
+      jobs
+  in
+  let cache_hits = count Option.is_some hits in
+  let keyed =
+    if cache = None then 0 else count (fun (j : job) -> j.cache_key <> None) jobs
+  in
+  (* a queue that holds the whole batch never sheds a submit *)
+  let tasks =
+    Array.fold_left (fun n (j : job) -> n + 1 + List.length j.warm) 0 jobs
+  in
+  let pool = Pool.create ~workers ~queue_capacity:(max 1 tasks) ?cache () in
+  let attempts = Array.make (Array.length jobs) 0 in
+  let job_reports =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    (* each task times itself into its own cell; [Pool.await]'s lock
+       orders that write before the read below *)
+    let submit ?cache_key ~id f =
+      let dt = ref 0. in
+      let timed () =
+        let t0 = now () in
+        Fun.protect ~finally:(fun () -> dt := now () -. t0) f
       in
-      match hit with
-      | Some table ->
-        incr cache_hits;
-        record jix (Finished table) ~cache_hit:true ~attempts:0
-      | None ->
-        if Option.is_some cache && Option.is_some j.cache_key then
-          incr cache_misses;
-        if j.warm = [] then Workq.push q { jix; work = Finalize }
-        else List.iter (fun f -> Workq.push q { jix; work = Warm f }) j.warm)
-    jobs;
-  Mutex.lock lock;
-  while !remaining > 0 do
-    Condition.wait all_done lock
-  done;
-  Mutex.unlock lock;
-  Workq.close q;
-  Array.iter Domain.join domains;
+      match Pool.submit pool ?cache_key ~id timed with
+      | Pool.Admitted ticket -> (ticket, dt)
+      | Pool.Shed | Pool.Closed -> assert false (* see [tasks] *)
+    in
+    let warms =
+      Array.mapi
+        (fun jix (j : job) ->
+          if Option.is_some hits.(jix) then []
+          else
+            List.map
+              (fun f ->
+                (* a warm failure is not fatal here: [run] recomputes the
+                   same thing and surfaces the error as the job's failure *)
+                submit ~id:j.id (fun () ->
+                    (try f () with _ -> ());
+                    Table.create []))
+              j.warm)
+        jobs
+    in
+    (* Awaits happen on this thread, never inside a pool job: with one
+       worker, a run blocked on its warms would hold the only domain
+       they could run on. *)
+    let runs =
+      Array.mapi
+        (fun jix (j : job) ->
+          if Option.is_some hits.(jix) then None
+          else begin
+            List.iter (fun (t, _) -> ignore (Pool.await t)) warms.(jix);
+            Some
+              (submit ?cache_key:j.cache_key ~id:j.id
+                 (attempt_run j (fun n -> attempts.(jix) <- n)))
+          end)
+        jobs
+    in
+    List.init (Array.length jobs) (fun jix ->
+        let job_id = jobs.(jix).id in
+        match runs.(jix) with
+        | None ->
+          {
+            job_id;
+            outcome = Finished (Option.get hits.(jix));
+            work_s = 0.;
+            cache_hit = true;
+            attempts = 0;
+          }
+        | Some (ticket, dt) ->
+          let outcome =
+            match Pool.await ticket with
+            | Pool.Done (table, _) -> Finished table
+            | Pool.Error error -> Failed { attempts = attempts.(jix); error }
+          in
+          {
+            job_id;
+            outcome;
+            work_s = List.fold_left (fun s (_, d) -> s +. !d) !dt warms.(jix);
+            cache_hit = false;
+            attempts = attempts.(jix);
+          })
+  in
+  let stats = Pool.stats pool in
   {
-    workers;
+    workers = stats.Pool.workers;
     wall_s = now () -. t_start;
-    cache_hits = !cache_hits;
-    cache_misses = !cache_misses;
-    busy_s;
-    job_reports =
-      List.init n (fun jix ->
-          match slots.(jix) with
-          | Some (outcome, cache_hit, attempts) ->
-            {
-              job_id = jobs.(jix).id;
-              outcome;
-              work_s = work_s.(jix);
-              cache_hit;
-              attempts;
-            }
-          | None -> assert false (* remaining = 0 ⇒ every slot filled *));
+    cache_hits;
+    cache_misses = keyed - cache_hits;
+    busy_s = stats.Pool.worker_busy_s;
+    job_reports;
   }

@@ -1,11 +1,13 @@
-(** Domain-based parallel experiment runner.
+(** Parallel experiment runner: one batch of jobs over a {!Pool}.
 
     A {!job} is an experiment: an optional content key into the
     {!Result_cache}, a list of independent [warm] sub-jobs (per-benchmark
     simulations that populate the harness memo tables), and a final [run]
-    that assembles the result table.  {!run} schedules every sub-job of
-    every job over a fixed pool of worker domains fed by a bounded
-    {!Workq}; a job's [run] is enqueued once its last warm task finishes.
+    that assembles the result table.  {!run} looks every keyed job up in
+    the cache first, so a hit runs nothing.  For each miss it submits
+    every warm sub-job to the pool as a keyless job; once a job's warms
+    have settled it submits the job's [run] under its cache key, so the
+    pool stores the result and coalesces identical runs.
 
     Jobs are crash-isolated: an exception in one job produces a structured
     {!Failed} record while its siblings complete.  Timeouts are soft — a
@@ -58,11 +60,9 @@ type report = {
   job_reports : job_report list;  (* in submission order *)
 }
 
-val run :
-  ?workers:int -> ?queue_capacity:int -> ?cache:Result_cache.t ->
-  job list -> report
+val run : ?workers:int -> ?cache:Result_cache.t -> job list -> report
 (** Execute every job; never raises on job failure.  [workers] defaults
-    to 4 (clamped to ≥ 1); [queue_capacity] bounds the submission queue. *)
+    to 4 (clamped to ≥ 1). *)
 
 val utilization : report -> float
 (** Mean fraction of the run's wall-clock the workers spent busy. *)

@@ -37,7 +37,7 @@ type t = {
   mutable cancelled : int;
   mutable dropped : int;
   mutable running : int;
-  mutable busy_s : float;
+  busy : float array; (* per worker *)
 }
 
 type ticket = {
@@ -62,6 +62,7 @@ type stats = {
   cancelled : int;
   dropped : int;
   busy_s : float;
+  worker_busy_s : float array;
 }
 
 let now = Unix.gettimeofday
@@ -82,7 +83,7 @@ let unbind t e =
     | Some cur when cur == e -> Hashtbl.remove t.inflight k
     | _ -> ())
 
-let worker (t : t) () =
+let worker (t : t) wix () =
   let rec loop () =
     match Workq.pop t.q with
     | None -> ()
@@ -114,7 +115,7 @@ let worker (t : t) () =
         | _ -> ());
         Mutex.lock t.lock;
         t.running <- t.running - 1;
-        t.busy_s <- t.busy_s +. dt;
+        t.busy.(wix) <- t.busy.(wix) +. dt;
         (match res with
         | Ok _ -> t.executed <- t.executed + 1
         | Error _ -> t.failed <- t.failed + 1);
@@ -147,10 +148,10 @@ let create ?(workers = 4) ?(queue_capacity = 64) ?cache () =
       cancelled = 0;
       dropped = 0;
       running = 0;
-      busy_s = 0.;
+      busy = Array.make workers 0.;
     }
   in
-  t.domains <- Array.init workers (fun _ -> Domain.spawn (worker t));
+  t.domains <- Array.init workers (fun wix -> Domain.spawn (worker t wix));
   t
 
 let ticket_of t e origin =
@@ -272,7 +273,8 @@ let stats t =
       coalesced = t.coalesced;
       cancelled = t.cancelled;
       dropped = t.dropped;
-      busy_s = t.busy_s;
+      busy_s = Array.fold_left ( +. ) 0. t.busy;
+      worker_busy_s = Array.copy t.busy;
     }
   in
   Mutex.unlock t.lock;

@@ -1,9 +1,10 @@
-(** Persistent Domain worker pool with admission control, in-flight
-    request coalescing and result-cache integration.
+(** The Domain worker pool, with admission control, in-flight request
+    coalescing and result-cache integration.
 
-    Where {!Engine.run} executes one batch of jobs and tears its pool
-    down, this module keeps a fixed set of worker domains alive for the
-    lifetime of a service process and admits jobs one at a time:
+    It is the only scheduler in the program.  A service process keeps
+    one pool alive for its lifetime and admits requests one at a time;
+    {!Engine.run} creates one per batch, sized so that no submit is
+    shed, submits the batch's tasks, awaits them and shuts it down:
 
     - {b Admission / back-pressure}: the submission queue is bounded and
       {!submit} never blocks — when the queue is full the job is {!Shed}
@@ -80,6 +81,7 @@ type stats = {
   cancelled : int;    (* tickets detached by [cancel] *)
   dropped : int;      (* queued jobs skipped: every requester cancelled *)
   busy_s : float;     (* summed worker execution time *)
+  worker_busy_s : float array;  (* the same, per worker *)
 }
 
 val stats : t -> stats

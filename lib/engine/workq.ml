@@ -3,8 +3,6 @@ exception Closed
 type 'a t = {
   lock : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
-  drained : Condition.t;
   items : 'a Queue.t;
   capacity : int;
   mutable closed : bool;
@@ -15,24 +13,10 @@ let create ~capacity =
   {
     lock = Mutex.create ();
     not_empty = Condition.create ();
-    not_full = Condition.create ();
-    drained = Condition.create ();
     items = Queue.create ();
     capacity;
     closed = false;
   }
-
-let push t x =
-  Mutex.lock t.lock;
-  while (not t.closed) && Queue.length t.items >= t.capacity do
-    Condition.wait t.not_full t.lock
-  done;
-  if t.closed then (
-    Mutex.unlock t.lock;
-    raise Closed);
-  Queue.push x t.items;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.lock
 
 (* Admission-control primitive: a producer that must never block (a
    request thread holding a connection open) sheds instead. *)
@@ -49,33 +33,12 @@ let try_push t x =
   Mutex.unlock t.lock;
   admitted
 
-(* Consumers feeding continuation work back into the queue must never block
-   on the bound: every worker blocked in [push] is a worker not draining,
-   so a full queue would deadlock the pool.  The bound applies to external
-   producers only. *)
-let push_unbounded t x =
-  Mutex.lock t.lock;
-  if t.closed then (
-    Mutex.unlock t.lock;
-    raise Closed);
-  Queue.push x t.items;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.lock
-
 let pop t =
   Mutex.lock t.lock;
   while Queue.is_empty t.items && not t.closed do
     Condition.wait t.not_empty t.lock
   done;
-  let r =
-    if Queue.is_empty t.items then None
-    else begin
-      let x = Queue.pop t.items in
-      Condition.signal t.not_full;
-      if t.closed && Queue.is_empty t.items then Condition.broadcast t.drained;
-      Some x
-    end
-  in
+  let r = Queue.take_opt t.items in
   Mutex.unlock t.lock;
   r
 
@@ -83,21 +46,6 @@ let close t =
   Mutex.lock t.lock;
   t.closed <- true;
   Condition.broadcast t.not_empty;
-  Condition.broadcast t.not_full;
-  if Queue.is_empty t.items then Condition.broadcast t.drained;
-  Mutex.unlock t.lock
-
-let is_closed t =
-  Mutex.lock t.lock;
-  let c = t.closed in
-  Mutex.unlock t.lock;
-  c
-
-let wait_drained t =
-  Mutex.lock t.lock;
-  while not (t.closed && Queue.is_empty t.items) do
-    Condition.wait t.drained t.lock
-  done;
   Mutex.unlock t.lock
 
 let length t =

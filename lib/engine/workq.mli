@@ -1,16 +1,12 @@
-(** Bounded multi-producer multi-consumer work queue.
+(** Bounded multi-producer multi-consumer work queue behind {!Pool}.
 
-    The engine's submission thread pushes through the bound (blocking while
-    the queue is full); worker domains pop, and hand continuation tasks
-    back through {!push_unbounded} so a full queue can never deadlock the
-    pool.  [pop] returns [None] only after {!close} with the queue
-    drained.
+    Producers never block: {!try_push} admits an item or reports the
+    queue full, and the caller sheds the work.  Worker domains {!pop};
+    [pop] returns [None] only after {!close} with the queue drained.
 
     Shutdown protocol: {!close} rejects further producers but lets
     consumers keep popping until the queue is empty — items admitted
-    before the close are never lost.  {!wait_drained} blocks until that
-    point, so a long-running daemon can stop admitting, drain every
-    accepted job, then join its workers. *)
+    before the close are never lost. *)
 
 type 'a t
 
@@ -19,31 +15,16 @@ exception Closed
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val push : 'a t -> 'a -> unit
-(** Blocks while the queue holds [capacity] items.
-    @raise Closed if the queue was closed. *)
-
 val try_push : 'a t -> 'a -> bool
-(** Non-blocking admission: [false] when the queue is full (the caller
-    sheds the work instead of waiting).
-    @raise Closed if the queue was closed. *)
-
-val push_unbounded : 'a t -> 'a -> unit
-(** Enqueue ignoring the bound — for consumers feeding work back.
+(** Non-blocking admission: [false] when the queue holds [capacity]
+    items (the caller sheds the work instead of waiting).
     @raise Closed if the queue was closed. *)
 
 val pop : 'a t -> 'a option
 (** Blocks until an item or {!close}; [None] means closed and drained. *)
 
 val close : 'a t -> unit
-(** Wake every blocked producer and consumer; further pushes raise.
-    Already-queued items remain poppable. *)
-
-val is_closed : 'a t -> bool
-
-val wait_drained : 'a t -> unit
-(** Block until the queue is closed and every queued item was popped.
-    Popped is not finished: consumers may still be executing their last
-    item — join them (or {!Pool.shutdown}) for full quiescence. *)
+(** Wake every blocked consumer; further pushes raise.  Already-queued
+    items remain poppable. *)
 
 val length : 'a t -> int

@@ -62,8 +62,8 @@ let assemble ~seed ~count oracle rows =
 (* Fan the seeds across the engine's worker domains as warm sub-jobs of a
    single uncached job (every program is fresh by design: no cache key, no
    memoized results — the full stack recomputes for each seed).  Distinct
-   array slots make the warm tasks race-free; the engine's completion
-   tracking orders every write before [assemble]. *)
+   array slots make the warm tasks race-free; the engine awaits every warm
+   through [Pool.await], whose lock orders each write before [assemble]. *)
 let run ?workers ?gen_cfg ?shrink_evals (oracle : Oracle.t) ~seed ~count () : t
     =
   let slots = Array.make (max count 1) None in
@@ -73,8 +73,7 @@ let run ?workers ?gen_cfg ?shrink_evals (oracle : Oracle.t) ~seed ~count () : t
          slots.(i) <- Some (run_one ?gen_cfg ?shrink_evals oracle ~seed:(seed + i)))
   in
   let job =
-    Engine.job ~warm ~timeout_s:14400. ~retries:0 ~id:"fuzz" (fun () ->
-        Table.create [])
+    Engine.job ~warm ~id:"fuzz" (fun () -> Table.create [])
   in
   ignore (Engine.run ?workers [ job ]);
   (* Backfill sequentially if a warm task was lost to a crash. *)

@@ -264,10 +264,9 @@ let all =
 let find id = List.find (fun e -> e.id = id) all
 let find_opt id = List.find_opt (fun e -> e.id = id) all
 
-let to_job ?(timeout_s = 900.) ?(retries = 1) e =
+let to_job e =
   let cache_key = if e.cache then Some (cache_key_of e.id) else None in
-  Trips_engine.Engine.job ~id:e.id ?cache_key ~warm:e.warm
-    ~timeout_s ~retries e.run
+  Trips_engine.Engine.job ~id:e.id ?cache_key ~warm:e.warm e.run
 
 let meta e =
   { Trips_engine.Artifacts.id = e.id; title = e.title; note = e.paper_claim }

@@ -39,10 +39,9 @@ val find : string -> experiment
 
 val find_opt : string -> experiment option
 
-val to_job :
-  ?timeout_s:float -> ?retries:int -> experiment -> Trips_engine.Engine.job
-(** The engine job for an experiment (defaults: 900 s budget, 1 retry),
-    with its cache key when [cache] is set. *)
+val to_job : experiment -> Trips_engine.Engine.job
+(** The engine job for an experiment ({!Trips_engine.Engine.job}'s default
+    budget and retries), with its cache key when [cache] is set. *)
 
 val meta : experiment -> Trips_engine.Artifacts.meta
 (** Manifest metadata (title, paper claim) for the artifact store. *)

@@ -22,39 +22,22 @@ let render_of = function
 
 let test_workq_fifo () =
   let q = Workq.create ~capacity:4 in
-  List.iter (fun i -> Workq.push q i) [ 1; 2; 3 ];
+  List.iter (fun i -> ignore (Workq.try_push q i)) [ 1; 2; 3 ];
   Alcotest.(check int) "length" 3 (Workq.length q);
   Alcotest.(check (option int)) "pop 1" (Some 1) (Workq.pop q);
   Alcotest.(check (option int)) "pop 2" (Some 2) (Workq.pop q);
   Workq.close q;
   Alcotest.(check (option int)) "drain before closed-empty" (Some 3) (Workq.pop q);
   Alcotest.(check (option int)) "closed and drained" None (Workq.pop q);
-  Alcotest.check_raises "push after close" Workq.Closed (fun () -> Workq.push q 9)
-
-let test_workq_bound_blocks () =
-  (* a producer pushing past the bound blocks until a consumer pops *)
-  let q = Workq.create ~capacity:2 in
-  Workq.push q 1;
-  Workq.push q 2;
-  let third_pushed = Atomic.make false in
-  let producer =
-    Domain.spawn (fun () ->
-        Workq.push q 3;
-        Atomic.set third_pushed true)
-  in
-  Unix.sleepf 0.05;
-  Alcotest.(check bool) "still blocked at capacity" false (Atomic.get third_pushed);
-  Alcotest.(check (option int)) "pop frees a slot" (Some 1) (Workq.pop q);
-  Domain.join producer;
-  Alcotest.(check bool) "unblocked after pop" true (Atomic.get third_pushed);
-  Alcotest.(check int) "both remain" 2 (Workq.length q)
+  Alcotest.check_raises "push after close" Workq.Closed (fun () ->
+      ignore (Workq.try_push q 9))
 
 (* -- Engine scheduling ------------------------------------------------ *)
 
 let test_engine_more_jobs_than_workers () =
   let n = 32 in
   let jobs = List.init n (fun i -> trivial_job (Printf.sprintf "job%02d" i)) in
-  let report = Engine.run ~workers:3 ~queue_capacity:4 jobs in
+  let report = Engine.run ~workers:3 jobs in
   Alcotest.(check int) "all jobs reported" n (List.length report.Engine.job_reports);
   List.iteri
     (fun i (r : Engine.job_report) ->
@@ -69,20 +52,26 @@ let test_engine_more_jobs_than_workers () =
     report.Engine.job_reports
 
 let test_engine_warm_subjobs_run_before_finalize () =
-  let warmed = Atomic.make 0 in
-  let job =
-    Engine.job ~id:"warmy"
-      ~warm:(List.init 8 (fun _ () -> Atomic.incr warmed))
-      (fun () ->
-        (* every warm sub-job has completed by the time run executes *)
-        mk_table (string_of_int (Atomic.get warmed)))
-  in
-  let report = Engine.run ~workers:4 [ job ] in
-  match (List.hd report.Engine.job_reports).Engine.outcome with
-  | Engine.Finished t ->
-    Alcotest.(check string) "run saw all warms" (Table.render (mk_table "8"))
-      (Table.render t)
-  | Engine.Failed { error; _ } -> Alcotest.fail error
+  (* one worker is the schedule where a run awaiting its own warms would
+     hold the only domain they could run on *)
+  List.iter
+    (fun workers ->
+      let warmed = Atomic.make 0 in
+      let job =
+        Engine.job ~id:"warmy"
+          ~warm:(List.init 8 (fun _ () -> Atomic.incr warmed))
+          (fun () ->
+            (* every warm sub-job has completed by the time run executes *)
+            mk_table (string_of_int (Atomic.get warmed)))
+      in
+      let report = Engine.run ~workers [ job ] in
+      match (List.hd report.Engine.job_reports).Engine.outcome with
+      | Engine.Finished t ->
+        Alcotest.(check string) "run saw all warms"
+          (Table.render (mk_table "8"))
+          (Table.render t)
+      | Engine.Failed { error; _ } -> Alcotest.fail error)
+    [ 1; 4 ]
 
 let test_engine_failure_isolated () =
   let jobs =
@@ -178,9 +167,11 @@ let test_cache_corrupt_entry_is_miss () =
 let test_engine_cache_hit_skips_run () =
   with_temp_dir @@ fun dir ->
   let cache = Result_cache.open_ dir in
-  let runs = Atomic.make 0 in
+  let runs = Atomic.make 0 and warms = Atomic.make 0 in
   let mk () =
-    Engine.job ~id:"exp" ~cache_key:"exp/v1" (fun () ->
+    Engine.job ~id:"exp" ~cache_key:"exp/v1"
+      ~warm:[ (fun () -> Atomic.incr warms) ]
+      (fun () ->
         Atomic.incr runs;
         mk_table "expensive")
   in
@@ -190,6 +181,7 @@ let test_engine_cache_hit_skips_run () =
   Alcotest.(check int) "first run has no hits" 0 first.Engine.cache_hits;
   let second = Engine.run ~workers:2 ~cache [ mk () ] in
   Alcotest.(check int) "cache hit skips run" 1 (Atomic.get runs);
+  Alcotest.(check int) "cache hit skips warm sub-jobs" 1 (Atomic.get warms);
   Alcotest.(check int) "second run hits" 1 second.Engine.cache_hits;
   let r = List.hd second.Engine.job_reports in
   Alcotest.(check bool) "report marks the hit" true r.Engine.cache_hit;
@@ -211,30 +203,6 @@ let test_workq_try_push () =
   Workq.close q;
   Alcotest.check_raises "try_push after close" Workq.Closed (fun () ->
       ignore (Workq.try_push q 4))
-
-let test_workq_wait_drained () =
-  let q = Workq.create ~capacity:8 in
-  List.iter (Workq.push q) [ 1; 2; 3 ];
-  Alcotest.(check bool) "not closed yet" false (Workq.is_closed q);
-  let drained = Atomic.make false in
-  let waiter =
-    Domain.spawn (fun () ->
-        Workq.wait_drained q;
-        Atomic.set drained true)
-  in
-  let consumer =
-    Domain.spawn (fun () ->
-        let rec go n = match Workq.pop q with None -> n | Some _ -> go (n + 1) in
-        go 0)
-  in
-  Unix.sleepf 0.05;
-  Alcotest.(check bool) "waiter blocked before close" false (Atomic.get drained);
-  Workq.close q;
-  Alcotest.(check bool) "closed" true (Workq.is_closed q);
-  let popped = Domain.join consumer in
-  Domain.join waiter;
-  Alcotest.(check int) "nothing admitted was lost" 3 popped;
-  Alcotest.(check bool) "drained after close + empty" true (Atomic.get drained)
 
 (* -- Result cache durability ------------------------------------------ *)
 
@@ -450,11 +418,8 @@ let () =
       ( "workq",
         [
           Alcotest.test_case "fifo and close" `Quick test_workq_fifo;
-          Alcotest.test_case "bound blocks producers" `Quick test_workq_bound_blocks;
           Alcotest.test_case "try_push sheds at the bound" `Quick
             test_workq_try_push;
-          Alcotest.test_case "wait_drained after close" `Quick
-            test_workq_wait_drained;
         ] );
       ( "pool",
         [
