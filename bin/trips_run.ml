@@ -10,8 +10,9 @@
      trips_run serve-bench --out FILE       -- trips_serve load report
 
    Each report subcommand (lint, absint, timing, sampling, transval,
-   simbench, fuzz, serve-bench) writes the JSON report that
-   `trips_run gate` checks against a bench/BENCH_*.json file. *)
+   simbench, fuzz, serve-bench) is declared through [report_cmd]: it
+   prints as txt or JSON and writes the JSON report that `trips_run gate`
+   checks against a bench/BENCH_*.json file. *)
 
 open Cmdliner
 module Registry = Trips_workloads.Registry
@@ -23,6 +24,7 @@ module Exec = Trips_edge.Exec
 module Core = Trips_sim.Core
 module Sampled = Trips_sim.Sampled
 module Json = Trips_util.Json
+module Table = Trips_util.Table
 module Analyzer = Trips_analysis.Analyzer
 module Diag = Trips_analysis.Diag
 module Driver = Trips_compiler.Driver
@@ -73,18 +75,6 @@ let presets_arg ?(aliases = []) ~docv ~doc default =
     const (function [] -> default | ps -> List.concat ps)
     $ Arg.(value & opt_all presets [] & info [ "preset" ] ~docv ~doc))
 
-let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("txt", `Txt); ("json", `Json) ]) `Txt
-    & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
-
 (* Integer counts: cmdliner refuses N < 1 before any work. *)
 let positive =
   let parse s =
@@ -99,19 +89,6 @@ let jobs_arg =
   Arg.(
     value & opt positive 1
     & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the engine.")
-
-let write_report ~what file json =
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc (Json.to_string json));
-  Printf.eprintf "%s report: %s\n" what file
-
-(* --format and --out: the report goes to stdout in the chosen rendering
-   and, as JSON, to the --out file. *)
-let render ~what ~format ~out json txt =
-  (match format with
-  | `Txt -> txt ()
-  | `Json -> print_string (Json.to_string json));
-  Option.iter (fun file -> write_report ~what file json) out
 
 type selection = { names : string list; all : bool }
 
@@ -132,28 +109,29 @@ let select ~default sel =
   else if sel.names = [] then default
   else List.map Registry.find sel.names
 
-(* Shared exit policy for the report commands: error-level findings
-   always fail the run; [--strict] also fails on warnings.  Used with
-   [--out] so CI can both archive the JSON report and gate on it. *)
-let strict_exit ~what ~strict ds =
-  if Diag.failed ~strict ds then
-    `Error
-      ( false,
-        Printf.sprintf "%s failed%s: %s" what
-          (if strict then " (strict)" else "")
-          (Analyzer.summary ds) )
-  else `Ok ()
-
 type report = {
   json : Json.t;             (* --format json and --out *)
   txt : unit -> unit;        (* --format txt *)
-  findings : Diag.t list;    (* the exit status, under strict_exit *)
+  findings : Diag.t list;    (* the exit status *)
 }
 
-(* A report command: [compute] holds the command's own flags and work;
-   rendering, --out, error mapping and the exit status are shared.
-   [strict_doc] adds --strict to commands whose exit depends on it. *)
+(* A report command: [compute] holds the command's own flags and work.
+   This is the only code that prints a report, writes its --out file
+   (always JSON) and decides its exit status: error-level findings fail
+   the run, and [--strict] (which [strict_doc] adds to the commands
+   whose exit depends on it) also fails it on warnings. *)
 let report_cmd name ~doc ~man ?strict_doc compute =
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("txt", `Txt); ("json", `Json) ]) `Txt
+      & info [ "format" ] ~docv:"txt|json" ~doc:"Report rendering.")
+  in
+  let out =
+    Arg.(
+      value & opt (some string) None
+      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
+  in
   let strict =
     match strict_doc with
     | Some doc -> Arg.(value & flag & info [ "strict" ] ~doc)
@@ -162,11 +140,25 @@ let report_cmd name ~doc ~man ?strict_doc compute =
   let run compute format strict out =
     guard (fun () ->
         let r = compute ~strict in
-        render ~what:name ~format ~out r.json r.txt;
-        strict_exit ~what:name ~strict r.findings)
+        (match format with
+        | `Txt -> r.txt ()
+        | `Json -> print_string (Json.to_string r.json));
+        Option.iter
+          (fun file ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc (Json.to_string r.json));
+            Printf.eprintf "%s report: %s\n" name file)
+          out;
+        if Diag.failed ~strict r.findings then
+          `Error
+            ( false,
+              Printf.sprintf "%s failed%s: %s" name
+                (if strict then " (strict)" else "")
+                (Analyzer.summary r.findings) )
+        else `Ok ())
   in
   Cmd.v (Cmd.info name ~doc ~man)
-    Term.(ret (const run $ compute $ format_arg $ strict $ out_arg))
+    Term.(ret (const run $ compute $ format $ strict $ out))
 
 (* -- list ------------------------------------------------------------ *)
 
@@ -174,18 +166,17 @@ let list_cmd =
   let doc = "List the registered benchmarks." in
   let run () =
     let t =
-      Trips_util.Table.create
-        [ ("name", Trips_util.Table.Left); ("suite", Trips_util.Table.Left);
-          ("simple", Trips_util.Table.Left); ("description", Trips_util.Table.Left) ]
+      Table.create
+        (List.map (fun h -> (h, Table.Left)) [ "name"; "suite"; "simple"; "description" ])
     in
     List.iter
       (fun (b : Registry.bench) ->
-        Trips_util.Table.add_row t
+        Table.add_row t
           [ b.Registry.name; Registry.suite_name b.Registry.suite;
             (if b.Registry.simple then "yes" else "");
             b.Registry.description ])
       Registry.all;
-    Trips_util.Table.print t
+    Table.print t
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -374,128 +365,31 @@ let lint_cmd =
 (* -- absint ----------------------------------------------------------- *)
 
 let absint_report sel presets validate ~strict =
-  let benches = select ~default:Registry.all sel in
-  let results =
-    List.concat_map
-      (fun (b : Registry.bench) ->
-        List.map
-          (fun tag ->
-            let ptag = Preset.name tag in
-            let r = Absint_xv.row tag b in
-            let ds = Absint_xv.diags_of tag b in
-            (* full translation validation, shared with the transval
-               sweep: every applied global fact and LSID relaxation is
-               re-derived and replayed *)
-            let refuted =
-              if validate then
-                Some
-                  (Transval.summarize (Transval_xv.validate_edge tag b))
-                    .Transval.n_refuted
-              else None
-            in
-            (b, ptag, r, ds, refuted))
-          presets)
-      benches
-  in
-  let all_ds = List.concat_map (fun (_, _, _, ds, _) -> ds) results in
-  let refute_ds =
-    List.filter_map
-      (fun ((b : Registry.bench), ptag, _, _, refuted) ->
-        match refuted with
-        | Some n when n > 0 ->
-          Some
-            (Diag.make ~pass:"transval" ~fname:b.Registry.name "refuted"
-               (Printf.sprintf "%s [%s]: %d refuted validation report(s)"
-                  b.Registry.name ptag n))
-        | _ -> None)
-      results
-  in
-  let total_hits =
-    List.fold_left
-      (fun acc (_, _, (r : Absint_xv.row), _, _) ->
-        acc + Absint_xv.total_hits r.Absint_xv.a_gs)
-      0 results
-  in
-  let total_refuted =
-    List.fold_left
-      (fun acc (_, _, _, _, refuted) -> acc + Option.value refuted ~default:0)
-      0 results
-  in
-  let json =
-    Json.Obj
-      [
-        ( "programs",
-          Json.List
-            (List.map
-               (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
-                 let s = r.Absint_xv.a_stats in
-                 let gs = r.Absint_xv.a_gs in
-                 Json.Obj
-                   ([
-                      ("bench", Json.Str b.Registry.name);
-                      ("preset", Json.Str ptag);
-                      ( "facts",
-                        Json.Obj
-                          [
-                            ("const_defs", Json.Int s.Trips_analysis.Absint.s_const_defs);
-                            ("dead_branches", Json.Int s.Trips_analysis.Absint.s_dead_branches);
-                            ("sep_pairs", Json.Int s.Trips_analysis.Absint.s_sep_pairs);
-                            ("widenings", Json.Int s.Trips_analysis.Absint.s_widenings);
-                          ] );
-                      ( "hits",
-                        Json.Obj
-                          [
-                            ("consts", Json.Int gs.Driver.gs_consts);
-                            ("branches", Json.Int gs.Driver.gs_branches);
-                            ("rles", Json.Int gs.Driver.gs_rles);
-                            ("dses", Json.Int gs.Driver.gs_dses);
-                            ("relaxed", Json.Int gs.Driver.gs_relaxed);
-                            ("total", Json.Int (Absint_xv.total_hits gs));
-                          ] );
-                      ("findings", Diag.list_to_json ds);
-                    ]
-                   @
-                   match refuted with
-                   | Some n -> [ ("refuted", Json.Int n) ]
-                   | None -> []))
-               results) );
-        ( "summary",
-          Json.Obj
-            [
-              ("programs", Json.Int (List.length results));
-              ("total_hits", Json.Int total_hits);
-              ("errors", Json.Int (Diag.errors all_ds));
-              ("warnings", Json.Int (Diag.warnings all_ds));
-              ("validated", Json.Bool validate);
-              ("refuted", Json.Int total_refuted);
-              ("strict", Json.Bool strict);
-            ] );
-      ]
-  in
+  let r = Absint_xv.report ~validate presets (select ~default:Registry.all sel) in
   let txt () =
     List.iter
-      (fun ((b : Registry.bench), ptag, (r : Absint_xv.row), ds, refuted) ->
-        let s = r.Absint_xv.a_stats in
-        let gs = r.Absint_xv.a_gs in
+      (fun (a : Absint_xv.row) ->
+        let s = a.Absint_xv.a_stats in
         Printf.printf
           "%s [%s]: %d const def(s), %d dead branch(es), %d sep pair(s); \
-           hits %d (%d/%d/%d/%d/%d)%s\n"
-          b.Registry.name ptag s.Trips_analysis.Absint.s_const_defs
+           hits %s%s\n"
+          a.Absint_xv.a_bench (Preset.name a.Absint_xv.a_preset)
+          s.Trips_analysis.Absint.s_const_defs
           s.Trips_analysis.Absint.s_dead_branches
           s.Trips_analysis.Absint.s_sep_pairs
-          (Absint_xv.total_hits gs) gs.Driver.gs_consts gs.Driver.gs_branches
-          gs.Driver.gs_rles gs.Driver.gs_dses gs.Driver.gs_relaxed
-          (match refuted with
+          (Absint_xv.hits_text a.Absint_xv.a_gs)
+          (match a.Absint_xv.a_refuted with
           | Some n -> Printf.sprintf "; refuted %d" n
           | None -> "");
-        print_string (Diag.render_text ds))
-      results;
+        print_string (Diag.render_text a.Absint_xv.a_diags))
+      r.Absint_xv.ar_rows;
     Printf.printf "absint: %d program(s): %d global hit(s)%s, %s\n"
-      (List.length results) total_hits
-      (if validate then Printf.sprintf ", %d refuted" total_refuted else "")
-      (Analyzer.summary all_ds)
+      (List.length r.Absint_xv.ar_rows) r.Absint_xv.ar_total_hits
+      (if validate then Printf.sprintf ", %d refuted" r.Absint_xv.ar_refuted
+       else "")
+      (Analyzer.summary (Absint_xv.diags r))
   in
-  { json; txt; findings = refute_ds @ all_ds }
+  { json = Absint_xv.to_json ~strict r; txt; findings = Absint_xv.findings r }
 
 let absint_cmd =
   let doc =
@@ -539,182 +433,56 @@ let absint_cmd =
 
 module Timing = Trips_sim.Timing
 
-let timing_report sel simple q top xval ~strict:_ =
-  let benches =
-    select ~default:Registry.simple_suite
-      (if simple then { sel with names = [] } else sel)
-  in
-  let per_bench =
-    List.map
-      (fun (b : Registry.bench) ->
-        let p = Timing_xv.predict q b in
-        let measured =
-          if xval then Some (Platforms.trips q b).Core.timing.Core.cycles
-          else None
-        in
-        (b, p, measured))
-      benches
-  in
-  let top_blocks (p : Timing.prediction) =
-    let items =
-      Hashtbl.fold
-        (fun label (s : Timing.summary) acc ->
-          let count =
-            Option.value ~default:0 (Hashtbl.find_opt p.Timing.pr_counts label)
-          in
-          (* rank by dynamic contribution; never-executed blocks last *)
-          ( (count * Timing.predicted_block_cost Core.prototype s, s.Timing.s_crit),
-            label, count, s )
-          :: acc)
-        p.Timing.pr_summaries []
-    in
-    let sorted =
-      List.sort (fun (w1, _, _, _) (w2, _, _, _) -> compare w2 w1) items
-    in
-    List.filteri (fun i _ -> i < top) sorted
-    |> List.map (fun (_, label, count, s) -> (label, count, s))
-  in
-  let block_json (label, count, (s : Timing.summary)) =
-    let bk = s.Timing.s_breakdown in
-    Json.Obj
-      [
-        ("label", Json.Str label);
-        ("instances", Json.Int count);
-        ("insts", Json.Int s.Timing.s_n);
-        ("crit", Json.Int s.Timing.s_crit);
-        ( "breakdown",
-          Json.Obj
-            [
-              ("compute", Json.Int bk.Timing.bk_compute);
-              ("route", Json.Int bk.Timing.bk_route);
-              ("memory", Json.Int bk.Timing.bk_memory);
-              ("overhead", Json.Int bk.Timing.bk_overhead);
-            ] );
-        ("pred_depth", Json.Int s.Timing.s_pred_depth);
-        ("link_max", Json.Int s.Timing.s_link_max);
-        ("contention_est", Json.Int s.Timing.s_contention_est);
-      ]
-  in
-  let err_pct pred = function
-    | Some m when m <> 0 ->
-      Some (100. *. float_of_int (pred - m) /. float_of_int m)
-    | _ -> None
-  in
-  (* predicted vs measured cycles of the cross-validated programs *)
-  let predicted, actual =
-    List.split
-      (List.filter_map
-         (fun (_, (p : Timing.prediction), m) ->
-           Option.map
-             (fun m -> (float_of_int p.Timing.pr_cycles, float_of_int m))
-             m)
-         per_bench)
-  in
-  let all_ds = List.concat_map (fun (_, p, _) -> p.Timing.pr_diags) per_bench in
-  let json =
-    let programs =
-      List.map
-        (fun ((b : Registry.bench), (p : Timing.prediction), measured) ->
-          Json.Obj
-            ([
-               ("bench", Json.Str b.Registry.name);
-               ("preset", Json.Str (Preset.name q));
-               ("predicted_cycles", Json.Int p.Timing.pr_cycles);
-             ]
-            @ (match measured with
-              | Some m ->
-                [ ("measured_cycles", Json.Int m) ]
-                @
-                (match err_pct p.Timing.pr_cycles measured with
-                | Some e -> [ ("error_pct", Json.Float e) ]
-                | None -> [])
-              | None -> [])
-            @ [
-                ("blocks", Json.Int p.Timing.pr_blocks);
-                ("mispredicts", Json.Int p.Timing.pr_mispredicts);
-                ("top_blocks", Json.List (List.map block_json (top_blocks p)));
-                ("findings", Diag.list_to_json p.Timing.pr_diags);
-              ]))
-        per_bench
-    in
-    let xv_summary =
-      if xval then
-        [
-          ("pearson", Json.Float (Trips_util.Stats.pearson predicted actual));
-          ("mape", Json.Float (Trips_util.Stats.mape ~predicted ~actual));
-        ]
-      else []
-    in
-    Json.Obj
-      [
-        ("programs", Json.List programs);
-        ( "summary",
-          Json.Obj
-            ([
-               ("programs", Json.Int (List.length per_bench));
-               ("warnings", Json.Int (Diag.warnings all_ds));
-             ]
-            @ xv_summary) );
-      ]
+let timing_report sel q top xval ~strict:_ =
+  let r =
+    Timing_xv.report ~top ~xval q (select ~default:Registry.simple_suite sel)
   in
   let txt () =
     List.iter
-      (fun ((b : Registry.bench), (p : Timing.prediction), measured) ->
-        Printf.printf "%s [%s]: predicted %d cycles" b.Registry.name
-          (Preset.name q) p.Timing.pr_cycles;
-        (match measured with
+      (fun (p : Timing_xv.program) ->
+        let pr = p.Timing_xv.tp_prediction in
+        Printf.printf "%s [%s]: predicted %d cycles" p.Timing_xv.tp_bench
+          (Preset.name q) pr.Timing.pr_cycles;
+        (match p.Timing_xv.tp_measured with
         | Some m ->
-          Printf.printf " (measured %d" m;
-          (match err_pct p.Timing.pr_cycles measured with
-          | Some e -> Printf.printf ", %+.1f%%" e
-          | None -> ());
+          Printf.printf " (measured %d" m.Timing_xv.xv_cycles;
+          if m.Timing_xv.xv_cycles <> 0 then
+            Printf.printf ", %+.1f%%" m.Timing_xv.xv_error_pct;
           print_string ")"
         | None -> ());
         Printf.printf ", %d block instance(s), %d mispredict(s)\n"
-          p.Timing.pr_blocks p.Timing.pr_mispredicts;
+          pr.Timing.pr_blocks pr.Timing.pr_mispredicts;
         let t =
-          Trips_util.Table.create
-            [
-              ("block", Trips_util.Table.Left);
-              ("instances", Trips_util.Table.Right);
-              ("insts", Trips_util.Table.Right);
-              ("crit", Trips_util.Table.Right);
-              ("compute", Trips_util.Table.Right);
-              ("route", Trips_util.Table.Right);
-              ("memory", Trips_util.Table.Right);
-              ("overhead", Trips_util.Table.Right);
-              ("pred", Trips_util.Table.Right);
-              ("link", Trips_util.Table.Right);
-            ]
+          Table.create
+            (("block", Table.Left)
+            :: List.map
+                 (fun h -> (h, Table.Right))
+                 [ "instances"; "insts"; "crit"; "compute"; "route"; "memory";
+                   "overhead"; "pred"; "link" ])
         in
         List.iter
           (fun (label, count, (s : Timing.summary)) ->
             let bk = s.Timing.s_breakdown in
-            Trips_util.Table.add_row t
-              [
-                label;
-                string_of_int count;
-                string_of_int s.Timing.s_n;
-                string_of_int s.Timing.s_crit;
-                string_of_int bk.Timing.bk_compute;
-                string_of_int bk.Timing.bk_route;
-                string_of_int bk.Timing.bk_memory;
-                string_of_int bk.Timing.bk_overhead;
-                string_of_int s.Timing.s_pred_depth;
-                string_of_int s.Timing.s_link_max;
-              ])
-          (top_blocks p);
-        Trips_util.Table.print t;
-        print_string (Diag.render_text p.Timing.pr_diags);
+            Table.add_row t
+              (label
+              :: List.map string_of_int
+                   [ count; s.Timing.s_n; s.Timing.s_crit; bk.Timing.bk_compute;
+                     bk.Timing.bk_route; bk.Timing.bk_memory;
+                     bk.Timing.bk_overhead; s.Timing.s_pred_depth;
+                     s.Timing.s_link_max ]))
+          p.Timing_xv.tp_top;
+        Table.print t;
+        print_string (Diag.render_text pr.Timing.pr_diags);
         print_newline ())
-      per_bench;
-    if xval then
-      Printf.printf "cross-validation: %d program(s), pearson %.3f, mape %.1f%%\n"
-        (List.length predicted)
-        (Trips_util.Stats.pearson predicted actual)
-        (Trips_util.Stats.mape ~predicted ~actual)
+      r.Timing_xv.tr_programs;
+    Option.iter
+      (fun (pearson, mape) ->
+        Printf.printf
+          "cross-validation: %d program(s), pearson %.3f, mape %.1f%%\n"
+          (List.length r.Timing_xv.tr_programs) pearson mape)
+      r.Timing_xv.tr_fit
   in
-  { json; txt; findings = all_ds }
+  { json = Timing_xv.to_json r; txt; findings = Timing_xv.findings r }
 
 let timing_cmd =
   let doc =
@@ -738,11 +506,6 @@ let timing_cmd =
          Pearson/MAPE aggregates.";
     ]
   in
-  let simple =
-    Arg.(
-      value & flag
-      & info [ "simple" ] ~doc:"Analyze the paper's Simple suite (default).")
-  in
   let top =
     Arg.(
       value & opt positive 3
@@ -759,49 +522,24 @@ let timing_cmd =
     ~strict_doc:"Fail (non-zero exit) when placement findings are reported."
     Term.(
       const timing_report
-      $ selection_arg ~verb:"analyze" ~all_doc:"Analyze every registered benchmark."
-      $ simple $ quality_arg $ top $ xval)
+      $ selection_arg ~verb:"analyze"
+          ~all_doc:
+            "Analyze every registered benchmark (default: the paper's Simple \
+             suite)."
+      $ quality_arg $ top $ xval)
 
 (* -- sampling --------------------------------------------------------- *)
 
 let sampling_report sel q ~strict:_ =
-  let rs = Sampling_xv.rows ~quality:q (select ~default:Registry.all sel) in
-  let within = Sampling_xv.within_of rs in
-  let mean_err = Sampling_xv.mean_abs_error_of rs in
-  let row_json (r : Sampling_xv.row) =
-    Json.Obj
-      [
-        ("bench", Json.Str r.Sampling_xv.sx_bench);
-        ("actual", Json.Int r.Sampling_xv.sx_actual);
-        ("estimate", Json.Float r.Sampling_xv.sx_estimate);
-        ("ci95", Json.Float r.Sampling_xv.sx_ci95);
-        ("error_pct", Json.Float r.Sampling_xv.sx_error_pct);
-        ("intervals", Json.Int r.Sampling_xv.sx_intervals);
-        ("full", Json.Bool r.Sampling_xv.sx_full);
-        ("within_ci", Json.Bool r.Sampling_xv.sx_within);
-      ]
-  in
-  let json =
-    Json.Obj
-      [
-        ("preset", Json.Str (Preset.name q));
-        ("rows", Json.List (List.map row_json rs));
-        ( "summary",
-          Json.Obj
-            [
-              ("workloads", Json.Int (List.length rs));
-              ("within_ci", Json.Int within);
-              ("mean_abs_error_pct", Json.Float mean_err);
-            ] );
-      ]
-  in
+  let r = Sampling_xv.report q (select ~default:Registry.all sel) in
   let txt () =
-    Trips_util.Table.print (Sampling_xv.table_of rs);
+    Table.print (Sampling_xv.table r);
     Printf.printf
       "sampling accuracy: %d program(s), %d within CI, mean |error| %.2f%%\n"
-      (List.length rs) within mean_err
+      (List.length r.Sampling_xv.sr_rows) r.Sampling_xv.sr_within
+      r.Sampling_xv.sr_mean_abs_error_pct
   in
-  { json; txt; findings = [] }
+  { json = Sampling_xv.to_json r; txt; findings = [] }
 
 let sampling_cmd =
   let doc = "Cross-validate the sampled simulator's cycle estimates." in
@@ -828,49 +566,8 @@ let sampling_cmd =
 
 let transval_report sel presets (edge, risc) ~strict =
   let benches = select ~default:Registry.all sel in
-  let cells =
-    Transval_xv.sweep ~presets:(if edge then presets else []) ~risc benches
-  in
-  let cell_diags (c : Transval_xv.cell) =
-    Transval.report_diags c.Transval_xv.c_reports
-  in
-  let cell_json (c : Transval_xv.cell) =
-    let s = c.Transval_xv.c_summary in
-    Json.Obj
-      [
-        ("bench", Json.Str c.Transval_xv.c_bench);
-        ("config", Json.Str c.Transval_xv.c_config);
-        ("proved", Json.Int s.Transval.n_proved);
-        ("concrete", Json.Int s.Transval.n_concrete);
-        ("refuted", Json.Int s.Transval.n_refuted);
-        ("findings", Diag.list_to_json (cell_diags c));
-      ]
-  in
-  let all_ds = List.concat_map cell_diags cells in
-  let tp, tc, tr =
-    List.fold_left
-      (fun (p, co, r) (c : Transval_xv.cell) ->
-        let s = c.Transval_xv.c_summary in
-        ( p + s.Transval.n_proved,
-          co + s.Transval.n_concrete,
-          r + s.Transval.n_refuted ))
-      (0, 0, 0) cells
-  in
-  let json =
-    Json.Obj
-      [
-        ("programs", Json.List (List.map cell_json cells));
-        ( "summary",
-          Json.Obj
-            [
-              ("programs", Json.Int (List.length cells));
-              ("proved", Json.Int tp);
-              ("concrete", Json.Int tc);
-              ("refuted", Json.Int tr);
-              ("warnings", Json.Int (Diag.warnings all_ds));
-              ("strict", Json.Bool strict);
-            ] );
-      ]
+  let r =
+    Transval_xv.report ~presets:(if edge then presets else []) ~risc benches
   in
   let txt () =
     List.iter
@@ -879,14 +576,17 @@ let transval_report sel presets (edge, risc) ~strict =
         Printf.printf "%s [%s]: proved=%d concrete=%d refuted=%d\n"
           c.Transval_xv.c_bench c.Transval_xv.c_config s.Transval.n_proved
           s.Transval.n_concrete s.Transval.n_refuted;
-        print_string (Diag.render_text (cell_diags c)))
-      cells;
+        print_string
+          (Diag.render_text (Transval.report_diags c.Transval_xv.c_reports)))
+      r.Transval_xv.tv_cells;
+    let s = r.Transval_xv.tv_total in
     Printf.printf
       "transval: %d program(s) (%d benchmark(s)): proved=%d concrete=%d \
        refuted=%d\n"
-      (List.length cells) (List.length benches) tp tc tr
+      (List.length r.Transval_xv.tv_cells) (List.length benches)
+      s.Transval.n_proved s.Transval.n_concrete s.Transval.n_refuted
   in
-  { json; txt; findings = all_ds }
+  { json = Transval_xv.to_json ~strict r; txt; findings = Transval_xv.findings r }
 
 let transval_cmd =
   let doc =
@@ -1006,8 +706,7 @@ let simbench_sweep engine q benches =
   let cpu = Sys.time () -. c0 in
   (results, !spills, wall, cpu, words)
 
-let simbench_main q out compare_ref =
-  guard @@ fun () ->
+let simbench_report q compare_ref ~strict:_ =
   let preset = Preset.name q in
   let benches = Registry.all in
   let results, spills, wall, cpu, words = simbench_sweep `Core q benches in
@@ -1015,11 +714,14 @@ let simbench_main q out compare_ref =
   let blocks = List.fold_left (fun a (_, _, b, _, _, _, _) -> a + b) 0 rows in
   let bps w = if w > 0. then float_of_int blocks /. w else 0. in
   let per_block w = w /. float_of_int (max 1 blocks) in
-  Printf.printf
-    "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
-     cpu), %.0f blocks/s, %.1f minor words/block, %d OPN ring spill(s)\n%!"
-    (List.length rows) preset blocks wall cpu (bps cpu) (per_block words) spills;
-  let ref_times =
+  let core_line =
+    Printf.sprintf
+      "simbench: %d workload(s) [%s], %d block instances, %.2fs wall (%.2fs \
+       cpu), %.0f blocks/s, %.1f minor words/block, %d OPN ring spill(s)"
+      (List.length rows) preset blocks wall cpu (bps cpu) (per_block words)
+      spills
+  in
+  let ref_lines, ref_json =
     if compare_ref then begin
       let ref_results, _, ref_wall, ref_cpu, _ = simbench_sweep `Ref q benches in
       List.iter2
@@ -1033,13 +735,20 @@ let simbench_main q out compare_ref =
           if row <> ref_row then disagree "statistics";
           if opn <> ref_opn then disagree "OPN profile")
         results ref_results;
-      Printf.printf
-        "simbench: reference sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
-         speedup x%.2f (stats and OPN profiles identical)\n%!"
-        ref_wall ref_cpu (bps ref_cpu) (ref_cpu /. cpu);
-      Some (ref_wall, ref_cpu)
+      ( [
+          Printf.sprintf
+            "simbench: reference sweep %.2fs wall (%.2fs cpu), %.0f blocks/s — \
+             speedup x%.2f (stats and OPN profiles identical)"
+            ref_wall ref_cpu (bps ref_cpu) (ref_cpu /. cpu);
+        ],
+        [
+          ("ref_wall_s", Json.Float ref_wall);
+          ("ref_cpu_s", Json.Float ref_cpu);
+          ("ref_blocks_per_s", Json.Float (bps ref_cpu));
+          ("speedup_vs_ref", Json.Float (ref_cpu /. cpu));
+        ] )
     end
-    else None
+    else ([], [])
   in
   (* sampled estimator: throughput plus estimate quality *)
   let samp_results, _, samp_wall, samp_cpu, samp_words =
@@ -1057,59 +766,52 @@ let simbench_main q out compare_ref =
     in
     if n = 0 then 0. else 100. *. tot /. float_of_int n
   in
-  Printf.printf
-    "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s, %.1f \
-     minor words/block — speedup x%.2f vs Core, mean |error| %.2f%%\n%!"
-    samp_wall samp_cpu (bps samp_cpu) (per_block samp_words) (cpu /. samp_cpu)
-    samp_err;
-  Option.iter
-    (fun file ->
-      write_report ~what:"simbench" file
-        (Json.Obj
-           ([
-              ("preset", Json.Str preset);
-              ("workloads", Json.Int (List.length rows));
-              ("blocks", Json.Int blocks);
-              ("wall_s", Json.Float wall);
-              ("cpu_s", Json.Float cpu);
-              ("blocks_per_s", Json.Float (bps cpu));
-              ("minor_words_per_block", Json.Float (per_block words));
-              ("opn_spills", Json.Int spills);
-            ]
-           @ (match ref_times with
-             | Some (rw, rc) ->
-               [
-                 ("ref_wall_s", Json.Float rw);
-                 ("ref_cpu_s", Json.Float rc);
-                 ("ref_blocks_per_s", Json.Float (bps rc));
-                 ("speedup_vs_ref", Json.Float (rc /. cpu));
-               ]
-             | None -> [])
-           @ [
-               ("sampled_wall_s", Json.Float samp_wall);
-               ("sampled_cpu_s", Json.Float samp_cpu);
-               ("sampled_blocks_per_s", Json.Float (bps samp_cpu));
-               ("sampled_minor_words_per_block", Json.Float (per_block samp_words));
-               ("speedup_vs_plan_sampled", Json.Float (cpu /. samp_cpu));
-               ("sampled_mean_abs_error_pct", Json.Float samp_err);
-               ( "per_workload",
-                 Json.List
-                   (List.map
-                      (fun (name, cy, bl, bm, cm, dm, lf) ->
-                        Json.Obj
-                          [
-                            ("name", Json.Str name);
-                            ("cycles", Json.Int cy);
-                            ("blocks", Json.Int bl);
-                            ("branch_mispredicts", Json.Int bm);
-                            ("callret_mispredicts", Json.Int cm);
-                            ("dcache_misses", Json.Int dm);
-                            ("load_flushes", Json.Int lf);
-                          ])
-                      rows) );
-             ])))
-    out;
-  `Ok ()
+  let samp_line =
+    Printf.sprintf
+      "simbench: sampled sweep %.2fs wall (%.2fs cpu), %.0f blocks/s, %.1f \
+       minor words/block — speedup x%.2f vs Core, mean |error| %.2f%%"
+      samp_wall samp_cpu (bps samp_cpu) (per_block samp_words) (cpu /. samp_cpu)
+      samp_err
+  in
+  let json =
+    Json.Obj
+      ([
+         ("preset", Json.Str preset);
+         ("workloads", Json.Int (List.length rows));
+         ("blocks", Json.Int blocks);
+         ("wall_s", Json.Float wall);
+         ("cpu_s", Json.Float cpu);
+         ("blocks_per_s", Json.Float (bps cpu));
+         ("minor_words_per_block", Json.Float (per_block words));
+         ("opn_spills", Json.Int spills);
+       ]
+      @ ref_json
+      @ [
+          ("sampled_wall_s", Json.Float samp_wall);
+          ("sampled_cpu_s", Json.Float samp_cpu);
+          ("sampled_blocks_per_s", Json.Float (bps samp_cpu));
+          ("sampled_minor_words_per_block", Json.Float (per_block samp_words));
+          ("speedup_vs_plan_sampled", Json.Float (cpu /. samp_cpu));
+          ("sampled_mean_abs_error_pct", Json.Float samp_err);
+          ( "per_workload",
+            Json.List
+              (List.map
+                 (fun (name, cy, bl, bm, cm, dm, lf) ->
+                   Json.Obj
+                     [
+                       ("name", Json.Str name);
+                       ("cycles", Json.Int cy);
+                       ("blocks", Json.Int bl);
+                       ("branch_mispredicts", Json.Int bm);
+                       ("callret_mispredicts", Json.Int cm);
+                       ("dcache_misses", Json.Int dm);
+                       ("load_flushes", Json.Int lf);
+                     ])
+                 rows) );
+        ])
+  in
+  let lines = (core_line :: ref_lines) @ [ samp_line ] in
+  { json; txt = (fun () -> List.iter print_endline lines); findings = [] }
 
 let simbench_cmd =
   let doc =
@@ -1134,9 +836,8 @@ let simbench_cmd =
       & info [ "compare-ref" ]
           ~doc:"Also sweep the frozen reference simulator and report speedup.")
   in
-  Cmd.v
-    (Cmd.info "simbench" ~doc ~man)
-    Term.(ret (const simbench_main $ quality_arg $ out_arg $ compare_ref))
+  report_cmd "simbench" ~doc ~man
+    Term.(const simbench_report $ quality_arg $ compare_ref)
 
 (* -- serve-bench: load report of the trips_serve daemon --------------- *)
 
@@ -1155,13 +856,14 @@ let serve_bench_cmd =
          $(b,trips_run gate bench/BENCH_serve.json).";
     ]
   in
-  let run out =
-    guard @@ fun () ->
-    let json = Trips_serve.Load.report ~log:(Printf.printf "%s\n%!") in
-    Option.iter (fun file -> write_report ~what:"serve-bench" file json) out;
-    `Ok ()
+  (* the progress lines, one per phase and level, are the txt report *)
+  let report ~strict:_ =
+    let lines = ref [] in
+    let json = Trips_serve.Load.report ~log:(fun l -> lines := l :: !lines) in
+    { json; txt = (fun () -> List.iter print_endline (List.rev !lines));
+      findings = [] }
   in
-  Cmd.v (Cmd.info "serve-bench" ~doc ~man) Term.(ret (const run $ out_arg))
+  report_cmd "serve-bench" ~doc ~man (Term.const report)
 
 (* -- serve-client: talk to a running trips_serve daemon --------------- *)
 
@@ -1255,9 +957,8 @@ module Fuzz_oracle = Trips_fuzz.Oracle
 module Fuzz_batch = Trips_fuzz.Batch
 module Fuzz_corpus = Trips_fuzz.Corpus
 
-let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
-    corpus =
-  guard @@ fun () ->
+let fuzz_report seed count presets max_stmts jobs inject shrink_evals corpus
+    ~strict:_ =
   let inject =
     Option.map
       (fun s ->
@@ -1272,35 +973,41 @@ let fuzz_main seed count presets max_stmts jobs inject shrink_evals format out
   let t =
     Fuzz_batch.run ~workers:jobs ~gen_cfg ~shrink_evals oracle ~seed ~count ()
   in
-  render ~what:"fuzz" ~format ~out (Fuzz_batch.to_json t) (fun () ->
-      Trips_util.Table.print (Fuzz_batch.table t));
-  (match corpus with
-  | Some dir ->
-    List.iter
-      (fun ((r : Fuzz_batch.row), (f : Fuzz_oracle.failure), sh) ->
-        let config = if f.Fuzz_oracle.f_config = "" then "ref" else f.Fuzz_oracle.f_config in
-        let entry =
-          {
-            Fuzz_corpus.e_name =
-              Printf.sprintf "s%d-%s-%s" r.Fuzz_batch.b_seed
-                f.Fuzz_oracle.f_check config;
-            e_seed = r.Fuzz_batch.b_seed;
-            e_check = f.Fuzz_oracle.f_check;
-            e_config = f.Fuzz_oracle.f_config;
-            e_detail = f.Fuzz_oracle.f_detail;
-            e_inject = t.Fuzz_batch.bt_inject;
-            e_program = sh.Trips_fuzz.Shrink.sh_program;
-          }
-        in
-        Printf.eprintf "corpus entry: %s\n" (Fuzz_corpus.save dir entry))
-      (Fuzz_batch.divergences t)
-  | None -> ());
-  if t.Fuzz_batch.bt_divergent > 0 then
-    `Error
-      ( false,
-        Printf.sprintf "fuzz: %d divergence(s) across %d program(s)"
-          t.Fuzz_batch.bt_divergent count )
-  else `Ok ()
+  let divergences = Fuzz_batch.divergences t in
+  Option.iter
+    (fun dir ->
+      List.iter
+        (fun ((r : Fuzz_batch.row), (f : Fuzz_oracle.failure), sh) ->
+          let config = if f.Fuzz_oracle.f_config = "" then "ref" else f.Fuzz_oracle.f_config in
+          let entry =
+            {
+              Fuzz_corpus.e_name =
+                Printf.sprintf "s%d-%s-%s" r.Fuzz_batch.b_seed
+                  f.Fuzz_oracle.f_check config;
+              e_seed = r.Fuzz_batch.b_seed;
+              e_check = f.Fuzz_oracle.f_check;
+              e_config = f.Fuzz_oracle.f_config;
+              e_detail = f.Fuzz_oracle.f_detail;
+              e_inject = t.Fuzz_batch.bt_inject;
+              e_program = sh.Trips_fuzz.Shrink.sh_program;
+            }
+          in
+          Printf.eprintf "corpus entry: %s\n" (Fuzz_corpus.save dir entry))
+        divergences)
+    corpus;
+  let findings =
+    List.map
+      (fun ((r : Fuzz_batch.row), (f : Fuzz_oracle.failure), _) ->
+        Diag.make ~pass:"fuzz"
+          ~fname:(Printf.sprintf "seed %d" r.Fuzz_batch.b_seed)
+          f.Fuzz_oracle.f_check f.Fuzz_oracle.f_detail)
+      divergences
+  in
+  {
+    json = Fuzz_batch.to_json t;
+    txt = (fun () -> Table.print (Fuzz_batch.table t));
+    findings;
+  }
 
 let fuzz_cmd =
   let doc = "Differentially fuzz the whole pipeline with random TIR programs." in
@@ -1363,12 +1070,10 @@ let fuzz_cmd =
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:"Save every shrunk divergence as a corpus entry under $(docv).")
   in
-  Cmd.v
-    (Cmd.info "fuzz" ~doc ~man)
+  report_cmd "fuzz" ~doc ~man
     Term.(
-      ret
-        (const fuzz_main $ seed $ count $ presets $ max_stmts $ jobs_arg $ inject
-       $ shrink_evals $ format_arg $ out_arg $ corpus))
+      const fuzz_report $ seed $ count $ presets $ max_stmts $ jobs_arg $ inject
+      $ shrink_evals $ corpus)
 
 (* -- gate -------------------------------------------------------------- *)
 

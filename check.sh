@@ -51,8 +51,8 @@ dune exec bin/trips_run.exe -- gate bench/BENCH_absint.json \
   absint=absint-report.json transval=transval-report.json \
   fuzz=fuzz-report.json
 
-echo "== static timing: trips_run timing --simple --xval =="
-dune exec bin/trips_run.exe -- timing --simple --xval --preset C --format json \
+echo "== static timing: trips_run timing --xval (the Simple suite) =="
+dune exec bin/trips_run.exe -- timing --xval --preset C --format json \
   --out timing-report.json >/dev/null
 dune exec bin/trips_run.exe -- gate bench/BENCH_timing.json \
   timing=timing-report.json
@@ -114,13 +114,15 @@ dune exec bin/trips_run.exe -- gate bench/BENCH_serve.json \
 
 echo "== error smoke: bad arguments exit 124, never 125 =="
 # --sim, --preset, --format, --jobs, --count and --top are checked by
-# cmdliner (exit 124) before any benchmark is compiled or interpreted; run
+# cmdliner (exit 124) before any benchmark is compiled, interpreted,
+# simulated or served; run
 # models only C and H.  An unknown benchmark or experiment is a one-line
 # error too, never an uncaught exception (125).
 for args in "run fft --sim spec" "run fft --preset O0" \
   "lint --bench fft --preset Z" "disasm nosuch" "--id nosuch" \
   "--id table1 --format xml" "--id table1 --jobs 0" "fuzz --count=-3" \
-  "timing --bench fft --top=-3"; do
+  "timing --bench fft --top=-3" "simbench --format xml" \
+  "serve-bench --format xml"; do
   status=0
   dune exec bin/trips_run.exe -- $args >/dev/null 2>&1 || status=$?
   [ "$status" = "124" ] || {

@@ -85,7 +85,7 @@ let run ?(workers = 4) ?cache jobs =
   let tasks =
     Array.fold_left (fun n (j : job) -> n + 1 + List.length j.warm) 0 jobs
   in
-  let pool = Pool.create ~workers ~queue_capacity:(max 1 tasks) ?cache () in
+  let pool = Pool.create ~workers ~queue_capacity:(max 1 tasks) () in
   let attempts = Array.make (Array.length jobs) 0 in
   let job_reports =
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
@@ -125,9 +125,18 @@ let run ?(workers = 4) ?cache jobs =
           if Option.is_some hits.(jix) then None
           else begin
             List.iter (fun (t, _) -> ignore (Pool.await t)) warms.(jix);
+            (* the pool has no cache: each key was looked up once
+               above, and the run stores its own table *)
+            let store =
+              match (cache, j.cache_key) with
+              | Some c, Some key -> Result_cache.store c ~key
+              | _ -> ignore
+            in
             Some
-              (submit ?cache_key:j.cache_key ~id:j.id
-                 (attempt_run j (fun n -> attempts.(jix) <- n)))
+              (submit ?cache_key:j.cache_key ~id:j.id (fun () ->
+                   let table = attempt_run j (fun n -> attempts.(jix) <- n) () in
+                   store table;
+                   table))
           end)
         jobs
     in

@@ -7,7 +7,8 @@
     the cache first, so a hit runs nothing.  For each miss it submits
     every warm sub-job to the pool as a keyless job; once a job's warms
     have settled it submits the job's [run] under its cache key, so the
-    pool stores the result and coalesces identical runs.
+    pool coalesces identical runs; the run stores its own table, so each
+    key is looked up once.
 
     Jobs are crash-isolated: an exception in one job produces a structured
     {!Failed} record while its siblings complete.  Timeouts are soft — a

@@ -59,40 +59,32 @@ let assemble ~seed ~count oracle rows =
           match r.b_outcome with Divergent _ -> true | _ -> false);
   }
 
+(* A batch as independent per-seed thunks plus a [finish] that backfills
+   whatever a thunk did not reach (a crash) and assembles the result.
+   Distinct array slots make the thunks race-free. *)
+let plan ?gen_cfg ?shrink_evals (oracle : Oracle.t) ~seed ~count =
+  let slots = Array.make count None in
+  let fill i =
+    slots.(i) <- Some (run_one ?gen_cfg ?shrink_evals oracle ~seed:(seed + i))
+  in
+  let finish () =
+    Array.iteri (fun i s -> if s = None then fill i) slots;
+    assemble ~seed ~count oracle
+      (Array.to_list slots |> List.filter_map (fun x -> x))
+  in
+  (List.init count (fun i () -> fill i), finish)
+
 (* Fan the seeds across the engine's worker domains as warm sub-jobs of a
    single uncached job (every program is fresh by design: no cache key, no
-   memoized results — the full stack recomputes for each seed).  Distinct
-   array slots make the warm tasks race-free; the engine awaits every warm
-   through [Pool.await], whose lock orders each write before [assemble]. *)
+   memoized results — the full stack recomputes for each seed).  The
+   engine awaits every warm through [Pool.await], whose lock orders each
+   write before [finish]. *)
 let run ?workers ?gen_cfg ?shrink_evals (oracle : Oracle.t) ~seed ~count () : t
     =
-  let slots = Array.make (max count 1) None in
-  let warm =
-    List.init count (fun i ->
-        fun () ->
-         slots.(i) <- Some (run_one ?gen_cfg ?shrink_evals oracle ~seed:(seed + i)))
-  in
-  let job =
-    Engine.job ~warm ~id:"fuzz" (fun () -> Table.create [])
-  in
+  let warm, finish = plan ?gen_cfg ?shrink_evals oracle ~seed ~count in
+  let job = Engine.job ~warm ~id:"fuzz" (fun () -> Table.create []) in
   ignore (Engine.run ?workers [ job ]);
-  (* Backfill sequentially if a warm task was lost to a crash. *)
-  Array.iteri
-    (fun i s ->
-      if s = None then
-        slots.(i) <- Some (run_one ?gen_cfg ?shrink_evals oracle ~seed:(seed + i)))
-    slots;
-  let rows =
-    Array.to_list (Array.sub slots 0 count) |> List.filter_map (fun x -> x)
-  in
-  assemble ~seed ~count oracle rows
-
-let run_seq ?gen_cfg ?shrink_evals (oracle : Oracle.t) ~seed ~count () : t =
-  let rows =
-    List.init count (fun i -> i)
-    |> List.map (fun i -> run_one ?gen_cfg ?shrink_evals oracle ~seed:(seed + i))
-  in
-  assemble ~seed ~count oracle rows
+  finish ()
 
 let divergences t =
   List.filter_map

@@ -44,15 +44,16 @@ val run :
   t
 (** Parallel batch over seeds [seed .. seed+count-1]. *)
 
-val run_seq :
+val plan :
   ?gen_cfg:Gen.cfg ->
   ?shrink_evals:int ->
   Oracle.t ->
   seed:int ->
   count:int ->
-  unit ->
-  t
-(** Same, single-domain (no engine); used by tests. *)
+  (unit -> unit) list * (unit -> t)
+(** The batch {!run} executes, for a caller that schedules it itself: one
+    thunk per seed, independent of the others, and a [finish] that runs
+    any seed its thunk did not reach and assembles the batch. *)
 
 val divergences : t -> (row * Oracle.failure * Shrink.result) list
 

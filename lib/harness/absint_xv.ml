@@ -12,38 +12,38 @@ module Registry = Trips_workloads.Registry
 module Preset = Trips_workloads.Preset
 module Driver = Trips_compiler.Driver
 module Absint = Trips_analysis.Absint
+module Transval = Trips_analysis.Transval
 module Core = Trips_sim.Core
 module Image = Trips_tir.Image
 module Ast = Trips_tir.Ast
 module Table = Trips_util.Table
+module Json = Trips_util.Json
+module Diag = Trips_analysis.Diag
 
 type row = {
   a_bench : string;
   a_preset : Preset.t;
   a_stats : Absint.stats;
+  a_diags : Diag.t list;
   a_gs : Driver.gstats;
   a_cycles_on : int option;  (* simulated cycles, global passes on *)
   a_cycles_off : int option;  (* same, passes off; simple suite only *)
+  a_refuted : int option;  (* refuted validation reports *)
 }
 
 (* the optimizing presets *)
 let swept = List.filter (fun p -> p <> Preset.O0) Preset.all
 
-let facts = Platforms.Memo.create ()
+(* one analysis per (preset, bench): its fact counts and its
+   deduplicated findings *)
+let analyses = Platforms.Memo.create ()
 
-let facts_of p (b : Registry.bench) : Absint.stats =
-  Platforms.Memo.find_or_compute facts (p, b.Registry.name)
+let analysis_of p (b : Registry.bench) : Absint.stats * Diag.t list =
+  Platforms.Memo.find_or_compute analyses (p, b.Registry.name)
     (fun () ->
       let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
-      Absint.stats (Absint.analyze cfg))
-
-let diags = Platforms.Memo.create ()
-
-let diags_of p (b : Registry.bench) =
-  Platforms.Memo.find_or_compute diags (p, b.Registry.name)
-    (fun () ->
-      let cfg = Driver.front_end (Preset.driver p) b.Registry.program in
-      Trips_analysis.Diag.dedup (Absint.diags (Absint.analyze cfg)))
+      let a = Absint.analyze cfg in
+      (Absint.stats a, Diag.dedup (Absint.diags a)))
 
 let hits = Platforms.Memo.create ()
 
@@ -61,19 +61,122 @@ let cycles_of ~global_opt p (b : Registry.bench) : int =
       let r = Core.run prog image ~entry:"main" ~args:[] in
       r.Core.timing.Core.cycles)
 
-let row ?(cycles = false) p (b : Registry.bench) : row =
+let row ?(cycles = false) ?(validate = false) p (b : Registry.bench) : row =
+  let a_stats, a_diags = analysis_of p b in
   {
     a_bench = b.Registry.name;
     a_preset = p;
-    a_stats = facts_of p b;
+    a_stats;
+    a_diags;
     a_gs = hits_of p b;
     a_cycles_on = (if cycles then Some (cycles_of ~global_opt:true p b) else None);
     a_cycles_off = (if cycles then Some (cycles_of ~global_opt:false p b) else None);
+    (* full translation validation, shared with the transval sweep:
+       every applied global fact and LSID relaxation is re-derived and
+       replayed *)
+    a_refuted =
+      (if validate then
+         Some (Transval.summarize (Transval_xv.validate_edge p b)).Transval.n_refuted
+       else None);
   }
 
 let total_hits (gs : Driver.gstats) =
   gs.Driver.gs_consts + gs.Driver.gs_branches + gs.Driver.gs_rles
   + gs.Driver.gs_dses + gs.Driver.gs_relaxed
+
+let hits_text (gs : Driver.gstats) =
+  Printf.sprintf "%d (%d/%d/%d/%d/%d)" (total_hits gs) gs.Driver.gs_consts
+    gs.Driver.gs_branches gs.Driver.gs_rles gs.Driver.gs_dses gs.Driver.gs_relaxed
+
+type report = {
+  ar_rows : row list;
+  ar_validated : bool;
+  ar_total_hits : int;
+  ar_total_facts : int;
+  ar_refuted : int;
+}
+
+let report ?(validate = false) ?(cycles = fun _ _ -> false) presets benches =
+  let rows =
+    List.concat_map
+      (fun b -> List.map (fun p -> row ~cycles:(cycles p b) ~validate p b) presets)
+      benches
+  in
+  let sum f = List.fold_left (fun n r -> n + f r) 0 rows in
+  {
+    ar_rows = rows;
+    ar_validated = validate;
+    ar_total_hits = sum (fun r -> total_hits r.a_gs);
+    ar_total_facts =
+      sum (fun r ->
+          let s = r.a_stats in
+          s.Absint.s_const_defs + s.Absint.s_dead_branches + s.Absint.s_sep_pairs);
+    ar_refuted = sum (fun r -> Option.value r.a_refuted ~default:0);
+  }
+
+let diags r = List.concat_map (fun r -> r.a_diags) r.ar_rows
+
+let findings r =
+  List.filter_map
+    (fun r ->
+      match r.a_refuted with
+      | Some n when n > 0 ->
+        Some
+          (Diag.make ~pass:"transval" ~fname:r.a_bench "refuted"
+             (Printf.sprintf "%s [%s]: %d refuted validation report(s)"
+                r.a_bench (Preset.name r.a_preset) n))
+      | _ -> None)
+    r.ar_rows
+  @ diags r
+
+let to_json ~strict r =
+  let row_json r =
+    let s = r.a_stats and gs = r.a_gs in
+    Json.Obj
+      ([
+         ("bench", Json.Str r.a_bench);
+         ("preset", Json.Str (Preset.name r.a_preset));
+         ( "facts",
+           Json.Obj
+             [
+               ("const_defs", Json.Int s.Absint.s_const_defs);
+               ("dead_branches", Json.Int s.Absint.s_dead_branches);
+               ("sep_pairs", Json.Int s.Absint.s_sep_pairs);
+               ("widenings", Json.Int s.Absint.s_widenings);
+             ] );
+         ( "hits",
+           Json.Obj
+             [
+               ("consts", Json.Int gs.Driver.gs_consts);
+               ("branches", Json.Int gs.Driver.gs_branches);
+               ("rles", Json.Int gs.Driver.gs_rles);
+               ("dses", Json.Int gs.Driver.gs_dses);
+               ("relaxed", Json.Int gs.Driver.gs_relaxed);
+               ("total", Json.Int (total_hits gs));
+             ] );
+         ("findings", Diag.list_to_json r.a_diags);
+       ]
+      @
+      match r.a_refuted with
+      | Some n -> [ ("refuted", Json.Int n) ]
+      | None -> [])
+  in
+  let ds = diags r in
+  Json.Obj
+    [
+      ("programs", Json.List (List.map row_json r.ar_rows));
+      ( "summary",
+        Json.Obj
+          [
+            ("programs", Json.Int (List.length r.ar_rows));
+            ("total_hits", Json.Int r.ar_total_hits);
+            ("errors", Json.Int (Diag.errors ds));
+            ("warnings", Json.Int (Diag.warnings ds));
+            ("validated", Json.Bool r.ar_validated);
+            ("refuted", Json.Int r.ar_refuted);
+            ("strict", Json.Bool strict);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The experiment table                                                *)
@@ -89,6 +192,11 @@ let warm () =
       Registry.simple_suite
 
 let crossval () =
+  let r =
+    report
+      ~cycles:(fun p b -> p = Preset.C && List.memq b Registry.simple_suite)
+      swept Registry.all
+  in
   let t =
     Table.create
       ~title:
@@ -103,43 +211,31 @@ let crossval () =
         ("delta %", Table.Right);
       ]
   in
-  let tot_hits = ref 0 and tot_facts = ref 0 in
   List.iter
-    (fun (b : Registry.bench) ->
-      List.iter
-        (fun p ->
-          let cycles = p = Preset.C && List.memq b Registry.simple_suite in
-          let r = row ~cycles p b in
-          let s = r.a_stats and gs = r.a_gs in
-          tot_hits := !tot_hits + total_hits gs;
-          tot_facts :=
-            !tot_facts + s.Absint.s_const_defs + s.Absint.s_dead_branches
-            + s.Absint.s_sep_pairs;
-          let cyc = function Some c -> string_of_int c | None -> "" in
-          let delta =
-            match (r.a_cycles_on, r.a_cycles_off) with
-            | Some on, Some off when off > 0 ->
-              Printf.sprintf "%+.2f" (100. *. float_of_int (on - off) /. float_of_int off)
-            | _ -> ""
-          in
-          Table.add_row t
-            [
-              r.a_bench; Preset.name r.a_preset;
-              string_of_int s.Absint.s_const_defs;
-              string_of_int s.Absint.s_dead_branches;
-              string_of_int s.Absint.s_sep_pairs;
-              Printf.sprintf "%d (%d/%d/%d/%d/%d)" (total_hits gs)
-                gs.Driver.gs_consts gs.Driver.gs_branches gs.Driver.gs_rles
-                gs.Driver.gs_dses gs.Driver.gs_relaxed;
-              cyc r.a_cycles_on; cyc r.a_cycles_off; delta;
-            ])
-        swept)
-    Registry.all;
+    (fun r ->
+      let s = r.a_stats and gs = r.a_gs in
+      let cyc = function Some c -> string_of_int c | None -> "" in
+      let delta =
+        match (r.a_cycles_on, r.a_cycles_off) with
+        | Some on, Some off when off > 0 ->
+          Printf.sprintf "%+.2f" (100. *. float_of_int (on - off) /. float_of_int off)
+        | _ -> ""
+      in
+      Table.add_row t
+        [
+          r.a_bench; Preset.name r.a_preset;
+          string_of_int s.Absint.s_const_defs;
+          string_of_int s.Absint.s_dead_branches;
+          string_of_int s.Absint.s_sep_pairs;
+          hits_text gs;
+          cyc r.a_cycles_on; cyc r.a_cycles_off; delta;
+        ])
+    r.ar_rows;
   Table.add_sep t;
   Table.add_row t
     [
-      Printf.sprintf "total: %d facts, %d hits" !tot_facts !tot_hits;
+      Printf.sprintf "total: %d facts, %d hits" r.ar_total_facts r.ar_total_hits;
       ""; ""; ""; ""; ""; ""; "";
-      (if !tot_hits > 0 then "ok" else "FAIL");
+      (if r.ar_total_hits > 0 then "ok" else "FAIL");
     ];
   t

@@ -4,11 +4,8 @@
     {!Trips_fuzz.Oracle.make} (every check, the static-timing corridor
     included) as the cache-bypassed [fuzz] experiment: per-seed warm
     sub-jobs fan across the engine's worker domains, and {!crossval}
-    assembles the summary table (backfilling sequentially if warm never
-    ran). *)
-
-val seed : int
-val count : int
+    renders the batch {!Trips_fuzz.Batch.plan}'s [finish] assembles
+    (backfilling sequentially any seed warm never ran). *)
 
 val warm : unit -> (unit -> unit) list
 val crossval : unit -> Trips_util.Table.t

@@ -21,6 +21,8 @@ module Ast = Trips_tir.Ast
 module Core = Trips_sim.Core
 module Sampled = Trips_sim.Sampled
 module Table = Trips_util.Table
+module Json = Trips_util.Json
+module Preset = Trips_workloads.Preset
 
 type row = {
   sx_bench : string;
@@ -58,18 +60,55 @@ let compare_bench q (b : Registry.bench) : row =
     sx_within = Float.abs err <= est.Sampled.es_ci95;
   }
 
-let rows ?(quality = Platforms.C) bs = List.map (compare_bench quality) bs
+type report = {
+  sr_preset : Platforms.quality;
+  sr_rows : row list;
+  sr_within : int;
+  sr_mean_abs_error_pct : float;
+}
 
-let within_of rows = List.length (List.filter (fun r -> r.sx_within) rows)
+let report q benches =
+  let rows = List.map (compare_bench q) benches in
+  {
+    sr_preset = q;
+    sr_rows = rows;
+    sr_within = List.length (List.filter (fun r -> r.sx_within) rows);
+    sr_mean_abs_error_pct =
+      (match rows with
+      | [] -> 0.
+      | _ ->
+        List.fold_left (fun a r -> a +. Float.abs r.sx_error_pct) 0. rows
+        /. float_of_int (List.length rows));
+  }
 
-let mean_abs_error_of rows =
-  match rows with
-  | [] -> 0.
-  | _ ->
-    List.fold_left (fun a r -> a +. Float.abs r.sx_error_pct) 0. rows
-    /. float_of_int (List.length rows)
+let to_json r =
+  let row_json x =
+    Json.Obj
+      [
+        ("bench", Json.Str x.sx_bench);
+        ("actual", Json.Int x.sx_actual);
+        ("estimate", Json.Float x.sx_estimate);
+        ("ci95", Json.Float x.sx_ci95);
+        ("error_pct", Json.Float x.sx_error_pct);
+        ("intervals", Json.Int x.sx_intervals);
+        ("full", Json.Bool x.sx_full);
+        ("within_ci", Json.Bool x.sx_within);
+      ]
+  in
+  Json.Obj
+    [
+      ("preset", Json.Str (Preset.name r.sr_preset));
+      ("rows", Json.List (List.map row_json r.sr_rows));
+      ( "summary",
+        Json.Obj
+          [
+            ("workloads", Json.Int (List.length r.sr_rows));
+            ("within_ci", Json.Int r.sr_within);
+            ("mean_abs_error_pct", Json.Float r.sr_mean_abs_error_pct);
+          ] );
+    ]
 
-let table_of rs : Table.t =
+let table r : Table.t =
   let t =
     Table.create
       ~title:"Sampled simulation vs full detailed simulation (compiled code)"
@@ -84,31 +123,24 @@ let table_of rs : Table.t =
       ]
   in
   List.iter
-    (fun r ->
+    (fun x ->
       Table.add_row t
         [
-          r.sx_bench;
-          string_of_int r.sx_actual;
-          Printf.sprintf "%.0f" r.sx_estimate;
-          Printf.sprintf "%.0f" r.sx_ci95;
-          Table.fpct r.sx_error_pct;
-          (if r.sx_full then "full" else string_of_int r.sx_intervals);
-          (if r.sx_within then "yes" else "NO");
+          x.sx_bench;
+          string_of_int x.sx_actual;
+          Printf.sprintf "%.0f" x.sx_estimate;
+          Printf.sprintf "%.0f" x.sx_ci95;
+          Table.fpct x.sx_error_pct;
+          (if x.sx_full then "full" else string_of_int x.sx_intervals);
+          (if x.sx_within then "yes" else "NO");
         ])
-    rs;
+    r.sr_rows;
   Table.add_sep t;
   Table.add_row t
-    [
-      "within ci";
-      Printf.sprintf "%d/%d" (within_of rs) (List.length rs);
-      "";
-      "";
-      "";
-      "";
-      "";
-    ];
+    [ "within ci"; Printf.sprintf "%d/%d" r.sr_within (List.length r.sr_rows);
+      ""; ""; ""; ""; "" ];
   Table.add_row t
-    [ "mean |error|"; ""; ""; ""; Table.fpct (mean_abs_error_of rs); ""; "" ];
+    [ "mean |error|"; ""; ""; ""; Table.fpct r.sr_mean_abs_error_pct; ""; "" ];
   t
 
-let crossval () : Table.t = table_of (rows Registry.all)
+let crossval () : Table.t = table (report Platforms.C Registry.all)

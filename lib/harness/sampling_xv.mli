@@ -26,17 +26,22 @@ val estimate :
 (** Memoized sampled run over a registered benchmark at
     {!Trips_sim.Core.prototype}. *)
 
-val rows :
-  ?quality:Platforms.quality -> Trips_workloads.Registry.bench list -> row list
+(** The value the [sampling] report and the experiment table both
+    render. *)
+type report = {
+  sr_preset : Platforms.quality;
+  sr_rows : row list;
+  sr_within : int;  (** workloads whose true cycle count is inside the CI *)
+  sr_mean_abs_error_pct : float;  (** mean absolute estimate error *)
+}
 
-val within_of : row list -> int
-(** Workloads whose true cycle count falls inside the reported CI. *)
+val report : Platforms.quality -> Trips_workloads.Registry.bench list -> report
 
-val mean_abs_error_of : row list -> float
-(** Mean absolute estimate error in percent. *)
+val to_json : report -> Trips_util.Json.t
+(** The [sampling] report that [bench/BENCH_sim.json] gates. *)
 
-val table_of : row list -> Trips_util.Table.t
-(** Render rows as a table with within-CI and mean-error footers. *)
+val table : report -> Trips_util.Table.t
+(** The rows as a table with within-CI and mean-error footers. *)
 
 val crossval : unit -> Trips_util.Table.t
-(** {!table_of} over every registered workload. *)
+(** {!table} over every registered workload at C. *)

@@ -15,6 +15,9 @@ module Core = Trips_sim.Core
 module Timing = Trips_sim.Timing
 module Stats = Trips_util.Stats
 module Table = Trips_util.Table
+module Json = Trips_util.Json
+module Diag = Trips_analysis.Diag
+module Preset = Trips_workloads.Preset
 
 (* At [Core.prototype], the configuration [Platforms.trips] simulates. *)
 let predictions = Platforms.Memo.create ()
@@ -30,51 +33,149 @@ let predict (q : Platforms.quality) (b : Registry.bench) : Timing.prediction =
 (* Per-benchmark comparison                                            *)
 (* ------------------------------------------------------------------ *)
 
-type row = {
-  xv_bench : string;
-  xv_predicted : int;
-  xv_measured : int;
-  xv_error_pct : float;         (* signed, (pred - meas) / meas *)
-  xv_blocks : int;
-  xv_pred_mispredicts : int;
-  xv_sim_mispredicts : int;
+type measured = {
+  xv_cycles : int;
+  xv_error_pct : float;  (* signed, (pred - meas) / meas *)
+  xv_mispredicts : int;
 }
 
-let compare_bench q (b : Registry.bench) : row =
-  let p = predict q b in
-  let r = Platforms.trips q b in
-  let measured = r.Core.timing.Core.cycles in
+type program = {
+  tp_bench : string;
+  tp_prediction : Timing.prediction;
+  tp_top : (string * int * Timing.summary) list;
+  tp_measured : measured option;
+}
+
+type report = {
+  tr_preset : Platforms.quality;
+  tr_programs : program list;
+  tr_fit : (float * float) option;
+}
+
+let measure q (b : Registry.bench) (p : Timing.prediction) =
+  let t = (Platforms.trips q b).Core.timing in
+  let m = t.Core.cycles in
   {
-    xv_bench = b.Registry.name;
-    xv_predicted = p.Timing.pr_cycles;
-    xv_measured = measured;
+    xv_cycles = m;
     xv_error_pct =
-      (if measured = 0 then 0.
-       else
-         100.
-         *. float_of_int (p.Timing.pr_cycles - measured)
-         /. float_of_int measured);
-    xv_blocks = p.Timing.pr_blocks;
-    xv_pred_mispredicts = p.Timing.pr_mispredicts;
-    xv_sim_mispredicts =
-      r.Core.timing.Core.branch_mispredicts
-      + r.Core.timing.Core.callret_mispredicts;
+      (if m = 0 then 0.
+       else 100. *. float_of_int (p.Timing.pr_cycles - m) /. float_of_int m);
+    xv_mispredicts = t.Core.branch_mispredicts + t.Core.callret_mispredicts;
   }
 
-let rows ?(quality = Platforms.C) bs = List.map (compare_bench quality) bs
+(* Pearson correlation and MAPE of predicted against measured cycles. *)
+let fit programs =
+  let predicted, actual =
+    List.split
+      (List.filter_map
+         (fun p ->
+           Option.map
+             (fun m ->
+               (float_of_int p.tp_prediction.Timing.pr_cycles,
+                float_of_int m.xv_cycles))
+             p.tp_measured)
+         programs)
+  in
+  (Stats.pearson predicted actual, Stats.mape ~predicted ~actual)
 
-let pearson_of rows =
-  Stats.pearson
-    (List.map (fun r -> float_of_int r.xv_predicted) rows)
-    (List.map (fun r -> float_of_int r.xv_measured) rows)
+(* The [top] blocks by dynamic contribution; never-executed blocks last. *)
+let top_blocks top (p : Timing.prediction) =
+  Hashtbl.fold
+    (fun label (s : Timing.summary) acc ->
+      let count =
+        Option.value ~default:0 (Hashtbl.find_opt p.Timing.pr_counts label)
+      in
+      ( (count * Timing.predicted_block_cost Core.prototype s, s.Timing.s_crit),
+        (label, count, s) )
+      :: acc)
+    p.Timing.pr_summaries []
+  |> List.sort (fun (w1, _) (w2, _) -> compare w2 w1)
+  |> List.filteri (fun i _ -> i < top)
+  |> List.map snd
 
-let mape_of rows =
-  Stats.mape
-    ~predicted:(List.map (fun r -> float_of_int r.xv_predicted) rows)
-    ~actual:(List.map (fun r -> float_of_int r.xv_measured) rows)
+let report ~top ~xval q benches =
+  let programs =
+    List.map
+      (fun (b : Registry.bench) ->
+        let p = predict q b in
+        {
+          tp_bench = b.Registry.name;
+          tp_prediction = p;
+          tp_top = top_blocks top p;
+          tp_measured = (if xval then Some (measure q b p) else None);
+        })
+      benches
+  in
+  {
+    tr_preset = q;
+    tr_programs = programs;
+    tr_fit = (if xval then Some (fit programs) else None);
+  }
+
+let findings r =
+  List.concat_map (fun p -> p.tp_prediction.Timing.pr_diags) r.tr_programs
+
+let to_json r =
+  let block_json (label, count, (s : Timing.summary)) =
+    let bk = s.Timing.s_breakdown in
+    Json.Obj
+      [
+        ("label", Json.Str label);
+        ("instances", Json.Int count);
+        ("insts", Json.Int s.Timing.s_n);
+        ("crit", Json.Int s.Timing.s_crit);
+        ( "breakdown",
+          Json.Obj
+            [
+              ("compute", Json.Int bk.Timing.bk_compute);
+              ("route", Json.Int bk.Timing.bk_route);
+              ("memory", Json.Int bk.Timing.bk_memory);
+              ("overhead", Json.Int bk.Timing.bk_overhead);
+            ] );
+        ("pred_depth", Json.Int s.Timing.s_pred_depth);
+        ("link_max", Json.Int s.Timing.s_link_max);
+        ("contention_est", Json.Int s.Timing.s_contention_est);
+      ]
+  in
+  let program_json p =
+    let pr = p.tp_prediction in
+    Json.Obj
+      ([
+         ("bench", Json.Str p.tp_bench);
+         ("preset", Json.Str (Preset.name r.tr_preset));
+         ("predicted_cycles", Json.Int pr.Timing.pr_cycles);
+       ]
+      @ (match p.tp_measured with
+        | Some m ->
+          ("measured_cycles", Json.Int m.xv_cycles)
+          :: (if m.xv_cycles <> 0 then [ ("error_pct", Json.Float m.xv_error_pct) ]
+              else [])
+        | None -> [])
+      @ [
+          ("blocks", Json.Int pr.Timing.pr_blocks);
+          ("mispredicts", Json.Int pr.Timing.pr_mispredicts);
+          ("top_blocks", Json.List (List.map block_json p.tp_top));
+          ("findings", Diag.list_to_json pr.Timing.pr_diags);
+        ])
+  in
+  Json.Obj
+    [
+      ("programs", Json.List (List.map program_json r.tr_programs));
+      ( "summary",
+        Json.Obj
+          ([
+             ("programs", Json.Int (List.length r.tr_programs));
+             ("warnings", Json.Int (Diag.warnings (findings r)));
+           ]
+          @
+          match r.tr_fit with
+          | Some (pearson, mape) ->
+            [ ("pearson", Json.Float pearson); ("mape", Json.Float mape) ]
+          | None -> []) );
+    ]
 
 let crossval () : Table.t =
-  let rs = rows Registry.all in
+  let r = report ~top:0 ~xval:true Platforms.C Registry.all in
   let t =
     Table.create
       ~title:
@@ -89,19 +190,20 @@ let crossval () : Table.t =
       ]
   in
   List.iter
-    (fun r ->
+    (fun p ->
+      let pr = p.tp_prediction and m = Option.get p.tp_measured in
       Table.add_row t
         [
-          r.xv_bench;
-          string_of_int r.xv_predicted;
-          string_of_int r.xv_measured;
-          Table.fpct r.xv_error_pct;
-          string_of_int r.xv_blocks;
-          Printf.sprintf "%d/%d" r.xv_pred_mispredicts r.xv_sim_mispredicts;
+          p.tp_bench;
+          string_of_int pr.Timing.pr_cycles;
+          string_of_int m.xv_cycles;
+          Table.fpct m.xv_error_pct;
+          string_of_int pr.Timing.pr_blocks;
+          Printf.sprintf "%d/%d" pr.Timing.pr_mispredicts m.xv_mispredicts;
         ])
-    rs;
+    r.tr_programs;
+  let pearson, mape = Option.get r.tr_fit in
   Table.add_sep t;
-  Table.add_row t
-    [ "pearson"; Table.fnum (pearson_of rs); ""; ""; ""; "" ];
-  Table.add_row t [ "mape"; Table.fpct (mape_of rs); ""; ""; ""; "" ];
+  Table.add_row t [ "pearson"; Table.fnum pearson; ""; ""; ""; "" ];
+  Table.add_row t [ "mape"; Table.fpct mape; ""; ""; ""; "" ];
   t

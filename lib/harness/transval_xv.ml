@@ -15,6 +15,8 @@ module T = Trips_analysis.Transval
 module Cg = Trips_risc.Codegen
 module Risa = Trips_risc.Isa
 module Table = Trips_util.Table
+module Json = Trips_util.Json
+module Diag = Trips_analysis.Diag
 
 let edge_reports = Platforms.Memo.create ()
 
@@ -79,12 +81,56 @@ let cell_risc b =
     c_reports = rs;
   }
 
-let sweep ?(presets = Preset.all) ?(risc = true) benches : cell list =
-  List.concat_map
-    (fun b ->
-      List.map (fun tag -> cell_edge tag b) presets
-      @ (if risc then [ cell_risc b ] else []))
-    benches
+type report = {
+  tv_cells : cell list;
+  tv_total : T.summary;
+}
+
+let report ?(presets = Preset.all) ?(risc = true) benches =
+  let cells =
+    List.concat_map
+      (fun b ->
+        List.map (fun tag -> cell_edge tag b) presets
+        @ if risc then [ cell_risc b ] else [])
+      benches
+  in
+  {
+    tv_cells = cells;
+    tv_total = T.summarize (List.concat_map (fun c -> c.c_reports) cells);
+  }
+
+let cell_findings c = T.report_diags c.c_reports
+
+let findings r = List.concat_map cell_findings r.tv_cells
+
+let to_json ~strict r =
+  let cell_json c =
+    let s = c.c_summary in
+    Json.Obj
+      [
+        ("bench", Json.Str c.c_bench);
+        ("config", Json.Str c.c_config);
+        ("proved", Json.Int s.T.n_proved);
+        ("concrete", Json.Int s.T.n_concrete);
+        ("refuted", Json.Int s.T.n_refuted);
+        ("findings", Diag.list_to_json (cell_findings c));
+      ]
+  in
+  let s = r.tv_total in
+  Json.Obj
+    [
+      ("programs", Json.List (List.map cell_json r.tv_cells));
+      ( "summary",
+        Json.Obj
+          [
+            ("programs", Json.Int (List.length r.tv_cells));
+            ("proved", Json.Int s.T.n_proved);
+            ("concrete", Json.Int s.T.n_concrete);
+            ("refuted", Json.Int s.T.n_refuted);
+            ("warnings", Json.Int (Diag.warnings (findings r)));
+            ("strict", Json.Bool strict);
+          ] );
+    ]
 
 let cell_text (s : T.summary) =
   if s.T.n_refuted > 0 then Printf.sprintf "REFUTED:%d" s.T.n_refuted
@@ -93,7 +139,7 @@ let cell_text (s : T.summary) =
   else string_of_int s.T.n_proved
 
 let crossval () : Table.t =
-  let benches = Registry.all in
+  let r = report Registry.all in
   let cols =
     ("benchmark", Table.Left)
     :: List.map (fun tag -> (Preset.name tag, Table.Right)) Preset.all
@@ -106,34 +152,18 @@ let crossval () : Table.t =
          (count, +Nc = concretized, REFUTED:N = miscompiles)"
       cols
   in
-  let total = ref { T.n_proved = 0; n_concrete = 0; n_refuted = 0 } in
-  let add (s : T.summary) =
-    total :=
-      {
-        T.n_proved = !total.T.n_proved + s.T.n_proved;
-        n_concrete = !total.T.n_concrete + s.T.n_concrete;
-        n_refuted = !total.T.n_refuted + s.T.n_refuted;
-      }
-  in
   List.iter
     (fun (b : Registry.bench) ->
-      let cells =
-        List.map
-          (fun tag ->
-            let s = (cell_edge tag b).c_summary in
-            add s;
-            cell_text s)
-          Preset.all
-        @ [
-            (let s = (cell_risc b).c_summary in
-             add s;
-             cell_text s);
-          ]
-      in
-      Table.add_row t (b.Registry.name :: cells))
-    benches;
+      Table.add_row t
+        (b.Registry.name
+        :: List.filter_map
+             (fun c ->
+               if c.c_bench = b.Registry.name then Some (cell_text c.c_summary)
+               else None)
+             r.tv_cells))
+    Registry.all;
   Table.add_sep t;
-  let s = !total in
+  let s = r.tv_total in
   Table.add_row t
     (("total (" ^ cell_text s ^ ")")
     :: List.map (fun _ -> "") Preset.all

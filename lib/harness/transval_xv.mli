@@ -29,11 +29,26 @@ type cell = {
 
 val cell_edge : Trips_workloads.Preset.t -> Trips_workloads.Registry.bench -> cell
 
-val sweep :
+(** The value the [transval] report and the experiment table both
+    render. *)
+type report = {
+  tv_cells : cell list;  (** bench-major: each preset, then RISC *)
+  tv_total : Trips_analysis.Transval.summary;  (** over every cell *)
+}
+
+val report :
   ?presets:Trips_workloads.Preset.t list ->
   ?risc:bool ->
   Trips_workloads.Registry.bench list ->
-  cell list
+  report
+(** Validate every benchmark at each of [presets] (default all) and,
+    with [risc] (default), its RISC code. *)
+
+val findings : report -> Trips_analysis.Diag.t list
+(** Every cell's validator findings. *)
+
+val to_json : strict:bool -> report -> Trips_util.Json.t
+(** The [transval] report that [bench/BENCH_absint.json] gates. *)
 
 val crossval : unit -> Trips_util.Table.t
 (** The benchmark x configuration verdict table over every registered

@@ -387,13 +387,15 @@ let test_corpus_replay () =
 (* Batch determinism                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [Batch.run] promises a report independent of the worker count; the
+   CLI runs it on several workers. *)
 let test_batch_deterministic () =
-  let run () =
-    Batch.run_seq light_oracle ~gen_cfg:light_gen_cfg ~shrink_evals:200
+  let run workers =
+    Batch.run ~workers light_oracle ~gen_cfg:light_gen_cfg ~shrink_evals:200
       ~seed:1 ~count:4 ()
   in
-  let a = run () and b = run () in
-  Alcotest.(check string) "JSON reports byte-identical"
+  let a = run 1 and b = run 3 in
+  Alcotest.(check string) "JSON reports byte-identical at 1 and 3 workers"
     (Json.to_string (Batch.to_json a))
     (Json.to_string (Batch.to_json b));
   Alcotest.(check int) "row per seed" 4 (List.length a.Batch.bt_rows)
